@@ -5,9 +5,11 @@ atom per inter-strike interval plus one beyond the last strike.  Such a
 measure is parametrized by the cumulative weights ``zeta_i`` on [0, k_i);
 consistency with the quoted puts confines ``zeta_i`` to an interval ``A_i``
 of divided differences, and the atom positions follow from repricing the
-puts.  The objective separates over consecutive pairs, so a backwards
-recursion over a discretized policy grid solves it; local refinement plus a
-coordinate polish push the optimum to near machine precision.
+puts.  Each interval's term w * lambda(chi) is the perspective of the
+convex payoff applied to an affine map of (zeta_{i-1}, zeta_i), so the
+objective is convex with a tridiagonal Hessian.  One backwards recursion
+over a coarse policy grid gives the warm start, and a projected Newton
+solve over the box of intervals takes it to machine precision.
 
 A dense-grid linear program over the same instruments serves as an
 independent primal oracle, and doubles as the fallback route for chains the
@@ -20,7 +22,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar, root
+from scipy.linalg import solveh_banded
+from scipy.optimize import linprog
 
 from .chain import NormalizedChain, validate_puts
 from .payoff import ConvexPayoff, check_c1
@@ -31,6 +34,8 @@ _ATOM_BOX_TOL = 1e-10    # atom may exceed its interval by at most this
 _FORWARD_TOL = 1e-8
 _DOMINATION_TOL = 1e-8
 _CONTACT_TOL = 1e-8
+_FIXED_WIDTH = 1e-13  # policy intervals at most this wide hold their weight fixed
+_NOISE = 64 * np.finfo(float).eps  # relative rounding level of the policy objective
 DEFAULT_GRID = 200
 
 
@@ -206,7 +211,8 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
         )
     s = nchain.slopes
     lo = s.copy()
-    hi = np.append(s[1:], 1.0)
+    # Convexity holds to EQ_TOL only: a rounded slope may dip below its predecessor.
+    hi = np.maximum(np.append(s[1:], 1.0), lo)
     return np.column_stack([lo, hi])
 
 
@@ -222,36 +228,30 @@ def atoms_from_policy(
     unless ``allow_mean_escape`` records the deficit instead.
     """
     zeta = np.asarray(zeta, dtype=float)
-    k, p = nchain.k, nchain.p
+    k = nchain.k
     n = nchain.n
     if zeta.shape != (n,):
         raise ValueError(f"policy must have length {n}")
-    atoms: list[float] = []
-    weights: list[float] = []
-    prev = 0.0
-    for i in range(1, n + 1):
-        z = float(zeta[i - 1])
-        w = z - prev
-        if w < -1e-12:
-            raise DegeneratePolicy(f"cumulative weights decrease at index {i}")
-        if w > _MIN_ATOM_WEIGHT:
-            chi = k[i] + (prev * (k[i] - k[i - 1]) - (p[i] - p[i - 1])) / w
-            if chi < k[i - 1] - _ATOM_BOX_TOL or chi > k[i] + _ATOM_BOX_TOL:
-                raise DegeneratePolicy(
-                    f"atom {chi:.12g} escapes interval [{k[i - 1]:.12g}, {k[i]:.12g}]"
-                )
-            atoms.append(float(np.clip(chi, max(k[i - 1], 0.0), k[i])))
-            weights.append(w)
-        prev = z
-    tail_weight = 1.0 - prev
+    prev = np.concatenate(([0.0], zeta[:-1]))
+    w = zeta - prev
+    if np.any(w < -1e-12):
+        raise DegeneratePolicy(f"cumulative weights decrease at index {int(np.argmax(w < -1e-12)) + 1}")
+    i = np.flatnonzero(w > _MIN_ATOM_WEIGHT) + 1
+    chi = _atom(nchain, i, prev[i - 1], zeta[i - 1])
+    escaped = (chi < k[i - 1] - _ATOM_BOX_TOL) | (chi > k[i] + _ATOM_BOX_TOL)
+    if np.any(escaped):
+        j = int(np.argmax(escaped))
+        raise DegeneratePolicy(f"atom {chi[j]:.12g} escapes interval [{k[i[j] - 1]:.12g}, {k[i[j]]:.12g}]")
+    atoms = list(np.clip(chi, k[i - 1], k[i]))
+    weights = list(w[i - 1])
+    tail_weight = 1.0 - float(zeta[-1])
+    expected = _tail_constant(nchain)
     escape = 0.0
     if tail_weight > _MIN_ATOM_WEIGHT:
-        chi = k[n] + (1.0 + p[n] - k[n]) / tail_weight
-        atoms.append(float(chi))
+        atoms.append(float(k[n] + expected / tail_weight))
         weights.append(tail_weight)
     else:
         escape = 1.0 - float(np.dot(weights, atoms))
-        expected = 1.0 + p[n] - k[n]
         if abs(escape - expected) > _FORWARD_TOL:
             raise ForwardViolation(
                 f"boundary policy mean deficit {escape:.12g} != call value {expected:.12g}"
@@ -275,285 +275,290 @@ def _tail_constant(nchain: NormalizedChain) -> float:
     return float(1.0 + nchain.p[-1] - nchain.k[-1])
 
 
-def _segment_value(nchain, payoff, i: int, a: float, b: float) -> float:
+def _atom(nchain, i, a, b):
+    """Atom of segment(s) ``i`` for cumulative weights (a, b), before clipping.
+
+    chi = k_i + dk (a - s_i) / w = k_{i-1} + dk (b - s_i) / w, w = b - a; the
+    form anchored at the nearer strike is exact when a weight sits at s_i.
+    """
+    k, s = nchain.k, nchain.slopes
+    with np.errstate(all="ignore"):
+        right = k[i] + (k[i] - k[i - 1]) * (a - s[i - 1]) / (b - a)
+        left = k[i - 1] + (k[i] - k[i - 1]) * (b - s[i - 1]) / (b - a)
+    return np.where(s[i - 1] - a <= b - s[i - 1], right, left)
+
+
+def _segment_value(nchain, payoff, i, a, b):
+    """Term w * lambda(chi) of segment(s) ``i``; ``i``, ``a`` and ``b`` broadcast."""
+    k = nchain.k
     w = b - a
-    if w <= _ZERO_W:
-        return 0.0 if w >= -1e-12 else math.inf
-    k, p = nchain.k, nchain.p
-    chi = k[i] + (a * (k[i] - k[i - 1]) - (p[i] - p[i - 1])) / w
-    chi = min(max(chi, max(k[i - 1], 0.0)), k[i])
-    return w * float(payoff.value(chi))
+    live = w > _ZERO_W
+    chi = np.clip(_atom(nchain, i, a, b), k[i - 1], k[i])
+    with np.errstate(all="ignore"):
+        return np.where(live, w * payoff.value(chi), np.where(w >= -1e-12, 0.0, np.inf))
 
 
-def _tail_value(nchain, payoff, z: float) -> float:
-    w = 1.0 - z
+def _tail_value(nchain, payoff, z):
+    """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit at z = 1."""
     c = _tail_constant(nchain)
-    if w <= _ZERO_W:
-        gamma = payoff.asymptotic_slope
-        # Analytic limit of the vanishing tail atom: avoids dividing by 1 - z.
-        return gamma * c if math.isfinite(gamma) else math.inf
-    return w * float(payoff.value(nchain.k[-1] + c / w))
+    w = 1.0 - z
+    live = w > _ZERO_W
+    gamma = payoff.asymptotic_slope
+    with np.errstate(all="ignore"):
+        vals = w * payoff.value(nchain.k[-1] + c / np.where(live, w, 1.0))
+    return np.where(live, vals, gamma * c if math.isfinite(gamma) else math.inf)
 
 
 def policy_objective(nchain: NormalizedChain, payoff: ConvexPayoff, zeta) -> float:
     """Exact objective of a policy, with the analytic boundary limit for the tail."""
     zeta = np.asarray(zeta, dtype=float)
-    total = 0.0
-    prev = 0.0
-    for i in range(1, nchain.n + 1):
-        total += _segment_value(nchain, payoff, i, prev, float(zeta[i - 1]))
-        prev = float(zeta[i - 1])
-    return total + _tail_value(nchain, payoff, prev)
+    prev = np.concatenate(([0.0], zeta[:-1]))
+    segments = _segment_value(nchain, payoff, np.arange(1, nchain.n + 1), prev, zeta)
+    return float(np.sum(segments) + _tail_value(nchain, payoff, zeta[-1]))
 
 
-def _segment_matrix(nchain, payoff, i: int, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    k, p = nchain.k, nchain.p
-    dk = k[i] - k[i - 1]
-    dp = p[i] - p[i - 1]
-    a = za[:, None]
-    b = zb[None, :]
-    d = b - a
-    pos = d > _ZERO_W
-    safe = np.where(pos, d, 1.0)
-    with np.errstate(all="ignore"):
-        chi = k[i] + (a * dk - dp) / safe
-        chi = np.clip(chi, max(k[i - 1], 0.0), k[i])
-        vals = payoff.value(chi)
-        term = np.where(pos, d * vals, np.where(np.abs(d) <= _ZERO_W, 0.0, np.inf))
-    return term
-
-
-def _tail_vector(nchain, payoff, z: np.ndarray) -> np.ndarray:
-    c = _tail_constant(nchain)
-    w = 1.0 - z
-    pos = w > _ZERO_W
-    safe = np.where(pos, w, 1.0)
-    with np.errstate(all="ignore"):
-        vals = payoff.value(nchain.k[-1] + c / safe)
-        out = np.where(pos, w * vals, 0.0)
-    gamma = payoff.asymptotic_slope
-    boundary = gamma * c if math.isfinite(gamma) else math.inf
-    return np.where(pos, out, boundary)
-
-
-def _solve_on_grids(nchain, payoff, grids: list[np.ndarray]) -> tuple[float, np.ndarray]:
+def _solve_on_grids(nchain, payoff, grids: list[np.ndarray]) -> np.ndarray:
+    """Backwards recursion over a policy grid per interval; the best grid policy."""
     n = nchain.n
-    V = _tail_vector(nchain, payoff, grids[n - 1])
+    V = _tail_value(nchain, payoff, grids[n - 1])
     choices: list[np.ndarray] = [np.empty(0, dtype=int)] * n
     for j in range(n - 1, 0, -1):
-        M = _segment_matrix(nchain, payoff, j + 1, grids[j - 1], grids[j]) + V[None, :]
+        M = _segment_value(nchain, payoff, j + 1, grids[j - 1][:, None], grids[j][None, :]) + V[None, :]
         idx = np.argmin(M, axis=1)
         V = M[np.arange(M.shape[0]), idx]
         choices[j] = idx
-    first = _segment_matrix(nchain, payoff, 1, np.zeros(1), grids[0])[0] + V
-    i = int(np.argmin(first))
-    value = float(first[i])
+    i = int(np.argmin(_segment_value(nchain, payoff, 1, 0.0, grids[0]) + V))
     policy = np.empty(n)
     policy[0] = grids[0][i]
     for j in range(1, n):
         i = int(choices[j][i])
         policy[j] = grids[j][i]
-    return value, policy
+    return policy
 
 
-def _refined_grids(sets, policy, coarse_cells, g):
-    grids = []
-    for (lo, hi), z, cell in zip(sets, policy, coarse_cells):
-        a = max(lo, z - cell)
-        b = min(hi, z + cell)
-        pts = np.linspace(a, b, g)
-        grids.append(np.union1d(pts, [z, a, b]))
-    return grids
-
-
-def _chi_atom(nchain, i: int, a: float, b: float) -> float:
-    """Atom of interval i for cumulative weights (a, b); b > a assumed."""
-    k, p = nchain.k, nchain.p
-    num = a * (k[i] - k[i - 1]) - (p[i] - p[i - 1])
-    w = b - a
-    if w <= _ZERO_W:
-        return float(k[i])
-    return float(k[i] + num / w)
-
-
-def _tangent_at(payoff, chi: float, node: float) -> float:
+def _tangent_at(payoff, chi, node):
+    """Tangent of the payoff at ``chi``, evaluated at ``node``."""
     with np.errstate(all="ignore"):
-        return float(payoff.value(chi)) + float(payoff.slope(chi)) * (node - chi)
+        return payoff.value(chi) + payoff.slope(chi) * (node - chi)
 
 
-def _local_objective(nchain, payoff, zeta, i):
-    left = 0.0 if i == 1 else float(zeta[i - 2])
-    if i < nchain.n:
-        right = float(zeta[i])
-        return lambda z: _segment_value(nchain, payoff, i, left, z) + _segment_value(
-            nchain, payoff, i + 1, z, right
-        )
-    return lambda z: _segment_value(nchain, payoff, i, left, z) + _tail_value(nchain, payoff, z)
+@dataclass(frozen=True)
+class _PolicyState:
+    """Policy objective at ``zeta`` with its gradient and tridiagonal Hessian (diag, off)."""
+
+    zeta: np.ndarray
+    value: float
+    grad: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
 
 
-def _local_slope(nchain, payoff, zeta, i):
-    """d/dz of the local objective: the tangent-value mismatch at strike i.
+def _policy_state(nchain, payoff, zeta) -> _PolicyState:
+    """The segment kernel on every segment and the tail at once.
 
-    The partial derivative of the policy objective in the i-th cumulative
-    weight is T_i(k_i) - T_{i+1}(k_i), the gap at strike k_i between the
-    tangents at the atoms of intervals i and i+1 (the tail atom for i = n).
-    Stationarity is exactly tangent-line continuity at the strike.
+    Segment i (weight w, atom chi, tangent T_i at chi) adds T_i(k_i) to
+    grad[i-1], -T_i(k_{i-1}) to grad[i-2] and lambda''(chi) / w *
+    [[A^2, AB], [AB, B^2]] to the Hessian, A = chi - k_{i-1}, B = k_i - chi;
+    the tail adds -T_{n+1}(k_n) and lambda''(chi_t) (chi_t - k_n)^2 / w_t.
+    A vanishing atom (w = 0) takes its one-sided limits, chi = k_i as zeta_i
+    rises and chi = k_{i-1} as zeta_{i-1} falls, and adds no curvature.
     """
     k = nchain.k
-    n = nchain.n
-    left = 0.0 if i == 1 else float(zeta[i - 2])
-    node = float(k[i])
-
-    def slope(z: float) -> float:
-        chi_i = _chi_atom(nchain, i, left, z)
-        own = _tangent_at(payoff, chi_i, node)
-        if i < n:
-            chi_next = _chi_atom(nchain, i + 1, z, float(zeta[i]))
-            other = _tangent_at(payoff, chi_next, node)
-        else:
-            w = 1.0 - z
-            if w <= _ZERO_W:
-                other = _tangent_at(payoff, 1e12 * max(node, 1.0), node)
-            else:
-                chi_next = k[n] + _tail_constant(nchain) / w
-                other = _tangent_at(payoff, chi_next, node)
-        return own - other
-
-    return slope
+    prev = np.concatenate(([0.0], zeta[:-1]))
+    w = zeta - prev
+    live = w > _ZERO_W
+    safe = np.where(live, w, 1.0)
+    chi = np.where(live, np.clip(_atom(nchain, np.arange(1, k.size), prev, zeta), k[:-1], k[1:]), k[1:])
+    w_tail = max(1.0 - float(zeta[-1]), _ZERO_W)
+    chi_tail = k[-1] + _tail_constant(nchain) / w_tail
+    right = _tangent_at(payoff, chi, k[1:])
+    left = _tangent_at(payoff, np.where(live, chi, k[:-1]), k[:-1])
+    grad = right - np.append(left[1:], _tangent_at(payoff, chi_tail, k[-1]))
+    with np.errstate(all="ignore"):
+        h = np.where(live, payoff.curvature(chi) / safe, 0.0)
+        A, B = chi - k[:-1], k[1:] - chi
+        diag = h * B * B
+        diag[:-1] += (h * A * A)[1:]
+        diag[-1] += payoff.curvature(chi_tail) * (chi_tail - k[-1]) ** 2 / w_tail
+        off = (h * A * B)[1:]
+    return _PolicyState(zeta, policy_objective(nchain, payoff, zeta), grad, diag, off)
 
 
-def _brentq(fn, lo: float, hi: float) -> float:
-    from scipy.optimize import brentq
+def _colored_hessian(nchain, payoff, sets, state: _PolicyState) -> _PolicyState:
+    """Tridiagonal Hessian from three colored differences of the analytic gradient.
 
-    return float(brentq(fn, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-
-
-def _coordinate_polish(nchain, payoff, sets, policy, *, sweeps=30):
-    """Coordinate descent to the first-order conditions.
-
-    Each sweep sets every cumulative weight to the root of its tangent
-    mismatch (bracketed inside its interval), falling back to the better
-    endpoint; roots are resolved to machine precision, so tangent-based
-    portfolio reconstruction meets its contact tolerance afterwards.
+    For payoffs without a curvature density: grad[i] depends on zeta_{i-1..i+1}
+    only, so every third weight moves at once, by a small fraction of its
+    lighter adjacent segment (the scale on which that curvature varies).
     """
-    n = nchain.n
-    zeta = np.asarray(policy, dtype=float).copy()
-    best = policy_objective(nchain, payoff, zeta)
-    for _ in range(sweeps):
-        moved = 0.0
-        for i in range(1, n + 1):
-            lo, hi = float(sets[i - 1][0]), float(sets[i - 1][1])
-            width = hi - lo
-            if width <= 1e-14:
-                continue
-            local = _local_objective(nchain, payoff, zeta, i)
-            slope = _local_slope(nchain, payoff, zeta, i)
-            eps = 1e-12 * max(width, 1.0)
-            zl, zr = lo + eps, hi - eps
-            candidates = [(local(zeta[i - 1]), float(zeta[i - 1])), (local(lo), lo), (local(hi), hi)]
-            with np.errstate(all="ignore"):
-                gl, gr = slope(zl), slope(zr)
-            if math.isfinite(gl) and math.isfinite(gr) and gl < 0.0 < gr:
-                root = _brentq(slope, zl, zr)
-                candidates.append((local(root), root))
-            else:
-                res = minimize_scalar(local, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-                x = float(res.x)
-                with np.errstate(all="ignore"):
-                    ga, gb = slope(max(zl, x - 1e-5 * width)), slope(min(zr, x + 1e-5 * width))
-                if math.isfinite(ga) and math.isfinite(gb) and ga < 0.0 < gb:
-                    x = _brentq(slope, max(zl, x - 1e-5 * width), min(zr, x + 1e-5 * width))
-                candidates.append((local(x), x))
-            fval, z = min(candidates, key=lambda t: (t[0], t[1]))
-            if math.isfinite(fval) and z != zeta[i - 1]:
-                moved = max(moved, abs(z - zeta[i - 1]))
-                zeta[i - 1] = z
-        if moved < 1e-14:
-            break
-    return policy_objective(nchain, payoff, zeta), zeta
+    lo, hi = sets[:, 0], sets[:, 1]
+    zeta, n = state.zeta, state.zeta.size
+    w = np.diff(zeta, prepend=0.0)
+    lighter = np.minimum(w, np.append(w[1:], 1.0 - zeta[-1]))
+    step = np.where(hi - zeta >= zeta - lo, 1.0, -1.0) * np.clip(1e-6 * lighter, 1e-13, 1e-7)
+    diag, off = np.zeros(n), np.zeros(n - 1)
+    for color in range(3):
+        cols = np.arange(color, n, 3)
+        moved = zeta.copy()
+        moved[cols] += step[cols]
+        dg = _policy_state(nchain, payoff, moved).grad - state.grad
+        diag[cols] = dg[cols] / step[cols]
+        cols = cols[cols + 1 < n]
+        off[cols] = dg[cols + 1] / step[cols]
+    return replace(state, diag=diag, off=off)
 
 
-def _mismatch_at(nchain, payoff, zeta, i: int) -> float:
-    return _local_slope(nchain, payoff, zeta, i)(float(zeta[i - 1]))
+def _kkt_residual(state: _PolicyState, lo, hi) -> float:
+    """Largest first-order violation; a weight at a bound counts only if pushed inward."""
+    g, z = state.grad, state.zeta
+    viol = np.where(z <= lo, np.minimum(g, 0.0), np.where(z >= hi, np.maximum(g, 0.0), g))
+    return float(np.max(np.abs(np.where(lo >= hi, 0.0, viol))))
 
 
-def _stationarity_polish(nchain, payoff, sets, policy):
-    """Joint Newton solve of the tangent-continuity system on interior coordinates.
+def _newton_direction(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray:
+    """Pinned weights stay; free ones take a Newton step from one banded solve, O(n).
 
-    Coordinate descent zigzags when an atom carries tiny weight (its position
-    is hypersensitive to the cumulative weights), leaving tangent mismatches
-    far above the contact tolerance; solving the coupled stationarity system
-    collapses that error to machine precision.  Endpoint-pinned coordinates
-    stay fixed; the result is accepted only if the objective does not rise.
+    A weight is pinned at a bound its gradient pushes against.  Diagonal
+    entries of at least |g_i| / width_i keep the system positive definite.
     """
-    n = nchain.n
-    zeta = np.asarray(policy, dtype=float).copy()
-    best = policy_objective(nchain, payoff, zeta)
-    lo = sets[:, 0]
+    g, z = state.grad, state.zeta
+    pinned = (lo >= hi) | ((z <= lo) & (g >= 0.0)) | ((z >= hi) & (g <= 0.0))
+    idx = np.flatnonzero(~pinned & np.isfinite(g) & np.isfinite(state.diag))
+    d = np.zeros_like(z)
+    if idx.size == 0:
+        return d
+    diag = np.maximum(state.diag[idx], np.abs(g[idx]) / (hi[idx] - lo[idx])) * (1.0 + 1e-12) + 1e-300
+    off = np.where(np.diff(idx) == 1, state.off[np.minimum(idx[:-1], state.off.size - 1)], 0.0)
+    band = np.vstack([np.append(0.0, np.where(np.isfinite(off), off, 0.0)), diag])
+    try:
+        d[idx] = -solveh_banded(band, g[idx]) if idx.size > 1 else -g[idx] / diag
+    except np.linalg.LinAlgError:
+        # Rounding left the Hessian indefinite; a diagonally scaled gradient
+        # step still descends.
+        d[idx] = -g[idx] / diag
+    return d
+
+
+def _inward_push(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray:
+    """Halfway to the far bound for each weight whose slope is infinite (gamma's at 0).
+
+    Never stationarity, but it may hold over a stretch below rounding only,
+    so it is tried apart from the Newton step of the other weights.
+    """
+    g, z = state.grad, state.zeta
+    return np.where(g == -np.inf, 0.5 * (hi - z), np.where(g == np.inf, 0.5 * (lo - z), 0.0))
+
+
+def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray | None:
+    """Joint descent direction that reopens vanishing atoms, or None.
+
+    At zeta_{i-1} = zeta_i = s_i the objective has a kink.  Along
+    (-theta, 1 - theta) its slope is lambda(chi) - theta r_a + (1 - theta) r_b,
+    chi = k_i - theta dk, with r_a, r_b the gradients of the other terms; the
+    coordinate-wise test sees theta = 0 and 1 only.  The slope is convex in
+    theta, least where lambda'(chi) = -(r_a + r_b) / dk.
+    """
+    k, z, g = nchain.k, state.zeta, state.grad
+    i = 1 + np.flatnonzero((z[1:] - z[:-1] <= _ZERO_W) & (z[:-1] >= hi[:-1]) & (z[1:] <= lo[1:])
+                           & (lo[:-1] < hi[:-1]) & (lo[1:] < hi[1:]))  # zeta_i, 0-based
+    if i.size == 0:
+        return None
+    left, right = k[i], k[i + 1]
+    r_a = g[i - 1] + payoff.value(left)
+    r_b = g[i] - payoff.value(right)
+    target = -(r_a + r_b) / (right - left)
+    a, b = left, right
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        below = payoff.slope(mid) < target
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    theta = (right - a) / (right - left)
+    slope = payoff.value(a) - theta * r_a + (1.0 - theta) * r_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.minimum((z[i - 1] - lo[i - 1]) / theta, (hi[i] - z[i]) / (1.0 - theta))
+    opens = (slope < 0.0) & (reach > 0.0)
+    if not np.any(opens):
+        return None
+    d = np.zeros_like(z)
+    d[i[opens] - 1] = -(theta * reach)[opens]
+    d[i[opens]] = ((1.0 - theta) * reach)[opens]
+    return d
+
+
+def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi) -> _PolicyState | None:
+    """Armijo backtracking along the projection arc; None when no step helps.
+
+    Only a decrease beyond rounding counts, else steps could trade rounding
+    errors forever; a full step within rounding that halves the first-order
+    residual is accepted too, since the gradient still shrinks there.
+    """
+    finite = np.isfinite(state.grad)
+    residual = _kkt_residual(state, lo, hi)
+    noise = _NOISE * (1.0 + abs(state.value))
+    alpha = 1.0
+    for _ in range(60):
+        trial = np.clip(state.zeta + alpha * d, lo, hi)
+        moved = trial - state.zeta
+        if not np.any(moved):
+            return None
+        new = _policy_state(nchain, payoff, trial)
+        armijo = state.value + 1e-4 * min(float(np.dot(state.grad[finite], moved[finite])), 0.0)
+        if new.value < state.value - noise and new.value <= armijo:
+            return new
+        if alpha == 1.0 and new.value <= state.value + noise and _kkt_residual(new, lo, hi) < 0.5 * residual:
+            return new
+        alpha *= 0.5
+    return None
+
+
+def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
+    """Minimize the convex policy objective over the boxes A_i.
+
+    Projected Newton with active-set release (Bertsekas, SIAM J. Control
+    Optim. 20(2), 1982); when no Newton step helps, weights with an infinite
+    slope are pushed inward and vanishing atoms reopened before the point is
+    accepted as optimal.
+    """
     hi = sets[:, 1]
-    for _ in range(3):
-        pad = 1e-9 * np.maximum(hi - lo, 1.0)
-        interior = np.flatnonzero((zeta > lo + pad) & (zeta < hi - pad))
-        if interior.size == 0:
-            break
+    # An interval only rounding wide (collinear quotes) pins its weight at the
+    # right end: the next atom then sits on its strike, not at huge curvature.
+    lo = np.where(hi - sets[:, 0] <= _FIXED_WIDTH, hi, sets[:, 0])
+    colored = bool(np.isnan(payoff.weight(np.ones(1)))[0])
+    state = _policy_state(nchain, payoff, np.clip(policy, lo, hi))
+    for _ in range(200):  # a cap only: solves take a few dozen steps at most
+        if colored:
+            state = _colored_hessian(nchain, payoff, sets, state)
+        for direction in (_newton_direction, _inward_push, _vanishing_atom_release):
+            d = direction(nchain, payoff, state, lo, hi)
+            new = None if d is None else _line_search(nchain, payoff, state, d, lo, hi)
+            if new is not None:
+                break
+        else:
+            return state.zeta
+        state = new
+    return state.zeta
 
-        def system(zvec):
-            full = zeta.copy()
-            full[interior] = np.clip(zvec, lo[interior], hi[interior])
-            out = np.empty(interior.size)
-            for j, idx in enumerate(interior):
-                with np.errstate(all="ignore"):
-                    out[j] = _mismatch_at(nchain, payoff, full, idx + 1)
-            return np.where(np.isfinite(out), out, 1e6)
 
-        try:
-            res = root(system, zeta[interior], method="hybr", tol=1e-13)
-        except Exception:
-            break
-        candidate = zeta.copy()
-        candidate[interior] = np.clip(res.x, lo[interior], hi[interior])
-        value = policy_objective(nchain, payoff, candidate)
-        if not math.isfinite(value) or value > best + 1e-11 * (1.0 + abs(best)):
-            break
-        moved = float(np.max(np.abs(candidate - zeta)))
-        zeta = candidate
-        best = min(best, value)
-        if moved < 1e-13:
-            break
-    return best, zeta
+def _require_c1(nchain, payoff) -> None:
+    if not check_c1(nchain, payoff):
+        raise C1Violation("payoff unbounded at the origin and p_2 <= (k_2/k_1) p_1: the lower bound is infinite")
 
 
 def dp_lower_bound(
     nchain: NormalizedChain, payoff: ConvexPayoff, grid: int = DEFAULT_GRID
 ) -> DualSolution:
-    """Lower price bound by backwards recursion over the policy intervals.
+    """Lower price bound: the minimum of the convex policy objective over the boxes A_i.
 
-    Two-pass search: a coarse grid of ``grid`` points per interval, then
-    local refinement around the incumbent (window of two coarse cells, same
-    point count) until the value stalls below 1e-7, then a coordinate polish.
-    The returned value includes the analytic boundary-limit tail term; the
-    measure records any escaped forward mass in ``mean_at_infinity``.
+    One backwards recursion over ``grid`` points per interval gives the warm
+    start; a projected Newton solve on the tridiagonal Hessian takes it to
+    the optimum.  The value includes the analytic boundary-limit tail term;
+    the measure records any escaped forward mass in ``mean_at_infinity``.
     """
     sets = feasible_policy_sets(nchain)
-    if not check_c1(nchain, payoff):
-        raise C1Violation(
-            "payoff unbounded at the origin and p_2 <= (k_2/k_1) p_1: "
-            "the lower bound is infinite"
-        )
+    _require_c1(nchain, payoff)
     g = max(int(grid), 8)
     grids = [np.union1d(np.linspace(lo, hi, g), [lo, hi]) for lo, hi in sets]
-    value, policy = _solve_on_grids(nchain, payoff, grids)
-    cells = np.array([2.0 * (hi - lo) / max(g - 1, 1) for lo, hi in sets])
-    for _ in range(40):
-        grids = _refined_grids(sets, policy, cells, g)
-        new_value, policy = _solve_on_grids(nchain, payoff, grids)
-        cells = cells / (g / 4.0)
-        done = value - new_value < 1e-7
-        value = min(value, new_value)
-        if done:
-            break
-    value, policy = _coordinate_polish(nchain, payoff, sets, policy)
-    value, policy = _stationarity_polish(nchain, payoff, sets, policy)
+    policy = _projected_newton(nchain, payoff, sets, _solve_on_grids(nchain, payoff, grids))
     measure = atoms_from_policy(nchain, policy, allow_mean_escape=True)
     gamma = payoff.asymptotic_slope
     tail_term = gamma * measure.mean_at_infinity if measure.mean_at_infinity > 0.0 else 0.0
@@ -670,7 +675,7 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio | None:
     return _portfolio_from_nodes(nchain, node_values, float(phi))
 
 
-def _subhedge_checks(nchain, payoff, measure, portfolio, *, require_cost=True) -> bool:
+def _subhedge_checks(nchain, payoff, measure, portfolio) -> bool:
     grid = verification_grid(nchain, payoff)
     if not dominates_below(portfolio, payoff, grid):
         return False
@@ -680,16 +685,13 @@ def _subhedge_checks(nchain, payoff, measure, portfolio, *, require_cost=True) -
         gap = np.abs(portfolio.payoff(atoms) - payoff.value(atoms))
         if np.any(gap > _CONTACT_TOL):
             return False
-    if require_cost:
-        cost = portfolio.setup_cost(nchain)
-        target = measure.integrate(payoff)
-        if measure.mean_at_infinity > 0.0 and portfolio.tail_slope() < -1e-12:
-            # Flat tail was inadmissible; the cost legitimately sits below the
-            # measure integral.
-            return cost <= target + _CONTACT_TOL
-        if abs(cost - target) > max(_CONTACT_TOL, 1e-10 * abs(target)):
-            return False
-    return True
+    cost = portfolio.setup_cost(nchain)
+    target = measure.integrate(payoff)
+    if measure.mean_at_infinity > 0.0 and portfolio.tail_slope() < -1e-12:
+        # Flat tail was inadmissible; the cost legitimately sits below the
+        # measure integral.
+        return cost <= target + _CONTACT_TOL
+    return abs(cost - target) <= max(_CONTACT_TOL, 1e-10 * abs(target))
 
 
 def _cutting_plane_lp(nchain, payoff, grid, *, equality_atoms=None, fix_forward=None, rounds=8):
@@ -932,10 +934,6 @@ def lp_lower_bound(nchain: NormalizedChain, payoff: ConvexPayoff) -> tuple[float
     Runs the cutting-plane loop so the reported portfolio sub-replicates on
     the fine verification grid, not just at its own constraint points.
     """
-    if not check_c1(nchain, payoff):
-        raise C1Violation(
-            "payoff unbounded at the origin and p_2 <= (k_2/k_1) p_1: "
-            "the lower bound is infinite"
-        )
+    _require_c1(nchain, payoff)
     grid = build_lp_grid(nchain, payoff)
     return _cutting_plane_lp(nchain, payoff, grid)

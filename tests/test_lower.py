@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,22 +17,58 @@ from varbounds import (
     grid_lp_oracle,
     make_payoff,
     normalize,
+    parse_weight,
     reconstruct_subhedge,
     tighten_tail,
 )
+from varbounds import lower
 from varbounds.lower import (
     ForwardViolation,
     build_lp_grid,
     dominates_below,
     lp_lower_bound,
+    policy_objective,
     solve_grid_lp,
     verification_grid,
 )
-from conftest import random_consistent_chain, single_put_chain
+from conftest import lognormal_chain, random_consistent_chain, single_put_chain
 
 INVERSE = make_payoff(WeightSpec.inverse())
 VANILLA = make_payoff(WeightSpec.vanilla())
 GAMMA = make_payoff(WeightSpec.gamma())
+CLI_WEIGHTS = ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9")
+GOLDENS = json.loads((Path(__file__).parent / "data" / "dp_lower_goldens.json").read_text())
+
+# Chains on which dp_lower_bound raised DegeneratePolicy when its weights
+# came from a local refinement and coordinate polish (weight, strikes, puts).
+DEGENERATE_POLICY_CHAINS = [
+    (
+        "gamma",
+        [0.7643300623348683, 1.048208409368631, 1.4646766288441049, 2.060503670445465,
+         2.0842532033863193, 2.3883642148573525, 2.5703907029752897],
+        [0.22409773470940536, 0.37398216209448043, 0.6700424678529756, 1.1889918717584564,
+         1.2096770792132328, 1.4745496296430172, 1.6348328781683101],
+    ),
+    (
+        "corridor-down:0.9",
+        [0.7024474393543321, 0.8900753943168401, 0.8964378085330278, 1.1209508632354344,
+         2.0585699129532804, 2.318186814829915, 2.394421745195519],
+        [0.17870741576287877, 0.2922280259626482, 0.29676566913064595, 0.4568872981507563,
+         1.1618011477366852, 1.3914521807464137, 1.4588878152653284],
+    ),
+    (
+        "corridor-down:0.9",
+        [0.4068191664678112, 0.7481014801929867, 1.5803442242670402, 1.7847518152164692,
+         1.9757839818397864],
+        [0.040828684071456824, 0.1665827746428688, 0.6128963001823847, 0.8096388789547647,
+         0.9935075939832826],
+    ),
+    (
+        "corridor-down:0.9",
+        [0.36302149407498696, 1.6093357692263315, 1.8996425056875534, 2.5728050565858678],
+        [0.01718484646892724, 0.6904437928157864, 0.9566545255807505, 1.6085493684934156],
+    ),
+]
 
 
 def chain_of(strikes, prices):
@@ -72,6 +110,14 @@ class TestPolicySets:
     def test_unsupported_when_capped(self):
         with pytest.raises(UnsupportedChain):
             feasible_policy_sets(chain_of([2.0], [1.0]))
+
+    @pytest.mark.parametrize("weight,strikes,puts", DEGENERATE_POLICY_CHAINS[:3])
+    def test_rounded_slopes_never_invert_an_interval(self, weight, strikes, puts):
+        # convex only to within EQ_TOL: a slope may dip below its predecessor
+        nc = chain_of(strikes, puts)
+        assert np.any(np.diff(nc.slopes) < 0.0)
+        sets = feasible_policy_sets(nc)
+        assert np.all(sets[:, 1] >= sets[:, 0])
 
     def test_left_endpoints_nondecreasing(self):
         rng = np.random.default_rng(3)
@@ -176,6 +222,129 @@ class TestDpLowerBound:
             base = dp_lower_bound(nc, VANILLA).value
             shifted = dp_lower_bound(nc, VANILLA.shift_affine(alpha, beta)).value
             assert shifted == pytest.approx(base + alpha + beta, abs=1e-9)
+
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("weight", CLI_WEIGHTS)
+    def test_lognormal_goldens(self, n, weight):
+        nc = lognormal_chain(n)
+        sol = dp_lower_bound(nc, make_payoff(parse_weight(weight)))
+        assert sol.value <= GOLDENS["lognormal"][f"{n} {weight}"] + 1e-12
+        assert sol.measure.check(nc) == []
+
+    def test_criterion_2_goldens(self):
+        rng = np.random.default_rng(2024)
+        for j in range(200):
+            nc = random_consistent_chain(rng, max_strikes=8)
+            for name, payoff in (("vanilla", VANILLA), ("gamma", GAMMA)):
+                assert dp_lower_bound(nc, payoff).value <= GOLDENS["criterion2"][name][j] + 1e-12
+
+    @pytest.mark.parametrize("weight,strikes,puts", DEGENERATE_POLICY_CHAINS)
+    def test_degenerate_policy_chains(self, weight, strikes, puts):
+        nc = chain_of(strikes, puts)
+        payoff = make_payoff(parse_weight(weight))
+        sol = dp_lower_bound(nc, payoff)
+        assert sol.measure.check(nc) == []
+        oracle = grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=sol.measure.atoms))
+        assert abs(sol.value - oracle) <= 5e-3
+
+    @pytest.mark.parametrize("weight", ["vanilla", "corridor-down:0.9"])
+    def test_reopens_vanishing_atom(self, weight):
+        # Two weights meet at s_3, so interval 3 holds no atom.  Each weight
+        # alone is stationary there, but moving both apart reopens the atom
+        # and lowers the objective by 3e-5: the kink a coordinate-wise
+        # optimality test cannot see.
+        nc = chain_of([0.06152123270273209, 0.2993150348157739, 1.0440485222973601, 1.3936935260791665],
+                      [0.0001447891545803373, 0.0015209347858102613, 0.14479750431468708, 0.4422288047217887])
+        golden = {"vanilla": 0.04667062215882021, "corridor-down:0.9": 0.01318515151125949}[weight]
+        assert dp_lower_bound(nc, make_payoff(parse_weight(weight))).value <= golden + 1e-12
+
+    def test_infinite_slope_does_not_block_newton(self):
+        # gamma's first atom sits at 0, where its slope is -inf; the
+        # objective falls along zeta_1 only over a stretch below rounding,
+        # and the Newton step on zeta_2 must not wait for it
+        nc = chain_of([0.01821583280384486, 1.0145087670285364], [5.078740309865855e-05, 0.1333100760676026])
+        sol = dp_lower_bound(nc, GAMMA)
+        assert sol.measure.atoms[0] == 0.0
+        assert sol.value <= -0.9663389795472322 + 1e-12
+
+
+def interior_policy(nc, rng):
+    """Weights inside their intervals, and the coordinates free to move.
+
+    Quotes with no atom of the pricing law between them are collinear; their
+    interval is a point, where the objective has a kink.
+    """
+    sets = feasible_policy_sets(nc)
+    zeta = sets[:, 0] + rng.uniform(0.2, 0.8, size=nc.n) * (sets[:, 1] - sets[:, 0])
+    return zeta, sets[:, 1] - sets[:, 0] > 1e-6
+
+
+class TestPolicyKernel:
+    @pytest.mark.parametrize("weight", CLI_WEIGHTS + ("custom",))
+    def test_gradient_matches_central_difference(self, weight):
+        payoff = make_payoff(parse_weight(weight))
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            nc = random_consistent_chain(rng)
+            zeta, free = interior_policy(nc, rng)
+            grad = lower._policy_state(nc, payoff, zeta).grad
+            h = 1e-6
+            for i in np.flatnonzero(free):
+                e = np.zeros(nc.n)
+                e[i] = h
+                fd = (policy_objective(nc, payoff, zeta + e) - policy_objective(nc, payoff, zeta - e)) / (2 * h)
+                assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("weight", ["vanilla", "gamma", "custom"])
+    def test_hessian_matches_gradient_difference(self, weight):
+        payoff = make_payoff(parse_weight(weight))
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            nc = random_consistent_chain(rng)
+            zeta, free = interior_policy(nc, rng)
+            state = lower._policy_state(nc, payoff, zeta)
+            dense = np.diag(state.diag) + np.diag(state.off, 1) + np.diag(state.off, -1)
+            h = 1e-7
+            fd = np.empty((nc.n, nc.n))
+            for i in range(nc.n):
+                e = np.zeros(nc.n)
+                e[i] = h
+                up = lower._policy_state(nc, payoff, zeta + e).grad
+                down = lower._policy_state(nc, payoff, zeta - e).grad
+                fd[:, i] = (up - down) / (2 * h)
+            block = np.ix_(free, free)
+            np.testing.assert_allclose(fd[block], dense[block], rtol=1e-5, atol=1e-6 * np.max(np.abs(dense)))
+
+    def test_colored_hessian_without_curvature_density(self):
+        with_density = affine_plus_inverse(0.1)
+        without = make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            nc = random_consistent_chain(rng)
+            zeta, free = interior_policy(nc, rng)
+            exact = lower._policy_state(nc, with_density, zeta)
+            sets = feasible_policy_sets(nc)
+            colored = lower._colored_hessian(nc, without, sets, lower._policy_state(nc, without, zeta))
+            scale = np.max(np.abs(exact.diag))
+            np.testing.assert_allclose(colored.diag[free], exact.diag[free], rtol=1e-4, atol=1e-6 * scale)
+            pair = free[:-1] & free[1:]
+            np.testing.assert_allclose(colored.off[pair], exact.off[pair], rtol=1e-4, atol=1e-6 * scale)
+            assert dp_lower_bound(nc, without).value == pytest.approx(dp_lower_bound(nc, with_density).value, abs=1e-12)
+
+    def test_infinite_slope_at_zero_atom_pushes_inward(self):
+        # gamma has lambda'(0+) = -inf: with zeta_1 at the left end of A_1
+        # the first atom sits at 0 and the gradient there is -inf
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            nc = random_consistent_chain(rng)
+            sets = feasible_policy_sets(nc)
+            start = dp_lower_bound(nc, GAMMA).policy.copy()
+            start[0] = sets[0, 0]
+            assert lower._policy_state(nc, GAMMA, start).grad[0] == -np.inf
+            zeta = lower._projected_newton(nc, GAMMA, sets, start)
+            assert zeta[0] > sets[0, 0]
+            assert policy_objective(nc, GAMMA, zeta) == pytest.approx(dp_lower_bound(nc, GAMMA).value, abs=1e-12)
 
 
 class TestReconstruct:
