@@ -11,9 +11,11 @@ objective is convex with a tridiagonal Hessian.  One backwards recursion
 over a coarse policy grid gives the warm start, and a projected Newton
 solve over the box of intervals takes it to machine precision.
 
-A dense-grid linear program over the same instruments serves as an
-independent primal oracle, and doubles as the fallback route for chains the
-recursion does not support (free puts below, or priced-at-intrinsic strikes).
+The subhedge is built from the optimal measure alone: tangent to the payoff
+at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678).  A dense-grid
+linear program over the same instruments serves as an independent primal
+oracle, and as the route for chains the recursion does not support (free
+puts below, or priced-at-intrinsic strikes).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _ATOM_BOX_TOL = 1e-10    # atom may exceed its interval by at most this
 _FORWARD_TOL = 1e-8
 _DOMINATION_TOL = 1e-8
 _CONTACT_TOL = 1e-8
+_ON_STRIKE = 1e-9  # an atom this close to a strike, relative to its interval, sits on it
 _FIXED_WIDTH = 1e-13  # policy intervals at most this wide hold their weight fixed
 _NOISE = 64 * np.finfo(float).eps  # relative rounding level of the policy objective
 DEFAULT_GRID = 200
@@ -56,7 +59,7 @@ class DegeneratePolicy(RuntimeError):
 
 
 class ReconstructionFailure(RuntimeError):
-    """Neither the tangent construction nor the grid LP met the tolerances."""
+    """The tangent subhedge failed domination, contact or cost; the message says which."""
 
 
 class Unbounded(RuntimeError):
@@ -412,7 +415,8 @@ def _kkt_residual(state: _PolicyState, lo, hi) -> float:
     """Largest first-order violation; a weight at a bound counts only if pushed inward."""
     g, z = state.grad, state.zeta
     viol = np.where(z <= lo, np.minimum(g, 0.0), np.where(z >= hi, np.maximum(g, 0.0), g))
-    return float(np.max(np.abs(np.where(lo >= hi, 0.0, viol))))
+    # An infinite slope is never stationary; _inward_push handles those weights.
+    return float(np.max(np.abs(np.where((lo >= hi) | ~np.isfinite(g), 0.0, viol))))
 
 
 def _newton_direction(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray:
@@ -639,62 +643,80 @@ def _portfolio_from_nodes(nchain, node_values: np.ndarray, phi: float) -> HedgeP
     return HedgePortfolio(cash=float(cash), forward=float(phi), puts=pi, strikes=k[1:].copy())
 
 
-def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio | None:
+def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
+    """Strike-node values of the subhedge from the tangents at the measure's atoms.
+
+    A node is forced when an adjacent interval holds an interior atom (that
+    atom's tangent there) or an atom sits on it (the payoff there).  A free
+    node takes the lower tangent of the nearest atoms on either side, so
+    every segment next to it stays under one tangent line and no atom sees
+    it; the tail atom counts as an atom.  A segment between two forced nodes
+    stays under the payoff when the policy is optimal: for a vanishing atom
+    that is the reopening test of ``_vanishing_atom_release``.
+    """
     k = nchain.k
-    n = nchain.n
-    candidates: list[list[float]] = [[] for _ in range(n + 1)]
-    intervals = np.searchsorted(k, measure.atoms, side="right")
-    phi = None
-    for chi, w, iv in zip(measure.atoms, measure.weights, intervals):
-        if w <= _ZERO_W:
-            continue
-        v = float(payoff.value(chi))
-        g = float(payoff.slope(chi))
-        if not (math.isfinite(v) and math.isfinite(g)):
-            return None
-        if iv > n:  # tail atom: its tangent is the portfolio beyond k_n
-            phi = g
-            candidates[n].append(v + g * (k[n] - chi))
-        else:
-            candidates[iv - 1].append(v + g * (k[iv - 1] - chi))
-            candidates[iv].append(v + g * (k[iv] - chi))
-    if phi is None:
+    live = measure.weights > _ZERO_W
+    atoms = np.sort(measure.atoms[live])
+    if atoms.size == 0:
+        raise ReconstructionFailure("the measure has no atoms")
+    with np.errstate(all="ignore"):
+        lam, slope = payoff.value(atoms), payoff.slope(atoms)
+        tangent = np.where(atoms[:, None] == k, lam[:, None], lam[:, None] + slope[:, None] * (k - atoms[:, None]))
+    # Atom i lies in (k[iv-1], k[iv]]; the tail (iv = n + 1) has the single
+    # end k_n, and its NaN width keeps that end forced.  An atom forces both
+    # ends, or only the one it sits on to rounding: collinear quotes leave
+    # atoms a few ulps off their strike.
+    rows = np.arange(atoms.size)
+    iv = np.clip(np.searchsorted(k, atoms), 1, k.size)
+    lo_end, hi_end = iv - 1, np.minimum(iv, k.size - 1)
+    width = np.append(np.diff(k), np.nan)[iv - 1]
+    forced = np.zeros(tangent.shape, dtype=bool)
+    forced[rows, lo_end] = ~(k[hi_end] - atoms <= _ON_STRIKE * width)
+    forced[rows, hi_end] |= ~(atoms - k[lo_end] <= _ON_STRIKE * width)
+    # Nearest atom below and above each node; where one side has none, the
+    # clipped index picks the other side's nearest again.
+    cols = np.arange(k.size)
+    left = np.maximum(np.searchsorted(atoms, k) - 1, 0)
+    right = np.minimum(np.searchsorted(atoms, k, side="right"), atoms.size - 1)
+    free = np.minimum(tangent[left, cols], tangent[right, cols])
+    nodes = np.where(forced.any(axis=0), np.min(np.where(forced, tangent, np.inf), axis=0), free)
+    if atoms[-1] > k[-1]:  # tail atom: its tangent is the portfolio beyond k_n
+        phi = float(slope[-1])
+    else:
         # Boundary policy: a flat tail prices the portfolio at the measure
-        # integral; fall back to the steepest interior tangent if flat fails.
-        last = [float(payoff.slope(a)) for a, w in zip(measure.atoms, measure.weights) if w > _ZERO_W]
-        if not candidates[n] or not last:
-            return None
-        z_n_guess = min(candidates[n])
-        phi = _max_flat_tail_slope(nchain, payoff, z_n_guess, min(last))
-    known_idx = [i for i, c in enumerate(candidates) if c]
-    if 0 not in known_idx:
-        return None
-    known_x = k[known_idx]
-    known_v = np.array([min(candidates[i]) for i in known_idx])
-    node_values = np.interp(k, known_x, known_v)
-    return _portfolio_from_nodes(nchain, node_values, float(phi))
+        # integral; the steepest atom tangent bounds the slope if flat fails.
+        phi = _max_flat_tail_slope(nchain, payoff, float(nodes[-1]), float(np.min(slope)))
+    return _portfolio_from_nodes(nchain, nodes, phi)
 
 
-def _subhedge_checks(nchain, payoff, measure, portfolio) -> bool:
+def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
+    """None when the portfolio passes; else which check failed, and by how much."""
     grid = verification_grid(nchain, payoff)
     if not dominates_below(portfolio, payoff, grid):
-        return False
+        with np.errstate(all="ignore"):
+            excess = np.nan_to_num(portfolio.payoff(grid) - payoff.value(grid), nan=np.inf)
+        j = int(np.argmax(excess))
+        return (f"domination: the hedge exceeds the payoff by {excess[j]:.3g} at x = {grid[j]:.6g} "
+                f"(tail slope {portfolio.tail_slope():.6g})")
     live = measure.weights > _ZERO_W
     atoms = measure.atoms[live]
     if atoms.size:
-        gap = np.abs(portfolio.payoff(atoms) - payoff.value(atoms))
-        if np.any(gap > _CONTACT_TOL):
-            return False
+        gap = np.nan_to_num(np.abs(portfolio.payoff(atoms) - payoff.value(atoms)), nan=np.inf)
+        j = int(np.argmax(gap))
+        if gap[j] > _CONTACT_TOL:
+            return f"contact: the hedge misses the payoff by {gap[j]:.3g} at the atom {atoms[j]:.6g}"
     cost = portfolio.setup_cost(nchain)
     target = measure.integrate(payoff)
     if measure.mean_at_infinity > 0.0 and portfolio.tail_slope() < -1e-12:
         # Flat tail was inadmissible; the cost legitimately sits below the
         # measure integral.
-        return cost <= target + _CONTACT_TOL
-    return abs(cost - target) <= max(_CONTACT_TOL, 1e-10 * abs(target))
+        ok = cost <= target + _CONTACT_TOL
+    else:
+        ok = abs(cost - target) <= max(_CONTACT_TOL, 1e-10 * abs(target))
+    return None if ok else f"cost: setup cost minus measure integral is {cost - target:.3g}"
 
 
-def _cutting_plane_lp(nchain, payoff, grid, *, equality_atoms=None, fix_forward=None, rounds=8):
+def _cutting_plane_lp(nchain, payoff, grid, *, rounds=8):
     """Grid LP with cutting-plane rounds against the fine verification grid.
 
     The LP binds only at its own grid points, so its solution can overshoot
@@ -710,9 +732,7 @@ def _cutting_plane_lp(nchain, payoff, grid, *, equality_atoms=None, fix_forward=
         lam_fine = payoff.value(fine)
     result = None
     for _ in range(rounds):
-        result = solve_grid_lp(
-            nchain, payoff, grid, equality_atoms=equality_atoms, fix_forward=fix_forward
-        )
+        result = solve_grid_lp(nchain, payoff, grid)
         with np.errstate(all="ignore"):
             excess = result[1].payoff(fine) - lam_fine
         violated = fine[excess > 0.25 * _DOMINATION_TOL]
@@ -722,38 +742,24 @@ def _cutting_plane_lp(nchain, payoff, grid, *, equality_atoms=None, fix_forward=
     return result
 
 
-def _subhedge_via_lp(nchain, payoff, measure) -> HedgePortfolio | None:
-    grid = build_lp_grid(nchain, payoff, extra=measure.atoms)
-    live = measure.weights > _ZERO_W
-    atoms = measure.atoms[live]
-    fix_forward = 0.0 if measure.mean_at_infinity > 0.0 else None
-    try:
-        _, portfolio, _ = _cutting_plane_lp(
-            nchain, payoff, grid, equality_atoms=atoms, fix_forward=fix_forward
-        )
-    except (Unbounded, RuntimeError):
-        return None
-    return portfolio
-
-
 def reconstruct_subhedge(
     nchain: NormalizedChain, payoff: ConvexPayoff, measure: AtomicMeasure
 ) -> HedgePortfolio:
     """Piecewise-linear portfolio touching the payoff at every atom from below.
 
-    Primary construction: on each interval holding an atom, the tangent line
-    at the atom; atom-free intervals are bridged by interpolating the known
-    node values; beyond the last strike, the tangent at the tail atom (flat
-    for boundary policies, so the cost equals the measure integral).  Falls
-    back to an equality-constrained grid LP when any tolerance fails.
+    Built from the measure alone (see ``_tangent_construction``): the
+    tangent line at each interior atom on its interval, the lower of the
+    neighbouring atom tangents at every other strike, and beyond the last
+    strike the tangent at the tail atom (flat where possible for boundary
+    policies, so the cost equals the measure integral).  Raises
+    :class:`ReconstructionFailure`, naming the failed check, when the
+    portfolio misses domination, contact or cost.
     """
     portfolio = _tangent_construction(nchain, payoff, measure)
-    if portfolio is not None and _subhedge_checks(nchain, payoff, measure, portfolio):
-        return portfolio
-    portfolio = _subhedge_via_lp(nchain, payoff, measure)
-    if portfolio is not None and _subhedge_checks(nchain, payoff, measure, portfolio):
-        return portfolio
-    raise ReconstructionFailure("subhedge construction failed domination/contact/cost checks")
+    failure = _subhedge_checks(nchain, payoff, measure, portfolio)
+    if failure is not None:
+        raise ReconstructionFailure(f"tangent subhedge fails {failure}")
+    return portfolio
 
 
 def tighten_tail(
@@ -810,7 +816,9 @@ def build_lp_grid(
 
     Payoffs whose tail curvature moment converges approach their asymptote
     slowly, so the grid then reaches much further out; otherwise ten times
-    the last strike suffices.
+    the last strike suffices.  Either multiple applies to at least the unit
+    forward, else a chain far below it leaves the LP free to sell the
+    forward without bound.
     """
     k = nchain.k
     lo = max(k[1] * 1e-3, 1e-4)
@@ -820,7 +828,7 @@ def build_lp_grid(
         hi = float(k[nchain.top_index])
     else:
         mult = 10.0 if (payoff is None or payoff.tail_curvature_divergent) else 500.0
-        hi = mult * float(k[-1])
+        hi = mult * max(float(k[-1]), 1.0)
     pieces = [k[1:][(k[1:] >= lo) & (k[1:] <= hi)]]
     if payoff is not None and payoff.barrier is not None and lo < payoff.barrier < hi:
         pieces.append(np.asarray([payoff.barrier]))
@@ -842,12 +850,7 @@ def _instrument_matrix(nchain: NormalizedChain, x: np.ndarray) -> np.ndarray:
 
 
 def solve_grid_lp(
-    nchain: NormalizedChain,
-    payoff: ConvexPayoff,
-    x_grid: np.ndarray,
-    *,
-    equality_atoms=None,
-    fix_forward: float | None = None,
+    nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray
 ) -> tuple[float, HedgePortfolio, AtomicMeasure]:
     """Finite LP: maximize the setup cost of a portfolio kept under the payoff.
 
@@ -863,28 +866,10 @@ def solve_grid_lp(
         raise RuntimeError("constraint grid too small after dropping infinite rows")
     A = _instrument_matrix(nchain, x)
     b = np.concatenate(([1.0, 1.0], nchain.p[1:]))
-    A_eq = None
-    b_eq = None
-    rows = []
-    vals = []
-    if equality_atoms is not None and len(equality_atoms):
-        atoms = np.asarray(equality_atoms, dtype=float)
-        rows.append(_instrument_matrix(nchain, atoms))
-        vals.append(np.asarray(payoff.value(atoms), dtype=float))
-    if fix_forward is not None:
-        row = np.zeros((1, nchain.n + 2))
-        row[0, 1] = 1.0
-        rows.append(row)
-        vals.append(np.asarray([fix_forward]))
-    if rows:
-        A_eq = np.vstack(rows)
-        b_eq = np.concatenate(vals)
     res = linprog(
         c=-b,
         A_ub=A,
         b_ub=lam,
-        A_eq=A_eq,
-        b_eq=b_eq,
         bounds=[(None, None)] * (nchain.n + 2),
         method="highs",
         options={

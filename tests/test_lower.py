@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from varbounds import (
 from varbounds import lower
 from varbounds.lower import (
     ForwardViolation,
+    ReconstructionFailure,
     build_lp_grid,
     dominates_below,
     lp_lower_bound,
@@ -69,6 +71,67 @@ DEGENERATE_POLICY_CHAINS = [
         [0.01718484646892724, 0.6904437928157864, 0.9566545255807505, 1.6085493684934156],
     ),
 ]
+
+
+# Chains of bench/known_defects.json whose grid LP ended below the unit
+# forward and reported a spurious Unbounded (weight, strikes, puts).
+LP_GRID_BELOW_FORWARD_CHAINS = [
+    ("corridor-up:1.0", [0.01957614, 0.03623334], [0.0, 0.00048459]),
+    ("vanilla", [0.01641057438376783, 0.05960193476799249], [0.0, 0.006047568161835576]),
+    ("corridor-up:1.0", [0.008785154440767617, 0.10178578096614681], [0.0, 0.008206022073117393]),
+]
+
+# Chains whose tangent subhedge bridged a run of atom-free intervals with a
+# chord above the payoff (weight, strikes, puts): collinear k_4..k_8 under
+# corridor-up, and collinear k_2..k_6 under corridor-down (chord 0.83 high).
+COLLINEAR_STRETCH_CHAINS = [
+    (
+        "corridor-up:1.0",
+        [1.458516375071155, 3.441346196368151, 5.216008997944777, 5.416593176210377,
+         6.053382901073156, 6.228907823945181, 6.766583009900949, 7.298496869681685],
+        [0.8782499876828561, 2.6181838630840772, 4.308362186479025, 4.503967534487175,
+         5.124951087710723, 5.296119192390565, 5.820448393096331, 6.339159273248601],
+    ),
+    (
+        "corridor-down:0.9",
+        [0.08769546317221677, 0.25317832838017496, 0.8837907036194841, 1.3577908650806323,
+         1.499345334610727, 1.8137097530459685],
+        [0.0189794373830413, 0.1103871477855176, 0.4587182774142812, 0.7205415751624761,
+         0.79873196629888, 0.97237732640949],
+    ),
+    # collinear k_1..k_3: the atom at k_1 comes out one ulp above it and
+    # must still count as sitting on k_1, not force k_2 with its tangent
+    ("corridor-up:1.0", [0.9666310470985264, 1.2865981023807767, 2.48646297195765],
+     [0.38194306988091364, 0.6454151621635102, 1.6334259664787778]),
+]
+
+# Every built-in weight, plus a custom payoff without a curvature density.
+SUBHEDGE_PAYOFFS = [make_payoff(parse_weight(w)) for w in CLI_WEIGHTS + ("inverse",)] + [
+    make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
+]
+
+
+@pytest.fixture
+def no_grid_lp(monkeypatch):
+    """Fail any code path that reaches the grid LP."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid LP was called")
+
+    monkeypatch.setattr(lower, "solve_grid_lp", refuse)
+
+
+def assert_subhedge_contract(nc, payoff, measure):
+    """Domination, contact at every atom, and cost equal to the measure integral."""
+    port = reconstruct_subhedge(nc, payoff, measure)
+    assert dominates_below(port, payoff, verification_grid(nc, payoff))
+    live = measure.weights > 1e-11
+    contact = port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live])
+    assert np.max(np.abs(contact)) <= 1e-8
+    if measure.mean_at_infinity > 0.0 and port.tail_slope() < 0.0:
+        assert port.setup_cost(nc) <= measure.integrate(payoff) + 1e-8  # flat tail inadmissible
+    else:
+        assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff), abs=1e-8)
 
 
 def chain_of(strikes, prices):
@@ -268,6 +331,16 @@ class TestDpLowerBound:
         assert sol.measure.atoms[0] == 0.0
         assert sol.value <= -0.9663389795472322 + 1e-12
 
+    def test_infinite_slope_leaves_the_other_weights_stationary(self, no_grid_lp):
+        # the -inf entry must not count in the first-order residual, else the
+        # Newton step on zeta_2 stops 7e-8 short and contact fails at its atoms
+        nc = chain_of([0.01821583280384486, 1.0145087670285364], [5.078740309865855e-05, 0.1333100760676026])
+        sol = dp_lower_bound(nc, GAMMA)
+        grad = lower._policy_state(nc, GAMMA, sol.policy).grad
+        assert grad[0] == -np.inf
+        assert np.max(np.abs(grad[1:])) <= 1e-12
+        assert_subhedge_contract(nc, GAMMA, sol.measure)
+
 
 def interior_policy(nc, rng):
     """Weights inside their intervals, and the coordinates free to move.
@@ -372,19 +445,33 @@ class TestReconstruct:
         assert port.forward == pytest.approx(0.0, abs=1e-9)
         assert port.puts[0] == pytest.approx(4.0, abs=1e-3)
 
-    def test_subhedge_contract_on_random_chains(self):
+    def test_subhedge_contract_on_random_chains(self, no_grid_lp):
         rng = np.random.default_rng(8)
-        for _ in range(8):
+        for _ in range(200):
             nc = random_consistent_chain(rng)
-            for payoff in (VANILLA, GAMMA):
-                sol = dp_lower_bound(nc, payoff)
-                port = reconstruct_subhedge(nc, payoff, sol.measure)
-                grid = verification_grid(nc, payoff)
-                assert dominates_below(port, payoff, grid)
-                live = sol.measure.weights > 1e-11
-                contact = port.payoff(sol.measure.atoms[live]) - payoff.value(sol.measure.atoms[live])
-                assert np.max(np.abs(contact)) <= 1e-8
-                assert port.setup_cost(nc) == pytest.approx(sol.measure.integrate(payoff), abs=1e-8)
+            for payoff in SUBHEDGE_PAYOFFS:
+                assert_subhedge_contract(nc, payoff, dp_lower_bound(nc, payoff).measure)
+
+    @pytest.mark.parametrize("weight,strikes,puts", COLLINEAR_STRETCH_CHAINS)
+    def test_collinear_stretch_stays_under_the_payoff(self, no_grid_lp, weight, strikes, puts):
+        nc = chain_of(strikes, puts)
+        payoff = make_payoff(parse_weight(weight))
+        assert_subhedge_contract(nc, payoff, dp_lower_bound(nc, payoff).measure)
+
+    def test_failure_names_the_check_and_its_size(self):
+        # Away from the optimum the tangents at the atom and at the tail atom
+        # miss each other at k_1 by the gradient g; the lower one wins there,
+        # so the hedge misses the tail atom by -g, or the first atom by
+        # g chi / k_1.
+        nc = single_put_chain(0.4)
+        zeta = np.array([feasible_policy_sets(nc)[0].mean()])
+        measure = atoms_from_policy(nc, zeta)
+        g = lower._policy_state(nc, INVERSE, zeta).grad[0]
+        expected = -g if g < 0.0 else g * measure.atoms[0] / nc.k[1]
+        with pytest.raises(ReconstructionFailure, match="contact") as failure:
+            reconstruct_subhedge(nc, INVERSE, measure)
+        reported = float(re.search(r"misses the payoff by (\S+)", str(failure.value)).group(1))
+        assert reported == pytest.approx(expected, rel=1e-2)
 
 
 class TestTightenTail:
@@ -470,6 +557,14 @@ class TestGridLp:
         grid = verification_grid(nc, GAMMA)
         pts = grid[grid >= nc.k[nc.n_min]]
         assert np.all(port.payoff(pts) <= GAMMA.value(pts) + 1e-8)
+
+    @pytest.mark.parametrize("weight,strikes,puts", LP_GRID_BELOW_FORWARD_CHAINS)
+    def test_grid_reaches_the_forward(self, weight, strikes, puts):
+        nc = chain_of(strikes, puts)
+        assert nc.k[-1] < 0.2
+        value, _, measure = lp_lower_bound(nc, make_payoff(parse_weight(weight)))
+        assert math.isfinite(value)
+        assert measure.check(nc) == []
 
     def test_duality_sandwich_small(self):
         rng = np.random.default_rng(77)
