@@ -647,39 +647,58 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
     """Strike-node values of the subhedge from the tangents at the measure's atoms.
 
     A node is forced when an adjacent interval holds an interior atom (that
-    atom's tangent there) or an atom sits on it (the payoff there).  A free
-    node takes the lower tangent of the nearest atoms on either side, so
-    every segment next to it stays under one tangent line and no atom sees
-    it; the tail atom counts as an atom.  A segment between two forced nodes
-    stays under the payoff when the policy is optimal: for a vanishing atom
-    that is the reopening test of ``_vanishing_atom_release``.
+    atom's tangent there) or an atom sits on it (the payoff there).  A run of
+    free nodes keeps the chord between its forced ends where that stays under
+    the payoff on the verification grid; else each takes the lower tangent of
+    the nearest atoms on either side (the tail atom counts), which keeps its
+    segments under one tangent line and away from every atom.  A segment
+    between forced nodes stays under the payoff at the optimum: for a
+    vanishing atom that is the reopening test of ``_vanishing_atom_release``.
     """
     k = nchain.k
     live = measure.weights > _ZERO_W
     atoms = np.sort(measure.atoms[live])
     if atoms.size == 0:
         raise ReconstructionFailure("the measure has no atoms")
+    touch = atoms.copy()
     with np.errstate(all="ignore"):
-        lam, slope = payoff.value(atoms), payoff.slope(atoms)
-        tangent = np.where(atoms[:, None] == k, lam[:, None], lam[:, None] + slope[:, None] * (k - atoms[:, None]))
+        if not np.isfinite(payoff.slope(atoms[0])):
+            # An atom at the origin where the slope is infinite (gamma) touches
+            # through the tangent at the largest c = k_1 10^-j that passes
+            # within a tenth of the contact tolerance of the payoff at 0.
+            c = k[1] * np.logspace(-1, -300, 300)
+            gap = payoff.value(0.0) - payoff.value(c) + c * payoff.slope(c)
+            touch[0] = c[np.argmax(gap <= 0.1 * _CONTACT_TOL)]
+        lam, slope = payoff.value(touch), payoff.slope(touch)
+
+    def tangent(i, j):
+        return lam[i] + slope[i] * (k[j] - touch[i])
+
     # Atom i lies in (k[iv-1], k[iv]]; the tail (iv = n + 1) has the single
     # end k_n, and its NaN width keeps that end forced.  An atom forces both
     # ends, or only the one it sits on to rounding: collinear quotes leave
     # atoms a few ulps off their strike.
-    rows = np.arange(atoms.size)
     iv = np.clip(np.searchsorted(k, atoms), 1, k.size)
     lo_end, hi_end = iv - 1, np.minimum(iv, k.size - 1)
     width = np.append(np.diff(k), np.nan)[iv - 1]
-    forced = np.zeros(tangent.shape, dtype=bool)
-    forced[rows, lo_end] = ~(k[hi_end] - atoms <= _ON_STRIKE * width)
-    forced[rows, hi_end] |= ~(atoms - k[lo_end] <= _ON_STRIKE * width)
+    by_lo, by_hi = ~(k[hi_end] - atoms <= _ON_STRIKE * width), ~(atoms - k[lo_end] <= _ON_STRIKE * width)
+    ends = np.concatenate((lo_end[by_lo], hi_end[by_hi]))
+    nodes = np.full(k.size, np.inf)
+    np.minimum.at(nodes, ends, tangent(np.concatenate((np.flatnonzero(by_lo), np.flatnonzero(by_hi))), ends))
+    cols = np.arange(k.size)
+    forced = np.isin(cols, ends)
     # Nearest atom below and above each node; where one side has none, the
     # clipped index picks the other side's nearest again.
-    cols = np.arange(k.size)
     left = np.maximum(np.searchsorted(atoms, k) - 1, 0)
     right = np.minimum(np.searchsorted(atoms, k, side="right"), atoms.size - 1)
-    free = np.minimum(tangent[left, cols], tangent[right, cols])
-    nodes = np.where(forced.any(axis=0), np.min(np.where(forced, tangent, np.inf), axis=0), free)
+    tent = np.minimum(tangent(left, cols), tangent(right, cols))
+    chord = np.interp(k, k[forced], nodes[forced])
+    grid = verification_grid(nchain, payoff)
+    grid = grid[grid <= k[-1]]
+    with np.errstate(all="ignore"):
+        over = ~(np.interp(grid, k, chord) <= payoff.value(grid) + _DOMINATION_TOL)
+    run = np.cumsum(forced)  # the free nodes after each forced node share its count
+    nodes = np.where(forced, nodes, np.where(np.isin(run, run[np.searchsorted(k, grid[over]) - 1]), tent, chord))
     if atoms[-1] > k[-1]:  # tail atom: its tangent is the portfolio beyond k_n
         phi = float(slope[-1])
     else:
@@ -716,41 +735,16 @@ def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
     return None if ok else f"cost: setup cost minus measure integral is {cost - target:.3g}"
 
 
-def _cutting_plane_lp(nchain, payoff, grid, *, rounds=8):
-    """Grid LP with cutting-plane rounds against the fine verification grid.
-
-    The LP binds only at its own grid points, so its solution can overshoot
-    the payoff between them; violated points from the fine verification grid
-    are appended and the LP re-solved until domination holds there.
-    """
-    fine = verification_grid(nchain, payoff)
-    if math.isfinite(nchain.n_max):
-        fine = fine[(fine >= nchain.k[nchain.n_min]) & (fine <= nchain.k[nchain.top_index])]
-    elif nchain.n_min > 0:
-        fine = fine[fine >= nchain.k[nchain.n_min]]
-    with np.errstate(all="ignore"):
-        lam_fine = payoff.value(fine)
-    result = None
-    for _ in range(rounds):
-        result = solve_grid_lp(nchain, payoff, grid)
-        with np.errstate(all="ignore"):
-            excess = result[1].payoff(fine) - lam_fine
-        violated = fine[excess > 0.25 * _DOMINATION_TOL]
-        if violated.size == 0:
-            return result
-        grid = np.union1d(grid, violated)
-    return result
-
-
 def reconstruct_subhedge(
     nchain: NormalizedChain, payoff: ConvexPayoff, measure: AtomicMeasure
 ) -> HedgePortfolio:
     """Piecewise-linear portfolio touching the payoff at every atom from below.
 
-    Built from the measure alone (see ``_tangent_construction``): the
-    tangent line at each interior atom on its interval, the lower of the
-    neighbouring atom tangents at every other strike, and beyond the last
-    strike the tangent at the tail atom (flat where possible for boundary
+    Built from the measure alone (see ``_tangent_construction``): tangent
+    to the payoff at every atom, straight across atom-free strikes where
+    that stays under the payoff and else bent down to the neighbouring atom
+    tangents (larger long and short put positions), and beyond the last
+    strike the tail atom's tangent (flat where possible for boundary
     policies, so the cost equals the measure integral).  Raises
     :class:`ReconstructionFailure`, naming the failed check, when the
     portfolio misses domination, contact or cost.
@@ -916,9 +910,26 @@ def grid_lp_oracle(
 def lp_lower_bound(nchain: NormalizedChain, payoff: ConvexPayoff) -> tuple[float, HedgePortfolio, AtomicMeasure]:
     """Grid-LP route for chains the policy recursion does not support.
 
-    Runs the cutting-plane loop so the reported portfolio sub-replicates on
-    the fine verification grid, not just at its own constraint points.
+    The LP binds only at its own grid points, so its portfolio can overshoot
+    the payoff between them; violated points of the fine verification grid
+    are appended and the LP re-solved, up to eight times, until the reported
+    portfolio sub-replicates there.
     """
     _require_c1(nchain, payoff)
     grid = build_lp_grid(nchain, payoff)
-    return _cutting_plane_lp(nchain, payoff, grid)
+    fine = verification_grid(nchain, payoff)
+    if math.isfinite(nchain.n_max):
+        fine = fine[(fine >= nchain.k[nchain.n_min]) & (fine <= nchain.k[nchain.top_index])]
+    elif nchain.n_min > 0:
+        fine = fine[fine >= nchain.k[nchain.n_min]]
+    with np.errstate(all="ignore"):
+        lam_fine = payoff.value(fine)
+    for _ in range(8):
+        result = solve_grid_lp(nchain, payoff, grid)
+        with np.errstate(all="ignore"):
+            excess = result[1].payoff(fine) - lam_fine
+        violated = fine[excess > 0.25 * _DOMINATION_TOL]
+        if violated.size == 0:
+            return result
+        grid = np.union1d(grid, violated)
+    return result

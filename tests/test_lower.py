@@ -128,10 +128,7 @@ def assert_subhedge_contract(nc, payoff, measure):
     live = measure.weights > 1e-11
     contact = port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live])
     assert np.max(np.abs(contact)) <= 1e-8
-    if measure.mean_at_infinity > 0.0 and port.tail_slope() < 0.0:
-        assert port.setup_cost(nc) <= measure.integrate(payoff) + 1e-8  # flat tail inadmissible
-    else:
-        assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff), abs=1e-8)
+    assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff), abs=1e-8)
 
 
 def chain_of(strikes, prices):
@@ -457,6 +454,31 @@ class TestReconstruct:
         nc = chain_of(strikes, puts)
         payoff = make_payoff(parse_weight(weight))
         assert_subhedge_contract(nc, payoff, dp_lower_bound(nc, payoff).measure)
+
+    def test_free_nodes_keep_the_chord_where_it_stays_under_the_payoff(self, no_grid_lp):
+        # no atom lies in (k_1, k_5] (the policy intervals there are rounding
+        # wide); the chord from k_1 to k_5 stays under the payoff and needs
+        # 905 units at k_1, while the lower neighbouring tangents need 2.7e5
+        nc = chain_of(
+            [0.07606919616426641, 0.45937531308236806, 0.5153838187607662, 0.600091004189346,
+             0.6018453475254982, 0.9547767363583692, 1.1959809942551785, 1.3008512137634929],
+            [2.3678752787871274e-04, 2.3729478112139287e-03, 2.6850825256847454e-03, 3.1571546300396720e-03,
+             3.1669315639121435e-03, 8.2422528631681882e-02, 2.2339083159174461e-01, 3.1092101151461227e-01],
+        )
+        measure = dp_lower_bound(nc, INVERSE).measure
+        assert_subhedge_contract(nc, INVERSE, measure)
+        port = reconstruct_subhedge(nc, INVERSE, measure)
+        assert np.max(np.abs(port.puts)) == pytest.approx(904.7587799662043, rel=1e-9)
+        assert np.max(np.abs(port.puts[1:4])) <= 1e-9
+
+    def test_infinite_slope_atom_at_origin_next_to_a_free_node(self, no_grid_lp):
+        # p_1 / k_1 = (p_2 - p_1) / (k_2 - k_1): every law consistent with the
+        # quotes holds an atom at 0, where gamma's slope is -inf, and k_1 is a
+        # free node whose nearest atom on the left is that atom
+        nc = chain_of([0.5, 1.0, 1.5], [0.05, 0.1, 0.55])
+        measure = dp_lower_bound(nc, GAMMA).measure
+        assert measure.atoms[0] == 0.0 and measure.atoms[1] > nc.k[2]
+        assert_subhedge_contract(nc, GAMMA, measure)
 
     def test_failure_names_the_check_and_its_size(self):
         # Away from the optimum the tangents at the atom and at the tail atom
