@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -20,25 +19,9 @@ from . import pathwise as pw
 from .chain import ChainError, load_chain, normalize, validate_puts
 from .lower import C1Violation, DEFAULT_GRID
 from .payoff import InvalidPayoff, parse_weight
+from .serialize import round_floats
 from .swap import rate_from_vol_points, swap_rate_bounds
 from .pathwise import C2Function
-
-_SIG_DIGITS = 12
-
-
-def round_floats(obj):
-    """Recursively round floats to 12 significant digits; infinities become strings."""
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return float(f"{obj:.{_SIG_DIGITS}g}")
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
 
 
 def parse_report(text: str) -> dict:
@@ -90,7 +73,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--forward", type=float, required=True)
         p.add_argument("--discount", type=float, required=True)
         p.add_argument("--maturity", type=float, required=True)
-        p.add_argument("--weight", default="vanilla", help="vanilla | gamma | corridor-down:<a> | corridor-up:<a> | custom")
+        p.add_argument(
+            "--weight",
+            default="vanilla",
+            help="vanilla | gamma | corridor-down:<a> | corridor-up:<a> | inverse (alias: custom)",
+        )
         p.add_argument("--grid", type=int, default=DEFAULT_GRID)
         p.add_argument("--format", choices=("json", "text"), default="json")
         quote = p.add_mutually_exclusive_group()

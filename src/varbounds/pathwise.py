@@ -214,7 +214,18 @@ def discrete_local_time(
     n_levels: int = DEFAULT_LEVELS,
 ) -> LocalTimeProfile:
     """Local time at horizon t: twice the sum over partition steps straddling a
-    level of the distance from the step's right endpoint to that level."""
+    level of the distance from the step's right endpoint to that level.
+
+    One sweep over the sorted levels: at level u the sum is
+    ``A(u) = sum sgn * (right - u)`` over the steps whose closed range
+    ``[lo, hi]`` holds u, and from one level to the next A changes by the
+    steps that enter and leave there, minus the net sign of the steps still
+    open times the level gap.  Every term is the distance from a step's end
+    to a nearby level, so rounding stays close to that of the direct sum.
+    Cost O((N + L) log L) time and O(N + L) memory for N steps and L levels.
+    Levels may come in any order and the values come back in that order;
+    levels outside the path range get exactly 0.0.
+    """
     idx = np.asarray(partition, dtype=int)
     times = path.times[idx]
     if t is None:
@@ -228,11 +239,26 @@ def discrete_local_time(
     levels = np.asarray(levels, dtype=float)
     x = path.values[idx]
     left, right = x[:-1], x[1:]
-    lo = np.minimum(left, right)
-    hi = np.maximum(left, right)
-    inside = (levels[:, None] >= lo[None, :]) & (levels[:, None] <= hi[None, :])
-    contrib = np.abs(right[None, :] - levels[:, None])
-    values = 2.0 * np.sum(inside * contrib, axis=1)
+    order = np.argsort(levels)
+    u = levels[order]
+    # Levels outside the path range (NaN included) meet no step and stay 0.0.
+    first = np.searchsorted(u, x.min(), side="left")
+    last = np.searchsorted(u, x.max(), side="right")
+    u = u[first:last]
+    start = np.searchsorted(u, np.minimum(left, right), side="left")
+    stop = np.searchsorted(u, np.maximum(left, right), side="right")
+    sgn = np.sign(right - left)
+    bins = u.size + 1
+    at = np.append(u, 0.0)  # level of each bin; the last bin (past every level) is dropped
+    enter = np.bincount(start, sgn * (right - at[start]), bins)
+    leave = np.bincount(stop, sgn * (right - at[stop]), bins)
+    net = np.cumsum(np.bincount(start, sgn, bins) - np.bincount(stop, sgn, bins))
+    drift = np.zeros(u.size)
+    drift[1:] = net[:-2] * np.diff(u)  # steps still open, carried across each level gap
+    sorted_values = np.zeros(levels.size)
+    sorted_values[first:last] = 2.0 * np.cumsum(enter[:-1] - leave[:-1] - drift)
+    values = np.empty_like(levels)
+    values[order] = sorted_values
     return LocalTimeProfile(levels=levels, values=values, time=float(t))
 
 

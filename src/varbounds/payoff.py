@@ -96,13 +96,17 @@ class WeightSpec:
 
 
 def parse_weight(text: str) -> WeightSpec:
-    """Parse the CLI weight grammar: vanilla | gamma | corridor-down:<a> | corridor-up:<a> | custom."""
+    """Parse the CLI weight grammar: vanilla | gamma | corridor-down:<a> | corridor-up:<a> | inverse.
+
+    ``inverse`` is the demo payoff 1/x; ``custom`` is accepted as an alias for
+    it (user-supplied callables go through ``WeightSpec.custom`` instead).
+    """
     token = text.strip().lower()
     if token == "vanilla":
         return WeightSpec.vanilla()
     if token == "gamma":
         return WeightSpec.gamma()
-    if token in ("custom", "inverse"):
+    if token in ("inverse", "custom"):
         return WeightSpec.inverse()
     for kind in ("corridor-down", "corridor-up"):
         if token.startswith(kind + ":"):

@@ -20,6 +20,7 @@ from . import upper as upper_mod
 from .chain import ChainVerdict, NormalizedChain, validate_puts
 from .lower import AtomicMeasure, C1Violation, DualSolution, HedgePortfolio
 from .payoff import ConvexPayoff, DualExistence, WeightSpec, check_c1, dual_existence_lb, make_payoff
+from .serialize import round_floats
 
 BOUNDARY_TOL = 1e-6  # quotes are finite precision; exact boundary hits need a band
 
@@ -172,8 +173,6 @@ class BoundsReport:
         }
 
     def to_json(self, **kwargs) -> str:
-        from .cli import round_floats
-
         return json.dumps(round_floats(self.to_dict()), **kwargs)
 
 

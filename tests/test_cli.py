@@ -33,6 +33,11 @@ class TestBounds:
         assert report["european"]["upper_value_normalized"] == float("inf")
         assert report["chain_verdict"]["status"] == "consistent"
 
+    def test_custom_is_an_alias_of_inverse(self, capsys, market_flags):
+        _, inverse, _ = run(capsys, ["bounds", *market_flags, "--weight", "inverse"])
+        _, custom, _ = run(capsys, ["bounds", *market_flags, "--weight", "custom"])
+        assert inverse == custom
+
     def test_quote_below_bound_exits_2(self, capsys, market_flags):
         code, out, _ = run(
             capsys, ["bounds", *market_flags, "--weight", "custom", "--quote-volpts", "45.93"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,40 @@ CUBE = C2Function(lambda x: x**3, lambda x: 3.0 * x**2, lambda x: 6.0 * x)
 def constant_path(value=2.0, n=64):
     times = np.linspace(0.0, 1.0, n + 1)
     return SampledPath(times, np.full(n + 1, value))
+
+
+def dense_local_time(path, partition, levels, t=None):
+    """Reference: the direct levels x steps sum (small inputs only)."""
+    times = path.times[partition]
+    x = path.values[partition][: np.searchsorted(times, times[-1] if t is None else t, side="right")]
+    left, right, u = x[:-1], x[1:], np.asarray(levels, dtype=float)[:, None]
+    inside = (u >= np.minimum(left, right)) & (u <= np.maximum(left, right))
+    return 2.0 * np.sum(inside * np.abs(right - u), axis=1)
+
+
+def _walk_cases():
+    rng = np.random.default_rng(2018)
+    for name, path in (
+        ("geometric", geometric_walk(31, n_steps=4096)),
+        ("arithmetic", arithmetic_walk(32, n_steps=4096)),
+    ):
+        full = np.arange(path.times.size)
+        lo, hi = path.values.min(), path.values.max()
+        base = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 257)
+        on_path = np.concatenate((base, rng.choice(path.values, 64), [lo, hi]))
+        yield f"{name}-sorted", path, full, base, None
+        yield f"{name}-descending", path, full, base[::-1], None
+        yield f"{name}-shuffled", path, full, rng.permutation(base), None
+        yield f"{name}-on-path-values", path, full, rng.permutation(on_path), None
+        yield f"{name}-coarse-horizon", path, full[::8], on_path, path.times[1024]
+        yield f"{name}-start-horizon", path, full, base, path.times[0]
+    path = constant_path()
+    yield "constant", path, np.arange(path.times.size), np.array([1.5, 2.0, 2.5, 2.0]), None
+    path = SampledPath(np.array([0.0, 1.0]), np.array([0.3, -0.2]))
+    yield "single-step", path, np.array([0, 1]), np.array([0.4, 0.3, -0.2, 0.05, -0.5]), None
+
+
+WALK_CASES = list(_walk_cases())
 
 
 class TestLadder:
@@ -108,6 +143,41 @@ class TestLocalTime:
         profiles = [discrete_local_time(path, p) for p in ladder.partitions]
         dists = [profiles[i].l2_distance(profiles[i + 2]) for i in range(len(profiles) - 2)]
         assert dists[-1] < dists[0]
+
+    @pytest.mark.parametrize(
+        "path, partition, levels, t", [case[1:] for case in WALK_CASES], ids=[case[0] for case in WALK_CASES]
+    )
+    def test_matches_dense_sum(self, path, partition, levels, t):
+        profile = discrete_local_time(path, partition, t=t, levels=levels)
+        reference = dense_local_time(path, partition, levels, t)
+        np.testing.assert_array_equal(profile.levels, levels)
+        scale = float(np.max(np.abs(reference)))
+        assert np.all(np.abs(profile.values - reference) <= 1e-10 * scale)
+        times = path.times[partition]
+        seen = path.values[partition][times <= (times[-1] if t is None else t)]
+        outside = (levels < seen.min()) | (levels > seen.max())
+        assert np.all(profile.values[outside] == 0.0)
+
+    def test_tent_ties_exact(self):
+        path = SampledPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]))
+        profile = discrete_local_time(path, np.arange(3), levels=np.array([0.0, 0.5, 1.0]))
+        np.testing.assert_array_equal(profile.values, [2.0, 2.0, 2.0])
+
+    def test_bounded_memory_at_a_million_steps(self):
+        # The dense levels x steps sum needs more than 4 GB here.
+        path = geometric_walk(3, n_steps=2**20)
+        lo, hi = path.values.min(), path.values.max()
+        tracemalloc.start()
+        try:
+            profile = discrete_local_time(path, np.arange(path.times.size))
+            ladder = build_dyadic_ladder(path, 2)
+            lhs, rhs = occupation_density_check(path, ladder, (lo + (hi - lo) / 3, hi - (hi - lo) / 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160e6
+        assert profile.values.max() > 0.0
+        assert abs(lhs - rhs) / rhs < 0.05
 
     def test_t_must_be_partition_time(self):
         path = geometric_walk(3, n_steps=64)
@@ -208,6 +278,13 @@ class TestTransformLocalTime:
         d = transform_local_time(
             path, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0), lambda v: v / 2.0, part
         )
+        assert d < 1e-10
+
+    def test_decreasing_map_exact_scaling(self):
+        # f_inverse(vgrid) runs backwards here, so the kernel gets descending levels.
+        path = geometric_walk(6, n_steps=1024)
+        part = np.arange(path.times.size)
+        d = transform_local_time(path, lambda x: -x, lambda x: np.full_like(x, -1.0), lambda v: -v, part)
         assert d < 1e-10
 
     def test_log_transform_discrepancy_halves(self):

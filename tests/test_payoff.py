@@ -175,6 +175,7 @@ class TestParseWeight:
         assert spec.kind == "corridor-down" and spec.barrier == pytest.approx(0.8)
         spec = parse_weight("corridor-up:1.5")
         assert spec.kind == "corridor-up" and spec.barrier == pytest.approx(1.5)
+        assert parse_weight("inverse").kind == "inverse"
         assert parse_weight("custom").kind == "inverse"
 
     def test_bad_tokens(self):

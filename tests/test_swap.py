@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,16 @@ class TestSwapRateBounds:
         again = json.dumps(round_floats(parsed))
         assert json.loads(again) == json.loads(text)
         assert parsed["swap_rate"]["lower"] == pytest.approx(rep.swap_lower, rel=1e-11)
+
+    def test_serialization_does_not_import_cli(self):
+        script = (
+            "import sys\n"
+            "from varbounds import OptionChain, WeightSpec, normalize, swap_rate_bounds\n"
+            "chain = normalize(OptionChain(1.0, 1.0, 1.0, [1.2], [0.4]))\n"
+            "swap_rate_bounds(chain, WeightSpec.vanilla()).to_json()\n"
+            "assert 'varbounds.cli' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)
 
     def test_infinity_serialized_as_string(self):
         nc = single_put_chain(0.4)
