@@ -9,13 +9,15 @@ puts.  Each interval's term w * lambda(chi) is the perspective of the
 convex payoff applied to an affine map of (zeta_{i-1}, zeta_i), so the
 objective is convex with a tridiagonal Hessian.  One backwards recursion
 over a coarse policy grid gives the warm start, and a projected Newton
-solve over the box of intervals takes it to machine precision.
+solve over the box of intervals takes it to machine precision; each Newton
+step is one O(n) LDL^T solve of the tridiagonal system, done here on Python
+floats.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678).  A dense-grid
 linear program over the same instruments serves as an independent primal
 oracle, and as the route for chains the recursion does not support (free
-puts below, or priced-at-intrinsic strikes).
+puts below, or priced-at-intrinsic strikes).  Only that LP loads scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.optimize import linprog
 
 from .chain import NormalizedChain, validate_puts
 from .payoff import ConvexPayoff, check_c1
@@ -40,6 +40,7 @@ _ON_STRIKE = 1e-9  # an atom this close to a strike, relative to its interval, s
 _FIXED_WIDTH = 1e-13  # policy intervals at most this wide hold their weight fixed
 _NOISE = 64 * np.finfo(float).eps  # relative rounding level of the policy objective
 DEFAULT_GRID = 200
+MIN_GRID = 8  # the recursion raises smaller grids to this many points per interval
 
 
 class UnsupportedChain(RuntimeError):
@@ -419,11 +420,34 @@ def _kkt_residual(state: _PolicyState, lo, hi) -> float:
     return float(np.max(np.abs(np.where((lo >= hi) | ~np.isfinite(g), 0.0, viol))))
 
 
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric tridiagonal system by LDL^T elimination, O(n).
+
+    Raises ``np.linalg.LinAlgError`` at a pivot that is not positive, as a
+    banded Cholesky does: the matrix is then not positive definite.
+    """
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+    for i in range(len(d)):
+        if i:
+            ratio = e[i - 1] / d[i - 1]
+            d[i] -= ratio * e[i - 1]
+            x[i] -= ratio * x[i - 1]
+            e[i - 1] = ratio
+        if not d[i] > 0.0:
+            raise np.linalg.LinAlgError(f"tridiagonal system not positive definite at row {i}")
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = x[i] / d[i] - e[i] * x[i + 1]
+    return np.array(x)
+
+
 def _newton_direction(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray:
-    """Pinned weights stay; free ones take a Newton step from one banded solve, O(n).
+    """Pinned weights stay; free ones take a Newton step from one tridiagonal solve.
 
     A weight is pinned at a bound its gradient pushes against.  Diagonal
-    entries of at least |g_i| / width_i keep the system positive definite.
+    entries of at least |g_i| / width_i keep the system positive definite;
+    free weights that are not adjacent are uncoupled.  The LDL^T solve takes
+    O(n) steps on Python floats.
     """
     g, z = state.grad, state.zeta
     pinned = (lo >= hi) | ((z <= lo) & (g >= 0.0)) | ((z >= hi) & (g <= 0.0))
@@ -433,9 +457,8 @@ def _newton_direction(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray
         return d
     diag = np.maximum(state.diag[idx], np.abs(g[idx]) / (hi[idx] - lo[idx])) * (1.0 + 1e-12) + 1e-300
     off = np.where(np.diff(idx) == 1, state.off[np.minimum(idx[:-1], state.off.size - 1)], 0.0)
-    band = np.vstack([np.append(0.0, np.where(np.isfinite(off), off, 0.0)), diag])
     try:
-        d[idx] = -solveh_banded(band, g[idx]) if idx.size > 1 else -g[idx] / diag
+        d[idx] = -_solve_tridiagonal(diag, np.where(np.isfinite(off), off, 0.0), g[idx])
     except np.linalg.LinAlgError:
         # Rounding left the Hessian indefinite; a diagonally scaled gradient
         # step still descends.
@@ -560,7 +583,7 @@ def dp_lower_bound(
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)
-    g = max(int(grid), 8)
+    g = max(int(grid), MIN_GRID)
     grids = [np.union1d(np.linspace(lo, hi, g), [lo, hi]) for lo, hi in sets]
     policy = _projected_newton(nchain, payoff, sets, _solve_on_grids(nchain, payoff, grids))
     measure = atoms_from_policy(nchain, policy, allow_mean_escape=True)
@@ -851,6 +874,8 @@ def solve_grid_lp(
     Returns the optimum, the portfolio, and the measure read off the
     constraint multipliers (merged to one atom per inter-strike interval).
     """
+    from scipy.optimize import linprog  # scipy loads on the grid-LP route only
+
     x = np.asarray(x_grid, dtype=float)
     with np.errstate(all="ignore"):
         lam = payoff.value(x)

@@ -365,5 +365,5 @@ def swap_rate_bounds(
         upper_existence=upper_dual_existence(nchain, payoff),
         quoted_rate=quoted_rate,
         quote_verdict=quote_verdict,
-        grid=grid,
+        grid=max(int(grid), lower_mod.MIN_GRID),
     )

@@ -33,6 +33,12 @@ class TestBounds:
         assert report["european"]["upper_value_normalized"] == float("inf")
         assert report["chain_verdict"]["status"] == "consistent"
 
+    def test_reports_the_grid_the_recursion_used(self, capsys, market_flags):
+        _, out, _ = run(capsys, ["bounds", *market_flags, "--grid", "3"])
+        assert parse_report(out)["grid"] == 8
+        _, out, _ = run(capsys, ["bounds", *market_flags])
+        assert parse_report(out)["grid"] == 200
+
     def test_custom_is_an_alias_of_inverse(self, capsys, market_flags):
         _, inverse, _ = run(capsys, ["bounds", *market_flags, "--weight", "inverse"])
         _, custom, _ = run(capsys, ["bounds", *market_flags, "--weight", "custom"])

@@ -339,6 +339,45 @@ class TestDpLowerBound:
         assert_subhedge_contract(nc, GAMMA, sol.measure)
 
 
+class TestTridiagonalSolve:
+    @staticmethod
+    def dense(diag, off):
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [31, 32, 33, 64])
+    def test_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(6):
+            if trial % 2:
+                # B^T B of an upper bidiagonal B: positive definite, not diagonally dominant
+                b_diag, b_off = rng.uniform(0.5, 2.0, n), rng.uniform(-1.5, 1.5, n - 1)
+                diag = b_diag**2 + np.append(0.0, b_off**2)
+                off = b_diag[:-1] * b_off
+            else:
+                off = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 3)
+                diag = np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off)) + rng.uniform(0.1, 2.0, n)
+            off[rng.uniform(size=n - 1) < 0.3] = 0.0  # uncoupled neighbours, as pinned weights leave
+            A, rhs = self.dense(diag, off), rng.normal(size=n)
+            x = lower._solve_tridiagonal(diag, off, rhs)
+            ref = np.linalg.solve(A, rhs)
+            assert np.linalg.norm(A @ x - rhs) <= 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(x)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.cond(A) * np.linalg.norm(ref)
+
+    def test_indefinite_system_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            lower._solve_tridiagonal(np.array([1.0, 1.0, 1.0]), np.array([0.5, 2.0]), np.ones(3))
+
+    def test_newton_direction_falls_back_to_the_scaled_gradient(self):
+        # [[1, 10], [10, 1]] is indefinite: the Newton solve fails and each
+        # free weight steps along -g_i / diag_i instead
+        state = lower._PolicyState(
+            zeta=np.array([0.3, 0.6]), value=0.0, grad=np.array([0.5, -0.25]),
+            diag=np.array([1.0, 1.0]), off=np.array([10.0]),
+        )
+        d = lower._newton_direction(None, None, state, np.zeros(2), np.ones(2))
+        np.testing.assert_allclose(d, [-0.5, 0.25], rtol=1e-11)
+
+
 def interior_policy(nc, rng):
     """Weights inside their intervals, and the coordinates free to move.
 

@@ -214,6 +214,33 @@ class TestSwapRateBounds:
         )
         subprocess.run([sys.executable, "-c", script], check=True)
 
+    def test_scipy_loads_on_the_grid_lp_route_only(self, tmp_path):
+        csv = tmp_path / "chain.csv"
+        csv.write_text("strike,put_price\n0.9,0.05\n1.2,0.3\n")
+        script = (
+            "import contextlib, io, sys\n"
+            "def scipy_loaded():\n"
+            "    return [m for m in sys.modules if m.startswith('scipy')]\n"
+            "import varbounds\n"
+            "assert scipy_loaded() == [], scipy_loaded()\n"
+            "from varbounds import OptionChain, WeightSpec, cli, normalize, swap_rate_bounds\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['pathcheck', '--seed', '1', '--depth', '3']) == 0\n"
+            "assert scipy_loaded() == [], scipy_loaded()\n"
+            "flags = ['--input', sys.argv[1], '--forward', '1', '--discount', '1', '--maturity', '1']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['bounds', *flags, '--weight', 'gamma']) == 0\n"
+            "    assert cli.main(['classify', *flags, '--quote-volpts', '20']) in (0, 2)\n"
+            "assert scipy_loaded() == [], scipy_loaded()\n"
+            "free_put = normalize(OptionChain(1.0, 1.0, 1.0, [0.5, 1.2], [0.0, 0.4]))\n"
+            "assert free_put.n_min > 0\n"
+            "print(swap_rate_bounds(free_put, WeightSpec.gamma()).to_json())\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(csv)], check=True, capture_output=True, text=True)
+        in_process = swap_rate_bounds(normalize(OptionChain(1.0, 1.0, 1.0, [0.5, 1.2], [0.0, 0.4])), WeightSpec.gamma())
+        assert json.loads(out.stdout) == json.loads(in_process.to_json())
+
     def test_infinity_serialized_as_string(self):
         nc = single_put_chain(0.4)
         rep = swap_rate_bounds(nc, WeightSpec.vanilla())
