@@ -128,15 +128,6 @@ class NormalizedChain:
         """Last informative strike index, n ∧ n_max."""
         return min(self.n, int(self.n_max)) if math.isfinite(self.n_max) else self.n
 
-    @property
-    def call_at_top(self) -> float:
-        """Normalized synthetic call price at k_n: c_n = p_n + 1 - k_n."""
-        return float(self.p[-1] + 1.0 - self.k[-1])
-
-    def r(self, x):
-        """Linear interpolant of the (k_i, p_i) points, slope-1 right extension."""
-        return interpolant_r(self, x)
-
 
 def normalize(chain: OptionChain) -> NormalizedChain:
     """Move a raw chain to normalized units and locate the boundary indices."""

@@ -78,7 +78,13 @@ def _build_parser() -> _Parser:
             default="vanilla",
             help="vanilla | gamma | corridor-down:<a> | corridor-up:<a> | inverse (alias: custom)",
         )
-        p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+        p.add_argument(
+            "--grid",
+            type=int,
+            default=DEFAULT_GRID,
+            help="points per interval of the warm-start policy recursion (at least 8); "
+            "the Newton solve then takes the warm start to the optimum",
+        )
         p.add_argument("--format", choices=("json", "text"), default="json")
         quote = p.add_mutually_exclusive_group()
         quote.add_argument("--quote-volpts", type=float, help="quoted swap rate in volatility points")

@@ -8,10 +8,14 @@ of divided differences, and the atom positions follow from repricing the
 puts.  Each interval's term w * lambda(chi) is the perspective of the
 convex payoff applied to an affine map of (zeta_{i-1}, zeta_i), so the
 objective is convex with a tridiagonal Hessian.  One backwards recursion
-over a coarse policy grid gives the warm start, and a projected Newton
-solve over the box of intervals takes it to machine precision; each Newton
-step is one O(n) LDL^T solve of the tridiagonal system, done here on Python
-floats.
+over a coarse policy grid (32 points per interval by default) gives the
+warm start, and a projected Newton solve over the box of intervals takes it
+to machine precision; each Newton step is one O(n) LDL^T solve of the
+tridiagonal system, done here on Python floats.  The solve ends at the same
+optimum from any warm start: weights within rounding of a bound are snapped
+onto it, dust atoms between two such weights are closed, and a step within
+rounding of the objective is judged by the first-order residual of the
+weights it moved.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678).  A dense-grid
@@ -39,8 +43,10 @@ _CONTACT_TOL = 1e-8
 _ON_STRIKE = 1e-9  # an atom this close to a strike, relative to its interval, sits on it
 _FIXED_WIDTH = 1e-13  # policy intervals at most this wide hold their weight fixed
 _NOISE = 64 * np.finfo(float).eps  # relative rounding level of the policy objective
-DEFAULT_GRID = 200
+_SNAP = 1e-12  # a weight this close to a bound of its interval sits on it
+DEFAULT_GRID = 32
 MIN_GRID = 8  # the recursion raises smaller grids to this many points per interval
+_GRID_BLOCK = 1 << 16  # grid pairs whose segment terms the recursion evaluates at once
 
 
 class UnsupportedChain(RuntimeError):
@@ -151,11 +157,23 @@ class HedgePortfolio:
         object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
 
     def payoff(self, x):
-        """Terminal value as a function of the (normalized) asset level."""
+        """Terminal value as a function of the (normalized) asset level.
+
+        The puts pay a piecewise-linear function with nodes at the ascending
+        strikes, linear below k_1 and zero above k_n.  Node values come from
+        cumulative sums, and each point extends the node at the first strike
+        at or above it; no grid x strikes matrix is formed.
+        """
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = self.cash + self.forward * arr
-        if self.puts.size:
-            out = out + np.maximum(self.strikes[None, :] - arr[:, None], 0.0) @ self.puts
+        k, q = self.strikes, self.puts
+        if q.size:
+            # live[j] puts are struck at or above k_j; their value at k_j sums
+            # live * dk over the intervals above it.
+            live = np.cumsum(q[::-1])[::-1]
+            nodes = np.append(np.cumsum((np.diff(k) * live[1:])[::-1])[::-1], 0.0)
+            j = np.minimum(np.searchsorted(k, arr), q.size - 1)
+            out = out + nodes[j] + live[j] * np.maximum(k[j] - arr, 0.0)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def setup_cost(self, nchain: NormalizedChain) -> float:
@@ -321,16 +339,23 @@ def policy_objective(nchain: NormalizedChain, payoff: ConvexPayoff, zeta) -> flo
     return float(np.sum(segments) + _tail_value(nchain, payoff, zeta[-1]))
 
 
-def _solve_on_grids(nchain, payoff, grids: list[np.ndarray]) -> np.ndarray:
-    """Backwards recursion over a policy grid per interval; the best grid policy."""
-    n = nchain.n
+def _solve_on_grids(nchain, payoff, grids: np.ndarray) -> np.ndarray:
+    """Backwards recursion over a policy grid per interval (a row of ``grids``); the best grid policy.
+
+    The segment terms of a block of intervals come from one kernel call,
+    about ``_GRID_BLOCK`` grid pairs at a time.
+    """
+    n, g = grids.shape
     V = _tail_value(nchain, payoff, grids[n - 1])
-    choices: list[np.ndarray] = [np.empty(0, dtype=int)] * n
-    for j in range(n - 1, 0, -1):
-        M = _segment_value(nchain, payoff, j + 1, grids[j - 1][:, None], grids[j][None, :]) + V[None, :]
-        idx = np.argmin(M, axis=1)
-        V = M[np.arange(M.shape[0]), idx]
-        choices[j] = idx
+    choices = np.zeros((n, g), dtype=int)
+    block = max(_GRID_BLOCK // (g * g), 1)
+    for stop in range(n - 1, 0, -block):
+        j = np.arange(max(stop - block, 0) + 1, stop + 1)
+        terms = _segment_value(nchain, payoff, j[:, None, None] + 1, grids[j - 1][:, :, None], grids[j][:, None, :])
+        for jj in range(j.size - 1, -1, -1):
+            M = terms[jj] + V[None, :]
+            choices[j[jj]] = np.argmin(M, axis=1)
+            V = M[np.arange(g), choices[j[jj]]]
     i = int(np.argmin(_segment_value(nchain, payoff, 1, 0.0, grids[0]) + V))
     policy = np.empty(n)
     policy[0] = grids[0][i]
@@ -412,12 +437,37 @@ def _colored_hessian(nchain, payoff, sets, state: _PolicyState) -> _PolicyState:
     return replace(state, diag=diag, off=off)
 
 
-def _kkt_residual(state: _PolicyState, lo, hi) -> float:
-    """Largest first-order violation; a weight at a bound counts only if pushed inward."""
+def _kkt_residual(state: _PolicyState, lo, hi, among=slice(None)) -> float:
+    """Largest first-order violation among the weights ``among`` (default all).
+
+    A weight at a bound counts only if pushed inward.
+    """
     g, z = state.grad, state.zeta
     viol = np.where(z <= lo, np.minimum(g, 0.0), np.where(z >= hi, np.maximum(g, 0.0), g))
     # An infinite slope is never stationary; _inward_push handles those weights.
-    return float(np.max(np.abs(np.where((lo >= hi) | ~np.isfinite(g), 0.0, viol))))
+    viol = np.where((lo >= hi) | ~np.isfinite(g), 0.0, viol)[among]
+    return float(np.max(np.abs(viol), initial=0.0))
+
+
+def _project(z, lo, hi) -> np.ndarray:
+    """Clip onto the boxes, then snap weights within rounding of a bound onto it.
+
+    Rounding leaves weights a few ulps off a bound; unsnapped, the exact
+    bound tests in the Newton direction, the first-order residual and the
+    atom release do not see them as on it, and the solve can stall short of
+    the optimum.  A weight within ``_SNAP`` of a bound moves onto it, save
+    the last weight's cap at total mass 1: the tail term has its own limit
+    there.  Two weights that straddle their shared bound s_i with less than
+    a dust atom between them both move onto it; that atom's curvature grows
+    as 1 / weight, so Newton steps could not close it.
+    """
+    z = np.clip(z, lo, hi)
+    up = hi - z <= _SNAP
+    up[-1] = False
+    z = np.where(z - lo <= _SNAP, lo, np.where(up, hi, z))
+    dust = np.flatnonzero((np.diff(z) <= _MIN_ATOM_WEIGHT) & (hi[:-1] == lo[1:]))
+    z[dust], z[dust + 1] = hi[dust], lo[dust + 1]
+    return z
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -451,11 +501,13 @@ def _newton_direction(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray
     """
     g, z = state.grad, state.zeta
     pinned = (lo >= hi) | ((z <= lo) & (g >= 0.0)) | ((z >= hi) & (g <= 0.0))
-    idx = np.flatnonzero(~pinned & np.isfinite(g) & np.isfinite(state.diag))
+    idx = np.flatnonzero(~pinned & np.isfinite(g) & (state.diag != np.inf))
     d = np.zeros_like(z)
     if idx.size == 0:
         return d
-    diag = np.maximum(state.diag[idx], np.abs(g[idx]) / (hi[idx] - lo[idx])) * (1.0 + 1e-12) + 1e-300
+    # fmax: a curvature of 0/0 (an atom at the origin under a weight that
+    # vanishes there, as corridor-up's does) leaves the |g_i| / width_i floor.
+    diag = np.fmax(state.diag[idx], np.abs(g[idx]) / (hi[idx] - lo[idx])) * (1.0 + 1e-12) + 1e-300
     off = np.where(np.diff(idx) == 1, state.off[np.minimum(idx[:-1], state.off.size - 1)], 0.0)
     try:
         d[idx] = -_solve_tridiagonal(diag, np.where(np.isfinite(off), off, 0.0), g[idx])
@@ -516,15 +568,16 @@ def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi) -> _PolicyState
     """Armijo backtracking along the projection arc; None when no step helps.
 
     Only a decrease beyond rounding counts, else steps could trade rounding
-    errors forever; a full step within rounding that halves the first-order
-    residual is accepted too, since the gradient still shrinks there.
+    errors forever; a full step within rounding that lowers the first-order
+    residual of the weights it moved is accepted too, since the gradient
+    still shrinks there.  Weights the step leaves in place (a step below one
+    ulp) would otherwise hold the residual up and stall the solve.
     """
     finite = np.isfinite(state.grad)
-    residual = _kkt_residual(state, lo, hi)
     noise = _NOISE * (1.0 + abs(state.value))
     alpha = 1.0
     for _ in range(60):
-        trial = np.clip(state.zeta + alpha * d, lo, hi)
+        trial = _project(state.zeta + alpha * d, lo, hi)
         moved = trial - state.zeta
         if not np.any(moved):
             return None
@@ -532,10 +585,22 @@ def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi) -> _PolicyState
         armijo = state.value + 1e-4 * min(float(np.dot(state.grad[finite], moved[finite])), 0.0)
         if new.value < state.value - noise and new.value <= armijo:
             return new
-        if alpha == 1.0 and new.value <= state.value + noise and _kkt_residual(new, lo, hi) < 0.5 * residual:
-            return new
+        if alpha == 1.0 and new.value <= state.value + noise:
+            among = moved != 0.0
+            if _kkt_residual(new, lo, hi, among) < _kkt_residual(state, lo, hi, among):
+                return new
         alpha *= 0.5
     return None
+
+
+def _policy_boxes(sets) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) of the weights in the Newton solve.
+
+    An interval only rounding wide (collinear quotes) pins its weight at the
+    right end: the next atom then sits on its strike, not at huge curvature.
+    """
+    hi = sets[:, 1]
+    return np.where(hi - sets[:, 0] <= _FIXED_WIDTH, hi, sets[:, 0]), hi
 
 
 def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
@@ -546,12 +611,9 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
     slope are pushed inward and vanishing atoms reopened before the point is
     accepted as optimal.
     """
-    hi = sets[:, 1]
-    # An interval only rounding wide (collinear quotes) pins its weight at the
-    # right end: the next atom then sits on its strike, not at huge curvature.
-    lo = np.where(hi - sets[:, 0] <= _FIXED_WIDTH, hi, sets[:, 0])
+    lo, hi = _policy_boxes(sets)
     colored = bool(np.isnan(payoff.weight(np.ones(1)))[0])
-    state = _policy_state(nchain, payoff, np.clip(policy, lo, hi))
+    state = _policy_state(nchain, payoff, _project(policy, lo, hi))
     for _ in range(200):  # a cap only: solves take a few dozen steps at most
         if colored:
             state = _colored_hessian(nchain, payoff, sets, state)
@@ -576,15 +638,18 @@ def dp_lower_bound(
 ) -> DualSolution:
     """Lower price bound: the minimum of the convex policy objective over the boxes A_i.
 
-    One backwards recursion over ``grid`` points per interval gives the warm
-    start; a projected Newton solve on the tridiagonal Hessian takes it to
-    the optimum.  The value includes the analytic boundary-limit tail term;
-    the measure records any escaped forward mass in ``mean_at_infinity``.
+    One backwards recursion over ``grid`` points per interval (at least
+    ``MIN_GRID``) gives the warm start; a projected Newton solve on the
+    tridiagonal Hessian takes it to the optimum, which does not depend on
+    ``grid`` beyond rounding.  A finer grid only costs time: the recursion
+    makes O(n grid^2) payoff evaluations.  The value includes the analytic
+    boundary-limit tail term; the measure records any escaped forward mass
+    in ``mean_at_infinity``.
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)
     g = max(int(grid), MIN_GRID)
-    grids = [np.union1d(np.linspace(lo, hi, g), [lo, hi]) for lo, hi in sets]
+    grids = np.linspace(sets[:, 0], sets[:, 1], g, axis=1)
     policy = _projected_newton(nchain, payoff, sets, _solve_on_grids(nchain, payoff, grids))
     measure = atoms_from_policy(nchain, policy, allow_mean_escape=True)
     gamma = payoff.asymptotic_slope

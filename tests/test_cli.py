@@ -37,7 +37,7 @@ class TestBounds:
         _, out, _ = run(capsys, ["bounds", *market_flags, "--grid", "3"])
         assert parse_report(out)["grid"] == 8
         _, out, _ = run(capsys, ["bounds", *market_flags])
-        assert parse_report(out)["grid"] == 200
+        assert parse_report(out)["grid"] == 32
 
     def test_custom_is_an_alias_of_inverse(self, capsys, market_flags):
         _, inverse, _ = run(capsys, ["bounds", *market_flags, "--weight", "inverse"])

@@ -105,10 +105,57 @@ COLLINEAR_STRETCH_CHAINS = [
      [0.38194306988091364, 0.6454151621635102, 1.6334259664787778]),
 ]
 
+# Draws of random_consistent_chain on which the Newton solve ended at a
+# point that depended on the warm start (seed, draw index from 0, weights,
+# strikes, puts).  The values were above the grid-200 optimum, by up to
+# 1.75e-5, and the subhedge missed contact or domination.
+START_DEPENDENT_CHAINS = [
+    # grid 32: contact missed by 6.1e-8 (gamma); grid 16: by 1.47e-8 (corridor-up)
+    (8, 138, ("gamma", "corridor-up:1.0"),
+     [0.2342990439760388, 0.2540947576410699, 0.4180919527564031, 1.0641108979005869,
+      1.106358637934477, 1.1452488990384804, 1.147462651123487],
+     [0.019056415838839363, 0.022675765455869815, 0.05266019518538598, 0.17754759945926007,
+      0.19835234227036241, 0.21755526123768892, 0.2186483498592451]),
+    # grids 8-32: value 1.3e-13 high, contact missed by 8.8e-8
+    (101, 1, ("gamma",),
+     [0.9072672571301771, 1.7323908844193174, 2.0700257435787233],
+     [0.2903025498691477, 0.8991606258348033, 1.1520786153288785]),
+    # grid 16: value 1.75e-5 high, contact missed by 1.3e-3
+    (104, 132, ("inverse",),
+     [0.2167486111351554, 0.4265980095317937, 0.6854723959970095, 2.087634555388187],
+     [0.030570903447174485, 0.1221515173830402, 0.25751379942613456, 1.1381386862299607]),
+    # grid 32: contact missed by 1.41e-8
+    (103, 129, ("inverse", "custom"),
+     [0.2666241036208329, 0.6773589450513131, 0.7013101391894477, 0.9947163218060142,
+      1.1681291830988092, 1.3125347466185135, 1.3355037957545008],
+     [0.003356596300433536, 0.013740023001261157, 0.014345512099445457, 0.06423741015878033,
+      0.20963798933063454, 0.34174728159108503, 0.36276049431842394]),
+    # grid 8: value 1.2e-5 high, domination missed by 1.8e-3; a dust atom of
+    # weight 3.9e-12 between z_4 and z_5 held z_4 at its upper bound
+    (21, 143, ("vanilla", "inverse"),
+     [0.12380144713355079, 0.5435687625546051, 0.7023085110941099, 0.7395613414194891,
+      0.870387664393282, 0.9950801334286039, 1.0581186306399812, 1.4560517159844446],
+     [0.0007640243807473175, 0.025600917591784178, 0.03909885577707071, 0.05631186651600998,
+      0.11718296148533905, 0.18471701530262571, 0.2224296965545756, 0.5085087358271476]),
+    # grids 8-16: value 3.9e-8 high, domination missed by 5.5e-5; the atom at
+    # the origin has curvature 0/0 under corridor-up, which froze z_1
+    (2024, 15, ("corridor-up:1.0",),
+     [1.2158680223501255, 1.7349793065837917],
+     [0.5437924587711223, 0.8295508602578768]),
+    # grids 8-32: value 8.9e-13 high, first-order residual 9.3e-4; a dust
+    # atom of weight 2e-12 between z_7 and z_8
+    (2024, 163, ("vanilla",),
+     [0.14809566312881972, 0.29390204672967646, 0.37175359990919354, 0.4971894304751254,
+      0.6548979486656121, 1.2917415318107213, 1.5487175452931425, 1.776551501755465],
+     [0.02169426258306366, 0.05075099297539799, 0.06626548236534274, 0.09126270827741452,
+      0.12269133149997556, 0.36536472611781884, 0.5919908253422417, 0.7996263696586416]),
+]
+
 # Every built-in weight, plus a custom payoff without a curvature density.
 SUBHEDGE_PAYOFFS = [make_payoff(parse_weight(w)) for w in CLI_WEIGHTS + ("inverse",)] + [
     make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
 ]
+PAYOFFS_BY_NAME = dict(zip(CLI_WEIGHTS + ("inverse", "custom"), SUBHEDGE_PAYOFFS))
 
 
 @pytest.fixture
@@ -129,6 +176,12 @@ def assert_subhedge_contract(nc, payoff, measure):
     contact = port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live])
     assert np.max(np.abs(contact)) <= 1e-8
     assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff), abs=1e-8)
+
+
+def final_kkt_residual(nc, payoff, policy):
+    """First-order residual of a solved policy, on the boxes of the Newton solve."""
+    lo, hi = lower._policy_boxes(feasible_policy_sets(nc))
+    return lower._kkt_residual(lower._policy_state(nc, payoff, policy), lo, hi)
 
 
 def chain_of(strikes, prices):
@@ -298,6 +351,29 @@ class TestDpLowerBound:
             nc = random_consistent_chain(rng, max_strikes=8)
             for name, payoff in (("vanilla", VANILLA), ("gamma", GAMMA)):
                 assert dp_lower_bound(nc, payoff).value <= GOLDENS["criterion2"][name][j] + 1e-12
+
+    @pytest.mark.parametrize("seed,draw,weights,strikes,puts", START_DEPENDENT_CHAINS)
+    def test_same_optimum_from_every_warm_start(self, no_grid_lp, seed, draw, weights, strikes, puts):
+        nc = chain_of(strikes, puts)
+        for weight in weights:
+            payoff = PAYOFFS_BY_NAME[weight]
+            values = []
+            for grid in (8, 16, 32, 200):
+                sol = dp_lower_bound(nc, payoff, grid=grid)
+                assert_subhedge_contract(nc, payoff, sol.measure)
+                values.append(sol.value)
+            # 1e-13, not 1e-12: the stall on the last chain cost only 8.9e-13
+            assert max(values) - min(values) <= 1e-13
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.5])
+    @pytest.mark.parametrize("n", [200, 400, 1000])
+    def test_large_lognormal_chains_end_stationary(self, n, sigma):
+        nc = lognormal_chain(n, sigma=sigma)
+        for weight in CLI_WEIGHTS:
+            payoff = PAYOFFS_BY_NAME[weight]
+            sol = dp_lower_bound(nc, payoff)
+            assert final_kkt_residual(nc, payoff, sol.policy) <= 1e-15
+            assert sol.measure.check(nc) == []
 
     @pytest.mark.parametrize("weight,strikes,puts", DEGENERATE_POLICY_CHAINS)
     def test_degenerate_policy_chains(self, weight, strikes, puts):
@@ -486,7 +562,9 @@ class TestReconstruct:
         for _ in range(200):
             nc = random_consistent_chain(rng)
             for payoff in SUBHEDGE_PAYOFFS:
-                assert_subhedge_contract(nc, payoff, dp_lower_bound(nc, payoff).measure)
+                sol = dp_lower_bound(nc, payoff)
+                assert sol.value <= dp_lower_bound(nc, payoff, grid=200).value + 1e-12
+                assert_subhedge_contract(nc, payoff, sol.measure)
 
     @pytest.mark.parametrize("weight,strikes,puts", COLLINEAR_STRETCH_CHAINS)
     def test_collinear_stretch_stays_under_the_payoff(self, no_grid_lp, weight, strikes, puts):
@@ -586,6 +664,31 @@ class TestPortfolioUnits:
         np.testing.assert_allclose(currency.strikes, chain.strikes)
         scale = nc.discount_factor * nc.forward
         assert currency.setup_cost(nc) == pytest.approx(scale * port.setup_cost(nc), rel=1e-12)
+
+    def test_payoff_matches_the_dense_formula(self):
+        # cash + forward x + sum_i q_i (k_i - x)^+ over grid x strikes, on
+        # points below, on, between and above the strikes; mixed-sign put
+        # positions up to 1e5 units, normalized and currency strikes
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            k = np.sort(rng.uniform(0.05, 3.0, size=n)) * (100.0 if trial % 2 else 1.0)
+            port = lower.HedgePortfolio(
+                cash=rng.normal(), forward=rng.normal(),
+                puts=rng.normal(size=n) * 10.0 ** rng.uniform(-2, 5, size=n), strikes=k,
+            )
+            x = np.concatenate([
+                [0.0], rng.uniform(0.0, k[0], 3), k, 0.5 * (k[:-1] + k[1:]),
+                rng.uniform(k[0], k[-1], 10), k[-1] * rng.uniform(1.0, 10.0, 3),
+            ])
+            live = np.maximum(k[None, :] - x[:, None], 0.0)
+            dense = port.cash + port.forward * x + live @ port.puts
+            scale = abs(port.cash) + abs(port.forward) * x + live @ np.abs(port.puts)
+            np.testing.assert_array_less(np.abs(port.payoff(x) - dense), 1e-14 * scale)
+            for i in range(0, x.size, 7):
+                value = port.payoff(float(x[i]))
+                assert isinstance(value, float)
+                assert abs(value - dense[i]) < 1e-14 * scale[i]
 
 
 class TestGridLp:
