@@ -15,6 +15,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -118,10 +119,12 @@ class NormalizedChain:
     def n(self) -> int:
         return int(self.k.size - 1)
 
-    @property
+    @cached_property
     def slopes(self) -> np.ndarray:
-        """Divided differences (p_i - p_{i-1}) / (k_i - k_{i-1}), i = 1..n."""
-        return np.diff(self.p) / np.diff(self.k)
+        """Divided differences (p_i - p_{i-1}) / (k_i - k_{i-1}), i = 1..n; computed once, read-only."""
+        slopes = np.diff(self.p) / np.diff(self.k)
+        slopes.flags.writeable = False  # every caller shares this array
+        return slopes
 
     @property
     def top_index(self) -> int:

@@ -18,10 +18,12 @@ rounding of the objective is judged by the first-order residual of the
 weights it moved.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
-at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678).  A dense-grid
-linear program over the same instruments serves as an independent primal
-oracle, and as the route for chains the recursion does not support (free
-puts below, or priced-at-intrinsic strikes).  Only that LP loads scipy.
+at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
+exactly, piece by piece (Hettich & Kortanek, SIAM Review 35(3), 1993).  A
+dense-grid linear program over the same instruments serves as an independent
+primal oracle, and as the route for chains the recursion does not support
+(free puts below, or priced-at-intrinsic strikes); only that LP samples a
+grid, and only it loads scipy.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ _SNAP = 1e-12  # a weight this close to a bound of its interval sits on it
 DEFAULT_GRID = 32
 MIN_GRID = 8  # the recursion raises smaller grids to this many points per interval
 _GRID_BLOCK = 1 << 16  # grid pairs whose segment terms the recursion evaluates at once
+_FAR = 1e7  # hedges are checked out to this multiple of the last strike; beyond, by tail slope
+_TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this much
 
 
 class UnsupportedChain(RuntimeError):
@@ -113,10 +117,8 @@ class AtomicMeasure:
             problems.append(f"weights sum to {self.weights.sum():.12g}")
         if abs(self.mean() + self.mean_at_infinity - 1.0) > moment_tol:
             problems.append(f"forward constraint off by {self.mean() + self.mean_at_infinity - 1.0:.3g}")
-        for i in range(1, nchain.n + 1):
-            err = self.put_value(nchain.k[i]) - nchain.p[i]
-            if abs(err) > moment_tol:
-                problems.append(f"put {i} repriced off by {err:.3g}")
+        errs = [self.put_value(k) - p for k, p in zip(nchain.k[1:], nchain.p[1:])]
+        problems += [f"put {i} repriced off by {e:.3g}" for i, e in enumerate(errs, 1) if abs(e) > moment_tol]
         # One atom per inter-strike interval; atoms sitting exactly on a
         # strike occupy the boundary and do not crowd either side.
         if self.atoms.size:
@@ -125,11 +127,6 @@ class AtomicMeasure:
             if np.unique(intervals).size != intervals.size:
                 problems.append("more than one atom in an inter-strike interval")
         return problems
-
-    def assert_valid(self, nchain: NormalizedChain) -> None:
-        problems = self.check(nchain)
-        if problems:
-            raise ForwardViolation("; ".join(problems))
 
     def to_dict(self) -> dict:
         return {
@@ -192,13 +189,7 @@ class HedgePortfolio:
         if not self.normalized:
             return self
         f, d = nchain.forward, nchain.discount_factor
-        return HedgePortfolio(
-            cash=self.cash * f * d,
-            forward=self.forward,
-            puts=self.puts,
-            strikes=self.strikes * f,
-            normalized=False,
-        )
+        return replace(self, cash=self.cash * f * d, strikes=self.strikes * f, normalized=False)
 
     def to_dict(self) -> dict:
         return {
@@ -232,10 +223,8 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
             f"({nchain.n_min}, {nchain.n_max})"
         )
     s = nchain.slopes
-    lo = s.copy()
     # Convexity holds to EQ_TOL only: a rounded slope may dip below its predecessor.
-    hi = np.maximum(np.append(s[1:], 1.0), lo)
-    return np.column_stack([lo, hi])
+    return np.column_stack([s, np.maximum(np.append(s[1:], 1.0), s)])
 
 
 def atoms_from_policy(
@@ -369,6 +358,37 @@ def _tangent_at(payoff, chi, node):
     """Tangent of the payoff at ``chi``, evaluated at ``node``."""
     with np.errstate(all="ignore"):
         return payoff.value(chi) + payoff.slope(chi) * (node - chi)
+
+
+def _bracket_root(fn, target, lo, hi, tol: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow brackets [lo, hi] of the point where a nondecreasing ``fn`` reaches ``target``.
+
+    fn(lo) < target <= fn(hi) holds throughout (where fn stays below target
+    the bracket closes on hi; where it starts at or above, on lo).  Vectorized
+    regula falsi, Illinois-weighted, with the midpoint for a step outside the
+    bracket.  A bracket stops once its newest end x has |fn(x) - target|
+    (hi - lo) <= ``tol``, else at adjacent floats, ``lo`` then being the last
+    float before the crossing whatever the steps.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    with np.errstate(all="ignore"):
+        f_lo, f_hi = fn(lo) - target, fn(hi) - target
+        lo, hi = np.where(f_hi < 0.0, hi, lo), np.where(f_lo >= 0.0, lo, hi)
+        kept, i = np.zeros(lo.shape), np.flatnonzero(lo < hi)  # kept: +1 / -1 when the last step kept hi / lo
+        for _ in range(100):  # a cap only
+            if i.size == 0:
+                break
+            x = (f_hi[i] * lo[i] - f_lo[i] * hi[i]) / (f_hi[i] - f_lo[i])
+            x = np.where((x > lo[i]) & (x < hi[i]), x, lo[i] + 0.5 * (hi[i] - lo[i]))
+            f = fn(x) - target[i]
+            up = f >= 0.0
+            # Illinois: an end kept twice running has its value halved.
+            f_lo[i] = np.where(up, np.where(kept[i] < 0, 0.5, 1.0) * f_lo[i], f)
+            f_hi[i] = np.where(up, f, np.where(kept[i] > 0, 0.5, 1.0) * f_hi[i])
+            lo[i], hi[i], kept[i] = np.where(up, lo[i], x), np.where(up, x, hi[i]), np.where(up, -1.0, 1.0)
+            i = i[(np.nextafter(lo[i], hi[i]) < hi[i]) & ~(np.abs(f) * (hi[i] - lo[i]) <= tol)]
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -546,11 +566,7 @@ def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.n
     r_a = g[i - 1] + payoff.value(left)
     r_b = g[i] - payoff.value(right)
     target = -(r_a + r_b) / (right - left)
-    a, b = left, right
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        below = payoff.slope(mid) < target
-        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    a = _bracket_root(payoff.slope, target, left, right)[0]
     theta = (right - a) / (right - left)
     slope = payoff.value(a) - theta * r_a + (1.0 - theta) * r_b
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -666,59 +682,71 @@ def verification_grid(
     nchain: NormalizedChain, payoff: ConvexPayoff | None = None, n_points: int = 10_000, span: float = 1000.0
 ) -> np.ndarray:
     """Log-spaced domination-check grid including strikes and the corridor barrier."""
-    lo = min(nchain.k[1], 1.0) * 1e-4
-    hi = span * nchain.k[-1]
-    pts = np.geomspace(lo, hi, n_points)
-    extra = [nchain.k[1:]]
-    if payoff is not None and payoff.barrier is not None:
-        extra.append(np.asarray([payoff.barrier]))
-    return np.union1d(pts, np.concatenate(extra))
+    pts = np.geomspace(min(nchain.k[1], 1.0) * 1e-4, span * nchain.k[-1], n_points)
+    barrier = [] if payoff is None or payoff.barrier is None else [payoff.barrier]
+    return np.union1d(pts, np.concatenate((nchain.k[1:], barrier)))
 
 
-def dominates_below(
-    portfolio: HedgePortfolio, payoff: ConvexPayoff, grid: np.ndarray, tol: float = _DOMINATION_TOL
-) -> bool:
-    """True when the portfolio payoff stays under the target payoff, tail included."""
-    gamma = payoff.asymptotic_slope
-    phi = portfolio.tail_slope()
-    if math.isfinite(gamma) and phi > gamma + 1e-12:
-        return False
+def _piece_excess(payoff, a, b, ya, yb) -> tuple[np.ndarray, np.ndarray]:
+    """Largest excess of each line from (a, ya) to (b, yb) over the payoff on [a, b], and where.
+
+    Line minus payoff is concave, so its maximum lies at an end or where
+    ``payoff.slope`` equals the line's slope: one root-find for all pieces,
+    from ``value`` and ``slope`` alone, to within 1e-15 of each maximum.  An
+    end at 0 takes the payoff's limit there; NaN excess counts as infinite.
+    """
+    m = (yb - ya) / (b - a)
     with np.errstate(all="ignore"):
-        h = portfolio.payoff(grid)
-        lam = payoff.value(grid)
-    if not bool(np.all(h <= lam + tol)):
-        return False
-    far = 1e7 * float(portfolio.strikes[-1]) if portfolio.strikes.size else 1e7
-    with np.errstate(all="ignore"):
-        lam_far = float(payoff.value(far))
-    return bool(portfolio.payoff(far) <= lam_far + max(tol, 1e-10 * far))
+        inner = np.flatnonzero(~(payoff.slope(a) >= m) & (payoff.slope(b) > m))
+        x, line = np.column_stack([a, b, a, b]), np.column_stack([ya, yb, ya, yb])
+        x[inner, 2:] = np.column_stack(_bracket_root(payoff.slope, m[inner], a[inner], b[inner], tol=1e-15))
+        line[inner, 2:] = ya[inner, None] + m[inner, None] * (x[inner, 2:] - a[inner, None])
+        excess = np.nan_to_num(line - np.where(x > 0.0, payoff.value(x), payoff.origin_value), nan=np.inf)
+    rows, j = np.arange(m.size), np.argmax(excess, axis=1)
+    return excess[rows, j], x[rows, j]
+
+
+def _worst_excess(portfolio: HedgePortfolio, payoff: ConvexPayoff) -> tuple[float, float]:
+    """Largest excess of the portfolio over the payoff, and where it occurs.
+
+    Exact on each linear piece out to the far-field point _FAR k_n; beyond,
+    a tail slope above the asymptotic slope counts as infinite excess.
+    """
+    k = portfolio.strikes
+    nodes = np.concatenate(([0.0], k, [_FAR * (float(k[-1]) if k.size else 1.0)]))
+    if portfolio.tail_slope() > payoff.asymptotic_slope + 1e-12:
+        return math.inf, float(nodes[-1])
+    y = portfolio.payoff(nodes)
+    excess, x = _piece_excess(payoff, nodes[:-1], nodes[1:], y[:-1], y[1:])
+    j = int(np.argmax(excess))
+    return float(excess[j]), float(x[j])
+
+
+def dominates_below(portfolio: HedgePortfolio, payoff: ConvexPayoff, tol: float = _DOMINATION_TOL) -> bool:
+    """True when the portfolio payoff stays under the target payoff, tail included (exact: ``_worst_excess``)."""
+    return _worst_excess(portfolio, payoff)[0] <= tol
 
 
 # ---------------------------------------------------------------------------
 # subhedge reconstruction
 
 
-def _max_flat_tail_slope(nchain, payoff, z_n: float, lo_slope: float) -> float:
-    """Largest tail slope in [lo_slope, 0] keeping the ray under the payoff."""
-    kn = float(nchain.k[-1])
-    xs = np.geomspace(kn, 1e8 * max(kn, 1.0), 2000)
+def _tail_slope(payoff, kn: float, y: float, cap: float) -> float:
+    """Steepest slope, at most ``cap``, of a ray from (k_n, y) that stays under the payoff on [k_n, oo).
 
-    def admissible(s):
-        with np.errstate(all="ignore"):
-            return bool(np.all(z_n + s * (xs - kn) <= payoff.value(xs) + _DOMINATION_TOL))
+    The ray touches where N(x) = payoff'(x)(x - k_n) - payoff(x) + y, which is
+    nondecreasing, changes sign; a root-find on [k_n, _FAR k_n] brackets that,
+    and the slope at its left end (at most the touching one) less ``_TAIL_MARGIN``
+    is returned, or the cap exactly when reached or when, with no touch, its
+    ray is under the payoff at the far-field point.
+    """
 
-    if admissible(0.0):
-        return 0.0
-    lo, hi = lo_slope, 0.0
-    if not admissible(lo):
-        return lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    def touch(x):  # called under the root-find's errstate
+        return payoff.slope(x) * (x - kn) - payoff.value(x) + y
+
+    x = float(_bracket_root(touch, 0.0, np.array([kn]), np.array([_FAR * kn]))[0][0])
+    slope = float(payoff.slope(x))
+    return cap if slope >= cap or y + cap * (x - kn) < payoff.value(x) else slope - _TAIL_MARGIN
 
 
 def _portfolio_from_nodes(nchain, node_values: np.ndarray, phi: float) -> HedgePortfolio:
@@ -737,11 +765,11 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
     A node is forced when an adjacent interval holds an interior atom (that
     atom's tangent there) or an atom sits on it (the payoff there).  A run of
     free nodes keeps the chord between its forced ends where that stays under
-    the payoff on the verification grid; else each takes the lower tangent of
-    the nearest atoms on either side (the tail atom counts), which keeps its
-    segments under one tangent line and away from every atom.  A segment
-    between forced nodes stays under the payoff at the optimum: for a
-    vanishing atom that is the reopening test of ``_vanishing_atom_release``.
+    the payoff, checked exactly on its pieces; else each takes the lower
+    tangent of the nearest atoms on either side (the tail atom counts), which
+    keeps its segments under one tangent line and away from every atom.  A
+    segment between forced nodes stays under the payoff at the optimum: for
+    a vanishing atom that is the reopening test of ``_vanishing_atom_release``.
     """
     k = nchain.k
     live = measure.weights > _ZERO_W
@@ -780,33 +808,30 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
     left = np.maximum(np.searchsorted(atoms, k) - 1, 0)
     right = np.minimum(np.searchsorted(atoms, k, side="right"), atoms.size - 1)
     tent = np.minimum(tangent(left, cols), tangent(right, cols))
-    chord = np.interp(k, k[forced], nodes[forced])
-    grid = verification_grid(nchain, payoff)
-    grid = grid[grid <= k[-1]]
-    with np.errstate(all="ignore"):
-        over = ~(np.interp(grid, k, chord) <= payoff.value(grid) + _DOMINATION_TOL)
-    run = np.cumsum(forced)  # the free nodes after each forced node share its count
-    nodes = np.where(forced, nodes, np.where(np.isin(run, run[np.searchsorted(k, grid[over]) - 1]), tent, chord))
+    # A chord piece with a free end that rises over the payoff sends its run to the tent.
+    free = np.flatnonzero(~(forced[:-1] & forced[1:]))
+    if free.size:
+        chord = np.interp(k, k[forced], nodes[forced])
+        excess, _ = _piece_excess(payoff, k[free], k[free + 1], chord[free], chord[free + 1])
+        run = np.cumsum(forced)  # the free nodes after each forced node share its count
+        over = np.isin(run, run[free[excess > _DOMINATION_TOL]])
+        nodes = np.where(forced, nodes, np.where(over, tent, chord))
     if atoms[-1] > k[-1]:  # tail atom: its tangent is the portfolio beyond k_n
         phi = float(slope[-1])
     else:
         # Boundary policy: a flat tail prices the portfolio at the measure
-        # integral; the steepest atom tangent bounds the slope if flat fails.
-        phi = _max_flat_tail_slope(nchain, payoff, float(nodes[-1]), float(np.min(slope)))
+        # integral; where that fails, the steepest admissible slope below 0.
+        phi = _tail_slope(payoff, float(k[-1]), float(nodes[-1]), 0.0)
     return _portfolio_from_nodes(nchain, nodes, phi)
 
 
 def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
     """None when the portfolio passes; else which check failed, and by how much."""
-    grid = verification_grid(nchain, payoff)
-    if not dominates_below(portfolio, payoff, grid):
-        with np.errstate(all="ignore"):
-            excess = np.nan_to_num(portfolio.payoff(grid) - payoff.value(grid), nan=np.inf)
-        j = int(np.argmax(excess))
-        return (f"domination: the hedge exceeds the payoff by {excess[j]:.3g} at x = {grid[j]:.6g} "
+    if not dominates_below(portfolio, payoff):
+        excess, x = _worst_excess(portfolio, payoff)
+        return (f"domination: the hedge exceeds the payoff by {excess:.3g} at x = {x:.6g} "
                 f"(tail slope {portfolio.tail_slope():.6g})")
-    live = measure.weights > _ZERO_W
-    atoms = measure.atoms[live]
+    atoms = measure.atoms[measure.weights > _ZERO_W]
     if atoms.size:
         gap = np.nan_to_num(np.abs(portfolio.payoff(atoms) - payoff.value(atoms)), nan=np.inf)
         j = int(np.argmax(gap))
@@ -828,14 +853,11 @@ def reconstruct_subhedge(
 ) -> HedgePortfolio:
     """Piecewise-linear portfolio touching the payoff at every atom from below.
 
-    Built from the measure alone (see ``_tangent_construction``): tangent
-    to the payoff at every atom, straight across atom-free strikes where
-    that stays under the payoff and else bent down to the neighbouring atom
-    tangents (larger long and short put positions), and beyond the last
-    strike the tail atom's tangent (flat where possible for boundary
-    policies, so the cost equals the measure integral).  Raises
+    Built from the measure alone (see ``_tangent_construction``); beyond the
+    last strike it follows the tail atom's tangent, or for boundary policies
+    is flat where possible, so the cost equals the measure integral.  Raises
     :class:`ReconstructionFailure`, naming the failed check, when the
-    portfolio misses domination, contact or cost.
+    portfolio misses exact domination, contact or cost.
     """
     portfolio = _tangent_construction(nchain, payoff, measure)
     failure = _subhedge_checks(nchain, payoff, measure, portfolio)
@@ -844,44 +866,22 @@ def reconstruct_subhedge(
     return portfolio
 
 
-def tighten_tail(
-    nchain: NormalizedChain, payoff: ConvexPayoff, portfolio: HedgePortfolio, contact_atoms=None
-) -> HedgePortfolio:
-    """Add synthetic calls at the last strike until the tail slope reaches gamma.
+def tighten_tail(nchain: NormalizedChain, payoff: ConvexPayoff, portfolio: HedgePortfolio) -> HedgePortfolio:
+    """Add synthetic calls at the last strike to lift the tail slope toward gamma.
 
-    Uses put-call parity (call = put + forward - k_n cash).  Raises the setup
-    cost by theta times the synthetic call value; if the lifted payoff pokes
-    above the target anywhere, theta is reduced by bisection to the largest
-    admissible value.  Pass the dual measure's atoms as ``contact_atoms`` so
-    the lift respects exact touching points.
+    Put-call parity (call = put + forward - k_n cash) leaves the portfolio
+    unchanged up to k_n.  The new tail is the steepest ray from its value at
+    k_n that stays under the payoff (``_tail_slope``, one solve, capped at
+    gamma): gamma exactly when that ray is admissible, else just short of
+    its touching point.
     """
-    gamma = payoff.asymptotic_slope
-    if not math.isfinite(gamma):
-        return portfolio
-    theta = gamma - portfolio.tail_slope()
-    if theta <= 1e-14:
+    gamma, phi = payoff.asymptotic_slope, portfolio.tail_slope()
+    if not math.isfinite(gamma) or gamma - phi <= 1e-14:
         return portfolio
     kn = float(nchain.k[-1])
-    grid = verification_grid(nchain, payoff)
-    if contact_atoms is not None and len(contact_atoms):
-        grid = np.union1d(grid, np.asarray(contact_atoms, dtype=float))
-
-    def lifted(t: float) -> HedgePortfolio:
-        puts = portfolio.puts.copy()
-        puts[-1] += t
-        return replace(portfolio, cash=portfolio.cash - t * kn, forward=portfolio.forward + t, puts=puts)
-
-    candidate = lifted(theta)
-    if dominates_below(candidate, payoff, grid):
-        return candidate
-    lo, hi = 0.0, theta
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dominates_below(lifted(mid), payoff, grid):
-            lo = mid
-        else:
-            hi = mid
-    return lifted(lo)
+    theta = max(_tail_slope(payoff, kn, float(portfolio.payoff(kn)), gamma) - phi, 0.0)
+    puts = np.append(portfolio.puts[:-1], portfolio.puts[-1] + theta)
+    return replace(portfolio, cash=portfolio.cash - theta * kn, forward=portfolio.forward + theta, puts=puts)
 
 
 # ---------------------------------------------------------------------------
@@ -925,10 +925,7 @@ def build_lp_grid(
 
 
 def _instrument_matrix(nchain: NormalizedChain, x: np.ndarray) -> np.ndarray:
-    cols = [np.ones_like(x), x]
-    for i in range(1, nchain.n + 1):
-        cols.append(np.maximum(nchain.k[i] - x, 0.0))
-    return np.column_stack(cols)
+    return np.column_stack([np.ones_like(x), x, np.maximum(nchain.k[None, 1:] - x[:, None], 0.0)])
 
 
 def solve_grid_lp(
@@ -974,17 +971,19 @@ def solve_grid_lp(
 
 
 def _merge_atoms(nchain: NormalizedChain, atoms: np.ndarray, weights: np.ndarray) -> AtomicMeasure:
-    """Replace all atoms within one inter-strike interval by their barycenter."""
+    """Replace all atoms within one inter-strike interval by their barycenter, in one pass."""
     if atoms.size == 0:
         return AtomicMeasure(atoms, weights)
     idx = np.searchsorted(nchain.k, atoms, side="right")
-    out_a, out_w = [], []
-    for iv in np.unique(idx):
-        sel = idx == iv
-        w = weights[sel].sum()
-        out_a.append(float(np.dot(atoms[sel], weights[sel]) / w))
-        out_w.append(float(w))
-    return AtomicMeasure(np.asarray(out_a), np.asarray(out_w))
+    order = np.argsort(idx, kind="stable")
+    idx, atoms, weights = idx[order], atoms[order], weights[order]
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    ends = np.append(starts[1:], idx.size)
+    moment = np.add.reduceat(atoms * weights, starts)
+    for g in np.flatnonzero(ends - starts > 1):  # shared intervals: the moment as np.dot rounds it
+        moment[g] = np.dot(atoms[starts[g] : ends[g]], weights[starts[g] : ends[g]])
+    w = np.add.reduceat(weights, starts)
+    return AtomicMeasure(moment / w, w)
 
 
 def grid_lp_oracle(

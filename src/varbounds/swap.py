@@ -191,8 +191,8 @@ def compute_lower(
     """Lower bound, sub-replicating portfolio, and the dual-existence verdict.
 
     Chains with free puts below or priced-at-intrinsic strikes go through the
-    dense-grid LP; everything else runs the policy recursion, with the tail
-    lift applied whenever dual existence is not guaranteed.
+    dense-grid LP; everything else runs the policy recursion, where without
+    guaranteed dual existence ``tighten_tail`` lifts the tail in one solve.
     """
     if nchain.n_min != 0 or math.isfinite(nchain.n_max):
         value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff)
@@ -204,12 +204,9 @@ def compute_lower(
     existence = dual_existence_lb(nchain, payoff)
     if not existence.is_guaranteed:
         # The portfolio-dependent existence conditions presume the optimal
-        # subhedge, whose tail slope is the asymptotic slope when that lift
-        # keeps domination; apply the lift before consulting them.
-        if math.isfinite(payoff.asymptotic_slope):
-            portfolio = lower_mod.tighten_tail(
-                nchain, payoff, portfolio, contact_atoms=solution.measure.atoms
-            )
+        # subhedge, whose tail is lifted as far toward the asymptotic slope
+        # as domination allows; apply the lift before consulting them.
+        portfolio = lower_mod.tighten_tail(nchain, payoff, portfolio)
         existence = dual_existence_lb(nchain, payoff, portfolio)
     return solution, portfolio, existence
 

@@ -25,6 +25,7 @@ from varbounds import (
 from varbounds import lower
 from varbounds.lower import (
     ForwardViolation,
+    HedgePortfolio,
     ReconstructionFailure,
     build_lp_grid,
     dominates_below,
@@ -33,6 +34,7 @@ from varbounds.lower import (
     solve_grid_lp,
     verification_grid,
 )
+from varbounds.swap import compute_lower
 from conftest import lognormal_chain, random_consistent_chain, single_put_chain
 
 INVERSE = make_payoff(WeightSpec.inverse())
@@ -171,7 +173,7 @@ def no_grid_lp(monkeypatch):
 def assert_subhedge_contract(nc, payoff, measure):
     """Domination, contact at every atom, and cost equal to the measure integral."""
     port = reconstruct_subhedge(nc, payoff, measure)
-    assert dominates_below(port, payoff, verification_grid(nc, payoff))
+    assert dominates_below(port, payoff)
     live = measure.weights > 1e-11
     contact = port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live])
     assert np.max(np.abs(contact)) <= 1e-8
@@ -613,6 +615,133 @@ class TestReconstruct:
         assert reported == pytest.approx(expected, rel=1e-2)
 
 
+class TestExactDomination:
+    def test_piece_kernel_matches_a_brute_force_grid(self):
+        # random piecewise-linear hedges, their chords above and below the
+        # payoff, some starting at 0; both corridor barriers fall inside a
+        # piece.  The kernel's excess is never below the grid's.
+        rng = np.random.default_rng(41)
+        xs = np.linspace(0.0, 3.0, 400_001)
+        for payoff in SUBHEDGE_PAYOFFS:
+            for trial in range(8):
+                knots = np.sort(rng.uniform(0.02, 3.0, size=int(rng.integers(2, 12))))
+                if payoff.barrier is not None:
+                    knots = knots[np.abs(knots - payoff.barrier) > 0.05]
+                knots = np.unique(np.concatenate((knots, [0.05, 3.0], [0.0] if trial % 2 else [])))
+                with np.errstate(all="ignore"):
+                    ys = np.where(knots > 0.0, payoff.value(knots), 0.0) + rng.normal(scale=0.05, size=knots.size)
+                excess, where = lower._piece_excess(payoff, knots[:-1], knots[1:], ys[:-1], ys[1:])
+                with np.errstate(all="ignore"):
+                    at_where = np.where(where > 0.0, payoff.value(where), payoff.origin_value)
+                    gap = np.interp(xs, knots, ys) - np.where(xs > 0.0, payoff.value(xs), payoff.origin_value)
+                np.testing.assert_allclose(excess, np.interp(where, knots, ys) - at_where, rtol=0.0, atol=1e-12)
+                for j in range(knots.size - 1):
+                    on = (xs >= knots[j]) & (xs <= knots[j + 1])
+                    assert knots[j] <= where[j] <= knots[j + 1]
+                    assert excess[j] >= np.max(gap[on]) - 1e-12, (payoff.kind, j)
+
+    def test_lifted_inverse_subhedge_dominates_exactly(self):
+        # the tail solve stops at the touching ray, here the tail atom's
+        # tangent; a lift judged on a sampled grid rose to 1.0e-8 above the
+        # payoff at x = 2.0788
+        nc = lognormal_chain(50)
+        _, port, existence = compute_lower(nc, INVERSE)
+        assert existence.verdict == "guaranteed" and -0.3 < port.forward < 0.0
+        excess, _ = lower._worst_excess(port, INVERSE)
+        assert excess <= 1e-12
+        assert dominates_below(port, INVERSE, tol=1e-12)
+
+    @pytest.mark.parametrize("weight,strike,put,verdict", [
+        ("corridor-down:0.9", 1.7064293986584194, 0.8959031392142459, "undetermined"),
+        ("inverse", 2.2804489089119024, 1.440384093368258, "fails"),
+    ])
+    def test_flat_tail_stays_exactly_flat(self, weight, strike, put, verdict):
+        # boundary policies: the flat tail is admissible, so the tail solve
+        # returns its cap 0 exactly; a slope of -1e-12 would flip the verdict
+        nc = chain_of([strike], [put])
+        sol, port, existence = compute_lower(nc, make_payoff(parse_weight(weight)))
+        assert sol.measure.mean_at_infinity > 0.0
+        assert port.forward == 0.0
+        assert existence.verdict == verdict
+
+    @pytest.mark.parametrize("weight", ["inverse", "corridor-up:1.0", "custom"])
+    def test_tail_slope_touches_the_payoff(self, weight):
+        # from points under the payoff at k_n, the solved ray stays under
+        # it and sits within a margin of the sampled steepest one
+        payoff = PAYOFFS_BY_NAME[weight]
+        kn = 1.5
+        xs = kn + np.geomspace(1e-6, 1e7, 200_001)
+        for y in float(payoff.value(kn)) - np.array([1e-3, 0.1, 1.0]):
+            cap = payoff.asymptotic_slope
+            s = lower._tail_slope(payoff, kn, y, cap)
+            best = min(float(np.min((payoff.value(xs) - y) / (xs - kn))), cap)
+            assert s <= best + 1e-12
+            assert s >= best - 1e-9
+            assert np.all(y + s * (xs - kn) <= payoff.value(xs) + 1e-14 * (1.0 + xs))
+
+    def test_tail_slope_returns_the_cap_exactly(self):
+        # a ray at the cap that stays under the payoff is not backed off
+        assert lower._tail_slope(INVERSE, 2.0, -0.1, 0.0) == 0.0
+        assert lower._tail_slope(INVERSE, 2.0, 0.0, 0.0) == 0.0
+        payoff = PAYOFFS_BY_NAME["corridor-down:0.9"]
+        assert lower._tail_slope(payoff, 1.7, 0.0, 0.0) == 0.0
+        assert lower._tail_slope(payoff, 1.7, 1e-17, 0.0) == 0.0
+
+    def test_tighten_tail_makes_no_domination_check(self, monkeypatch):
+        # a flat tail 0.1 under 1/x + x/4 at k_n = 1.5: the lift to slope 1/4
+        # would cross the payoff, so it stops at the touching ray
+        payoff = affine_plus_inverse(0.25)
+        nc = single_put_chain(0.7, strike=1.5)
+        port = HedgePortfolio(cash=float(payoff.value(1.5)) - 0.1, forward=0.0, puts=[0.0], strikes=[1.5])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dominates_below was called")
+
+        monkeypatch.setattr(lower, "dominates_below", refuse)
+        tight = tighten_tail(nc, payoff, port)
+        monkeypatch.undo()
+        assert port.forward < tight.forward < 0.25
+        assert lower._worst_excess(tight, payoff)[0] <= 1e-12
+
+    def test_failure_reports_the_exact_excess(self):
+        # a hedge whose chord over [1, 2] bulges 1e-6 above 1/x at its
+        # tangent point; a sampled grid would miss part of it
+        port = HedgePortfolio(cash=1.5 + 1e-6, forward=-0.5, puts=[0.0, 0.0], strikes=[1.0, 2.0])
+        excess, x = lower._worst_excess(port, INVERSE)
+        assert x == pytest.approx(math.sqrt(2.0), rel=1e-6)
+        assert excess == pytest.approx(1.5 + 1e-6 - math.sqrt(2.0), rel=1e-12)
+        assert not dominates_below(port, INVERSE)
+
+
+class TestMergeAtoms:
+    def test_matches_a_loop_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            nc = random_consistent_chain(rng)
+            atoms = rng.uniform(0.0, 1.2 * nc.k[-1], size=int(rng.integers(1, 30)))
+            atoms[: atoms.size // 4] = rng.choice(nc.k, size=atoms.size // 4)  # some on a strike
+            weights = rng.uniform(0.01, 1.0, size=atoms.size)
+            merged = lower._merge_atoms(nc, atoms, weights)
+            idx = np.searchsorted(nc.k, atoms, side="right")
+            ref_a, ref_w = [], []
+            for iv in sorted(set(idx.tolist())):
+                sel = idx == iv
+                ref_w.append(weights[sel].sum())
+                ref_a.append(np.dot(atoms[sel], weights[sel]) / ref_w[-1])
+            np.testing.assert_allclose(merged.weights, ref_w, rtol=1e-14)
+            np.testing.assert_allclose(merged.atoms, ref_a, rtol=1e-14)
+
+    def test_one_atom_per_interval_is_bit_identical(self):
+        # the recursion route: each interval holds one atom, which stays as it is
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            nc = random_consistent_chain(rng)
+            sol = dp_lower_bound(nc, VANILLA)
+            merged = lower._merge_atoms(nc, sol.measure.atoms, sol.measure.weights)
+            assert np.array_equal(merged.atoms, sol.measure.atoms * sol.measure.weights / sol.measure.weights)
+            assert np.array_equal(merged.weights, sol.measure.weights)
+
+
 class TestTightenTail:
     def test_lifts_to_asymptotic_slope(self):
         payoff = affine_plus_inverse(0.25)
@@ -620,7 +749,7 @@ class TestTightenTail:
         sol = dp_lower_bound(nc, payoff)
         port = reconstruct_subhedge(nc, payoff, sol.measure)
         assert port.setup_cost(nc) == pytest.approx(sol.measure.integrate(payoff), abs=1e-8)
-        tight = tighten_tail(nc, payoff, port, contact_atoms=sol.measure.atoms)
+        tight = tighten_tail(nc, payoff, port)
         theta = tight.forward - port.forward
         assert theta == pytest.approx(0.25, abs=1e-6)
         assert tight.setup_cost(nc) > sol.measure.integrate(payoff) + 0.1
@@ -631,16 +760,14 @@ class TestTightenTail:
         nc = single_put_chain(0.7)
         sol = dp_lower_bound(nc, payoff)
         port = reconstruct_subhedge(nc, payoff, sol.measure)
-        tight = tighten_tail(nc, payoff, port, contact_atoms=sol.measure.atoms)
-        again = tighten_tail(nc, payoff, tight, contact_atoms=sol.measure.atoms)
+        tight = tighten_tail(nc, payoff, port)
+        again = tighten_tail(nc, payoff, tight)
         assert again.forward == tight.forward
         assert again.cash == tight.cash
 
     def test_not_invoked_when_existence_guaranteed(self):
         # pipeline guard: tail-moment divergence keeps the optimal tail atom
         # finite, so the reported subhedge keeps its tangent tail slope
-        from varbounds.swap import compute_lower
-
         nc = single_put_chain(0.4)
         sol, port, existence = compute_lower(nc, VANILLA)
         assert existence.condition == "iv"
@@ -709,8 +836,7 @@ class TestGridLp:
         payoff = affine_plus_inverse(0.25)
         nc = single_put_chain(0.7)
         sol = dp_lower_bound(nc, payoff)
-        port = tighten_tail(nc, payoff, reconstruct_subhedge(nc, payoff, sol.measure),
-                            contact_atoms=sol.measure.atoms)
+        port = tighten_tail(nc, payoff, reconstruct_subhedge(nc, payoff, sol.measure))
         value = grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=sol.measure.atoms))
         assert value == pytest.approx(port.setup_cost(nc), abs=2e-3)
 
