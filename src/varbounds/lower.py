@@ -19,11 +19,12 @@ weights it moved.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
-exactly, piece by piece (Hettich & Kortanek, SIAM Review 35(3), 1993).  A
-dense-grid linear program over the same instruments serves as an independent
-primal oracle, and as the route for chains the recursion does not support
-(free puts below, or priced-at-intrinsic strikes); only that LP samples a
-grid, and only it loads scipy.
+exactly, piece by piece (Hettich & Kortanek, SIAM Review 35(3), 1993).
+A chain with free puts below (n_min > 0) or a strike priced at intrinsic
+value (finite n_max) puts no mass outside [k_{n_min}, k_top]; it is solved
+the same way on that trimmed chain, with domination needed on the window
+only.  A dense-grid linear program over the same instruments is the
+independent primal oracle; only it samples a grid, and only it loads scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import NormalizedChain, validate_puts
+from .chain import EQ_TOL, NormalizedChain, validate_puts
 from .payoff import ConvexPayoff, check_c1
 
 _ZERO_W = 1e-15          # cumulative-weight increments below this carry no atom
@@ -54,7 +55,7 @@ _TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this m
 
 
 class UnsupportedChain(RuntimeError):
-    """Chain outside the recursion's domain (n_min > 0 or finite n_max)."""
+    """Chain outside the recursion's domain (n_min > 0 or finite n_max), or pinned to one strike."""
 
 
 class C1Violation(RuntimeError):
@@ -213,7 +214,8 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
 
     A_i runs from the chain slope into strike i to the slope out of it; the
     final interval is capped at total mass 1.  Requires a consistent chain
-    with n_min = 0 and n_max infinite; other chains go through the grid LP.
+    with n_min = 0 and n_max infinite; ``lp_lower_bound`` cuts other chains
+    down to such a chain first.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("feasible policy sets need a consistent chain")
@@ -249,7 +251,9 @@ def atoms_from_policy(
         raise DegeneratePolicy(f"cumulative weights decrease at index {int(np.argmax(w < -1e-12)) + 1}")
     i = np.flatnonzero(w > _MIN_ATOM_WEIGHT) + 1
     chi = _atom(nchain, i, prev[i - 1], zeta[i - 1])
-    escaped = (chi < k[i - 1] - _ATOM_BOX_TOL) | (chi > k[i] + _ATOM_BOX_TOL)
+    # A weight a rounding off its slope moves the atom by dk * rounding / w.
+    tol = _ATOM_BOX_TOL + (k[i] - k[i - 1]) * _NOISE / w[i - 1]
+    escaped = (chi < k[i - 1] - tol) | (chi > k[i] + tol)
     if np.any(escaped):
         j = int(np.argmax(escaped))
         raise DegeneratePolicy(f"atom {chi[j]:.12g} escapes interval [{k[i[j] - 1]:.12g}, {k[i[j]]:.12g}]")
@@ -272,7 +276,7 @@ def atoms_from_policy(
                 f"finite atoms misprice the forward by {escape:.12g}; "
                 "pass allow_mean_escape=True to accept the boundary-policy limit"
             )
-        if not allow_mean_escape:
+        if not allow_mean_escape or expected == 0.0:  # no mass escapes a capped chain
             escape = 0.0
     merged = _merge_atoms(nchain, np.asarray(atoms), np.asarray(weights))
     return AtomicMeasure(merged.atoms, merged.weights, mean_at_infinity=escape)
@@ -283,7 +287,9 @@ def atoms_from_policy(
 
 
 def _tail_constant(nchain: NormalizedChain) -> float:
-    return float(1.0 + nchain.p[-1] - nchain.k[-1])
+    """Call value 1 + p_n - k_n at the last strike; 0 when it prices at intrinsic value (a cap)."""
+    c = float(1.0 + nchain.p[-1] - nchain.k[-1])
+    return c if c > EQ_TOL else 0.0
 
 
 def _atom(nchain, i, a, b):
@@ -310,14 +316,17 @@ def _segment_value(nchain, payoff, i, a, b):
 
 
 def _tail_value(nchain, payoff, z):
-    """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit at z = 1."""
+    """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit gamma c at z = 1.
+
+    On a capped chain (c = 0) the tail atom sits on k_n and the limit is 0.
+    """
     c = _tail_constant(nchain)
     w = 1.0 - z
     live = w > _ZERO_W
     gamma = payoff.asymptotic_slope
     with np.errstate(all="ignore"):
         vals = w * payoff.value(nchain.k[-1] + c / np.where(live, w, 1.0))
-    return np.where(live, vals, gamma * c if math.isfinite(gamma) else math.inf)
+    return np.where(live, vals, 0.0 if c == 0.0 else gamma * c if math.isfinite(gamma) else math.inf)
 
 
 def policy_objective(nchain: NormalizedChain, payoff: ConvexPayoff, zeta) -> float:
@@ -678,15 +687,6 @@ def dp_lower_bound(
 # verification helpers
 
 
-def verification_grid(
-    nchain: NormalizedChain, payoff: ConvexPayoff | None = None, n_points: int = 10_000, span: float = 1000.0
-) -> np.ndarray:
-    """Log-spaced domination-check grid including strikes and the corridor barrier."""
-    pts = np.geomspace(min(nchain.k[1], 1.0) * 1e-4, span * nchain.k[-1], n_points)
-    barrier = [] if payoff is None or payoff.barrier is None else [payoff.barrier]
-    return np.union1d(pts, np.concatenate((nchain.k[1:], barrier)))
-
-
 def _piece_excess(payoff, a, b, ya, yb) -> tuple[np.ndarray, np.ndarray]:
     """Largest excess of each line from (a, ya) to (b, yb) over the payoff on [a, b], and where.
 
@@ -706,16 +706,18 @@ def _piece_excess(payoff, a, b, ya, yb) -> tuple[np.ndarray, np.ndarray]:
     return excess[rows, j], x[rows, j]
 
 
-def _worst_excess(portfolio: HedgePortfolio, payoff: ConvexPayoff) -> tuple[float, float]:
-    """Largest excess of the portfolio over the payoff, and where it occurs.
+def _worst_excess(portfolio: HedgePortfolio, payoff: ConvexPayoff, lo=0.0, hi=math.inf) -> tuple[float, float]:
+    """Largest excess of the portfolio over the payoff on [lo, hi], and where it occurs.
 
-    Exact on each linear piece out to the far-field point _FAR k_n; beyond,
-    a tail slope above the asymptotic slope counts as infinite excess.
+    Exact on each linear piece; with no ``hi``, out to the far-field point
+    _FAR k_n, beyond which a tail slope above the asymptotic slope counts as
+    infinite excess.
     """
     k = portfolio.strikes
-    nodes = np.concatenate(([0.0], k, [_FAR * (float(k[-1]) if k.size else 1.0)]))
-    if portfolio.tail_slope() > payoff.asymptotic_slope + 1e-12:
-        return math.inf, float(nodes[-1])
+    far = _FAR * (float(k[-1]) if k.size else 1.0)
+    if hi == math.inf and portfolio.tail_slope() > payoff.asymptotic_slope + 1e-12:
+        return math.inf, far
+    nodes = np.concatenate(([lo], k[(k > lo) & (k < hi)], [far if hi == math.inf else hi]))
     y = portfolio.payoff(nodes)
     excess, x = _piece_excess(payoff, nodes[:-1], nodes[1:], y[:-1], y[1:])
     j = int(np.argmax(excess))
@@ -826,9 +828,14 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
 
 
 def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
-    """None when the portfolio passes; else which check failed, and by how much."""
-    if not dominates_below(portfolio, payoff):
-        excess, x = _worst_excess(portfolio, payoff)
+    """None when the portfolio passes; else which check failed, and by how much.
+
+    Domination is checked on [k_0, oo) of ``nchain``, or on [k_0, k_n] when
+    k_n caps the support: the window where its measures can put mass.
+    """
+    hi = math.inf if _tail_constant(nchain) > 0.0 else float(nchain.k[-1])
+    excess, x = _worst_excess(portfolio, payoff, float(nchain.k[0]), hi)
+    if not excess <= _DOMINATION_TOL:
         return (f"domination: the hedge exceeds the payoff by {excess:.3g} at x = {x:.6g} "
                 f"(tail slope {portfolio.tail_slope():.6g})")
     atoms = measure.atoms[measure.weights > _ZERO_W]
@@ -928,15 +935,9 @@ def _instrument_matrix(nchain: NormalizedChain, x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(x), x, np.maximum(nchain.k[None, 1:] - x[:, None], 0.0)])
 
 
-def solve_grid_lp(
-    nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray
-) -> tuple[float, HedgePortfolio, AtomicMeasure]:
-    """Finite LP: maximize the setup cost of a portfolio kept under the payoff.
-
-    Returns the optimum, the portfolio, and the measure read off the
-    constraint multipliers (merged to one atom per inter-strike interval).
-    """
-    from scipy.optimize import linprog  # scipy loads on the grid-LP route only
+def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray) -> float:
+    """Finite LP: the largest setup cost of a portfolio kept under the payoff at ``x_grid``."""
+    from scipy.optimize import linprog  # only the oracle loads scipy
 
     x = np.asarray(x_grid, dtype=float)
     with np.errstate(all="ignore"):
@@ -962,12 +963,7 @@ def solve_grid_lp(
         raise Unbounded("grid LP unbounded: the lower bound is infinite")
     if res.status != 0:
         raise RuntimeError(f"grid LP failed: {res.message}")
-    y = res.x
-    portfolio = HedgePortfolio(cash=float(y[0]), forward=float(y[1]), puts=y[2:], strikes=nchain.k[1:].copy())
-    duals = -np.asarray(res.ineqlin.marginals)
-    mask = duals > 1e-10
-    measure = _merge_atoms(nchain, x[mask], duals[mask])
-    return float(-res.fun), portfolio, measure
+    return float(-res.fun)
 
 
 def _merge_atoms(nchain: NormalizedChain, atoms: np.ndarray, weights: np.ndarray) -> AtomicMeasure:
@@ -992,33 +988,29 @@ def grid_lp_oracle(
     """Value of the dense-grid LP; the independent primal oracle."""
     if x_grid is None:
         x_grid = build_lp_grid(nchain, payoff)
-    value, _, _ = solve_grid_lp(nchain, payoff, x_grid)
-    return value
+    return solve_grid_lp(nchain, payoff, x_grid)
 
 
-def lp_lower_bound(nchain: NormalizedChain, payoff: ConvexPayoff) -> tuple[float, HedgePortfolio, AtomicMeasure]:
-    """Grid-LP route for chains the policy recursion does not support.
+def lp_lower_bound(
+    nchain: NormalizedChain, payoff: ConvexPayoff, grid: int = DEFAULT_GRID
+) -> tuple[float, HedgePortfolio, AtomicMeasure]:
+    """Lower bound and subhedge of a chain with free puts below or a capped support.
 
-    The LP binds only at its own grid points, so its portfolio can overshoot
-    the payoff between them; violated points of the fine verification grid
-    are appended and the LP re-solved, up to eight times, until the reported
-    portfolio sub-replicates there.
+    The name is historical: such chains once went through the grid LP.  No
+    mass lies below k_{n_min} (its put costs 0) or above k_top (it prices at
+    intrinsic value), so the bound is the policy problem on the trimmed
+    chain [k_{n_min}, ..., k_top] with p = 0 at its first point.  The hedge,
+    dominating on that window, goes back onto the full strike list with no
+    units on the free strikes; the measure already reprices every put.
     """
     _require_c1(nchain, payoff)
-    grid = build_lp_grid(nchain, payoff)
-    fine = verification_grid(nchain, payoff)
-    if math.isfinite(nchain.n_max):
-        fine = fine[(fine >= nchain.k[nchain.n_min]) & (fine <= nchain.k[nchain.top_index])]
-    elif nchain.n_min > 0:
-        fine = fine[fine >= nchain.k[nchain.n_min]]
-    with np.errstate(all="ignore"):
-        lam_fine = payoff.value(fine)
-    for _ in range(8):
-        result = solve_grid_lp(nchain, payoff, grid)
-        with np.errstate(all="ignore"):
-            excess = result[1].payoff(fine) - lam_fine
-        violated = fine[excess > 0.25 * _DOMINATION_TOL]
-        if violated.size == 0:
-            return result
-        grid = np.union1d(grid, violated)
-    return result
+    lo, top = nchain.n_min, nchain.top_index
+    if top <= lo:
+        raise UnsupportedChain("the chain pins all mass on one strike")
+    trimmed = replace(nchain, k=nchain.k[lo : top + 1], p=np.append(0.0, nchain.p[lo + 1 : top + 1]),
+                      n_min=0, n_max=math.inf)
+    solution = dp_lower_bound(trimmed, payoff, grid=grid)
+    hedge = reconstruct_subhedge(trimmed, payoff, solution.measure)
+    puts = np.zeros(nchain.n)
+    puts[lo:top] = hedge.puts
+    return solution.value, replace(hedge, puts=puts, strikes=nchain.k[1:].copy()), solution.measure

@@ -316,11 +316,12 @@ def check_c1(nchain: NormalizedChain, payoff: ConvexPayoff) -> bool:
     False only when n_min = 0, the payoff blows up at the origin, and the
     first two quotes satisfy p_2 <= (k_2 / k_1) p_1, i.e. the chain permits
     all mass below k_1 to sit at zero.  With a single quote the check is
-    vacuous: p_1 > 0 already forbids a unit mass at zero from repricing it.
+    vacuous: p_1 > 0 already forbids a unit mass at zero from repricing it;
+    so it is when the chain starts above the origin (k_0 > 0), out of reach.
     """
     if not payoff.unbounded_at_origin:
         return True
-    if nchain.n_min != 0:
+    if nchain.n_min != 0 or nchain.k[0] > 0.0:
         return True
     if nchain.n < 2:
         return True

@@ -190,17 +190,17 @@ def compute_lower(
 ) -> tuple[DualSolution, HedgePortfolio, DualExistence]:
     """Lower bound, sub-replicating portfolio, and the dual-existence verdict.
 
-    Chains with free puts below or priced-at-intrinsic strikes go through the
-    dense-grid LP; everything else runs the policy recursion, where without
-    guaranteed dual existence ``tighten_tail`` lifts the tail in one solve.
+    Every chain runs the policy recursion and the tangent subhedge; a chain
+    with free puts below or a priced-at-intrinsic strike runs them on its
+    trimmed chain (``lp_lower_bound``).  Without guaranteed dual existence
+    ``tighten_tail`` lifts the tail in one solve.
     """
     if nchain.n_min != 0 or math.isfinite(nchain.n_max):
-        value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff)
+        value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff, grid=grid)
         solution = DualSolution(value=value, measure=measure)
-        existence = dual_existence_lb(nchain, payoff, portfolio)
-        return solution, portfolio, existence
-    solution = lower_mod.dp_lower_bound(nchain, payoff, grid=grid)
-    portfolio = lower_mod.reconstruct_subhedge(nchain, payoff, solution.measure)
+    else:
+        solution = lower_mod.dp_lower_bound(nchain, payoff, grid=grid)
+        portfolio = lower_mod.reconstruct_subhedge(nchain, payoff, solution.measure)
     existence = dual_existence_lb(nchain, payoff)
     if not existence.is_guaranteed:
         # The portfolio-dependent existence conditions presume the optimal

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.stats import norm
 
-from varbounds import NormalizedChain, OptionChain, normalize
+from varbounds import ConvexPayoff, NormalizedChain, OptionChain, normalize
+from varbounds import lower
 
 
 def atomic_law(rng, m_lo=3, m_hi=9):
@@ -50,6 +53,30 @@ def random_consistent_chain(
     return normalize(chain)
 
 
+def trimmed_route_chain(rng, n: int, free: bool, capped: bool) -> NormalizedChain:
+    """``n`` strikes inside the atom range of a random law, plus a put below its
+    lowest atom (priced at 0: n_min = 1) and/or a strike above its highest
+    (priced at intrinsic value: finite n_max)."""
+    atoms, weights = atomic_law(rng)
+    lo, hi = atoms.min() * 1.10, atoms.max() * 0.90
+    ks = np.sort(rng.uniform(lo, hi, size=n))
+    while np.any(np.diff(ks) < 1e-3 * (hi - lo)):
+        ks = np.sort(rng.uniform(lo, hi, size=n))
+    if free:
+        ks = np.insert(ks, 0, atoms.min() * rng.uniform(0.3, 0.9))
+    if capped:
+        ks = np.append(ks, atoms.max() * rng.uniform(1.05, 1.3))
+    nchain = normalize(OptionChain(1.0, 1.0, 1.0, ks, price_puts(atoms, weights, ks)))
+    assert nchain.n_min == int(free) and math.isfinite(nchain.n_max) == capped
+    return nchain
+
+
+def window_excess(nchain: NormalizedChain, payoff: ConvexPayoff, portfolio) -> float:
+    """Exact worst excess of a hedge over the payoff on [k_{n_min}, k_top], or [k_{n_min}, oo) uncapped."""
+    hi = float(nchain.k[nchain.top_index]) if math.isfinite(nchain.n_max) else math.inf
+    return lower._worst_excess(portfolio, payoff, float(nchain.k[nchain.n_min]), hi)[0]
+
+
 def lognormal_chain(n, sigma=0.2, lo=0.5, hi=2.0) -> NormalizedChain:
     """Log-spaced strikes priced under the mean-1 lognormal with volatility sigma."""
     ks = np.geomspace(lo, hi, n)
@@ -71,3 +98,12 @@ def single_put_chain(price, strike=1.2, forward=1.0, discount=1.0) -> Normalized
         put_prices=np.array([price * discount * forward]),
     )
     return normalize(chain)
+
+
+def verification_grid(
+    nchain: NormalizedChain, payoff: ConvexPayoff | None = None, n_points: int = 10_000, span: float = 1000.0
+) -> np.ndarray:
+    """Log-spaced domination-check grid including strikes and the corridor barrier."""
+    pts = np.geomspace(min(nchain.k[1], 1.0) * 1e-4, span * nchain.k[-1], n_points)
+    barrier = [] if payoff is None or payoff.barrier is None else [payoff.barrier]
+    return np.union1d(pts, np.concatenate((nchain.k[1:], barrier)))

@@ -27,9 +27,9 @@ from varbounds import (
     transform_local_time,
     verify_ito,
 )
-from varbounds.lower import build_lp_grid, verification_grid
+from varbounds.lower import build_lp_grid
 from varbounds.upper import dominates_above
-from conftest import lognormal_chain, random_consistent_chain, single_put_chain
+from conftest import lognormal_chain, random_consistent_chain, single_put_chain, verification_grid
 
 INVERSE = make_payoff(WeightSpec.inverse())
 VANILLA = make_payoff(WeightSpec.vanilla())

@@ -31,11 +31,15 @@ from varbounds.lower import (
     dominates_below,
     lp_lower_bound,
     policy_objective,
-    solve_grid_lp,
-    verification_grid,
 )
 from varbounds.swap import compute_lower
-from conftest import lognormal_chain, random_consistent_chain, single_put_chain
+from conftest import (
+    lognormal_chain,
+    random_consistent_chain,
+    single_put_chain,
+    trimmed_route_chain,
+    window_excess,
+)
 
 INVERSE = make_payoff(WeightSpec.inverse())
 VANILLA = make_payoff(WeightSpec.vanilla())
@@ -82,6 +86,32 @@ LP_GRID_BELOW_FORWARD_CHAINS = [
     ("vanilla", [0.01641057438376783, 0.05960193476799249], [0.0, 0.006047568161835576]),
     ("corridor-up:1.0", [0.008785154440767617, 0.10178578096614681], [0.0, 0.008206022073117393]),
 ]
+
+# Capped chains whose top strike prices at intrinsic value to rounding, so
+# the tail constant 1 + p_top - k_top is 0 (or -4.4e-16): no forward mass can
+# escape, and gamma's boundary limit gamma * 0 must not turn the value into
+# inf or NaN (strikes, puts; benchmark chain-batch seed 21, ops 278, 406, 449).
+CAPPED_GAMMA_CHAINS = [
+    ([0.2779051524837469, 0.46733711004633083, 0.5649087401425756, 0.6255085047547644,
+      0.9715536090530061, 1.3449887613007097, 2.1191558154501937],
+     [0.06480423562999503, 0.13792840459872768, 0.18333123283805264, 0.21153001050853684,
+      0.3725545462062042, 0.5483068333208517, 1.1191558154501937]),
+    ([1.0066658153220192, 2.040341111861534], [0.25723109313874276, 1.0403411118615336]),
+    ([0.1113878313844886, 0.22397273910034834, 0.4689195846125671, 1.0954623022404748,
+      1.1875671305550684, 1.209821452644094, 1.87980916333085],
+     [0.012214594353364996, 0.03697421660603445, 0.09084281666894657, 0.2286318092467025,
+      0.27754351540096706, 0.2932425520391738, 0.87980916333085]),
+]
+
+# Draw 179 (from 0) of random_consistent_chain(default_rng(103)): s_2..s_6
+# agree to rounding and are not monotone, and the atom of a segment of
+# weight 7.4e-7 came out 1.7e-10 above its interval (strikes, puts).
+ROUNDED_SLOPES_CHAIN = (
+    [0.07584682458042498, 0.2505755005659024, 0.28429787627979236, 0.4105974213310324,
+     0.9737021459494579, 1.2216895676587212, 1.4690619859561787],
+    [0.02886724775683454, 0.1096458880179868, 0.12523604596532997, 0.18362546291306256,
+     0.4439538476087015, 0.5586006656799847, 0.6729650532354583],
+)
 
 # Chains whose tangent subhedge bridged a run of atom-free intervals with a
 # chord above the payoff (weight, strikes, puts): collinear k_4..k_8 under
@@ -153,6 +183,11 @@ START_DEPENDENT_CHAINS = [
       0.12269133149997556, 0.36536472611781884, 0.5919908253422417, 0.7996263696586416]),
 ]
 
+# The grid LP solves to feasibility tolerance 1e-10, and its value moves by
+# up to 3e-11 with its grid size: a sampled relaxation sits above the optimum
+# only to within this.
+ORACLE_SLACK = 1e-10
+
 # Every built-in weight, plus a custom payoff without a curvature density.
 SUBHEDGE_PAYOFFS = [make_payoff(parse_weight(w)) for w in CLI_WEIGHTS + ("inverse",)] + [
     make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
@@ -178,6 +213,31 @@ def assert_subhedge_contract(nc, payoff, measure):
     contact = port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live])
     assert np.max(np.abs(contact)) <= 1e-8
     assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff), abs=1e-8)
+
+
+def assert_trimmed_contract(nc, payoff):
+    """``lp_lower_bound`` on a trimmed-route chain: the measure reprices the full
+    chain; the hedge holds no free strike, dominates exactly on the window,
+    touches every atom and costs the measure integral; the value is at most
+    the grid-LP oracle's."""
+    value, port, measure = lp_lower_bound(nc, payoff)
+    assert measure.check(nc) == []
+    assert np.all(port.puts[: nc.n_min] == 0.0) and np.all(port.puts[nc.top_index :] == 0.0)
+    assert window_excess(nc, payoff, port) <= 1e-8
+    live = measure.weights > 1e-11
+    assert np.max(np.abs(port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live]))) <= 1e-8
+    cost, integral = port.setup_cost(nc), measure.integrate(payoff)
+    if measure.mean_at_infinity > 0.0 and port.forward < -1e-12:
+        assert cost <= integral + 1e-8  # the flat tail was inadmissible
+    else:
+        assert cost == pytest.approx(integral, abs=1e-8)
+    assert value <= oracle_value(nc, payoff, measure) + ORACLE_SLACK
+    return value, port, measure
+
+
+def oracle_value(nc, payoff, measure):
+    """The grid-LP oracle on its default grid with the measure's atoms added."""
+    return grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=measure.atoms))
 
 
 def final_kkt_residual(nc, payoff, policy):
@@ -385,6 +445,15 @@ class TestDpLowerBound:
         assert sol.measure.check(nc) == []
         oracle = grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=sol.measure.atoms))
         assert abs(sol.value - oracle) <= 5e-3
+
+    @pytest.mark.parametrize("weight", ["corridor-up:1.0", "custom"])
+    def test_atom_a_rounding_outside_its_interval(self, weight):
+        nc = chain_of(*ROUNDED_SLOPES_CHAIN)
+        payoff = PAYOFFS_BY_NAME[weight]
+        sol = dp_lower_bound(nc, payoff)
+        assert sol.measure.check(nc) == []
+        assert_subhedge_contract(nc, payoff, sol.measure)
+        assert sol.value <= oracle_value(nc, payoff, sol.measure) + ORACLE_SLACK
 
     @pytest.mark.parametrize("weight", ["vanilla", "corridor-down:0.9"])
     def test_reopens_vanishing_atom(self, weight):
@@ -844,17 +913,17 @@ class TestGridLp:
         nc = chain_of([0.5, 1.2], [0.0, 0.4])  # free put below
         value, port, measure = lp_lower_bound(nc, GAMMA)
         assert measure.check(nc) == []
-        grid = verification_grid(nc, GAMMA)
-        pts = grid[grid >= nc.k[nc.n_min]]
-        assert np.all(port.payoff(pts) <= GAMMA.value(pts) + 1e-8)
+        assert window_excess(nc, GAMMA, port) <= 1e-8
 
     @pytest.mark.parametrize("weight,strikes,puts", LP_GRID_BELOW_FORWARD_CHAINS)
     def test_grid_reaches_the_forward(self, weight, strikes, puts):
         nc = chain_of(strikes, puts)
         assert nc.k[-1] < 0.2
-        value, _, measure = lp_lower_bound(nc, make_payoff(parse_weight(weight)))
+        payoff = make_payoff(parse_weight(weight))
+        value, port, measure = lp_lower_bound(nc, payoff)
         assert math.isfinite(value)
         assert measure.check(nc) == []
+        assert window_excess(nc, payoff, port) <= 1e-8
 
     def test_duality_sandwich_small(self):
         rng = np.random.default_rng(77)
@@ -865,3 +934,44 @@ class TestGridLp:
                 lp = grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=sol.measure.atoms))
                 assert lp <= sol.value + 5e-3
                 assert abs(lp - sol.value) <= 5e-3
+
+
+class TestTrimmedRoute:
+    """Free puts below and capped supports: the recursion on the trimmed chain."""
+
+    @pytest.mark.parametrize("free,capped", [(True, False), (False, True), (True, True)],
+                             ids=["free", "capped", "free-capped"])
+    @pytest.mark.parametrize("weight", list(PAYOFFS_BY_NAME))
+    def test_contract_on_random_chains(self, weight, free, capped):
+        rng = np.random.default_rng(61)
+        payoff = PAYOFFS_BY_NAME[weight]
+        for n in range(1, 7):
+            assert_trimmed_contract(trimmed_route_chain(rng, n, free, capped), payoff)
+
+    @pytest.mark.parametrize("strikes,puts", CAPPED_GAMMA_CHAINS)
+    def test_capped_gamma_chains_with_a_zero_tail_constant(self, strikes, puts):
+        nc = chain_of(strikes, puts)
+        assert abs(1.0 + nc.p[-1] - nc.k[-1]) <= 1e-15
+        value, _, measure = assert_trimmed_contract(nc, GAMMA)
+        assert math.isfinite(value)
+        assert measure.mean_at_infinity == 0.0
+
+    def test_free_chain_whose_mass_escapes(self):
+        # The sampled grid LP reported 1.812976 here, with a subhedge of tail
+        # slope 8.9e-4 that exceeded the payoff by 7.5 at x = 1e4.
+        nc = chain_of([0.042078296033140075, 1.510576599569082], [0.0, 0.9588759777823509])
+        value, port, measure = assert_trimmed_contract(nc, INVERSE)
+        assert value == pytest.approx(1.8125772575, abs=1e-9)
+        assert measure.mean_at_infinity > 0.0
+        assert port.forward <= 0.0
+
+    @pytest.mark.parametrize("weight", ["vanilla", "inverse"])
+    def test_no_origin_cap_above_a_free_put(self, weight):
+        # The trimmed chain starts at k_0 = 0.4.  Its first two quotes lie on a
+        # ray through the origin to within 1e-12 (an atom of weight 1.15e-11
+        # just above 0.5), which would fail the cheapest-to-deliver test had
+        # the chain started at 0; from 0.4 no mass reaches the origin.
+        nc = chain_of([0.4, 0.6, 0.7, 1.2, 2.0],
+                      [0.0, 1.1499999885000001e-12, 2.2999999885e-12, 0.25000000000229994, 1.0])
+        assert (nc.n_min, nc.n_max) == (1, 5)
+        assert_trimmed_contract(nc, PAYOFFS_BY_NAME[weight])

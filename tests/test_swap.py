@@ -21,11 +21,20 @@ from varbounds import (
     vol_points,
 )
 from varbounds.cli import parse_report, round_floats
-from varbounds.lower import C1Violation
+from varbounds.lower import C1Violation, build_lp_grid, grid_lp_oracle
 from varbounds.swap import european_from_rate, rate_from_european
-from conftest import random_consistent_chain, single_put_chain
+from conftest import random_consistent_chain, single_put_chain, trimmed_route_chain, window_excess
 
 INVERSE = make_payoff(WeightSpec.inverse())
+# The five built-in weights, plus a custom payoff without a curvature density.
+SPECS = {
+    "vanilla": WeightSpec.vanilla(),
+    "gamma": WeightSpec.gamma(),
+    "corridor-up:1.0": WeightSpec.corridor_up(1.0),
+    "corridor-down:0.9": WeightSpec.corridor_down(0.9),
+    "inverse": WeightSpec.inverse(),
+    "custom": WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1),
+}
 
 
 def chain_of(strikes, prices):
@@ -214,7 +223,7 @@ class TestSwapRateBounds:
         )
         subprocess.run([sys.executable, "-c", script], check=True)
 
-    def test_scipy_loads_on_the_grid_lp_route_only(self, tmp_path):
+    def test_no_route_loads_scipy(self, tmp_path):
         csv = tmp_path / "chain.csv"
         csv.write_text("strike,put_price\n0.9,0.05\n1.2,0.3\n")
         script = (
@@ -233,13 +242,43 @@ class TestSwapRateBounds:
             "    assert cli.main(['classify', *flags, '--quote-volpts', '20']) in (0, 2)\n"
             "assert scipy_loaded() == [], scipy_loaded()\n"
             "free_put = normalize(OptionChain(1.0, 1.0, 1.0, [0.5, 1.2], [0.0, 0.4]))\n"
-            "assert free_put.n_min > 0\n"
+            "capped = normalize(OptionChain(1.0, 1.0, 1.0, [0.8, 2.0], [0.1, 1.0]))\n"
+            "assert free_put.n_min > 0 and capped.n_max == 2\n"
             "print(swap_rate_bounds(free_put, WeightSpec.gamma()).to_json())\n"
-            "assert 'scipy.optimize' in sys.modules\n"
+            "swap_rate_bounds(capped, WeightSpec.vanilla())\n"
+            "assert scipy_loaded() == [], scipy_loaded()\n"
         )
         out = subprocess.run([sys.executable, "-c", script, str(csv)], check=True, capture_output=True, text=True)
         in_process = swap_rate_bounds(normalize(OptionChain(1.0, 1.0, 1.0, [0.5, 1.2], [0.0, 0.4])), WeightSpec.gamma())
         assert json.loads(out.stdout) == json.loads(in_process.to_json())
+
+    @pytest.mark.parametrize("free,capped", [(True, False), (False, True), (True, True)],
+                             ids=["free", "capped", "free-capped"])
+    @pytest.mark.parametrize("weight", list(SPECS))
+    def test_trimmed_route_reports(self, weight, free, capped):
+        # Free puts below and capped supports: the reported measure reprices
+        # the full chain, and the reported subhedge (tail lifted where dual
+        # existence needs it) dominates exactly on the window, touches every
+        # atom and costs at most the bound, exactly the measure integral when
+        # no mass escapes.
+        rng = np.random.default_rng(62)
+        payoff = make_payoff(SPECS[weight])
+        for n in range(1, 6):
+            nc = trimmed_route_chain(rng, n, free, capped)
+            rep = swap_rate_bounds(nc, SPECS[weight])
+            measure, port = rep.lower_measure, rep.subhedge
+            assert measure.check(nc) == []
+            assert window_excess(nc, payoff, port) <= 1e-8
+            live = measure.weights > 1e-11
+            assert np.max(np.abs(port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live]))) <= 1e-8
+            cost = port.setup_cost(nc)
+            assert cost <= rep.lower_value + 1e-8
+            if measure.mean_at_infinity == 0.0:
+                assert cost == pytest.approx(measure.integrate(payoff), abs=1e-8)
+            if capped:
+                assert rep.lower_existence.condition == "i"
+            oracle = grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=measure.atoms))
+            assert rep.lower_value <= oracle + 1e-10  # the oracle's feasibility tolerance
 
     def test_infinity_serialized_as_string(self):
         nc = single_put_chain(0.4)

@@ -13,9 +13,8 @@ from varbounds import (
     normalize,
     superhedge,
 )
-from varbounds.lower import verification_grid
 from varbounds.upper import dominates_above
-from conftest import random_consistent_chain, single_put_chain
+from conftest import random_consistent_chain, single_put_chain, verification_grid
 
 VANILLA = make_payoff(WeightSpec.vanilla())
 GAMMA = make_payoff(WeightSpec.gamma())
