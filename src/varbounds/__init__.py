@@ -65,6 +65,7 @@ from .pathwise import (
     occupation_density_check,
     quadratic_variation,
     transform_local_time,
+    transform_local_times,
     verify_ito,
 )
 

@@ -222,11 +222,8 @@ def run_pathcheck(
         res_log = pw.verify_ito(path, neg_log, ladder)
         residuals["neg_log"] = res_log.tolist()
         checks["neg_log_decreasing"] = final_three_decreasing(res_log)
-        transform = [
-            pw.transform_local_time(path, np.log, lambda x: 1.0 / x, np.exp, part)
-            for part in ladder.partitions
-        ]
-        residuals["log_transform"] = list(map(float, transform))
+        transform = pw.transform_local_times(path, np.log, lambda x: 1.0 / x, np.exp, ladder.partitions)
+        residuals["log_transform"] = transform
         checks["log_transform_decreasing"] = final_three_decreasing(transform)
     else:
         checks["neg_log_decreasing"] = True

@@ -55,7 +55,7 @@ _TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this m
 
 
 class UnsupportedChain(RuntimeError):
-    """Chain outside the recursion's domain (n_min > 0 or finite n_max), or pinned to one strike."""
+    """Chain outside the recursion's domain (n_min > 0 or finite n_max)."""
 
 
 class C1Violation(RuntimeError):
@@ -695,8 +695,8 @@ def _piece_excess(payoff, a, b, ya, yb) -> tuple[np.ndarray, np.ndarray]:
     from ``value`` and ``slope`` alone, to within 1e-15 of each maximum.  An
     end at 0 takes the payoff's limit there; NaN excess counts as infinite.
     """
-    m = (yb - ya) / (b - a)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a piece with a == b has no slope and no interior
+        m = (yb - ya) / (b - a)
         inner = np.flatnonzero(~(payoff.slope(a) >= m) & (payoff.slope(b) > m))
         x, line = np.column_stack([a, b, a, b]), np.column_stack([ya, yb, ya, yb])
         x[inner, 2:] = np.column_stack(_bracket_root(payoff.slope, m[inner], a[inner], b[inner], tol=1e-15))
@@ -931,10 +931,6 @@ def build_lp_grid(
     return np.union1d(base, np.concatenate(pieces) if pieces else base)
 
 
-def _instrument_matrix(nchain: NormalizedChain, x: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones_like(x), x, np.maximum(nchain.k[None, 1:] - x[:, None], 0.0)])
-
-
 def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray) -> float:
     """Finite LP: the largest setup cost of a portfolio kept under the payoff at ``x_grid``."""
     from scipy.optimize import linprog  # only the oracle loads scipy
@@ -946,7 +942,7 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     x, lam = x[keep], lam[keep]
     if x.size < nchain.n + 2:
         raise RuntimeError("constraint grid too small after dropping infinite rows")
-    A = _instrument_matrix(nchain, x)
+    A = np.column_stack([np.ones_like(x), x, np.maximum(nchain.k[None, 1:] - x[:, None], 0.0)])
     b = np.concatenate(([1.0, 1.0], nchain.p[1:]))
     res = linprog(
         c=-b,
@@ -1005,8 +1001,11 @@ def lp_lower_bound(
     """
     _require_c1(nchain, payoff)
     lo, top = nchain.n_min, nchain.top_index
-    if top <= lo:
-        raise UnsupportedChain("the chain pins all mass on one strike")
+    if top == lo:  # all mass on k_{n_min}: the payoff there, under its tangent with no puts
+        x = float(nchain.k[lo])
+        value, slope = float(payoff.value(x)), float(payoff.slope(x))
+        hedge = HedgePortfolio(value - slope * x, slope, np.zeros(nchain.n), nchain.k[1:].copy())
+        return value, hedge, AtomicMeasure(np.array([x]), np.array([1.0]))
     trimmed = replace(nchain, k=nchain.k[lo : top + 1], p=np.append(0.0, nchain.p[lo + 1 : top + 1]),
                       n_min=0, n_max=math.inf)
     solution = dp_lower_bound(trimmed, payoff, grid=grid)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -82,18 +83,17 @@ class PartitionLadder:
         full = self.path.times.size - 1
         if parts[-1].size != full + 1 or parts[-1][0] != 0 or parts[-1][-1] != full:
             raise ValueError("finest partition must equal the full grid")
-        meshes = self.meshes
-        if np.any(np.diff(meshes) >= 0.0):
+        if np.any(np.diff(self.meshes) >= 0.0):
             raise ValueError("mesh sizes must strictly decrease")
-        for coarse, fine in zip(parts, parts[1:]):
-            if not np.all(np.isin(coarse, fine)):
+        for coarse, fine in zip(parts, parts[1:]):  # ``meshes`` checked every index: small tables
+            if not np.all(np.isin(coarse, fine, kind="table")):
                 raise ValueError("partitions must be nested")
 
     @property
     def depth(self) -> int:
         return len(self.partitions)
 
-    @property
+    @cached_property
     def meshes(self) -> np.ndarray:
         t = self.path.times
         return np.asarray([np.max(np.diff(t[p])) for p in self.partitions])
@@ -206,6 +206,52 @@ def _default_levels(path: SampledPath, n_levels: int) -> np.ndarray:
     return np.linspace(lo - cell, hi + cell, n_levels)
 
 
+def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np.ndarray]:
+    """Local time of the samples ``x`` at ``levels`` along each partition, in level order.
+
+    Each visited sample is binned into the sorted distinct levels once; by
+    monotonicity a step covers the levels from the lower bin of its ends to
+    the upper bin of its ends, so each partition sweeps with no search.
+    """
+    u, back = np.unique(levels, return_inverse=True)
+    if len(partitions) == 1:
+        visited = partitions[0]
+    else:  # a mask of every sample some partition visits: no sort, no index array
+        visited = np.zeros(x.size, dtype=bool)
+        for part in partitions:
+            visited[part] = True
+    xv = x[visited]
+    lower = np.searchsorted(u, xv, side="left")  # first level >= the sample
+    on_level = np.empty(x.size, dtype=bool)  # equal to that level: the first level > it is one further
+    on_level[visited] = np.append(u, np.nan)[lower] == xv
+    edges = np.empty(x.size, dtype=np.intp)
+    edges[visited] = lower
+    del visited, xv, lower  # the sweeps need neither: keep their peak memory down
+    out = []
+    for part in partitions:
+        edge = edges[part]
+        first = edge.min()  # levels outside the path range (NaN included) meet no step: 0.0
+        start = np.minimum(edge[:-1], edge[1:]) - first
+        edge += on_level[part]  # in place: now the first level > the sample
+        last = edge.max()
+        stop = np.maximum(edge[:-1], edge[1:]) - first
+        del edge  # likewise
+        w = u[first:last]
+        xp = x[part]
+        left, right = xp[:-1], xp[1:]
+        sgn = np.sign(right - left)
+        at = np.append(w, 0.0)  # level of each bin; the last bin (past every level) is dropped
+        enter = np.bincount(start, sgn * (right - at[start]), at.size)
+        leave = np.bincount(stop, sgn * (right - at[stop]), at.size)
+        net = np.cumsum(np.bincount(start, sgn, at.size) - np.bincount(stop, sgn, at.size))
+        drift = np.zeros(w.size)
+        drift[1:] = net[:-2] * np.diff(w)  # steps still open, carried across each level gap
+        values = np.zeros(u.size)
+        values[first:last] = 2.0 * np.cumsum(enter[:-1] - leave[:-1] - drift)
+        out.append(values[back])
+    return out
+
+
 def discrete_local_time(
     path: SampledPath,
     partition: np.ndarray,
@@ -222,43 +268,22 @@ def discrete_local_time(
     steps that enter and leave there, minus the net sign of the steps still
     open times the level gap.  Every term is the distance from a step's end
     to a nearby level, so rounding stays close to that of the direct sum.
-    Cost O((N + L) log L) time and O(N + L) memory for N steps and L levels.
-    Levels may come in any order and the values come back in that order;
-    levels outside the path range get exactly 0.0.
+    Each sample is binned into the distinct levels once, by one
+    ``searchsorted`` (a ladder shares it: ``transform_local_times``).  Cost
+    O(N log L + L log L) time and O(N + L) memory for N steps and L levels,
+    plus a bin table and a flag table over the path that only visited samples fill.
+    Levels come in any order, values in that order; outside the path range, 0.0.
     """
     idx = np.asarray(partition, dtype=int)
-    times = path.times[idx]
     if t is None:
-        t = float(times[-1])
-    pos = np.searchsorted(times, t + 1e-12)
-    if pos == 0 or abs(times[pos - 1] - t) > 1e-9 * max(1.0, abs(t)):
+        t = float(path.times[idx[-1]])
+    pos = np.searchsorted(path.times[idx], t + 1e-12)
+    if pos == 0 or abs(path.times[idx[pos - 1]] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"t = {t} is not a partition time")
-    idx = idx[:pos]
     if levels is None:
         levels = _default_levels(path, n_levels)
     levels = np.asarray(levels, dtype=float)
-    x = path.values[idx]
-    left, right = x[:-1], x[1:]
-    order = np.argsort(levels)
-    u = levels[order]
-    # Levels outside the path range (NaN included) meet no step and stay 0.0.
-    first = np.searchsorted(u, x.min(), side="left")
-    last = np.searchsorted(u, x.max(), side="right")
-    u = u[first:last]
-    start = np.searchsorted(u, np.minimum(left, right), side="left")
-    stop = np.searchsorted(u, np.maximum(left, right), side="right")
-    sgn = np.sign(right - left)
-    bins = u.size + 1
-    at = np.append(u, 0.0)  # level of each bin; the last bin (past every level) is dropped
-    enter = np.bincount(start, sgn * (right - at[start]), bins)
-    leave = np.bincount(stop, sgn * (right - at[stop]), bins)
-    net = np.cumsum(np.bincount(start, sgn, bins) - np.bincount(stop, sgn, bins))
-    drift = np.zeros(u.size)
-    drift[1:] = net[:-2] * np.diff(u)  # steps still open, carried across each level gap
-    sorted_values = np.zeros(levels.size)
-    sorted_values[first:last] = 2.0 * np.cumsum(enter[:-1] - leave[:-1] - drift)
-    values = np.empty_like(levels)
-    values[order] = sorted_values
+    (values,) = _local_times(path.values, [idx[:pos]], levels)
     return LocalTimeProfile(levels=levels, values=values, time=float(t))
 
 
@@ -302,21 +327,18 @@ def verify_ito(
     """
     value, deriv, second, default_mode = _as_test_function(f)
     mode = default_mode if curvature == "auto" else curvature
-    x0, xT = path.values[0], path.values[-1]
-    total = float(value(xT)) - float(value(x0))
-    residuals = []
-    for part in ladder.partitions:
-        riemann = follmer_integral(path, deriv, part)
-        if mode == "riemann":
-            x = path.values[np.asarray(part, dtype=int)]
-            curv = float(np.sum(np.asarray(second(x[:-1])) * np.square(np.diff(x))))
-        elif mode == "local_time":
-            profile = discrete_local_time(path, part, n_levels=n_levels)
-            curv = profile.integrate_against(second)
-        else:
-            raise ValueError(f"unknown curvature mode {mode!r}")
-        residuals.append(abs(total - riemann - 0.5 * curv))
-    return np.asarray(residuals)
+    parts = ladder.partitions
+    if mode == "riemann":
+        xs = (path.values[np.asarray(part, dtype=int)] for part in parts)
+        curvs = [float(np.sum(np.asarray(second(x[:-1])) * np.square(np.diff(x)))) for x in xs]
+    elif mode == "local_time":  # one level lookup for the whole ladder
+        levels = _default_levels(path, n_levels)
+        curvs = [LocalTimeProfile(levels, v, float(path.times[part[-1]])).integrate_against(second)
+                 for part, v in zip(parts, _local_times(path.values, parts, levels))]
+    else:
+        raise ValueError(f"unknown curvature mode {mode!r}")
+    total = float(value(path.values[-1])) - float(value(path.values[0]))
+    return np.asarray([abs(total - follmer_integral(path, deriv, p) - 0.5 * c) for p, c in zip(parts, curvs)])
 
 
 def occupation_density_check(
@@ -343,29 +365,33 @@ def occupation_density_check(
     return lhs, rhs
 
 
-def transform_local_time(
-    path: SampledPath,
-    f: Callable,
-    f_prime: Callable,
-    f_inverse: Callable,
-    partition: np.ndarray,
+def transform_local_times(
+    path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable, partitions: list,
     n_levels: int = DEFAULT_LEVELS,
-) -> float:
-    """L2 gap between the local time of f(X) and the transformed local time of X.
+) -> list[float]:
+    """L2 gap between the local time of f(X) and the transformed local time of X, per partition.
 
     For monotone smooth f the two agree in the limit:
-    L^{f(X)}(u) = |f'(f^{-1}(u))| L^X(f^{-1}(u)).
+    L^{f(X)}(u) = |f'(f^{-1}(u))| L^X(f^{-1}(u)).  Each path is binned into
+    its levels once for all partitions.
     """
     probe = np.linspace(float(path.values.min()), float(path.values.max()), 64)
     dprobe = np.asarray(f_prime(probe), dtype=float)
     if np.any(dprobe == 0.0) or (np.any(dprobe > 0.0) and np.any(dprobe < 0.0)):
         raise NonMonotone("transform map must have one-signed, nonvanishing derivative on the range")
+    parts = [np.asarray(p, dtype=int) for p in partitions]
     ypath = path.transformed(f)
     vgrid = _default_levels(ypath, n_levels)
-    direct = discrete_local_time(ypath, partition, levels=vgrid)
     xlv = np.asarray(f_inverse(vgrid), dtype=float)
-    base = discrete_local_time(path, partition, levels=xlv)
-    transformed = LocalTimeProfile(
-        levels=vgrid, values=np.abs(np.asarray(f_prime(xlv))) * base.values, time=base.time
-    )
-    return direct.l2_distance(transformed)
+    scale = np.abs(np.asarray(f_prime(xlv)))
+    direct = _local_times(ypath.values, parts, vgrid)
+    base = _local_times(path.values, parts, xlv)
+    return [float(np.sqrt(np.trapezoid((d - scale * b) ** 2, vgrid))) for d, b in zip(direct, base)]
+
+
+def transform_local_time(
+    path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable, partition: np.ndarray,
+    n_levels: int = DEFAULT_LEVELS,
+) -> float:
+    """``transform_local_times`` on one partition."""
+    return transform_local_times(path, f, f_prime, f_inverse, [partition], n_levels)[0]

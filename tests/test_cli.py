@@ -1,9 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import window_excess
+from varbounds import load_chain, lower, make_payoff, normalize, parse_weight, superhedge
 from varbounds.cli import main, parse_report, round_floats
+from varbounds.lower import lp_lower_bound
+
+DATA = Path(__file__).parent / "data"
+PATHCHECK_GOLDENS = json.loads((DATA / "pathcheck_goldens.json").read_text(encoding="utf-8"))["cases"]
+PINNED_CHAINS = {"one-put": "1.0,0\n", "three-puts": "0.5,0\n1.0,0\n1.5,0.5\n"}
+WEIGHTS = ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "inverse")
 
 
 @pytest.fixture
@@ -153,6 +162,37 @@ class TestPathcheck:
         f.write_text("\n".join(rows) + "\n")
         code, _, err = run(capsys, ["pathcheck", "--input", str(f), "--depth", "6"])
         assert code == 1
+
+    @pytest.mark.parametrize("case", PATHCHECK_GOLDENS, ids=lambda c: " ".join(c["args"][1:]))
+    def test_goldens(self, capsys, case):
+        # Output of the per-partition level search, byte for byte; the CSV
+        # walk is not strictly positive, so its log checks are skipped.
+        argv = [str(DATA / a) if a.endswith(".csv") else a for a in case["args"]]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (case["exit_code"], case["stdout"])
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+@pytest.mark.parametrize("rows", PINNED_CHAINS.values(), ids=PINNED_CHAINS.keys())
+def test_pinned_support_collapses_the_band(capsys, tmp_path, rows, weight):
+    # n_min = top: all mass sits on the forward, so both bounds are payoff(1).
+    f = tmp_path / "chain.csv"
+    f.write_text("strike,put_price\n" + rows)
+    code, out, _ = run(capsys, ["bounds", "--input", str(f), "--forward", "1", "--discount", "1",
+                                "--maturity", "1", "--weight", weight])
+    assert code == 0
+    band = parse_report(out)["european"]
+    assert abs(band["lower_value_normalized"] - band["upper_value_normalized"]) <= 1e-12
+    nc = normalize(load_chain(str(f), 1.0, 1.0, 1.0))
+    payoff = make_payoff(parse_weight(weight))
+    value, hedge, measure = lp_lower_bound(nc, payoff)
+    assert value == float(payoff.value(1.0)) == superhedge(nc, payoff).value
+    assert measure.check(nc) == []
+    assert np.all(hedge.puts == 0.0)
+    assert window_excess(nc, payoff, hedge) <= 1e-12
+    assert lower._worst_excess(hedge, payoff)[0] <= 1e-12  # the tangent: under the payoff on all of (0, oo)
+    assert abs(hedge.payoff(1.0) - value) <= 1e-12
+    assert abs(hedge.setup_cost(nc) - value) <= 1e-12
 
 
 class TestSerialization:

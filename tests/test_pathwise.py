@@ -11,6 +11,7 @@ from varbounds import (
     WeightSpec,
     arithmetic_walk,
     build_dyadic_ladder,
+    PartitionLadder,
     discrete_local_time,
     follmer_integral,
     geometric_walk,
@@ -18,8 +19,10 @@ from varbounds import (
     occupation_density_check,
     quadratic_variation,
     transform_local_time,
+    transform_local_times,
     verify_ito,
 )
+from varbounds import pathwise
 
 SQUARE = C2Function(lambda x: x**2, lambda x: 2.0 * x, lambda x: np.full_like(np.asarray(x, float), 2.0))
 NEG_LOG = C2Function(lambda x: -np.log(x), lambda x: -1.0 / x, lambda x: 1.0 / np.square(x))
@@ -38,6 +41,51 @@ def dense_local_time(path, partition, levels, t=None):
     left, right, u = x[:-1], x[1:], np.asarray(levels, dtype=float)[:, None]
     inside = (u >= np.minimum(left, right)) & (u <= np.maximum(left, right))
     return 2.0 * np.sum(inside * np.abs(right - u), axis=1)
+
+
+def searched_sweep(path, partition, levels, t=None):
+    """Reference: the sweep with its own level search per partition (no shared lookup)."""
+    times = path.times[partition]
+    x = path.values[partition][: np.searchsorted(times, times[-1] if t is None else t, side="right")]
+    left, right, levels = x[:-1], x[1:], np.asarray(levels, dtype=float)
+    order = np.argsort(levels)
+    u = levels[order]
+    first, last = np.searchsorted(u, x.min(), side="left"), np.searchsorted(u, x.max(), side="right")
+    u = u[first:last]
+    start = np.searchsorted(u, np.minimum(left, right), side="left")
+    stop = np.searchsorted(u, np.maximum(left, right), side="right")
+    sgn, bins, at = np.sign(right - left), u.size + 1, np.append(u, 0.0)
+    enter = np.bincount(start, sgn * (right - at[start]), bins)
+    leave = np.bincount(stop, sgn * (right - at[stop]), bins)
+    net = np.cumsum(np.bincount(start, sgn, bins) - np.bincount(stop, sgn, bins))
+    drift = np.zeros(u.size)
+    drift[1:] = net[:-2] * np.diff(u)
+    sorted_values = np.zeros(levels.size)
+    sorted_values[first:last] = 2.0 * np.cumsum(enter[:-1] - leave[:-1] - drift)
+    values = np.empty_like(levels)
+    values[order] = sorted_values
+    return values
+
+
+def _ladder_level_cases():
+    """Level grids for the shared-lookup kernel: (name, path, levels, horizon)."""
+    rng = np.random.default_rng(909)
+    for name, path in (
+        ("geometric", geometric_walk(41, n_steps=2048)),
+        ("arithmetic", arithmetic_walk(42, n_steps=2048)),
+    ):
+        lo, hi = path.values.min(), path.values.max()
+        base = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), 301)
+        on_path = np.concatenate((base, path.values[::37], [lo, hi]))
+        yield f"{name}-unsorted", path, rng.permutation(on_path), None
+        duplicated = np.concatenate((on_path, on_path[::3], [lo, lo, hi]))
+        yield f"{name}-duplicated", path, rng.permutation(duplicated), None
+        not_finite = np.concatenate((on_path, [np.nan, np.nan, np.inf, -np.inf]))
+        yield f"{name}-nan", path, rng.permutation(not_finite), None
+        yield f"{name}-mid-horizon", path, rng.permutation(on_path), path.times[1024]
+
+
+LADDER_LEVEL_CASES = list(_ladder_level_cases())
 
 
 def _walk_cases():
@@ -85,6 +133,22 @@ class TestLadder:
         path = geometric_walk(0, n_steps=100)
         with pytest.raises(ValueError):
             build_dyadic_ladder(path, 6)
+
+    @pytest.mark.parametrize(
+        "partitions, message",
+        [
+            ([], "at least one"),
+            ([np.arange(0, 17, 2)], "full grid"),
+            ([np.arange(0, 17, 4), np.arange(16)], "full grid"),
+            ([np.arange(0, 17, 2), np.arange(0, 17, 4), np.arange(17)], "decrease"),
+            ([np.array([0, 4, 8, 12, 16]), np.array([0, 3, 6, 9, 12, 14, 16]), np.arange(17)], "nested"),
+            ([np.array([0, 5, 16]), np.arange(0, 17, 2), np.arange(17)], "nested"),
+        ],
+    )
+    def test_invalid_ladders_rejected(self, partitions, message):
+        path = geometric_walk(0, n_steps=16)
+        with pytest.raises(ValueError, match=message):
+            PartitionLadder(path, partitions)
 
 
 class TestQuadraticVariation:
@@ -178,6 +242,23 @@ class TestLocalTime:
         assert peak < 160e6
         assert profile.values.max() > 0.0
         assert abs(lhs - rhs) / rhs < 0.05
+
+    @pytest.mark.parametrize(
+        "path, levels, t",
+        [case[1:] for case in LADDER_LEVEL_CASES],
+        ids=[case[0] for case in LADDER_LEVEL_CASES],
+    )
+    def test_shared_lookup_matches_per_partition_calls(self, path, levels, t):
+        # The ladder kernel bins each sample once; every profile must equal,
+        # bit for bit, both the one-partition call and a sweep that searches
+        # the levels afresh for each partition.
+        ladder = build_dyadic_ladder(path, 8)
+        end = path.times.size if t is None else int(np.searchsorted(path.times, t, side="right"))
+        parts = [p[p < end] for p in ladder.partitions]
+        shared = pathwise._local_times(path.values, parts, levels)
+        for part, values in zip(ladder.partitions, shared):
+            np.testing.assert_array_equal(values, discrete_local_time(path, part, t=t, levels=levels).values)
+            np.testing.assert_array_equal(values, searched_sweep(path, part, levels, t))
 
     def test_t_must_be_partition_time(self):
         path = geometric_walk(3, n_steps=64)
@@ -293,6 +374,16 @@ class TestTransformLocalTime:
         d4 = transform_local_time(path, np.log, lambda x: 1.0 / x, np.exp, ladder.partitions[3])
         d6 = transform_local_time(path, np.log, lambda x: 1.0 / x, np.exp, ladder.partitions[5])
         assert d6 <= 0.5 * d4
+
+    def test_ladder_matches_per_partition_calls(self):
+        for path in (geometric_walk(15, n_steps=4096), geometric_walk(16, n_steps=4096, drift=-0.5)):
+            ladder = build_dyadic_ladder(path, 9)
+            for f, fp, fi in (
+                (np.log, lambda x: 1.0 / x, np.exp),
+                (lambda x: -2.0 * x, lambda x: np.full_like(x, -2.0), lambda v: -0.5 * v),
+            ):
+                shared = transform_local_times(path, f, fp, fi, ladder.partitions)
+                assert shared == [transform_local_time(path, f, fp, fi, p) for p in ladder.partitions]
 
     def test_non_monotone_rejected(self):
         path = geometric_walk(5, n_steps=256)
