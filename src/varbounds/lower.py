@@ -1001,11 +1001,10 @@ def lp_lower_bound(
     """
     _require_c1(nchain, payoff)
     lo, top = nchain.n_min, nchain.top_index
-    if top == lo:  # all mass on k_{n_min}: the payoff there, under its tangent with no puts
-        x = float(nchain.k[lo])
-        value, slope = float(payoff.value(x)), float(payoff.slope(x))
-        hedge = HedgePortfolio(value - slope * x, slope, np.zeros(nchain.n), nchain.k[1:].copy())
-        return value, hedge, AtomicMeasure(np.array([x]), np.array([1.0]))
+    if top <= lo:  # no interval left: payoff(1) by Jensen, the Dirac at the forward, its tangent, no puts
+        value, slope = float(payoff.value(1.0)), float(payoff.slope(1.0))
+        hedge = HedgePortfolio(value - slope, slope, np.zeros(nchain.n), nchain.k[1:].copy())
+        return value, hedge, AtomicMeasure(np.array([1.0]), np.array([1.0]))
     trimmed = replace(nchain, k=nchain.k[lo : top + 1], p=np.append(0.0, nchain.p[lo + 1 : top + 1]),
                       n_min=0, n_max=math.inf)
     solution = dp_lower_bound(trimmed, payoff, grid=grid)

@@ -209,9 +209,8 @@ def _default_levels(path: SampledPath, n_levels: int) -> np.ndarray:
 def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np.ndarray]:
     """Local time of the samples ``x`` at ``levels`` along each partition, in level order.
 
-    Each visited sample is binned into the sorted distinct levels once; by
-    monotonicity a step covers the levels from the lower bin of its ends to
-    the upper bin of its ends, so each partition sweeps with no search.
+    Each visited sample is binned into the sorted distinct levels once; by monotonicity
+    a step covers the levels from the lower bin of its ends to the upper bin of its ends.
     """
     u, back = np.unique(levels, return_inverse=True)
     if len(partitions) == 1:
@@ -268,11 +267,10 @@ def discrete_local_time(
     steps that enter and leave there, minus the net sign of the steps still
     open times the level gap.  Every term is the distance from a step's end
     to a nearby level, so rounding stays close to that of the direct sum.
-    Each sample is binned into the distinct levels once, by one
-    ``searchsorted`` (a ladder shares it: ``transform_local_times``).  Cost
-    O(N log L + L log L) time and O(N + L) memory for N steps and L levels,
-    plus a bin table and a flag table over the path that only visited samples fill.
-    Levels come in any order, values in that order; outside the path range, 0.0.
+    Each sample is binned into the distinct levels once, a lookup that a ladder
+    shares.  Cost O((N + L) log L) time and O(N + L) memory for N steps and L
+    levels, plus two tables over the path.  Levels may come in any order and the
+    values come back in that order; levels outside the path range get exactly 0.0.
     """
     idx = np.asarray(partition, dtype=int)
     if t is None:
@@ -327,18 +325,23 @@ def verify_ito(
     """
     value, deriv, second, default_mode = _as_test_function(f)
     mode = default_mode if curvature == "auto" else curvature
-    parts = ladder.partitions
-    if mode == "riemann":
-        xs = (path.values[np.asarray(part, dtype=int)] for part in parts)
-        curvs = [float(np.sum(np.asarray(second(x[:-1])) * np.square(np.diff(x)))) for x in xs]
-    elif mode == "local_time":  # one level lookup for the whole ladder
+    x0, xT = path.values[0], path.values[-1]
+    total = float(value(xT)) - float(value(x0))
+    if mode == "local_time":  # one level lookup for the whole ladder
         levels = _default_levels(path, n_levels)
-        curvs = [LocalTimeProfile(levels, v, float(path.times[part[-1]])).integrate_against(second)
-                 for part, v in zip(parts, _local_times(path.values, parts, levels))]
-    else:
-        raise ValueError(f"unknown curvature mode {mode!r}")
-    total = float(value(path.values[-1])) - float(value(path.values[0]))
-    return np.asarray([abs(total - follmer_integral(path, deriv, p) - 0.5 * c) for p, c in zip(parts, curvs)])
+        profiles = _local_times(path.values, ladder.partitions, levels)
+    residuals = []
+    for i, part in enumerate(ladder.partitions):
+        riemann = follmer_integral(path, deriv, part)
+        if mode == "riemann":
+            x = path.values[np.asarray(part, dtype=int)]
+            curv = float(np.sum(np.asarray(second(x[:-1])) * np.square(np.diff(x))))
+        elif mode == "local_time":
+            curv = LocalTimeProfile(levels, profiles[i], float(path.times[part[-1]])).integrate_against(second)
+        else:
+            raise ValueError(f"unknown curvature mode {mode!r}")
+        residuals.append(abs(total - riemann - 0.5 * curv))
+    return np.asarray(residuals)
 
 
 def occupation_density_check(
@@ -365,10 +368,8 @@ def occupation_density_check(
     return lhs, rhs
 
 
-def transform_local_times(
-    path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable, partitions: list,
-    n_levels: int = DEFAULT_LEVELS,
-) -> list[float]:
+def transform_local_times(path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable,
+                          partitions: list, n_levels: int = DEFAULT_LEVELS) -> list[float]:
     """L2 gap between the local time of f(X) and the transformed local time of X, per partition.
 
     For monotone smooth f the two agree in the limit:
@@ -384,14 +385,13 @@ def transform_local_times(
     vgrid = _default_levels(ypath, n_levels)
     xlv = np.asarray(f_inverse(vgrid), dtype=float)
     scale = np.abs(np.asarray(f_prime(xlv)))
-    direct = _local_times(ypath.values, parts, vgrid)
-    base = _local_times(path.values, parts, xlv)
-    return [float(np.sqrt(np.trapezoid((d - scale * b) ** 2, vgrid))) for d, b in zip(direct, base)]
+    ends = path.times[[p[-1] for p in parts]]
+    lts = zip(_local_times(ypath.values, parts, vgrid), _local_times(path.values, parts, xlv), ends)
+    return [LocalTimeProfile(vgrid, d, t).l2_distance(LocalTimeProfile(vgrid, scale * b, t))
+            for d, b, t in lts]
 
 
-def transform_local_time(
-    path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable, partition: np.ndarray,
-    n_levels: int = DEFAULT_LEVELS,
-) -> float:
+def transform_local_time(path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable,
+                         partition: np.ndarray, n_levels: int = DEFAULT_LEVELS) -> float:
     """``transform_local_times`` on one partition."""
     return transform_local_times(path, f, f_prime, f_inverse, [partition], n_levels)[0]

@@ -4,14 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import window_excess
-from varbounds import load_chain, lower, make_payoff, normalize, parse_weight, superhedge
+from varbounds import OptionChain, load_chain, lower, make_payoff, normalize, parse_weight, superhedge
 from varbounds.cli import main, parse_report, round_floats
 from varbounds.lower import lp_lower_bound
 
 DATA = Path(__file__).parent / "data"
 PATHCHECK_GOLDENS = json.loads((DATA / "pathcheck_goldens.json").read_text(encoding="utf-8"))["cases"]
 PINNED_CHAINS = {"one-put": "1.0,0\n", "three-puts": "0.5,0\n1.0,0\n1.5,0.5\n"}
+# Free puts up to a strike at or below the forward, none above: no interval is left either.
+FREE_CHAINS = {"free-0.9": "0.9,0\n", "free-0.5-0.9": "0.5,0\n0.9,0\n"}
 WEIGHTS = ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "inverse")
 
 
@@ -173,26 +174,44 @@ class TestPathcheck:
 
 
 @pytest.mark.parametrize("weight", WEIGHTS)
-@pytest.mark.parametrize("rows", PINNED_CHAINS.values(), ids=PINNED_CHAINS.keys())
-def test_pinned_support_collapses_the_band(capsys, tmp_path, rows, weight):
-    # n_min = top: all mass sits on the forward, so both bounds are payoff(1).
+@pytest.mark.parametrize("rows", [*PINNED_CHAINS.values(), *FREE_CHAINS.values()],
+                         ids=[*PINNED_CHAINS.keys(), *FREE_CHAINS.keys()])
+def test_no_interval_left_gives_the_dirac_at_the_forward(capsys, tmp_path, rows, weight):
+    # top <= n_min: by Jensen the lower bound is payoff(1), under the tangent
+    # there; when the support is pinned to the forward the band collapses.
     f = tmp_path / "chain.csv"
     f.write_text("strike,put_price\n" + rows)
     code, out, _ = run(capsys, ["bounds", "--input", str(f), "--forward", "1", "--discount", "1",
                                 "--maturity", "1", "--weight", weight])
     assert code == 0
     band = parse_report(out)["european"]
-    assert abs(band["lower_value_normalized"] - band["upper_value_normalized"]) <= 1e-12
     nc = normalize(load_chain(str(f), 1.0, 1.0, 1.0))
     payoff = make_payoff(parse_weight(weight))
     value, hedge, measure = lp_lower_bound(nc, payoff)
-    assert value == float(payoff.value(1.0)) == superhedge(nc, payoff).value
+    assert value == float(payoff.value(1.0))
+    assert abs(band["lower_value_normalized"] - value) <= 1e-12
+    if rows in PINNED_CHAINS.values():
+        assert value == superhedge(nc, payoff).value
+        assert abs(band["lower_value_normalized"] - band["upper_value_normalized"]) <= 1e-12
     assert measure.check(nc) == []
     assert np.all(hedge.puts == 0.0)
-    assert window_excess(nc, payoff, hedge) <= 1e-12
     assert lower._worst_excess(hedge, payoff)[0] <= 1e-12  # the tangent: under the payoff on all of (0, oo)
     assert abs(hedge.payoff(1.0) - value) <= 1e-12
     assert abs(hedge.setup_cost(nc) - value) <= 1e-12
+
+
+def test_free_put_past_the_forward_within_tolerance():
+    # The put at 1 + 5e-13 is priced 0, below intrinsic value by less than
+    # EQ_TOL: n_min = 2 > top = 1, and the trim would leave no strike at all.
+    nc = normalize(OptionChain(1.0, 1.0, 1.0, np.array([1.0, 1.0 + 5e-13]), np.zeros(2)))
+    assert nc.top_index < nc.n_min
+    for weight in WEIGHTS:
+        payoff = make_payoff(parse_weight(weight))
+        value, hedge, measure = lp_lower_bound(nc, payoff)
+        assert value == float(payoff.value(1.0))
+        assert measure.check(nc) == []
+        assert lower._worst_excess(hedge, payoff)[0] <= 1e-12
+        assert abs(hedge.setup_cost(nc) - value) <= 1e-12
 
 
 class TestSerialization:

@@ -313,6 +313,20 @@ class TestVerifyIto:
         benchmark = verify_ito(path, CUBE, ladder)
         assert corridor[-1] < 10.0 * benchmark[-1]
 
+    @pytest.mark.parametrize("f", [make_payoff(WeightSpec.corridor_up(1.0)), CUBE], ids=["corridor", "cube"])
+    def test_local_time_mode_matches_per_partition_profiles(self, f):
+        # The ladder's shared lookup gives each partition its own profile.
+        path = geometric_walk(7, n_steps=2048)
+        ladder = build_dyadic_ladder(path, 6)
+        value, deriv, second, _ = pathwise._as_test_function(f)
+        total = float(value(path.values[-1])) - float(value(path.values[0]))
+        expected = [
+            abs(total - follmer_integral(path, deriv, part)
+                - 0.5 * discrete_local_time(path, part).integrate_against(second))
+            for part in ladder.partitions
+        ]
+        assert verify_ito(path, f, ladder, curvature="local_time").tolist() == expected
+
     def test_explicit_mode_validation(self):
         path = geometric_walk(1, n_steps=128)
         ladder = build_dyadic_ladder(path, 3)
