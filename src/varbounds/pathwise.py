@@ -223,7 +223,7 @@ def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np
     lower = np.searchsorted(u, xv, side="left")  # first level >= the sample
     on_level = np.empty(x.size, dtype=bool)  # equal to that level: the first level > it is one further
     on_level[visited] = np.append(u, np.nan)[lower] == xv
-    edges = np.empty(x.size, dtype=np.intp)
+    edges = np.empty(x.size, dtype=np.min_scalar_type(u.size))  # bin numbers: 2 bytes for 512 levels
     edges[visited] = lower
     del visited, xv, lower  # the sweeps need neither: keep their peak memory down
     out = []
@@ -234,14 +234,15 @@ def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np
         edge += on_level[part]  # in place: now the first level > the sample
         last = edge.max()
         stop = np.maximum(edge[:-1], edge[1:]) - first
-        del edge  # likewise
         w = u[first:last]
         xp = x[part]
         left, right = xp[:-1], xp[1:]
         sgn = np.sign(right - left)
         at = np.append(w, 0.0)  # level of each bin; the last bin (past every level) is dropped
-        enter = np.bincount(start, sgn * (right - at[start]), at.size)
-        leave = np.bincount(stop, sgn * (right - at[stop]), at.size)
+        gap = np.empty(sgn.size)  # one buffer for each step's signed distance to its first, then last, level
+        enter = np.bincount(start, np.multiply(sgn, np.subtract(right, at[start], out=gap), out=gap), at.size)
+        leave = np.bincount(stop, np.multiply(sgn, np.subtract(right, at[stop], out=gap), out=gap), at.size)
+        del edge, xp, left, right, gap  # likewise
         net = np.cumsum(np.bincount(start, sgn, at.size) - np.bincount(stop, sgn, at.size))
         drift = np.zeros(w.size)
         drift[1:] = net[:-2] * np.diff(w)  # steps still open, carried across each level gap
@@ -268,9 +269,9 @@ def discrete_local_time(
     open times the level gap.  Every term is the distance from a step's end
     to a nearby level, so rounding stays close to that of the direct sum.
     Each sample is binned into the distinct levels once, a lookup that a ladder
-    shares.  Cost O((N + L) log L) time and O(N + L) memory for N steps and L
-    levels, plus two tables over the path.  Levels may come in any order and the
-    values come back in that order; levels outside the path range get exactly 0.0.
+    shares.  Cost O((N + L) log L) time and O(N + L) memory for N steps and L levels,
+    plus a flag and a bin number (2 bytes for 512 levels) per path sample.  Levels may
+    come in any order, values come back in that order; outside the path range, exactly 0.0.
     """
     idx = np.asarray(partition, dtype=int)
     if t is None:

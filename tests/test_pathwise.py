@@ -260,6 +260,21 @@ class TestLocalTime:
             np.testing.assert_array_equal(values, discrete_local_time(path, part, t=t, levels=levels).values)
             np.testing.assert_array_equal(values, searched_sweep(path, part, levels, t))
 
+    @pytest.mark.parametrize("n_levels", [255, 256, 70_000])
+    def test_bin_numbers_fit_every_level_count(self, n_levels):
+        # Bin numbers are stored in the narrowest unsigned type that holds the
+        # level count: one byte up to 255 distinct levels, then two, then four.
+        # The path runs past the top level, so the largest bin number occurs.
+        path = geometric_walk(43, n_steps=2048)
+        lo, hi = path.values.min(), path.values.max()
+        inner = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), n_levels - 40)
+        levels = np.concatenate((inner, path.values[:: 2048 // 40][:40]))
+        assert np.unique(levels).size == n_levels
+        ladder = build_dyadic_ladder(path, 6)
+        shared = pathwise._local_times(path.values, ladder.partitions, levels)
+        for part, values in zip(ladder.partitions, shared):
+            np.testing.assert_array_equal(values, searched_sweep(path, part, levels))
+
     def test_t_must_be_partition_time(self):
         path = geometric_walk(3, n_steps=64)
         part = np.arange(0, 65, 8)
