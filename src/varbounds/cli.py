@@ -9,6 +9,7 @@ files; infinities appear as the string "inf".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -64,6 +65,7 @@ class RunConfig:
             raise ValueError("forward, discount, and maturity must be positive")
 
 
+@functools.cache  # parsing leaves the parser as it was; one build serves every call of main
 def _build_parser() -> _Parser:
     parser = _Parser(prog="varbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

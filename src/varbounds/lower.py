@@ -11,11 +11,12 @@ objective is convex with a tridiagonal Hessian.  One backwards recursion
 over a coarse policy grid (32 points per interval by default) gives the
 warm start, and a projected Newton solve over the box of intervals takes it
 to machine precision; each Newton step is one O(n) LDL^T solve of the
-tridiagonal system, done here on Python floats.  The solve ends at the same
-optimum from any warm start: weights within rounding of a bound are snapped
-onto it, dust atoms between two such weights are closed, and a step within
-rounding of the objective is judged by the first-order residual of the
-weights it moved.
+tridiagonal system on Python floats, and each trial point one evaluation of
+the payoff, its slope and its curvature at all atoms.  The solve ends at
+the same optimum from any warm start: weights within rounding of a bound
+are snapped onto it, dust atoms between two such weights are closed, and a
+step within rounding of the objective is judged by the first-order residual
+of the weights it moved.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
@@ -298,11 +299,12 @@ def _atom(nchain, i, a, b):
     chi = k_i + dk (a - s_i) / w = k_{i-1} + dk (b - s_i) / w, w = b - a; the
     form anchored at the nearer strike is exact when a weight sits at s_i.
     """
-    k, s = nchain.k, nchain.slopes
+    lo = np.asarray(i) - 1  # indexed once: the kernel runs on every Newton trial
     with np.errstate(all="ignore"):
-        right = k[i] + (k[i] - k[i - 1]) * (a - s[i - 1]) / (b - a)
-        left = k[i - 1] + (k[i] - k[i - 1]) * (b - s[i - 1]) / (b - a)
-    return np.where(s[i - 1] - a <= b - s[i - 1], right, left)
+        k_lo, k_hi, s, w = nchain.k[lo], nchain.k[lo + 1], nchain.slopes[lo], b - a
+        right = k_hi + (k_hi - k_lo) * (a - s) / w
+        left = k_lo + (k_hi - k_lo) * (b - s) / w
+    return np.where(s - a <= b - s, right, left)
 
 
 def _segment_value(nchain, payoff, i, a, b):
@@ -315,18 +317,20 @@ def _segment_value(nchain, payoff, i, a, b):
         return np.where(live, w * payoff.value(chi), np.where(w >= -1e-12, 0.0, np.inf))
 
 
-def _tail_value(nchain, payoff, z):
-    """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit gamma c at z = 1.
+def _tail_limit(nchain, payoff) -> float:
+    """Limit gamma c of the tail term as its weight vanishes; 0 on a capped chain (c = 0)."""
+    c, gamma = _tail_constant(nchain), payoff.asymptotic_slope
+    return 0.0 if c == 0.0 else gamma * c if math.isfinite(gamma) else math.inf
 
-    On a capped chain (c = 0) the tail atom sits on k_n and the limit is 0.
-    """
+
+def _tail_value(nchain, payoff, z):
+    """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit (``_tail_limit``) at z = 1."""
     c = _tail_constant(nchain)
     w = 1.0 - z
     live = w > _ZERO_W
-    gamma = payoff.asymptotic_slope
     with np.errstate(all="ignore"):
         vals = w * payoff.value(nchain.k[-1] + c / np.where(live, w, 1.0))
-    return np.where(live, vals, 0.0 if c == 0.0 else gamma * c if math.isfinite(gamma) else math.inf)
+    return np.where(live, vals, _tail_limit(nchain, payoff))
 
 
 def policy_objective(nchain: NormalizedChain, payoff: ConvexPayoff, zeta) -> float:
@@ -363,12 +367,6 @@ def _solve_on_grids(nchain, payoff, grids: np.ndarray) -> np.ndarray:
     return policy
 
 
-def _tangent_at(payoff, chi, node):
-    """Tangent of the payoff at ``chi``, evaluated at ``node``."""
-    with np.errstate(all="ignore"):
-        return payoff.value(chi) + payoff.slope(chi) * (node - chi)
-
-
 def _bracket_root(fn, target, lo, hi, tol: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Narrow brackets [lo, hi] of the point where a nondecreasing ``fn`` reaches ``target``.
 
@@ -377,26 +375,32 @@ def _bracket_root(fn, target, lo, hi, tol: float = -math.inf) -> tuple[np.ndarra
     regula falsi, Illinois-weighted, with the midpoint for a step outside the
     bracket.  A bracket stops once its newest end x has |fn(x) - target|
     (hi - lo) <= ``tol``, else at adjacent floats, ``lo`` then being the last
-    float before the crossing whatever the steps.
+    float before the crossing whatever the steps.  The steps run on the open
+    brackets alone, compacted; a bracket goes back into ``lo, hi`` when it stops.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
     with np.errstate(all="ignore"):
         f_lo, f_hi = fn(lo) - target, fn(hi) - target
         lo, hi = np.where(f_hi < 0.0, hi, lo), np.where(f_lo >= 0.0, lo, hi)
-        kept, i = np.zeros(lo.shape), np.flatnonzero(lo < hi)  # kept: +1 / -1 when the last step kept hi / lo
+        i = np.flatnonzero(lo < hi)
+        a, b, fa, fb, t, kept = lo[i], hi[i], f_lo[i], f_hi[i], target[i], np.zeros(i.size)
         for _ in range(100):  # a cap only
             if i.size == 0:
                 break
-            x = (f_hi[i] * lo[i] - f_lo[i] * hi[i]) / (f_hi[i] - f_lo[i])
-            x = np.where((x > lo[i]) & (x < hi[i]), x, lo[i] + 0.5 * (hi[i] - lo[i]))
-            f = fn(x) - target[i]
+            x = (fb * a - fa * b) / (fb - fa)
+            x = np.where((x > a) & (x < b), x, a + 0.5 * (b - a))
+            f = fn(x) - t
             up = f >= 0.0
-            # Illinois: an end kept twice running has its value halved.
-            f_lo[i] = np.where(up, np.where(kept[i] < 0, 0.5, 1.0) * f_lo[i], f)
-            f_hi[i] = np.where(up, f, np.where(kept[i] > 0, 0.5, 1.0) * f_hi[i])
-            lo[i], hi[i], kept[i] = np.where(up, lo[i], x), np.where(up, x, hi[i]), np.where(up, -1.0, 1.0)
-            i = i[(np.nextafter(lo[i], hi[i]) < hi[i]) & ~(np.abs(f) * (hi[i] - lo[i]) <= tol)]
+            # Illinois: an end kept twice running (kept: +1 for b, -1 for a) has its value halved.
+            fa = np.where(up, np.where(kept < 0, 0.5, 1.0) * fa, f)
+            fb = np.where(up, f, np.where(kept > 0, 0.5, 1.0) * fb)
+            a, b, kept = np.where(up, a, x), np.where(up, x, b), np.where(up, -1.0, 1.0)
+            go = (np.nextafter(a, b) < b) & ~(np.abs(f) * (b - a) <= tol)
+            if not go.all():
+                lo[i[~go]], hi[i[~go]] = a[~go], b[~go]
+                i, a, b, fa, fb, t, kept = i[go], a[go], b[go], fa[go], fb[go], t[go], kept[go]
+        lo[i], hi[i] = a, b
     return lo, hi
 
 
@@ -414,32 +418,37 @@ class _PolicyState:
 def _policy_state(nchain, payoff, zeta) -> _PolicyState:
     """The segment kernel on every segment and the tail at once.
 
-    Segment i (weight w, atom chi, tangent T_i at chi) adds T_i(k_i) to
-    grad[i-1], -T_i(k_{i-1}) to grad[i-2] and lambda''(chi) / w *
-    [[A^2, AB], [AB, B^2]] to the Hessian, A = chi - k_{i-1}, B = k_i - chi;
-    the tail adds -T_{n+1}(k_n) and lambda''(chi_t) (chi_t - k_n)^2 / w_t.
-    A vanishing atom (w = 0) takes its one-sided limits, chi = k_i as zeta_i
-    rises and chi = k_{i-1} as zeta_{i-1} falls, and adds no curvature.
+    Segment i (weight w, atom chi, tangent T_i at chi) adds w lambda(chi), T_i(k_i)
+    to grad[i-1], -T_i(k_{i-1}) to grad[i-2] and lambda''(chi) / w [[A^2, AB],
+    [AB, B^2]] to the Hessian, A = chi - k_{i-1}, B = k_i - chi; the tail adds
+    its term, -T_{n+1}(k_n) and lambda''(chi_t) (chi_t - k_n)^2 / w_t.  A
+    vanishing atom (w = 0) takes its one-sided limits, chi = k_i as zeta_i rises
+    and chi = k_{i-1} as zeta_{i-1} falls, and adds no curvature.  One call of
+    each payoff function serves all points; the value is ``policy_objective``'s.
     """
-    k = nchain.k
+    k, n = nchain.k, zeta.size
     prev = np.concatenate(([0.0], zeta[:-1]))
     w = zeta - prev
     live = w > _ZERO_W
-    safe = np.where(live, w, 1.0)
-    chi = np.where(live, np.clip(_atom(nchain, np.arange(1, k.size), prev, zeta), k[:-1], k[1:]), k[1:])
-    w_tail = max(1.0 - float(zeta[-1]), _ZERO_W)
-    chi_tail = k[-1] + _tail_constant(nchain) / w_tail
-    right = _tangent_at(payoff, chi, k[1:])
-    left = _tangent_at(payoff, np.where(live, chi, k[:-1]), k[:-1])
-    grad = right - np.append(left[1:], _tangent_at(payoff, chi_tail, k[-1]))
+    chi = np.where(live, np.clip(_atom(nchain, np.arange(1, n + 1), prev, zeta), k[:-1], k[1:]), k[1:])
+    w_tail = 1.0 - float(zeta[-1])
+    chi_tail = k[-1] + _tail_constant(nchain) / max(w_tail, _ZERO_W)
+    # Tangent points: the atoms (right ends), the atoms or vanishing limits
+    # k_{i-1} (left ends of segments 2..n), the tail atom (its left end k_n).
+    x = np.concatenate((chi, np.where(live[1:], chi[1:], k[1:-1]), [chi_tail]))
     with np.errstate(all="ignore"):
-        h = np.where(live, payoff.curvature(chi) / safe, 0.0)
+        lam = payoff.value(x)
+        tangent = lam + payoff.slope(x) * (np.concatenate((k[1:], k[1:-1], k[-1:])) - x)
+        curvature = payoff.curvature(np.append(chi, chi_tail))
+        segments = np.where(live, w * lam[:n], np.where(w >= -1e-12, 0.0, np.inf))
+        tail = w_tail * lam[-1] if w_tail > _ZERO_W else _tail_limit(nchain, payoff)
+        h = np.where(live, curvature[:n] / np.where(live, w, 1.0), 0.0)
         A, B = chi - k[:-1], k[1:] - chi
         diag = h * B * B
         diag[:-1] += (h * A * A)[1:]
-        diag[-1] += payoff.curvature(chi_tail) * (chi_tail - k[-1]) ** 2 / w_tail
+        diag[-1] += curvature[-1] * (chi_tail - k[-1]) ** 2 / max(w_tail, _ZERO_W)
         off = (h * A * B)[1:]
-    return _PolicyState(zeta, policy_objective(nchain, payoff, zeta), grad, diag, off)
+    return _PolicyState(zeta, float(np.sum(segments) + tail), tangent[:n] - tangent[n:], diag, off)
 
 
 def _colored_hessian(nchain, payoff, sets, state: _PolicyState) -> _PolicyState:
@@ -987,6 +996,12 @@ def grid_lp_oracle(
     return solve_grid_lp(nchain, payoff, x_grid)
 
 
+def _forward_tangent(nchain: NormalizedChain, payoff: ConvexPayoff) -> tuple[float, HedgePortfolio]:
+    """payoff(1) and the payoff's tangent at the forward, with no puts: the bound of a support pinned at 1."""
+    value, slope = float(payoff.value(1.0)), float(payoff.slope(1.0))
+    return value, HedgePortfolio(value - slope, slope, np.zeros(nchain.n), nchain.k[1:].copy())
+
+
 def lp_lower_bound(
     nchain: NormalizedChain, payoff: ConvexPayoff, grid: int = DEFAULT_GRID
 ) -> tuple[float, HedgePortfolio, AtomicMeasure]:
@@ -1001,10 +1016,8 @@ def lp_lower_bound(
     """
     _require_c1(nchain, payoff)
     lo, top = nchain.n_min, nchain.top_index
-    if top <= lo:  # no interval left: payoff(1) by Jensen, the Dirac at the forward, its tangent, no puts
-        value, slope = float(payoff.value(1.0)), float(payoff.slope(1.0))
-        hedge = HedgePortfolio(value - slope, slope, np.zeros(nchain.n), nchain.k[1:].copy())
-        return value, hedge, AtomicMeasure(np.array([1.0]), np.array([1.0]))
+    if top <= lo:  # no interval left: payoff(1) by Jensen, the Dirac at the forward
+        return *_forward_tangent(nchain, payoff), AtomicMeasure(np.array([1.0]), np.array([1.0]))
     trimmed = replace(nchain, k=nchain.k[lo : top + 1], p=np.append(0.0, nchain.p[lo + 1 : top + 1]),
                       n_min=0, n_max=math.inf)
     solution = dp_lower_bound(trimmed, payoff, grid=grid)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NormalizedChain
-from .lower import AtomicMeasure, HedgePortfolio
+from .lower import AtomicMeasure, HedgePortfolio, _forward_tangent
 from .payoff import ConvexPayoff
 
 
@@ -51,7 +51,8 @@ def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
     The first chord continues below the lowest informative strike and the
     last slope continues above the highest, so no weight falls on redundant
     options.  Domination holds on all of (0, oo) when the payoff has tame
-    tails, and on [k_{n_min}, oo) in the relaxed cases.
+    tails, and on [k_{n_min}, oo) in the relaxed cases.  A cap below the
+    free puts (within tolerance) pins the support at the forward: payoff(1).
     """
     if not _tame_tails(nchain, payoff):
         return UpperBound.infeasible()
@@ -59,6 +60,9 @@ def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
     n = nchain.n
     first = nchain.n_min
     top = nchain.top_index
+    if top < first:
+        value, portfolio = _forward_tangent(nchain, payoff)
+        return UpperBound(value=value, portfolio=portfolio, feasible=True)
     xs = k[first : top + 1]
     vs = np.atleast_1d(np.asarray(payoff.value(xs), dtype=float))
     if xs[0] == 0.0:

@@ -1,16 +1,23 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varbounds
 from varbounds import OptionChain, load_chain, lower, make_payoff, normalize, parse_weight, superhedge
 from varbounds.cli import main, parse_report, round_floats
 from varbounds.lower import lp_lower_bound
 
 DATA = Path(__file__).parent / "data"
 PATHCHECK_GOLDENS = json.loads((DATA / "pathcheck_goldens.json").read_text(encoding="utf-8"))["cases"]
-PINNED_CHAINS = {"one-put": "1.0,0\n", "three-puts": "0.5,0\n1.0,0\n1.5,0.5\n"}
+# The last: the put at 1 + 5e-13 is priced 0, below intrinsic value by less
+# than EQ_TOL, so the cap (top = 1) lies below the free puts (n_min = 2).
+PINNED_CHAINS = {"one-put": "1.0,0\n", "three-puts": "0.5,0\n1.0,0\n1.5,0.5\n",
+                 "cap-below-free": "1.0,0\n1.0000000000005,0\n"}
 # Free puts up to a strike at or below the forward, none above: no interval is left either.
 FREE_CHAINS = {"free-0.9": "0.9,0\n", "free-0.5-0.9": "0.5,0\n0.9,0\n"}
 WEIGHTS = ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "inverse")
@@ -212,6 +219,26 @@ def test_free_put_past_the_forward_within_tolerance():
         assert measure.check(nc) == []
         assert lower._worst_excess(hedge, payoff)[0] <= 1e-12
         assert abs(hedge.setup_cost(nc) - value) <= 1e-12
+
+
+def test_main_repeats_as_a_fresh_process(capsys, monkeypatch, market_flags):
+    # One parser serves every call of main in a process; each call must
+    # print and exit as the command does in a process of its own.
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both
+    cases = [
+        ["bounds", *market_flags, "--weight", "custom"],
+        ["pathcheck", "--seed", "7", "--depth", "4"],
+        ["bounds", "--input", market_flags[1], "--forward", "1"],  # usage error: exit 1
+        ["bounds", "--help"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(varbounds.__file__).parents[1])}
+    script = "import sys; from varbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+             for argv in cases]
+    assert [p.returncode for p in fresh] == [0, 0, 1, 0]
+    for _ in range(2):
+        for argv, p in zip(cases, fresh):
+            assert run(capsys, argv) == (p.returncode, p.stdout, p.stderr)
 
 
 class TestSerialization:

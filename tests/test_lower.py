@@ -1,6 +1,8 @@
 import json
 import math
 import re
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -602,6 +604,57 @@ class TestPolicyKernel:
             assert zeta[0] > sets[0, 0]
             assert policy_objective(nc, GAMMA, zeta) == pytest.approx(dp_lower_bound(nc, GAMMA).value, abs=1e-12)
 
+    @pytest.mark.parametrize("weight", list(PAYOFFS_BY_NAME))
+    def test_objective_is_policy_objective_exactly(self, weight):
+        payoff = PAYOFFS_BY_NAME[weight]
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            capped = trial % 2 == 1
+            if capped:  # a trimmed chain: the last strike prices at intrinsic value, c = 0
+                nc = replace(trimmed_route_chain(rng, int(rng.integers(1, 8)), False, True), n_max=math.inf)
+            else:
+                nc = random_consistent_chain(rng)
+            assert (lower._tail_constant(nc) == 0.0) == capped
+            for zeta in edge_policies(nc, rng):
+                assert lower._policy_state(nc, payoff, zeta).value == policy_objective(nc, payoff, zeta)
+
+    def test_each_payoff_function_is_called_once_per_state(self):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+
+            return wrapped
+
+        payoff = replace(VANILLA, value=counted("value", VANILLA.value), slope=counted("slope", VANILLA.slope),
+                         weight=counted("curvature", VANILLA.weight))
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            nc = random_consistent_chain(rng)
+            for zeta in edge_policies(nc, rng):
+                calls.clear()
+                lower._policy_state(nc, payoff, zeta)
+                assert calls == {"value": 1, "slope": 1, "curvature": 1}
+
+
+def edge_policies(nc, rng):
+    """A random policy in the boxes, then the edges of the kernel: the last
+    weight exactly 1 and one ulp below (the tail limit), a vanishing atom, a
+    dust atom below ``_ZERO_W``, and an increment below -1e-12 (objective inf)."""
+    sets = feasible_policy_sets(nc)
+    zeta = sets[:, 0] + rng.uniform(size=nc.n) * (sets[:, 1] - sets[:, 0])
+    yield zeta
+    for last in (1.0, np.nextafter(1.0, 0.0)):
+        yield np.append(zeta[:-1], last)
+    if nc.n > 1:
+        j = int(rng.integers(1, nc.n))
+        for gap in (0.0, 1e-16, -1e-9):
+            z = zeta.copy()
+            z[j] = z[j - 1] + gap
+            yield z
+
 
 class TestReconstruct:
     def test_regular_portfolio(self):
@@ -780,6 +833,56 @@ class TestExactDomination:
         assert x == pytest.approx(math.sqrt(2.0), rel=1e-6)
         assert excess == pytest.approx(1.5 + 1e-6 - math.sqrt(2.0), rel=1e-12)
         assert not dominates_below(port, INVERSE)
+
+
+class TestBracketRoot:
+    def test_a_batch_gives_each_bracket_as_solved_alone(self):
+        # fn is nondecreasing on [1, oo): a tail-solve touch function
+        # 1/x^2 - 2/x with a unit step at 2e7.  Brackets stop at once (closed,
+        # or the target outside), by tol, at adjacent floats across the step,
+        # or after many steps on [1, 1e7], in an interleaved order.
+        def fn(x):
+            return 1.0 / np.square(x) - 2.0 / x + (x >= 2e7)
+
+        rng = np.random.default_rng(17)
+        lo, hi, target = [], [], []
+        for kind in rng.permutation(np.repeat(np.arange(5), 6)):
+            if kind == 0:
+                a = b = rng.uniform(1.0, 3.0)
+                t = rng.normal()
+            elif kind == 1:
+                a, b = 2.0, 3.0
+                t = -1.5
+            elif kind == 2:
+                a = rng.uniform(1.5, 3.0)
+                b = a * rng.uniform(1.2, 2.0)
+                t = float(fn(np.array([rng.uniform(a, b)]))[0])
+            elif kind == 3:
+                a, b = rng.uniform(1e7, 1.9e7), rng.uniform(2.1e7, 3e7)
+                t = rng.uniform(0.1, 0.9)
+            else:
+                a, b = 1.0, 1e7
+                t = -10.0 ** rng.uniform(-6.5, -3.0)
+            lo.append(a)
+            hi.append(b)
+            target.append(t)
+        lo, hi, target = map(np.array, (lo, hi, target))
+        tol = 1e-15
+        got = lower._bracket_root(fn, target, lo, hi, tol=tol)
+        stops, steps = set(), []
+        for j in range(lo.size):
+            calls = Counter()
+
+            def counted(x):
+                calls["fn"] += 1
+                return fn(x)
+
+            a, b = lower._bracket_root(counted, target[j], lo[j : j + 1], hi[j : j + 1], tol=tol)
+            assert (got[0][j], got[1][j]) == (a[0], b[0]), j
+            steps.append(calls["fn"] - 2)
+            stops.add("at once" if steps[-1] == 0 else "adjacent" if np.nextafter(a[0], b[0]) == b[0] else "tol")
+        assert stops == {"at once", "adjacent", "tol"}
+        assert max(steps) >= 30
 
 
 class TestMergeAtoms:
