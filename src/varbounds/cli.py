@@ -12,13 +12,13 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import pathwise as pw
 from .chain import ChainError, load_chain, normalize, validate_puts
-from .lower import C1Violation, DEFAULT_GRID
+from .lower import (C1Violation, DEFAULT_GRID, DegeneratePolicy, ForwardViolation, ReconstructionFailure,
+                    UnsupportedChain)
 from .payoff import InvalidPayoff, parse_weight
 from .serialize import round_floats
 from .swap import rate_from_vol_points, swap_rate_bounds
@@ -45,24 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation for the bounds/classify pipelines."""
-
-    input: str
-    forward: float
-    discount: float
-    maturity: float
-    weight: str
-    quote_rate: float | None = None
-    grid: int = DEFAULT_GRID
-    format: str = "json"
-
-    def __post_init__(self):
-        if self.forward <= 0 or self.discount <= 0 or self.maturity <= 0:
-            raise ValueError("forward, discount, and maturity must be positive")
 
 
 @functools.cache  # parsing leaves the parser as it was; one build serves every call of main
@@ -107,24 +89,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(ns) -> RunConfig:
-    quote = None
-    if getattr(ns, "quote_volpts", None) is not None:
-        quote = rate_from_vol_points(ns.quote_volpts)
-    elif getattr(ns, "quote_var", None) is not None:
-        quote = ns.quote_var
-    return RunConfig(
-        input=ns.input,
-        forward=ns.forward,
-        discount=ns.discount,
-        maturity=ns.maturity,
-        weight=ns.weight,
-        quote_rate=quote,
-        grid=ns.grid,
-        format=ns.format,
-    )
-
-
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(round_floats(report), indent=2))
@@ -149,16 +113,18 @@ def _text_lines(obj, prefix: str):
                 yield f"{prefix}- {round_floats(val)}"
 
 
-def run_bounds(config: RunConfig) -> tuple[dict, int]:
-    """Bounds pipeline; returns the report dict and the exit code."""
-    chain = load_chain(config.input, config.forward, config.discount, config.maturity)
-    nchain = normalize(chain)
+def run_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
+    """Bounds and classify pipeline on the parsed arguments; returns the report dict and the exit code."""
+    quote = ns.quote_var if ns.quote_volpts is None else rate_from_vol_points(ns.quote_volpts)
+    if ns.command == "classify" and quote is None:
+        raise ValueError("classify requires --quote-volpts or --quote-var")
+    nchain = normalize(load_chain(ns.input, ns.forward, ns.discount, ns.maturity))
     verdict = validate_puts(nchain)
     if not verdict.is_consistent:
         return {"chain_verdict": verdict.to_dict()}, 2
-    weight = parse_weight(config.weight)
+    weight = parse_weight(ns.weight)
     try:
-        report = swap_rate_bounds(nchain, weight, grid=config.grid, quoted_rate=config.quote_rate)
+        report = swap_rate_bounds(nchain, weight, grid=ns.grid, quoted_rate=quote)
     except C1Violation as exc:
         return (
             {
@@ -179,12 +145,6 @@ def run_bounds(config: RunConfig) -> tuple[dict, int]:
     if report.quote_verdict is not None and report.quote_verdict.is_arbitrage:
         code = 2
     return payload, code
-
-
-def run_classify(config: RunConfig) -> tuple[dict, int]:
-    if config.quote_rate is None:
-        raise ValueError("classify requires --quote-volpts or --quote-var")
-    return run_bounds(config)
 
 
 def run_pathcheck(
@@ -265,16 +225,12 @@ def main(argv=None) -> int:
     try:
         if ns.command == "pathcheck":
             report, code = run_pathcheck(ns.input, ns.seed, ns.depth, ns.sigma, ns.drift)
-            _emit(report, ns.format)
-            return code
-        config = _config_from_args(ns)
-        if ns.command == "classify":
-            report, code = run_classify(config)
         else:
-            report, code = run_bounds(config)
+            report, code = run_bounds(ns)
         _emit(report, ns.format)
         return code
-    except (ChainError, InvalidPayoff, ValueError, OSError) as exc:
+    except (ChainError, InvalidPayoff, ValueError, OSError,
+            ReconstructionFailure, DegeneratePolicy, ForwardViolation, UnsupportedChain) as exc:
         sys.stderr.write(f"varbounds: error: {exc}\n")
         return 1
 

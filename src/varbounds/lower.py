@@ -12,20 +12,23 @@ over a coarse policy grid (32 points per interval by default) gives the
 warm start, and a projected Newton solve over the box of intervals takes it
 to machine precision; each Newton step is one O(n) LDL^T solve of the
 tridiagonal system on Python floats, and each trial point one evaluation of
-the payoff, its slope and its curvature at all atoms.  The solve ends at
-the same optimum from any warm start: weights within rounding of a bound
-are snapped onto it, dust atoms between two such weights are closed, and a
-step within rounding of the objective is judged by the first-order residual
-of the weights it moved.
+the payoff, its slope and its curvature at all atoms.  Weights within
+rounding of a bound are snapped onto it, dust atoms between two such
+weights are closed, and a step within rounding of the objective is judged
+by the first-order residual of the weights it moved.  The value then agrees
+across warm-start grids to about 1e-12, but the optimal measure, and so the
+hedge, need not: on some dense chains the hedge built from one grid's
+solve fails its checks where another grid's passes.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
 exactly, piece by piece (Hettich & Kortanek, SIAM Review 35(3), 1993).
-A chain with free puts below (n_min > 0) or a strike priced at intrinsic
-value (finite n_max) puts no mass outside [k_{n_min}, k_top]; it is solved
-the same way on that trimmed chain, with domination needed on the window
-only.  A dense-grid linear program over the same instruments is the
-independent primal oracle; only it samples a grid, and only it loads scipy.
+Every chain puts its mass on [k_{n_min}, k_top]: nothing lies below a free
+put (n_min > 0) or above a strike priced at intrinsic value (finite n_max).
+``lp_lower_bound`` solves every chain on that window, which is the whole
+chain when n_min = 0 and n_max is infinite.  A dense-grid linear program over
+the same instruments is the independent primal oracle; only it samples a
+grid, and only it loads scipy.
 """
 
 from __future__ import annotations
@@ -215,8 +218,8 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
 
     A_i runs from the chain slope into strike i to the slope out of it; the
     final interval is capped at total mass 1.  Requires a consistent chain
-    with n_min = 0 and n_max infinite; ``lp_lower_bound`` cuts other chains
-    down to such a chain first.
+    with n_min = 0 and n_max infinite; ``lp_lower_bound`` trims every chain
+    to such a chain first.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("feasible policy sets need a consistent chain")
@@ -451,30 +454,6 @@ def _policy_state(nchain, payoff, zeta) -> _PolicyState:
     return _PolicyState(zeta, float(np.sum(segments) + tail), tangent[:n] - tangent[n:], diag, off)
 
 
-def _colored_hessian(nchain, payoff, sets, state: _PolicyState) -> _PolicyState:
-    """Tridiagonal Hessian from three colored differences of the analytic gradient.
-
-    For payoffs without a curvature density: grad[i] depends on zeta_{i-1..i+1}
-    only, so every third weight moves at once, by a small fraction of its
-    lighter adjacent segment (the scale on which that curvature varies).
-    """
-    lo, hi = sets[:, 0], sets[:, 1]
-    zeta, n = state.zeta, state.zeta.size
-    w = np.diff(zeta, prepend=0.0)
-    lighter = np.minimum(w, np.append(w[1:], 1.0 - zeta[-1]))
-    step = np.where(hi - zeta >= zeta - lo, 1.0, -1.0) * np.clip(1e-6 * lighter, 1e-13, 1e-7)
-    diag, off = np.zeros(n), np.zeros(n - 1)
-    for color in range(3):
-        cols = np.arange(color, n, 3)
-        moved = zeta.copy()
-        moved[cols] += step[cols]
-        dg = _policy_state(nchain, payoff, moved).grad - state.grad
-        diag[cols] = dg[cols] / step[cols]
-        cols = cols[cols + 1 < n]
-        off[cols] = dg[cols + 1] / step[cols]
-    return replace(state, diag=diag, off=off)
-
-
 def _kkt_residual(state: _PolicyState, lo, hi, among=slice(None)) -> float:
     """Largest first-order violation among the weights ``among`` (default all).
 
@@ -646,11 +625,8 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
     accepted as optimal.
     """
     lo, hi = _policy_boxes(sets)
-    colored = bool(np.isnan(payoff.weight(np.ones(1)))[0])
     state = _policy_state(nchain, payoff, _project(policy, lo, hi))
     for _ in range(200):  # a cap only: solves take a few dozen steps at most
-        if colored:
-            state = _colored_hessian(nchain, payoff, sets, state)
         for direction in (_newton_direction, _inward_push, _vanishing_atom_release):
             d = direction(nchain, payoff, state, lo, hi)
             new = None if d is None else _line_search(nchain, payoff, state, d, lo, hi)
@@ -1005,14 +981,17 @@ def _forward_tangent(nchain: NormalizedChain, payoff: ConvexPayoff) -> tuple[flo
 def lp_lower_bound(
     nchain: NormalizedChain, payoff: ConvexPayoff, grid: int = DEFAULT_GRID
 ) -> tuple[float, HedgePortfolio, AtomicMeasure]:
-    """Lower bound and subhedge of a chain with free puts below or a capped support.
+    """Lower bound, subhedge and worst-case law of any consistent chain.
 
-    The name is historical: such chains once went through the grid LP.  No
-    mass lies below k_{n_min} (its put costs 0) or above k_top (it prices at
-    intrinsic value), so the bound is the policy problem on the trimmed
-    chain [k_{n_min}, ..., k_top] with p = 0 at its first point.  The hedge,
-    dominating on that window, goes back onto the full strike list with no
-    units on the free strikes; the measure already reprices every put.
+    The name is historical: chains with free puts or a capped support once
+    went through the grid LP.  No mass lies below k_{n_min} (its put costs 0)
+    or above k_top (it prices at intrinsic value), so the bound is the policy
+    problem (``dp_lower_bound``) on the trimmed chain [k_{n_min}, ..., k_top]
+    with p = 0 at its first point; with n_min = 0 and n_max infinite the trim
+    is the identity.  The hedge, dominating on that window, goes back onto
+    the full strike list with no units on the free strikes; the measure
+    already reprices every put.  The C1 condition is checked on the full
+    chain, since on the trimmed one it can be vacuous.
     """
     _require_c1(nchain, payoff)
     lo, top = nchain.n_min, nchain.top_index

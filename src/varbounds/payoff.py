@@ -9,6 +9,8 @@ Each weight ``w`` induces a convex payoff with curvature density
 * ``gamma``          w(x) = x            ->  x ln x - x
 * ``inverse``        demo payoff 1/x (w(x) = 2/x), used by the CLI fixture
 
+A custom payoff supplies its value and slope, and may supply its weight;
+without one, its curvature density is a central difference of its slope.
 Payoffs are represented analytically, never tabulated: the lower-bound
 search evaluates them at adaptively chosen points including very large
 arguments.
@@ -26,6 +28,7 @@ from .chain import NormalizedChain
 
 _PROBE_LO = 1e6
 _PROBE_HI = 1e7
+_DIFF_STEP = np.finfo(float).eps ** (1 / 3)  # relative step of the slope's central difference
 
 
 class InvalidPayoff(ValueError):
@@ -87,6 +90,7 @@ class WeightSpec:
 
     @classmethod
     def custom(cls, value_fn, slope_fn, weight_fn=None) -> "WeightSpec":
+        """A user payoff; without ``weight_fn`` the weight is x^2 times a central difference of the slope."""
         return cls("custom", value_fn=value_fn, slope_fn=slope_fn, weight_fn=weight_fn)
 
     def label(self) -> str:
@@ -269,19 +273,25 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
     if spec.kind == "custom":
         value = _vectorized(spec.value_fn)
         slope = _vectorized(spec.slope_fn)
-        weight = (
-            _vectorized(spec.weight_fn)
-            if spec.weight_fn is not None
-            else _vectorized(lambda x: np.full_like(x, np.nan))
-        )
+
+        def difference_weight(x):  # x^2 times the slope's central difference; NaN (0/0) at x = 0
+            up, down = x * (1.0 + _DIFF_STEP), x * (1.0 - _DIFF_STEP)
+            return np.square(x) * (slope(up) - slope(down)) / (up - down)
+
+        weight = _vectorized(spec.weight_fn if spec.weight_fn is not None else difference_weight)
         _convexity_spot_check(value)
         v_near, v_nearer = value(1e-9), value(1e-12)
         if not math.isfinite(v_near) or not math.isfinite(v_nearer) or v_nearer > v_near + 1e-6:
             origin = math.inf
         else:
             origin = float(value(1e-14))
+        # The slope rises to gamma, typically as gamma - b / x, and extrapolated
+        # so from the probes gets it exactly; the slope at 1e9 falls short and
+        # would make a vanishing tail a spurious optimum of the lower bound.
         s_hi, s_hi2 = slope(1e7), slope(1e9)
-        gamma = float(s_hi2) if abs(s_hi2 - s_hi) <= 1e-6 * max(1.0, abs(s_hi2)) else math.inf
+        gamma = math.inf
+        if abs(s_hi2 - s_hi) <= 1e-6 * max(1.0, abs(s_hi2)):
+            gamma = float(s_hi2 + (s_hi2 - s_hi) / 99.0)  # 99 = (1e9 - 1e7) / 1e7
         divergent = _probe_tail_divergence(value, slope)
         # Affine tail detection: the slope is constant beyond z iff the
         # curvature vanishes there; probe a coarse grid for the last change

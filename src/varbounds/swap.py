@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import lower as lower_mod
 from . import upper as upper_mod
 from .chain import ChainVerdict, NormalizedChain, validate_puts
-from .lower import AtomicMeasure, C1Violation, DualSolution, HedgePortfolio
+from .lower import AtomicMeasure, DualSolution, HedgePortfolio
 from .payoff import ConvexPayoff, DualExistence, WeightSpec, check_c1, dual_existence_lb, make_payoff
 from .serialize import round_floats
 
@@ -190,17 +190,12 @@ def compute_lower(
 ) -> tuple[DualSolution, HedgePortfolio, DualExistence]:
     """Lower bound, sub-replicating portfolio, and the dual-existence verdict.
 
-    Every chain runs the policy recursion and the tangent subhedge; a chain
-    with free puts below or a priced-at-intrinsic strike runs them on its
-    trimmed chain (``lp_lower_bound``).  Without guaranteed dual existence
-    ``tighten_tail`` lifts the tail in one solve.
+    ``lp_lower_bound`` serves every chain: the policy recursion and the
+    tangent subhedge on the chain trimmed to where its mass lies.  Without
+    guaranteed dual existence ``tighten_tail`` lifts the tail in one solve.
     """
-    if nchain.n_min != 0 or math.isfinite(nchain.n_max):
-        value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff, grid=grid)
-        solution = DualSolution(value=value, measure=measure)
-    else:
-        solution = lower_mod.dp_lower_bound(nchain, payoff, grid=grid)
-        portfolio = lower_mod.reconstruct_subhedge(nchain, payoff, solution.measure)
+    value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff, grid=grid)
+    solution = DualSolution(value=value, measure=measure)
     existence = dual_existence_lb(nchain, payoff)
     if not existence.is_guaranteed:
         # The portfolio-dependent existence conditions presume the optimal
@@ -257,14 +252,10 @@ def classify_european(
     p_norm = quoted_price if normalized else quoted_price / (nchain.discount_factor * nchain.forward)
     if not c1_ok:
         return _classify_normalized(p_norm, math.nan, math.nan, None, None, False)
-    try:
-        solution, portfolio, existence = compute_lower(nchain, payoff, grid=grid)
-        lower_value = solution.value
-    except C1Violation:
-        return _classify_normalized(p_norm, math.nan, math.nan, None, None, False)
+    solution, _, existence = compute_lower(nchain, payoff, grid=grid)
     ub = upper_mod.superhedge(nchain, payoff)
     return _classify_normalized(
-        p_norm, lower_value, ub.value, existence, upper_dual_existence(nchain, payoff), True
+        p_norm, solution.value, ub.value, existence, upper_dual_existence(nchain, payoff), True
     )
 
 
@@ -325,6 +316,7 @@ def swap_rate_bounds(
             return None
         return math.inf if math.isinf(rate) else vol_points(rate)
 
+    upper_existence = upper_dual_existence(nchain, payoff)
     quote_verdict = None
     if quoted_rate is not None:
         p_equiv = european_from_rate(quoted_rate, payoff)
@@ -333,7 +325,7 @@ def swap_rate_bounds(
             lower_value,
             upper_value,
             lower_existence,
-            upper_dual_existence(nchain, payoff),
+            upper_existence,
             check_c1(nchain, payoff),
         )
     return BoundsReport(
@@ -359,7 +351,7 @@ def swap_rate_bounds(
         superhedge_currency=ub.portfolio.denormalize(nchain) if ub.portfolio else None,
         lower_measure=solution.measure,
         lower_existence=lower_existence,
-        upper_existence=upper_dual_existence(nchain, payoff),
+        upper_existence=upper_existence,
         quoted_rate=quoted_rate,
         quote_verdict=quote_verdict,
         grid=max(int(grid), lower_mod.MIN_GRID),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import varbounds
-from varbounds import OptionChain, load_chain, lower, make_payoff, normalize, parse_weight, superhedge
+from varbounds import OptionChain, cli, load_chain, lower, make_payoff, normalize, parse_weight, superhedge
 from varbounds.cli import main, parse_report, round_floats
 from varbounds.lower import lp_lower_bound
 
@@ -119,6 +119,37 @@ class TestBounds:
         assert code == 2
         report = parse_report(out)
         assert report["quote"]["verdict"]["status"] == "weak_arbitrage"
+
+    def test_c1_is_checked_on_the_full_chain(self, capsys, tmp_path):
+        # The first put prices at intrinsic value, so the trimmed chain has
+        # one interval and nothing for C1 to check; the full chain's second
+        # put lies on the ray from the origin through the first.
+        f = tmp_path / "c1.csv"
+        f.write_text("strike,put_price\n1.2,0.2\n1.2000000000001,0.2000000000001\n")
+        code, out, _ = run(
+            capsys,
+            ["bounds", "--input", str(f), "--forward", "1", "--discount", "1", "--maturity", "1",
+             "--weight", "vanilla"],
+        )
+        assert code == 2
+        assert parse_report(out)["quote"]["verdict"]["status"] == "weak_arbitrage"
+
+    @pytest.mark.parametrize("flag", ["--forward", "--discount", "--maturity"])
+    def test_nonpositive_market_input_is_named(self, capsys, market_flags, flag):
+        argv = list(market_flags)
+        argv[argv.index(flag) + 1] = "0"
+        code, _, err = run(capsys, ["bounds", *argv])
+        assert code == 1
+        assert flag[2:] in err
+
+    @pytest.mark.parametrize("error", [lower.ReconstructionFailure, lower.DegeneratePolicy,
+                                       lower.ForwardViolation, lower.UnsupportedChain])
+    def test_solver_error_is_one_line(self, capsys, monkeypatch, market_flags, error):
+        def fail(*args, **kwargs):
+            raise error("the solve failed")
+
+        monkeypatch.setattr(cli, "swap_rate_bounds", fail)
+        assert run(capsys, ["bounds", *market_flags]) == (1, "", "varbounds: error: the solve failed\n")
 
     def test_text_format(self, capsys, market_flags):
         code, out, _ = run(capsys, ["bounds", *market_flags, "--weight", "custom", "--format", "text"])

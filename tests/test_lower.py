@@ -400,6 +400,18 @@ class TestDpLowerBound:
             shifted = dp_lower_bound(nc, VANILLA.shift_affine(alpha, beta)).value
             assert shifted == pytest.approx(base + alpha + beta, abs=1e-9)
 
+    @pytest.mark.parametrize("strike,price", [(2.827298277935132, 1.8470219013591405),
+                                              (2.7298048498258476, 1.7305432158201683),
+                                              (2.164856026028474, 1.1802590481536201),
+                                              (1.4711861916592146, 0.4735659757595344)])
+    def test_density_free_twin_of_vanilla(self, strike, price):
+        # The slope -1/x at the probe 1e9 is -1e-9; taken as gamma, the tail
+        # limit gamma c held the solve at the boundary policy on these chains.
+        twin = make_payoff(WeightSpec.custom(lambda x: np.where(x > 0.0, -np.log(x), np.inf), lambda x: -1.0 / x))
+        assert twin.asymptotic_slope == 0.0
+        nc = single_put_chain(price, strike)
+        assert dp_lower_bound(nc, twin).value == pytest.approx(dp_lower_bound(nc, VANILLA).value, abs=1e-12)
+
 
     @pytest.mark.parametrize("n", [50, 100])
     @pytest.mark.parametrize("weight", CLI_WEIGHTS)
@@ -574,7 +586,8 @@ class TestPolicyKernel:
             block = np.ix_(free, free)
             np.testing.assert_allclose(fd[block], dense[block], rtol=1e-5, atol=1e-6 * np.max(np.abs(dense)))
 
-    def test_colored_hessian_without_curvature_density(self):
+    def test_difference_hessian_without_curvature_density(self):
+        # Without a weight, the curvature is a central difference of the slope.
         with_density = affine_plus_inverse(0.1)
         without = make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
         rng = np.random.default_rng(7)
@@ -582,12 +595,11 @@ class TestPolicyKernel:
             nc = random_consistent_chain(rng)
             zeta, free = interior_policy(nc, rng)
             exact = lower._policy_state(nc, with_density, zeta)
-            sets = feasible_policy_sets(nc)
-            colored = lower._colored_hessian(nc, without, sets, lower._policy_state(nc, without, zeta))
+            approx = lower._policy_state(nc, without, zeta)
             scale = np.max(np.abs(exact.diag))
-            np.testing.assert_allclose(colored.diag[free], exact.diag[free], rtol=1e-4, atol=1e-6 * scale)
+            np.testing.assert_allclose(approx.diag[free], exact.diag[free], rtol=1e-4, atol=1e-6 * scale)
             pair = free[:-1] & free[1:]
-            np.testing.assert_allclose(colored.off[pair], exact.off[pair], rtol=1e-4, atol=1e-6 * scale)
+            np.testing.assert_allclose(approx.off[pair], exact.off[pair], rtol=1e-4, atol=1e-6 * scale)
             assert dp_lower_bound(nc, without).value == pytest.approx(dp_lower_bound(nc, with_density).value, abs=1e-12)
 
     def test_infinite_slope_at_zero_atom_pushes_inward(self):

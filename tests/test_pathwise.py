@@ -328,6 +328,18 @@ class TestVerifyIto:
         benchmark = verify_ito(path, CUBE, ladder)
         assert corridor[-1] < 10.0 * benchmark[-1]
 
+    def test_custom_payoff_without_weight_matches_its_analytic_weight(self):
+        # The weight from a central difference of the slope stands in for 2/x.
+        value, slope = lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1
+        without = make_payoff(WeightSpec.custom(value, slope))
+        analytic = make_payoff(WeightSpec.custom(value, slope, lambda x: 2.0 / x))
+        for seed in range(20):
+            path = geometric_walk(seed, n_steps=8192)
+            ladder = build_dyadic_ladder(path, 8)
+            residuals = verify_ito(path, without, ladder)
+            assert np.all(np.isfinite(residuals))
+            np.testing.assert_allclose(residuals, verify_ito(path, analytic, ladder), rtol=1e-6, atol=0.0)
+
     @pytest.mark.parametrize("f", [make_payoff(WeightSpec.corridor_up(1.0)), CUBE], ids=["corridor", "cube"])
     def test_local_time_mode_matches_per_partition_profiles(self, f):
         # The ladder's shared lookup gives each partition its own profile.
