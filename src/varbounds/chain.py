@@ -236,33 +236,43 @@ def validate_puts(nchain: NormalizedChain) -> ChainVerdict:
     return ChainVerdict(ChainStatus.MODEL_INDEPENDENT_ARBITRAGE, witness="; ".join(failures))
 
 
+def _read_two_columns(
+    path, names: tuple[str, str], error: type[Exception]
+) -> tuple[list[float], list[float]]:
+    """The two float columns under the header ``names``, in file order; blank rows are skipped.
+
+    Raises ``error`` naming the file, and the line where there is one.
+    """
+    first: list[float] = []
+    second: list[float] = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        if [c.strip().lower() for c in header[:2]] != list(names):
+            raise error(f"{path}:1: expected header '{','.join(names)}', got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 2:
+                raise error(f"{path}:{lineno}: expected two columns, got {len(row)}")
+            try:
+                first.append(float(row[0]))
+                second.append(float(row[1]))
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
+    if not first:
+        raise error(f"{path}: no data rows")
+    return first, second
+
+
 def read_chain_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read ``strike,put_price`` rows; rows may arrive in any order.
 
     Raises :class:`ChainError` with the offending line number on parse errors.
     """
-    strikes: list[float] = []
-    prices: list[float] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ChainError(f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["strike", "put_price"]:
-            raise ChainError(f"{path}:1: expected header 'strike,put_price', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ChainError(f"{path}:{lineno}: expected two columns, got {len(row)}")
-            try:
-                strikes.append(float(row[0]))
-                prices.append(float(row[1]))
-            except ValueError as exc:
-                raise ChainError(f"{path}:{lineno}: {exc}") from exc
-    if not strikes:
-        raise ChainError(f"{path}: no data rows")
+    strikes, prices = _read_two_columns(path, ("strike", "put_price"), ChainError)
     order = np.argsort(strikes)
     return np.asarray(strikes)[order], np.asarray(prices)[order]
 

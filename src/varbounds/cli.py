@@ -21,7 +21,7 @@ from .lower import (C1Violation, DEFAULT_GRID, DegeneratePolicy, ForwardViolatio
                     UnsupportedChain)
 from .payoff import InvalidPayoff, parse_weight
 from .serialize import round_floats
-from .swap import rate_from_vol_points, swap_rate_bounds
+from .swap import PriceVerdict, VerdictStatus, rate_from_vol_points, swap_rate_bounds
 from .pathwise import C2Function
 
 
@@ -126,20 +126,8 @@ def run_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
     try:
         report = swap_rate_bounds(nchain, weight, grid=ns.grid, quoted_rate=quote)
     except C1Violation as exc:
-        return (
-            {
-                "chain_verdict": verdict.to_dict(),
-                "quote": {
-                    "verdict": {
-                        "status": "weak_arbitrage",
-                        "side": None,
-                        "existence": None,
-                        "reason": str(exc),
-                    }
-                },
-            },
-            2,
-        )
+        quote_verdict = PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
+        return {"chain_verdict": verdict.to_dict(), "quote": {"verdict": quote_verdict.to_dict()}}, 2
     payload = report.to_dict()
     code = 0
     if report.quote_verdict is not None and report.quote_verdict.is_arbitrage:
@@ -155,10 +143,6 @@ def run_pathcheck(
         raise ValueError("ladder too shallow: depth must be at least 2")
     if input_path:
         path = pw.read_path_csv(input_path)
-        if path.n_steps % (2 ** (depth - 1)) != 0:
-            raise ValueError(
-                f"path with {path.n_steps} steps does not support a depth-{depth} dyadic ladder"
-            )
     else:
         path = pw.geometric_walk(seed, n_steps=64 * 2 ** (depth - 1), sigma=sigma, drift=drift)
     ladder = pw.build_dyadic_ladder(path, depth)

@@ -45,6 +45,8 @@ _ZERO_W = 1e-15          # cumulative-weight increments below this carry no atom
 _MIN_ATOM_WEIGHT = 1e-11  # reported measures drop dust atoms below this weight
 _ATOM_BOX_TOL = 1e-10    # atom may exceed its interval by at most this
 _FORWARD_TOL = 1e-8
+_WEIGHT_SUM_TOL = 1e-10  # AtomicMeasure.check: weights sum to one to within this
+_MOMENT_TOL = 1e-8  # AtomicMeasure.check: forward and put prices repriced to within this
 _DOMINATION_TOL = 1e-8
 _CONTACT_TOL = 1e-8
 _ON_STRIKE = 1e-9  # an atom this close to a strike, relative to its interval, sits on it
@@ -111,19 +113,19 @@ class AtomicMeasure:
     def put_value(self, strike: float) -> float:
         return float(np.dot(self.weights, np.maximum(strike - self.atoms, 0.0)))
 
-    def check(self, nchain: NormalizedChain, *, weight_tol=1e-10, moment_tol=1e-8) -> list[str]:
+    def check(self, nchain: NormalizedChain) -> list[str]:
         """Return the list of violated invariants (empty when valid)."""
         problems = []
         if np.any(self.atoms < -1e-14):
             problems.append("negative atom position")
         if np.any(self.weights < -1e-12):
             problems.append("negative weight")
-        if abs(self.weights.sum() - 1.0) > weight_tol:
+        if abs(self.weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
             problems.append(f"weights sum to {self.weights.sum():.12g}")
-        if abs(self.mean() + self.mean_at_infinity - 1.0) > moment_tol:
+        if abs(self.mean() + self.mean_at_infinity - 1.0) > _MOMENT_TOL:
             problems.append(f"forward constraint off by {self.mean() + self.mean_at_infinity - 1.0:.3g}")
         errs = [self.put_value(k) - p for k, p in zip(nchain.k[1:], nchain.p[1:])]
-        problems += [f"put {i} repriced off by {e:.3g}" for i, e in enumerate(errs, 1) if abs(e) > moment_tol]
+        problems += [f"put {i} repriced off by {e:.3g}" for i, e in enumerate(errs, 1) if abs(e) > _MOMENT_TOL]
         # One atom per inter-strike interval; atoms sitting exactly on a
         # strike occupy the boundary and do not crowd either side.
         if self.atoms.size:
@@ -233,16 +235,14 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
     return np.column_stack([s, np.maximum(np.append(s[1:], 1.0), s)])
 
 
-def atoms_from_policy(
-    nchain: NormalizedChain, zeta, *, allow_mean_escape: bool = False
-) -> AtomicMeasure:
+def atoms_from_policy(nchain: NormalizedChain, zeta) -> AtomicMeasure:
     """Measure determined by a cumulative-weight policy.
 
     Intervals with equal consecutive weights contribute no atom.  When the
     final cumulative weight is exactly 1 the tail atom is omitted; the
-    finite atoms then cannot reprice the forward (the deficit equals the
-    synthetic call value at k_n), which raises :class:`ForwardViolation`
-    unless ``allow_mean_escape`` records the deficit instead.
+    finite atoms then under-price the forward by the synthetic call value at
+    k_n, which the measure records as ``mean_at_infinity``.  A deficit that
+    differs from that call value raises :class:`ForwardViolation`.
     """
     zeta = np.asarray(zeta, dtype=float)
     k = nchain.k
@@ -275,12 +275,7 @@ def atoms_from_policy(
             raise ForwardViolation(
                 f"boundary policy mean deficit {escape:.12g} != call value {expected:.12g}"
             )
-        if not allow_mean_escape and abs(escape) > _FORWARD_TOL:
-            raise ForwardViolation(
-                f"finite atoms misprice the forward by {escape:.12g}; "
-                "pass allow_mean_escape=True to accept the boundary-policy limit"
-            )
-        if not allow_mean_escape or expected == 0.0:  # no mass escapes a capped chain
+        if expected == 0.0:  # no mass escapes a capped chain
             escape = 0.0
     merged = _merge_atoms(nchain, np.asarray(atoms), np.asarray(weights))
     return AtomicMeasure(merged.atoms, merged.weights, mean_at_infinity=escape)
@@ -661,7 +656,7 @@ def dp_lower_bound(
     g = max(int(grid), MIN_GRID)
     grids = np.linspace(sets[:, 0], sets[:, 1], g, axis=1)
     policy = _projected_newton(nchain, payoff, sets, _solve_on_grids(nchain, payoff, grids))
-    measure = atoms_from_policy(nchain, policy, allow_mean_escape=True)
+    measure = atoms_from_policy(nchain, policy)
     gamma = payoff.asymptotic_slope
     tail_term = gamma * measure.mean_at_infinity if measure.mean_at_infinity > 0.0 else 0.0
     exact = measure.integrate(payoff) + tail_term

@@ -12,7 +12,6 @@ locally integrable (corridor payoffs).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .chain import _read_two_columns
 from .payoff import ConvexPayoff
 
 DEFAULT_LEVELS = 512
@@ -170,22 +170,8 @@ def arithmetic_walk(
 
 
 def read_path_csv(path) -> SampledPath:
-    """Read ``time,value`` rows into a path."""
-    times, values = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["time", "value"]:
-            raise ValueError(f"{path}: expected header 'time,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return SampledPath(np.asarray(times), np.asarray(values))
+    """Read ``time,value`` rows into a path; parse errors raise ``ValueError`` naming the line."""
+    return SampledPath(*_read_two_columns(path, ("time", "value"), ValueError))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import lower as lower_mod
 from . import upper as upper_mod
 from .chain import ChainVerdict, NormalizedChain, validate_puts
 from .lower import AtomicMeasure, DualSolution, HedgePortfolio
-from .payoff import ConvexPayoff, DualExistence, WeightSpec, check_c1, dual_existence_lb, make_payoff
+from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, make_payoff
 from .serialize import round_floats
 
 BOUNDARY_TOL = 1e-6  # quotes are finite precision; exact boundary hits need a band
@@ -212,14 +212,8 @@ def _classify_normalized(
     upper_value: float,
     lower_existence: DualExistence | None,
     upper_existence: DualExistence | None,
-    c1_ok: bool,
     tol: float = BOUNDARY_TOL,
 ) -> PriceVerdict:
-    if not c1_ok:
-        return PriceVerdict(
-            VerdictStatus.WEAK_ARBITRAGE,
-            reason="payoff unbounded at the origin while p_2 <= (k_2/k_1) p_1",
-        )
     if abs(p_norm - lower_value) <= tol:
         return PriceVerdict(VerdictStatus.BOUNDARY, side="lower", existence=lower_existence)
     if math.isfinite(upper_value) and abs(p_norm - upper_value) <= tol:
@@ -248,14 +242,14 @@ def classify_european(
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("classification requires a consistent put chain")
-    c1_ok = check_c1(nchain, payoff)
     p_norm = quoted_price if normalized else quoted_price / (nchain.discount_factor * nchain.forward)
-    if not c1_ok:
-        return _classify_normalized(p_norm, math.nan, math.nan, None, None, False)
-    solution, _, existence = compute_lower(nchain, payoff, grid=grid)
+    try:
+        solution, _, existence = compute_lower(nchain, payoff, grid=grid)
+    except lower_mod.C1Violation as exc:
+        return PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
     ub = upper_mod.superhedge(nchain, payoff)
     return _classify_normalized(
-        p_norm, solution.value, ub.value, existence, upper_dual_existence(nchain, payoff), True
+        p_norm, solution.value, ub.value, existence, upper_dual_existence(nchain, payoff)
     )
 
 
@@ -287,7 +281,7 @@ def classify_rate_against_bounds(
     by the CLI to classify against freshly computed bounds.
     """
     return _classify_normalized(
-        quoted_rate, lower_rate, upper_rate, lower_existence, upper_existence, True, tol=tol
+        quoted_rate, lower_rate, upper_rate, lower_existence, upper_existence, tol=tol
     )
 
 
@@ -311,11 +305,6 @@ def swap_rate_bounds(
     swap_lower = rate_from_european(lower_value, payoff)
     swap_upper = rate_from_european(upper_value, payoff) if math.isfinite(upper_value) else math.inf
 
-    def vol_or_none(rate):
-        if rate is None or rate < 0.0:
-            return None
-        return math.inf if math.isinf(rate) else vol_points(rate)
-
     upper_existence = upper_dual_existence(nchain, payoff)
     quote_verdict = None
     if quoted_rate is not None:
@@ -326,7 +315,6 @@ def swap_rate_bounds(
             upper_value,
             lower_existence,
             upper_existence,
-            check_c1(nchain, payoff),
         )
     return BoundsReport(
         weight=weight.label(),
@@ -343,8 +331,8 @@ def swap_rate_bounds(
         upper_price=df * upper_value if math.isfinite(upper_value) else math.inf,
         swap_lower=swap_lower,
         swap_upper=swap_upper,
-        vol_lower=vol_or_none(max(swap_lower, 0.0)),
-        vol_upper=vol_or_none(swap_upper if math.isinf(swap_upper) else max(swap_upper, 0.0)),
+        vol_lower=vol_points(max(swap_lower, 0.0)),
+        vol_upper=vol_points(max(swap_upper, 0.0)),  # inf when the band is unbounded above
         subhedge=sub_portfolio,
         superhedge=ub.portfolio,
         subhedge_currency=sub_portfolio.denormalize(nchain) if sub_portfolio else None,

@@ -16,6 +16,7 @@ from varbounds import (
     normalize,
     validate_puts,
 )
+from varbounds.pathwise import read_path_csv
 from conftest import price_puts, random_consistent_chain, single_put_chain
 
 
@@ -169,6 +170,43 @@ class TestCsv:
         f.write_text("k,v\n1.2,0.14\n")
         with pytest.raises(ChainError, match="header"):
             load_chain(f, forward=1.0, discount_factor=1.0, maturity=1.0)
+
+
+# Chain and path CSV files go through one reader: the same rules, the same
+# messages, each in its own error class (ChainError subclasses ValueError).
+CSV_READERS = {
+    "chain": ("strike,put_price", lambda f: load_chain(f, 1.0, 1.0, 1.0).strikes, ChainError),
+    "path": ("time,value", lambda f: read_path_csv(f).times, ValueError),
+}
+
+
+@pytest.mark.parametrize("kind", CSV_READERS)
+class TestTwoColumnCsv:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "{f}: empty file"),
+            ("k,v\n0.5,0.01\n1.0,0.02\n", "{f}:1: expected header '{header}', got ['k', 'v']"),
+            ("{header}\n0.5,0.01\n1.0\n", "{f}:3: expected two columns, got 1"),
+            ("{header}\n0.5,0.01\nbad,0.02\n", "{f}:3: could not convert string to float: 'bad'"),
+            ("{header}\n\n , \n", "{f}: no data rows"),
+        ],
+        ids=["empty", "bad-header", "one-column", "not-a-float", "no-data-rows"],
+    )
+    def test_rejects_with_the_same_message(self, tmp_path, kind, text, message):
+        header, read, error = CSV_READERS[kind]
+        f = tmp_path / "data.csv"
+        f.write_text(text.format(header=header))
+        with pytest.raises(ValueError) as info:
+            read(f)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(f=f, header=header)
+
+    def test_blank_rows_are_skipped(self, tmp_path, kind):
+        header, read, _ = CSV_READERS[kind]
+        f = tmp_path / "data.csv"
+        f.write_text(f"{header}\n\n0.5,0.01\n , \n1.0,0.02\n\n")
+        np.testing.assert_array_equal(read(f), [0.5, 1.0])
 
 
 def test_priced_puts_match_law_examples():

@@ -11,9 +11,13 @@ import varbounds
 from varbounds import OptionChain, cli, load_chain, lower, make_payoff, normalize, parse_weight, superhedge
 from varbounds.cli import main, parse_report, round_floats
 from varbounds.lower import lp_lower_bound
+from varbounds.swap import classify_european
 
 DATA = Path(__file__).parent / "data"
 PATHCHECK_GOLDENS = json.loads((DATA / "pathcheck_goldens.json").read_text(encoding="utf-8"))["cases"]
+# `bounds` on two chains that fail C1 for the vanilla weight (the second put
+# on or below the ray from the origin through the first), in both formats.
+C1_GOLDENS = json.loads((DATA / "c1_goldens.json").read_text(encoding="utf-8"))["cases"]
 # The last: the put at 1 + 5e-13 is priced 0, below intrinsic value by less
 # than EQ_TOL, so the cap (top = 1) lies below the free puts (n_min = 2).
 PINNED_CHAINS = {"one-put": "1.0,0\n", "three-puts": "0.5,0\n1.0,0\n1.5,0.5\n",
@@ -134,6 +138,24 @@ class TestBounds:
         assert code == 2
         assert parse_report(out)["quote"]["verdict"]["status"] == "weak_arbitrage"
 
+    @pytest.mark.parametrize("case", C1_GOLDENS, ids=lambda c: f"{' '.join(c['rows'].split())} {c['format']}")
+    def test_c1_payload_golden(self, capsys, tmp_path, case):
+        f = tmp_path / "c1.csv"
+        f.write_text("strike,put_price\n" + case["rows"])
+        argv = ["bounds", "--input", str(f), "--forward", "1", "--discount", "1", "--maturity", "1",
+                "--format", case["format"]]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (case["exit_code"], case["stdout"])
+
+    @pytest.mark.parametrize("case", [c for c in C1_GOLDENS if c["format"] == "json"],
+                             ids=lambda c: " ".join(c["rows"].split()))
+    def test_classify_european_gives_the_cli_c1_verdict(self, tmp_path, case):
+        f = tmp_path / "c1.csv"
+        f.write_text("strike,put_price\n" + case["rows"])
+        nc = normalize(load_chain(str(f), 1.0, 1.0, 1.0))
+        verdict = classify_european(nc, make_payoff(parse_weight("vanilla")), 1.0)
+        assert verdict.to_dict() == parse_report(case["stdout"])["quote"]["verdict"]
+
     @pytest.mark.parametrize("flag", ["--forward", "--discount", "--maturity"])
     def test_nonpositive_market_input_is_named(self, capsys, market_flags, flag):
         argv = list(market_flags)
@@ -200,7 +222,13 @@ class TestPathcheck:
         rows = ["time,value"] + [f"{t / 63},5.0" for t in range(64)]
         f.write_text("\n".join(rows) + "\n")
         code, _, err = run(capsys, ["pathcheck", "--input", str(f), "--depth", "6"])
-        assert code == 1
+        assert (code, err) == (1, "varbounds: error: path with 63 steps does not support a depth-6 dyadic ladder\n")
+
+    def test_one_column_row_is_input_error(self, capsys, tmp_path):
+        f = tmp_path / "path.csv"
+        f.write_text("time,value\n0.0,1.0\n0.5\n1.0,1.0\n")
+        code, out, err = run(capsys, ["pathcheck", "--input", str(f), "--depth", "2"])
+        assert (code, out, err) == (1, "", f"varbounds: error: {f}:3: expected two columns, got 1\n")
 
     @pytest.mark.parametrize("case", PATHCHECK_GOLDENS, ids=lambda c: " ".join(c["args"][1:]))
     def test_goldens(self, capsys, case):

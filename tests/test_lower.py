@@ -26,7 +26,6 @@ from varbounds import (
 )
 from varbounds import lower
 from varbounds.lower import (
-    ForwardViolation,
     HedgePortfolio,
     ReconstructionFailure,
     build_lp_grid,
@@ -313,13 +312,9 @@ class TestAtomsFromPolicy:
         assert mu.mean_at_infinity == 0.0
         assert mu.check(single_put_chain(0.4)) == []
 
-    def test_boundary_policy_rejected_by_default(self):
-        with pytest.raises(ForwardViolation):
-            atoms_from_policy(single_put_chain(0.4), [1.0])
-
     def test_boundary_policy_with_escape(self):
         nc = single_put_chain(0.6)
-        mu = atoms_from_policy(nc, [1.0], allow_mean_escape=True)
+        mu = atoms_from_policy(nc, [1.0])
         np.testing.assert_allclose(mu.atoms, [0.6], atol=1e-12)
         np.testing.assert_allclose(mu.weights, [1.0])
         assert mu.mean_at_infinity == pytest.approx(0.4, abs=1e-12)
