@@ -49,6 +49,25 @@ class ChainVerdict:
         return {"status": self.status.value, "witness": self.witness}
 
 
+def _check_quotes(strikes: np.ndarray, prices: np.ndarray) -> None:
+    """Raise :class:`ChainError` unless the quotes form a valid chain (see :class:`OptionChain`)."""
+    if strikes.ndim != 1 or strikes.size < 1:
+        raise ChainError("need at least one strike")
+    if prices.shape != strikes.shape:
+        raise ChainError("strikes and put_prices must have matching shapes")
+    if not np.all(np.isfinite(strikes)) or not np.all(np.isfinite(prices)):
+        raise ChainError("strikes and prices must be finite")
+    if strikes[0] <= 0.0:
+        raise ChainError("strikes must be positive")
+    dk = np.diff(strikes)
+    if np.any(dk == 0.0):
+        raise ChainError("duplicate strikes are rejected")
+    if np.any(dk < 0.0):
+        raise ChainError("strikes must be strictly increasing")
+    if np.any(prices < 0.0):
+        raise ChainError("put prices must be nonnegative")
+
+
 @dataclass(frozen=True)
 class OptionChain:
     """Co-maturing put quotes in currency units.
@@ -74,21 +93,7 @@ class OptionChain:
             raise ChainError(f"discount factor must lie in (0, 1], got {self.discount_factor}")
         if not (self.forward > 0.0):
             raise ChainError(f"forward must be positive, got {self.forward}")
-        if strikes.ndim != 1 or strikes.size < 1:
-            raise ChainError("need at least one strike")
-        if prices.shape != strikes.shape:
-            raise ChainError("strikes and put_prices must have matching shapes")
-        if not np.all(np.isfinite(strikes)) or not np.all(np.isfinite(prices)):
-            raise ChainError("strikes and prices must be finite")
-        if strikes[0] <= 0.0:
-            raise ChainError("strikes must be positive")
-        dk = np.diff(strikes)
-        if np.any(dk == 0.0):
-            raise ChainError("duplicate strikes are rejected")
-        if np.any(dk < 0.0):
-            raise ChainError("strikes must be strictly increasing")
-        if np.any(prices < 0.0):
-            raise ChainError("put prices must be nonnegative")
+        _check_quotes(strikes, prices)
 
     @property
     def n(self) -> int:
@@ -278,8 +283,15 @@ def read_chain_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_chain(path, forward: float, discount_factor: float, maturity: float) -> OptionChain:
-    """Convenience wrapper: CSV quotes plus market parameters into an OptionChain."""
+    """Convenience wrapper: CSV quotes plus market parameters into an OptionChain.
+
+    Errors in the quotes name the file; errors in the market parameters do not.
+    """
     strikes, prices = read_chain_csv(path)
+    try:
+        _check_quotes(strikes, prices)
+    except ChainError as exc:
+        raise ChainError(f"{path}: {exc}") from exc
     return OptionChain(
         maturity=maturity,
         discount_factor=discount_factor,

@@ -375,17 +375,27 @@ def _bracket_root(fn, target, lo, hi, tol: float = -math.inf) -> tuple[np.ndarra
     (hi - lo) <= ``tol``, else at adjacent floats, ``lo`` then being the last
     float before the crossing whatever the steps.  The steps run on the open
     brackets alone, compacted; a bracket goes back into ``lo, hi`` when it stops.
+
+    Two phases share one cap of 100 steps.  While two or more brackets are
+    open they step as arrays; the last open one (or one alone from the start)
+    steps on Python floats in ``_step_alone``, which skips the per-step array
+    calls.  Both apply the same update: IEEE + - * / round alike on floats and
+    float64 arrays, halving and scaling by 1.0 are exact, and math.nextafter
+    is np.nextafter, so a bracket ends on the same bits in either phase.
+    Given no bracket, ``fn`` is not called.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    if lo.size == 0:
+        return lo, hi
     with np.errstate(all="ignore"):
         f_lo, f_hi = fn(lo) - target, fn(hi) - target
         lo, hi = np.where(f_hi < 0.0, hi, lo), np.where(f_lo >= 0.0, lo, hi)
         i = np.flatnonzero(lo < hi)
         a, b, fa, fb, t, kept = lo[i], hi[i], f_lo[i], f_hi[i], target[i], np.zeros(i.size)
-        for _ in range(100):  # a cap only
-            if i.size == 0:
-                break
+        steps = 100  # a cap only
+        while i.size > 1 and steps > 0:
+            steps -= 1
             x = (fb * a - fa * b) / (fb - fa)
             x = np.where((x > a) & (x < b), x, a + 0.5 * (b - a))
             f = fn(x) - t
@@ -398,8 +408,28 @@ def _bracket_root(fn, target, lo, hi, tol: float = -math.inf) -> tuple[np.ndarra
             if not go.all():
                 lo[i[~go]], hi[i[~go]] = a[~go], b[~go]
                 i, a, b, fa, fb, t, kept = i[go], a[go], b[go], fa[go], fb[go], t[go], kept[go]
+        if i.size == 1:
+            a, b = _step_alone(fn, float(a[0]), float(b[0]), float(fa[0]), float(fb[0]), float(t[0]),
+                               float(kept[0]), tol, steps)
         lo[i], hi[i] = a, b
     return lo, hi
+
+
+def _step_alone(fn, a, b, fa, fb, t, kept, tol, steps) -> tuple[float, float]:
+    """``_bracket_root``'s update on one open bracket held in floats, for at most ``steps`` steps."""
+    for _ in range(steps):
+        den = fb - fa  # 0 where numpy's x/0 or 0/0 sent the step to the midpoint
+        x = (fb * a - fa * b) / den if den != 0.0 else math.nan
+        if not a < x < b:
+            x = a + 0.5 * (b - a)
+        f = float(fn(np.array([x]))[0]) - t
+        if f >= 0.0:
+            fa, fb, b, kept = (0.5 if kept < 0 else 1.0) * fa, f, x, -1.0
+        else:
+            fa, fb, a, kept = f, (0.5 if kept > 0 else 1.0) * fb, x, 1.0
+        if not math.nextafter(a, b) < b or abs(f) * (b - a) <= tol:
+            break
+    return a, b
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,12 @@ def arithmetic_walk(
 
 
 def read_path_csv(path) -> SampledPath:
-    """Read ``time,value`` rows into a path; parse errors raise ``ValueError`` naming the line."""
-    return SampledPath(*_read_two_columns(path, ("time", "value"), ValueError))
+    """Read ``time,value`` rows into a path; errors raise ``ValueError`` naming the file (and line)."""
+    times, values = _read_two_columns(path, ("time", "value"), ValueError)
+    try:
+        return SampledPath(times, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,21 @@ class TestCsv:
         with pytest.raises(ChainError, match="duplicate"):
             load_chain(f, forward=1.0, discount_factor=1.0, maturity=1.0)
 
+    def test_quote_errors_name_the_file(self, tmp_path):
+        f = tmp_path / "chain.csv"
+        f.write_text("strike,put_price\n1.2,-0.1\n")
+        with pytest.raises(ChainError) as info:
+            load_chain(f, forward=1.0, discount_factor=1.0, maturity=1.0)
+        assert str(info.value) == f"{f}: put prices must be nonnegative"
+
+    def test_path_errors_name_the_file(self, tmp_path):
+        f = tmp_path / "path.csv"
+        f.write_text("time,value\n0.0,1.0\n1.0,inf\n")
+        with pytest.raises(ValueError) as info:
+            read_path_csv(f)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{f}: path values must be finite"
+
     def test_parse_error_reports_line(self, tmp_path):
         f = tmp_path / "chain.csv"
         f.write_text("strike,put_price\n1.2,0.14\nbad,0.2\n")

@@ -25,6 +25,9 @@ PINNED_CHAINS = {"one-put": "1.0,0\n", "three-puts": "0.5,0\n1.0,0\n1.5,0.5\n",
 # Free puts up to a strike at or below the forward, none above: no interval is left either.
 FREE_CHAINS = {"free-0.9": "0.9,0\n", "free-0.5-0.9": "0.5,0\n0.9,0\n"}
 WEIGHTS = ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "inverse")
+MARKET_ERRORS = {"--forward": "forward must be positive, got 0.0",
+                 "--discount": "discount factor must lie in (0, 1], got 0.0",
+                 "--maturity": "maturity must be positive, got 0.0"}
 
 
 @pytest.fixture
@@ -158,11 +161,17 @@ class TestBounds:
 
     @pytest.mark.parametrize("flag", ["--forward", "--discount", "--maturity"])
     def test_nonpositive_market_input_is_named(self, capsys, market_flags, flag):
+        # the message names the parameter, not the chain file
         argv = list(market_flags)
         argv[argv.index(flag) + 1] = "0"
         code, _, err = run(capsys, ["bounds", *argv])
-        assert code == 1
-        assert flag[2:] in err
+        assert (code, err) == (1, f"varbounds: error: {MARKET_ERRORS[flag]}\n")
+
+    def test_repeated_strike_names_the_file(self, capsys, tmp_path):
+        f = tmp_path / "chain.csv"
+        f.write_text("strike,put_price\n0.9,0.05\n1.1,0.15\n0.9,0.05\n")
+        argv = ["bounds", "--input", str(f), "--forward", "1", "--discount", "1", "--maturity", "1"]
+        assert run(capsys, argv) == (1, "", f"varbounds: error: {f}: duplicate strikes are rejected\n")
 
     @pytest.mark.parametrize("error", [lower.ReconstructionFailure, lower.DegeneratePolicy,
                                        lower.ForwardViolation, lower.UnsupportedChain])
@@ -229,6 +238,23 @@ class TestPathcheck:
         f.write_text("time,value\n0.0,1.0\n0.5\n1.0,1.0\n")
         code, out, err = run(capsys, ["pathcheck", "--input", str(f), "--depth", "2"])
         assert (code, out, err) == (1, "", f"varbounds: error: {f}:3: expected two columns, got 1\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0,1.0\n", "need matching 1-d times and values with at least two samples"),
+        ("0.0,1.0\n0.5,1.0\n0.5,1.1\n1.0,1.0\n", "times must be strictly increasing"),
+    ], ids=["one-row", "repeated-time"])
+    def test_path_error_names_the_file(self, capsys, tmp_path, rows, message):
+        f = tmp_path / "path.csv"
+        f.write_text("time,value\n" + rows)
+        code, out, err = run(capsys, ["pathcheck", "--input", str(f), "--depth", "2"])
+        assert (code, out, err) == (1, "", f"varbounds: error: {f}: {message}\n")
+
+    def test_a_path_of_a_million_steps_passes(self, capsys):
+        # 64 * 2^14 = 2^20 steps: the pathwise checks hold at 10^6 steps
+        code, out, _ = run(capsys, ["pathcheck", "--depth", "15"])
+        report = parse_report(out)
+        assert (code, report["n_steps"]) == (0, 2**20)
+        assert all(report["checks"].values())
 
     @pytest.mark.parametrize("case", PATHCHECK_GOLDENS, ids=lambda c: " ".join(c["args"][1:]))
     def test_goldens(self, capsys, case):

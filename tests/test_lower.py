@@ -842,6 +842,47 @@ class TestExactDomination:
         assert not dominates_below(port, INVERSE)
 
 
+def vectorized_bracket_root(fn, target, lo, hi, tol=-math.inf):
+    """``lower._bracket_root`` as it stood before its float phase: every step on arrays."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    with np.errstate(all="ignore"):
+        f_lo, f_hi = fn(lo) - target, fn(hi) - target
+        lo, hi = np.where(f_hi < 0.0, hi, lo), np.where(f_lo >= 0.0, lo, hi)
+        i = np.flatnonzero(lo < hi)
+        a, b, fa, fb, t, kept = lo[i], hi[i], f_lo[i], f_hi[i], target[i], np.zeros(i.size)
+        for _ in range(100):
+            if i.size == 0:
+                break
+            x = (fb * a - fa * b) / (fb - fa)
+            x = np.where((x > a) & (x < b), x, a + 0.5 * (b - a))
+            f = fn(x) - t
+            up = f >= 0.0
+            fa = np.where(up, np.where(kept < 0, 0.5, 1.0) * fa, f)
+            fb = np.where(up, f, np.where(kept > 0, 0.5, 1.0) * fb)
+            a, b, kept = np.where(up, a, x), np.where(up, x, b), np.where(up, -1.0, 1.0)
+            go = (np.nextafter(a, b) < b) & ~(np.abs(f) * (b - a) <= tol)
+            if not go.all():
+                lo[i[~go]], hi[i[~go]] = a[~go], b[~go]
+                i, a, b, fa, fb, t, kept = i[go], a[go], b[go], fa[go], fb[go], t[go], kept[go]
+        lo[i], hi[i] = a, b
+    return lo, hi
+
+
+# Brackets at the edges of the float phase: (fn, lo, hi, target, tol, crossing).
+# "flat" takes fa = -0.0 against fb = 0.0 once the least subnormal is halved,
+# a zero division on floats; "cap" is still open after 100 steps.
+FLOAT_PHASE_EDGES = {
+    "flat": (lambda x: np.where(x >= 1.7, 0.0, -5e-324), 0.5, 3.0, 0.0, -math.inf, 1.7),
+    "nan end": (lambda x: np.where(x > 0.0, np.log(x), np.nan), 0.0, 3.0, 0.2, -math.inf, math.exp(0.2)),
+    "-inf end": (np.log, 0.0, 3.0, 0.2, -math.inf, math.exp(0.2)),
+    "+inf end": (lambda x: 1.0 / (2.0 - x), 0.0, 2.0, 1.5, -math.inf, 2.0 - 1.0 / 1.5),
+    "tol": (lambda x: x**3, 0.5, 2.0, 1.3, 1e-12, 1.3 ** (1.0 / 3.0)),
+    "adjacent": (lambda x: x**3, 0.5, 2.0, 2.0, -math.inf, 2.0 ** (1.0 / 3.0)),
+    "cap": (lambda x: np.where(x >= 1e-300, 1.0, -1.0), 0.0, 1e300, 0.0, -math.inf, 1e-300),
+}
+
+
 class TestBracketRoot:
     def test_a_batch_gives_each_bracket_as_solved_alone(self):
         # fn is nondecreasing on [1, oo): a tail-solve touch function
@@ -890,6 +931,46 @@ class TestBracketRoot:
             stops.add("at once" if steps[-1] == 0 else "adjacent" if np.nextafter(a[0], b[0]) == b[0] else "tol")
         assert stops == {"at once", "adjacent", "tol"}
         assert max(steps) >= 30
+
+    @pytest.mark.parametrize("case", FLOAT_PHASE_EDGES)
+    def test_the_float_phase_takes_the_vectorized_steps(self, case):
+        # the bracket alone (all on floats), inside a batch of four (on arrays
+        # until its three companions close, 2 to 8 floats wide around the
+        # crossing) and under the all-array update end on the same bits
+        fn, lo, hi, target, tol, r = FLOAT_PHASE_EDGES[case]
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return fn(x)
+
+        alone = lower._bracket_root(counted, target, np.array([lo]), np.array([hi]), tol=tol)
+        steps = len(sizes) - 2
+        los, his = [lo], [hi]
+        for m in (1, 2, 4):
+            los.append(r - m * math.ulp(r))
+            his.append(r + m * math.ulp(r))
+        targets = np.concatenate(([target], fn(np.array(his[1:]))))
+        sizes.clear()
+        batch = lower._bracket_root(counted, targets, np.array(los), np.array(his), tol=tol)
+        assert 1 in sizes and sizes.index(1) > 2  # arrays first, then floats
+        reference = vectorized_bracket_root(fn, targets, np.array(los), np.array(his), tol=tol)
+        assert (batch[0] == reference[0]).all() and (batch[1] == reference[1]).all()
+        assert (alone[0][0], alone[1][0]) == (batch[0][0], batch[1][0])
+        a, b = alone[0][0], alone[1][0]
+        if case == "cap":
+            assert steps == 100 and math.nextafter(a, b) < b
+        elif case == "tol":
+            assert math.nextafter(a, b) < b and a <= r <= b
+        else:
+            assert steps < 100 and math.nextafter(a, b) == b
+
+    def test_no_bracket_makes_no_call(self):
+        def refuse(x):
+            raise AssertionError("fn was called")
+
+        lo, hi = lower._bracket_root(refuse, 0.0, np.array([]), np.array([]))
+        assert lo.shape == hi.shape == (0,) and lo.dtype == hi.dtype == float
 
 
 class TestMergeAtoms:
