@@ -38,7 +38,6 @@ from .payoff import (
     dual_existence_lb,
     make_payoff,
     parse_weight,
-    superhedge_feasible,
 )
 from .swap import (
     BoundsReport,

@@ -83,8 +83,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", help="path CSV with header time,value (default: built-in walk)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--drift", type=float, default=1.0)
     p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -135,16 +133,14 @@ def run_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
     return payload, code
 
 
-def run_pathcheck(
-    input_path: str | None, seed: int, depth: int, sigma: float, drift: float
-) -> tuple[dict, int]:
+def run_pathcheck(input_path: str | None, seed: int, depth: int) -> tuple[dict, int]:
     """Ladder checks: Itô residuals, occupation density, local-time transform."""
     if depth < 2:
         raise ValueError("ladder too shallow: depth must be at least 2")
     if input_path:
         path = pw.read_path_csv(input_path)
     else:
-        path = pw.geometric_walk(seed, n_steps=64 * 2 ** (depth - 1), sigma=sigma, drift=drift)
+        path = pw.geometric_walk(seed, n_steps=64 * 2 ** (depth - 1))
     ladder = pw.build_dyadic_ladder(path, depth)
     floor = 1e-14
 
@@ -208,7 +204,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if ns.command == "pathcheck":
-            report, code = run_pathcheck(ns.input, ns.seed, ns.depth, ns.sigma, ns.drift)
+            report, code = run_pathcheck(ns.input, ns.seed, ns.depth)
         else:
             report, code = run_bounds(ns)
         _emit(report, ns.format)

@@ -15,10 +15,13 @@ tridiagonal system on Python floats, and each trial point one evaluation of
 the payoff, its slope and its curvature at all atoms.  Weights within
 rounding of a bound are snapped onto it, dust atoms between two such
 weights are closed, and a step within rounding of the objective is judged
-by the first-order residual of the weights it moved.  The value then agrees
-across warm-start grids to about 1e-12, but the optimal measure, and so the
-hedge, need not: on some dense chains the hedge built from one grid's
-solve fails its checks where another grid's passes.
+by the first-order residual of the weights it moved.  Where the solve
+reaches the optimum its value agrees across warm-start grids to about
+1e-12, but the optimal measure, and so the hedge, need not: on some dense
+chains the hedge built from one grid's solve fails its checks where another
+grid's passes.  Some small corridor chains stall short of the optimum from
+every grid, their values moving with the grid by up to 3e-4, and their
+hedges fail contact.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
@@ -58,6 +61,7 @@ MIN_GRID = 8  # the recursion raises smaller grids to this many points per inter
 _GRID_BLOCK = 1 << 16  # grid pairs whose segment terms the recursion evaluates at once
 _FAR = 1e7  # hedges are checked out to this multiple of the last strike; beyond, by tail slope
 _TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this much
+_LP_POINTS = 2048  # log-spaced points of the oracle's constraint grid, before strikes and atoms
 
 
 class UnsupportedChain(RuntimeError):
@@ -734,9 +738,9 @@ def _worst_excess(portfolio: HedgePortfolio, payoff: ConvexPayoff, lo=0.0, hi=ma
     return float(excess[j]), float(x[j])
 
 
-def dominates_below(portfolio: HedgePortfolio, payoff: ConvexPayoff, tol: float = _DOMINATION_TOL) -> bool:
+def dominates_below(portfolio: HedgePortfolio, payoff: ConvexPayoff) -> bool:
     """True when the portfolio payoff stays under the target payoff, tail included (exact: ``_worst_excess``)."""
-    return _worst_excess(portfolio, payoff)[0] <= tol
+    return _worst_excess(portfolio, payoff)[0] <= _DOMINATION_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -905,12 +909,7 @@ def tighten_tail(nchain: NormalizedChain, payoff: ConvexPayoff, portfolio: Hedge
 # dense-grid LP oracle
 
 
-def build_lp_grid(
-    nchain: NormalizedChain,
-    payoff: ConvexPayoff | None = None,
-    n_points: int = 2048,
-    extra=None,
-) -> np.ndarray:
+def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> np.ndarray:
     """Log-spaced constraint grid for the finite LP, strikes and atoms included.
 
     Payoffs whose tail curvature moment converges approach their asymptote
@@ -926,10 +925,10 @@ def build_lp_grid(
     if math.isfinite(nchain.n_max):
         hi = float(k[nchain.top_index])
     else:
-        mult = 10.0 if (payoff is None or payoff.tail_curvature_divergent) else 500.0
+        mult = 10.0 if payoff.tail_curvature_divergent else 500.0
         hi = mult * max(float(k[-1]), 1.0)
     pieces = [k[1:][(k[1:] >= lo) & (k[1:] <= hi)]]
-    if payoff is not None and payoff.barrier is not None and lo < payoff.barrier < hi:
+    if payoff.barrier is not None and lo < payoff.barrier < hi:
         pieces.append(np.asarray([payoff.barrier]))
     if extra is not None:
         pts = np.asarray(extra, dtype=float)
@@ -937,7 +936,7 @@ def build_lp_grid(
         if pts.size:
             hi = max(hi, 2.0 * float(pts.max()))
             pieces.append(pts)
-    base = np.geomspace(lo, hi, int(n_points))
+    base = np.geomspace(lo, hi, _LP_POINTS)
     return np.union1d(base, np.concatenate(pieces) if pieces else base)
 
 
@@ -988,12 +987,8 @@ def _merge_atoms(nchain: NormalizedChain, atoms: np.ndarray, weights: np.ndarray
     return AtomicMeasure(moment / w, w)
 
 
-def grid_lp_oracle(
-    nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray | None = None
-) -> float:
-    """Value of the dense-grid LP; the independent primal oracle."""
-    if x_grid is None:
-        x_grid = build_lp_grid(nchain, payoff)
+def grid_lp_oracle(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray) -> float:
+    """Value of the dense-grid LP on ``x_grid`` (see ``build_lp_grid``); the independent primal oracle."""
     return solve_grid_lp(nchain, payoff, x_grid)
 
 

@@ -300,13 +300,7 @@ def _as_test_function(f) -> tuple[Callable, Callable, Callable, str]:
     raise TypeError("f must be a ConvexPayoff or a C2Function")
 
 
-def verify_ito(
-    path: SampledPath,
-    f,
-    ladder: PartitionLadder,
-    curvature: str = "auto",
-    n_levels: int = DEFAULT_LEVELS,
-) -> np.ndarray:
+def verify_ito(path: SampledPath, f, ladder: PartitionLadder) -> np.ndarray:
     """Itô-formula residual per ladder level.
 
     residual = |f(X_T) - f(X_0) - sum f'(X_j) dX_j - 0.5 * curvature term|.
@@ -314,12 +308,11 @@ def verify_ito(
     or the local-time integral of f'' for payoffs with discontinuous
     curvature (corridors), per level of the ladder.
     """
-    value, deriv, second, default_mode = _as_test_function(f)
-    mode = default_mode if curvature == "auto" else curvature
+    value, deriv, second, mode = _as_test_function(f)
     x0, xT = path.values[0], path.values[-1]
     total = float(value(xT)) - float(value(x0))
     if mode == "local_time":  # one level lookup for the whole ladder
-        levels = _default_levels(path, n_levels)
+        levels = _default_levels(path, DEFAULT_LEVELS)
         profiles = _local_times(path.values, ladder.partitions, levels)
     residuals = []
     for i, part in enumerate(ladder.partitions):
@@ -327,19 +320,14 @@ def verify_ito(
         if mode == "riemann":
             x = path.values[np.asarray(part, dtype=int)]
             curv = float(np.sum(np.asarray(second(x[:-1])) * np.square(np.diff(x))))
-        elif mode == "local_time":
-            curv = LocalTimeProfile(levels, profiles[i], float(path.times[part[-1]])).integrate_against(second)
         else:
-            raise ValueError(f"unknown curvature mode {mode!r}")
+            curv = LocalTimeProfile(levels, profiles[i], float(path.times[part[-1]])).integrate_against(second)
         residuals.append(abs(total - riemann - 0.5 * curv))
     return np.asarray(residuals)
 
 
 def occupation_density_check(
-    path: SampledPath,
-    ladder: PartitionLadder,
-    interval: tuple[float, float],
-    n_levels: int = DEFAULT_LEVELS,
+    path: SampledPath, ladder: PartitionLadder, interval: tuple[float, float]
 ) -> tuple[float, float]:
     """Occupation identity on an interval A at the finest partition.
 
@@ -350,7 +338,7 @@ def occupation_density_check(
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     part = ladder.partitions[-1]
-    profile = discrete_local_time(path, part, n_levels=n_levels)
+    profile = discrete_local_time(path, part)
     indicator = lambda u: ((u >= a) & (u <= b)).astype(float)
     lhs = profile.integrate_against(indicator)
     x = path.values[np.asarray(part, dtype=int)]
@@ -360,7 +348,7 @@ def occupation_density_check(
 
 
 def transform_local_times(path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable,
-                          partitions: list, n_levels: int = DEFAULT_LEVELS) -> list[float]:
+                          partitions: list) -> list[float]:
     """L2 gap between the local time of f(X) and the transformed local time of X, per partition.
 
     For monotone smooth f the two agree in the limit:
@@ -373,7 +361,7 @@ def transform_local_times(path: SampledPath, f: Callable, f_prime: Callable, f_i
         raise NonMonotone("transform map must have one-signed, nonvanishing derivative on the range")
     parts = [np.asarray(p, dtype=int) for p in partitions]
     ypath = path.transformed(f)
-    vgrid = _default_levels(ypath, n_levels)
+    vgrid = _default_levels(ypath, DEFAULT_LEVELS)
     xlv = np.asarray(f_inverse(vgrid), dtype=float)
     scale = np.abs(np.asarray(f_prime(xlv)))
     ends = path.times[[p[-1] for p in parts]]
@@ -383,6 +371,6 @@ def transform_local_times(path: SampledPath, f: Callable, f_prime: Callable, f_i
 
 
 def transform_local_time(path: SampledPath, f: Callable, f_prime: Callable, f_inverse: Callable,
-                         partition: np.ndarray, n_levels: int = DEFAULT_LEVELS) -> float:
+                         partition: np.ndarray) -> float:
     """``transform_local_times`` on one partition."""
-    return transform_local_times(path, f, f_prime, f_inverse, [partition], n_levels)[0]
+    return transform_local_times(path, f, f_prime, f_inverse, [partition])[0]

@@ -28,6 +28,7 @@ from .chain import NormalizedChain
 
 _PROBE_LO = 1e6
 _PROBE_HI = 1e7
+_SPOT_LO, _SPOT_HI, _SPOT_SAMPLES = 1e-3, 1e3, 400  # log grid of a custom payoff's convexity spot-check
 _DIFF_STEP = np.finfo(float).eps ** (1 / 3)  # relative step of the slope's central difference
 
 
@@ -176,8 +177,8 @@ class ConvexPayoff:
         )
 
 
-def _convexity_spot_check(value, lo: float = 1e-3, hi: float = 1e3, samples: int = 400) -> None:
-    x = np.geomspace(lo, hi, samples)
+def _convexity_spot_check(value) -> None:
+    x = np.geomspace(_SPOT_LO, _SPOT_HI, _SPOT_SAMPLES)
     v = value(x)
     finite = np.isfinite(v)
     x, v = x[finite], v[finite]
@@ -337,11 +338,6 @@ def check_c1(nchain: NormalizedChain, payoff: ConvexPayoff) -> bool:
         return True
     k, p = nchain.k, nchain.p
     return bool(p[2] > (k[2] / k[1]) * p[1] + 1e-12)
-
-
-def superhedge_feasible(payoff: ConvexPayoff) -> bool:
-    """A finite static superhedge on all of (0, oo) needs both tails tame."""
-    return math.isfinite(payoff.origin_value) and math.isfinite(payoff.asymptotic_slope)
 
 
 @dataclass(frozen=True)

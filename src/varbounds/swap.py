@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lower as lower_mod
 from . import upper as upper_mod
@@ -23,6 +23,7 @@ from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, 
 from .serialize import round_floats
 
 BOUNDARY_TOL = 1e-6  # quotes are finite precision; exact boundary hits need a band
+_NOTES = ("swap-quote classification assumes the equivalent European payoff trades alongside the swap",)
 
 
 class VerdictStatus(enum.Enum):
@@ -78,6 +79,9 @@ def vol_points(rate: float) -> float:
 
 
 def rate_from_vol_points(points: float) -> float:
+    """Volatility percentage points to variance units: (points / 100)**2."""
+    if not 0.0 <= points < math.inf:
+        raise ValueError(f"volatility points must be finite and nonnegative, got {points}")
     return (points / 100.0) ** 2
 
 
@@ -121,12 +125,6 @@ class BoundsReport:
     quoted_rate: float | None = None
     quote_verdict: PriceVerdict | None = None
     grid: int = lower_mod.DEFAULT_GRID
-    notes: tuple[str, ...] = field(
-        default_factory=lambda: (
-            "swap-quote classification assumes the equivalent European payoff "
-            "trades alongside the swap",
-        )
-    )
 
     def to_dict(self) -> dict:
         def num(x):
@@ -169,7 +167,7 @@ class BoundsReport:
                 "verdict": self.quote_verdict.to_dict() if self.quote_verdict else None,
             },
             "grid": self.grid,
-            "notes": list(self.notes),
+            "notes": list(_NOTES),
         }
 
     def to_json(self, **kwargs) -> str:
@@ -206,32 +204,8 @@ def compute_lower(
     return solution, portfolio, existence
 
 
-def _classify_normalized(
-    p_norm: float,
-    lower_value: float,
-    upper_value: float,
-    lower_existence: DualExistence | None,
-    upper_existence: DualExistence | None,
-    tol: float = BOUNDARY_TOL,
-) -> PriceVerdict:
-    if abs(p_norm - lower_value) <= tol:
-        return PriceVerdict(VerdictStatus.BOUNDARY, side="lower", existence=lower_existence)
-    if math.isfinite(upper_value) and abs(p_norm - upper_value) <= tol:
-        return PriceVerdict(VerdictStatus.BOUNDARY, side="upper", existence=upper_existence)
-    if p_norm < lower_value:
-        return PriceVerdict(VerdictStatus.MODEL_INDEPENDENT_ARBITRAGE, side="below")
-    if p_norm > upper_value:
-        return PriceVerdict(VerdictStatus.MODEL_INDEPENDENT_ARBITRAGE, side="above")
-    return PriceVerdict(VerdictStatus.CONSISTENT)
-
-
 def classify_european(
-    nchain: NormalizedChain,
-    payoff: ConvexPayoff,
-    quoted_price: float,
-    *,
-    normalized: bool = False,
-    grid: int = lower_mod.DEFAULT_GRID,
+    nchain: NormalizedChain, payoff: ConvexPayoff, quoted_price: float, *, normalized: bool = False
 ) -> PriceVerdict:
     """Classify a quoted European price against the sub/super-replication band.
 
@@ -244,45 +218,48 @@ def classify_european(
         raise ValueError("classification requires a consistent put chain")
     p_norm = quoted_price if normalized else quoted_price / (nchain.discount_factor * nchain.forward)
     try:
-        solution, _, existence = compute_lower(nchain, payoff, grid=grid)
+        solution, _, existence = compute_lower(nchain, payoff)
     except lower_mod.C1Violation as exc:
         return PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
     ub = upper_mod.superhedge(nchain, payoff)
-    return _classify_normalized(
-        p_norm, solution.value, ub.value, existence, upper_dual_existence(nchain, payoff)
+    return classify_rate_against_bounds(
+        p_norm, solution.value, ub.value,
+        lower_existence=existence, upper_existence=upper_dual_existence(nchain, payoff),
     )
 
 
-def classify_swap_quote(
-    nchain: NormalizedChain,
-    weight: WeightSpec,
-    quoted_rate: float,
-    *,
-    grid: int = lower_mod.DEFAULT_GRID,
-) -> PriceVerdict:
+def classify_swap_quote(nchain: NormalizedChain, weight: WeightSpec, quoted_rate: float) -> PriceVerdict:
     """Map a quoted swap rate (variance units) to the equivalent European price and classify."""
     payoff = make_payoff(weight)
     p_equiv = european_from_rate(quoted_rate, payoff)
-    return classify_european(nchain, payoff, p_equiv, normalized=True, grid=grid)
+    return classify_european(nchain, payoff, p_equiv, normalized=True)
 
 
 def classify_rate_against_bounds(
-    quoted_rate: float,
-    lower_rate: float,
-    upper_rate: float = math.inf,
+    quoted: float,
+    lower: float,
+    upper: float = math.inf,
     *,
     lower_existence: DualExistence | None = None,
     upper_existence: DualExistence | None = None,
-    tol: float = BOUNDARY_TOL,
 ) -> PriceVerdict:
-    """Classify a quoted rate against externally supplied rate bounds.
+    """Classify a quote against a band given in the same units: swap rates or normalized prices.
 
     Used when only published bound values are available (no raw chain), and
-    by the CLI to classify against freshly computed bounds.
+    for every band this module computes.  A quote within ``BOUNDARY_TOL`` of
+    an edge defers to dual existence on that side.
     """
-    return _classify_normalized(
-        quoted_rate, lower_rate, upper_rate, lower_existence, upper_existence, tol=tol
-    )
+    if not math.isfinite(quoted):
+        raise ValueError(f"quote must be finite, got {quoted}")
+    if abs(quoted - lower) <= BOUNDARY_TOL:
+        return PriceVerdict(VerdictStatus.BOUNDARY, side="lower", existence=lower_existence)
+    if math.isfinite(upper) and abs(quoted - upper) <= BOUNDARY_TOL:
+        return PriceVerdict(VerdictStatus.BOUNDARY, side="upper", existence=upper_existence)
+    if quoted < lower:
+        return PriceVerdict(VerdictStatus.MODEL_INDEPENDENT_ARBITRAGE, side="below")
+    if quoted > upper:
+        return PriceVerdict(VerdictStatus.MODEL_INDEPENDENT_ARBITRAGE, side="above")
+    return PriceVerdict(VerdictStatus.CONSISTENT)
 
 
 def swap_rate_bounds(
@@ -309,12 +286,8 @@ def swap_rate_bounds(
     quote_verdict = None
     if quoted_rate is not None:
         p_equiv = european_from_rate(quoted_rate, payoff)
-        quote_verdict = _classify_normalized(
-            p_equiv,
-            lower_value,
-            upper_value,
-            lower_existence,
-            upper_existence,
+        quote_verdict = classify_rate_against_bounds(
+            p_equiv, lower_value, upper_value, lower_existence=lower_existence, upper_existence=upper_existence
         )
     return BoundsReport(
         weight=weight.label(),

@@ -202,6 +202,18 @@ class TestClassify:
         report = parse_report(out)
         assert report["quote"]["verdict"]["status"] == "consistent"
 
+    @pytest.mark.parametrize("quote", ["--quote-var=nan", "--quote-var=inf", "--quote-volpts=-60",
+                                       "--quote-volpts=inf"])
+    def test_non_finite_or_negative_quote_is_input_error(self, capsys, market_flags, quote):
+        code, out, err = run(capsys, ["classify", *market_flags, "--weight", "custom", quote])
+        assert (code, out) == (1, "")
+        assert err.startswith("varbounds: error: ") and err.count("\n") == 1
+
+    def test_negative_variance_quote_is_below_the_band(self, capsys, market_flags):
+        code, out, _ = run(capsys, ["classify", *market_flags, "--weight", "custom", "--quote-var=-0.01"])
+        verdict = parse_report(out)["quote"]["verdict"]
+        assert (code, verdict["status"], verdict["side"]) == (2, "model_independent_arbitrage", "below")
+
 
 class TestPathcheck:
     def test_default_walk_passes(self, capsys):

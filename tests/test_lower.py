@@ -778,7 +778,7 @@ class TestExactDomination:
         assert existence.verdict == "guaranteed" and -0.3 < port.forward < 0.0
         excess, _ = lower._worst_excess(port, INVERSE)
         assert excess <= 1e-12
-        assert dominates_below(port, INVERSE, tol=1e-12)
+        assert dominates_below(port, INVERSE)
 
     @pytest.mark.parametrize("weight,strike,put,verdict", [
         ("corridor-down:0.9", 1.7064293986584194, 0.8959031392142459, "undetermined"),
@@ -1090,7 +1090,7 @@ class TestGridLp:
         rng = np.random.default_rng(14)
         for _ in range(5):
             nc = random_consistent_chain(rng)
-            assert grid_lp_oracle(nc, payoff) == pytest.approx(0.0, abs=1e-9)
+            assert grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff)) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_tightened_portfolio_value(self):
         payoff = affine_plus_inverse(0.25)

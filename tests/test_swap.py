@@ -17,12 +17,13 @@ from varbounds import (
     classify_swap_quote,
     make_payoff,
     normalize,
+    parse_weight,
     swap_rate_bounds,
     vol_points,
 )
 from varbounds.cli import parse_report, round_floats
 from varbounds.lower import C1Violation, build_lp_grid, grid_lp_oracle
-from varbounds.swap import european_from_rate, rate_from_european
+from varbounds.swap import european_from_rate, rate_from_european, rate_from_vol_points
 from conftest import random_consistent_chain, single_put_chain, trimmed_route_chain, window_excess
 
 INVERSE = make_payoff(WeightSpec.inverse())
@@ -58,6 +59,12 @@ class TestVolPoints:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             vol_points(-0.01)
+
+    @pytest.mark.parametrize("points", [-60.0, -0.0001, math.nan, math.inf])
+    def test_negative_or_non_finite_points_rejected(self, points):
+        # squaring would read -60 as 60
+        with pytest.raises(ValueError, match="volatility points"):
+            rate_from_vol_points(points)
 
 
 class TestRateMapping:
@@ -131,6 +138,29 @@ class TestClassifySwapQuote:
     def test_boundary_branch(self):
         v = classify_rate_against_bounds(0.04, 0.04)
         assert v.status is VerdictStatus.BOUNDARY and v.side == "lower"
+
+    @pytest.mark.parametrize("quote", [math.nan, math.inf, -math.inf])
+    def test_non_finite_quote_rejected(self, quote):
+        # NaN fails every comparison, so it would fall through to "consistent"
+        with pytest.raises(ValueError, match="finite"):
+            classify_rate_against_bounds(quote, 0.04, 0.09)
+
+    @pytest.mark.parametrize("weight", ["vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "custom"])
+    def test_one_verdict_from_every_entry_point(self, weight):
+        # quotes on, just inside and just outside the lower edge's boundary band
+        spec = parse_weight(weight)
+        payoff = make_payoff(spec)
+        rng = np.random.default_rng(15)
+        for _ in range(4):
+            nc = random_consistent_chain(rng)
+            report = swap_rate_bounds(nc, spec)
+            for offset in (0.0, 5e-7, -5e-7, 2e-6, -2e-6):
+                rate = rate_from_european(report.lower_value + offset, payoff)
+                via_report = swap_rate_bounds(nc, spec, quoted_rate=rate).quote_verdict
+                via_band = classify_rate_against_bounds(
+                    european_from_rate(rate, payoff), report.lower_value, report.upper_value,
+                    lower_existence=report.lower_existence, upper_existence=report.upper_existence)
+                assert via_report == classify_swap_quote(nc, spec, rate) == via_band, (weight, offset)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.8, max_value=3.0))
