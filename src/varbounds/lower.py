@@ -62,6 +62,7 @@ _GRID_BLOCK = 1 << 16  # grid pairs whose segment terms the recursion evaluates 
 _FAR = 1e7  # hedges are checked out to this multiple of the last strike; beyond, by tail slope
 _TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this much
 _LP_POINTS = 2048  # log-spaced points of the oracle's constraint grid, before strikes and atoms
+_INVERSE_STEPS = 4  # float steps from a closed-form tangency point before falling back to the root-find
 
 
 class UnsupportedChain(RuntimeError):
@@ -574,6 +575,32 @@ def _inward_push(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray:
     return np.where(g == -np.inf, 0.5 * (hi - z), np.where(g == np.inf, 0.5 * (lo - z), 0.0))
 
 
+def _last_float_below(payoff, target, lo, hi) -> np.ndarray:
+    """``_bracket_root(payoff.slope, target, lo, hi)[0]``, from ``slope_inverse`` where the payoff has one.
+
+    That is hi where the slope stays below target, lo where it starts at or
+    above, else the last float x with slope(x) < target <= slope(next float).
+    The clipped inverse lies within a few floats of it (more where the
+    rounded slope is flat over many floats), so it steps one float at a time,
+    at most ``_INVERSE_STEPS`` times; brackets still unsettled, and every
+    bracket of a payoff without an inverse, go to the root-find.
+    """
+    if payoff.slope_inverse is None:
+        return _bracket_root(payoff.slope, target, lo, hi)[0]
+    with np.errstate(all="ignore"):
+        x = np.clip(payoff.slope_inverse(target), lo, hi)
+        for _ in range(_INVERSE_STEPS):
+            up = np.nextafter(x, np.inf)
+            s = payoff.slope(np.concatenate((x, up)))
+            below, above = s[: x.size] < target, s[: x.size] >= target
+            settled = ((x == hi) & below) | ((x == lo) & above) | ((x < hi) & below & (s[x.size :] >= target))
+            if settled.all():
+                return x
+            x = np.where(settled, x, np.where(above, np.nextafter(x, -np.inf), up))
+    x[~settled] = _bracket_root(payoff.slope, target[~settled], lo[~settled], hi[~settled])[0]
+    return x
+
+
 def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray | None:
     """Joint descent direction that reopens vanishing atoms, or None.
 
@@ -592,7 +619,7 @@ def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.n
     r_a = g[i - 1] + payoff.value(left)
     r_b = g[i] - payoff.value(right)
     target = -(r_a + r_b) / (right - left)
-    a = _bracket_root(payoff.slope, target, left, right)[0]
+    a = _last_float_below(payoff, target, left, right)
     theta = (right - a) / (right - left)
     slope = payoff.value(a) - theta * r_a + (1.0 - theta) * r_b
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -679,11 +706,12 @@ def dp_lower_bound(
 
     One backwards recursion over ``grid`` points per interval (at least
     ``MIN_GRID``) gives the warm start; a projected Newton solve on the
-    tridiagonal Hessian takes it to the optimum, which does not depend on
-    ``grid`` beyond rounding.  A finer grid only costs time: the recursion
-    makes O(n grid^2) payoff evaluations.  The value includes the analytic
-    boundary-limit tail term; the measure records any escaped forward mass
-    in ``mean_at_infinity``.
+    tridiagonal Hessian takes it toward the optimum.  Where it reaches the
+    optimum the value does not depend on ``grid`` beyond rounding, but the
+    measure can, and some small corridor chains stall short of it from every
+    grid (see the module docstring).  The recursion makes O(n grid^2) payoff
+    evaluations.  The value includes the analytic boundary-limit tail term;
+    the measure records any escaped forward mass in ``mean_at_infinity``.
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)
@@ -705,15 +733,19 @@ def _piece_excess(payoff, a, b, ya, yb) -> tuple[np.ndarray, np.ndarray]:
     """Largest excess of each line from (a, ya) to (b, yb) over the payoff on [a, b], and where.
 
     Line minus payoff is concave, so its maximum lies at an end or where
-    ``payoff.slope`` equals the line's slope: one root-find for all pieces,
-    from ``value`` and ``slope`` alone, to within 1e-15 of each maximum.  An
-    end at 0 takes the payoff's limit there; NaN excess counts as infinite.
+    ``payoff.slope`` equals the line's slope: the clipped ``slope_inverse``
+    of a built-in payoff, else one root-find for all pieces, from ``value``
+    and ``slope`` alone, to within 1e-15 of each maximum.  An end at 0 takes
+    the payoff's limit there; NaN excess counts as infinite.
     """
     with np.errstate(all="ignore"):  # a piece with a == b has no slope and no interior
         m = (yb - ya) / (b - a)
         inner = np.flatnonzero(~(payoff.slope(a) >= m) & (payoff.slope(b) > m))
         x, line = np.column_stack([a, b, a, b]), np.column_stack([ya, yb, ya, yb])
-        x[inner, 2:] = np.column_stack(_bracket_root(payoff.slope, m[inner], a[inner], b[inner], tol=1e-15))
+        if payoff.slope_inverse is None:
+            x[inner, 2:] = np.column_stack(_bracket_root(payoff.slope, m[inner], a[inner], b[inner], tol=1e-15))
+        else:
+            x[inner, 2:] = np.clip(payoff.slope_inverse(m[inner]), a[inner], b[inner])[:, None]
         line[inner, 2:] = ya[inner, None] + m[inner, None] * (x[inner, 2:] - a[inner, None])
         excess = np.nan_to_num(line - np.where(x > 0.0, payoff.value(x), payoff.origin_value), nan=np.inf)
     rows, j = np.arange(m.size), np.argmax(excess, axis=1)

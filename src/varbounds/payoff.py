@@ -132,7 +132,10 @@ class ConvexPayoff:
     limit of the right derivative at infinity, ``affine_tail_threshold`` the
     least z with the payoff affine on [z, oo) (inf when never affine).
     ``tail_curvature_divergent`` records whether the first moment of the
-    curvature measure diverges at infinity.
+    curvature measure diverges at infinity.  ``slope_inverse`` is the
+    generalized inverse m -> inf{x > 0 : slope(x) >= m} (0 or inf where m
+    lies outside the slope's range) in closed form, to within rounding; it is
+    None for custom payoffs, whose tangency points are root-found.
     """
 
     kind: str
@@ -144,6 +147,7 @@ class ConvexPayoff:
     affine_tail_threshold: float
     tail_curvature_divergent: bool
     barrier: float | None = None
+    slope_inverse: Callable | None = None
 
     def __call__(self, x):
         return self.value(x)
@@ -164,7 +168,7 @@ class ConvexPayoff:
 
     def shift_affine(self, alpha: float, beta: float) -> "ConvexPayoff":
         """The payoff plus ``alpha * x + beta``; bounds shift by exactly alpha + beta."""
-        base_value, base_slope = self.value, self.slope
+        base_value, base_slope, base_inverse = self.value, self.slope, self.slope_inverse
         origin = self.origin_value if not math.isfinite(self.origin_value) else self.origin_value + beta
         gamma = self.asymptotic_slope if not math.isfinite(self.asymptotic_slope) else self.asymptotic_slope + alpha
         return replace(
@@ -174,6 +178,7 @@ class ConvexPayoff:
             slope=_vectorized(lambda x: base_slope(x) + alpha),
             origin_value=origin,
             asymptotic_slope=gamma,
+            slope_inverse=None if base_inverse is None else _vectorized(lambda m: base_inverse(m - alpha)),
         )
 
 
@@ -212,6 +217,7 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             asymptotic_slope=0.0,
             affine_tail_threshold=math.inf,
             tail_curvature_divergent=True,
+            slope_inverse=_vectorized(lambda m: np.where(m < 0.0, -1.0 / m, np.inf)),
         )
     if spec.kind == "gamma":
         return ConvexPayoff(
@@ -223,6 +229,7 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             asymptotic_slope=math.inf,
             affine_tail_threshold=math.inf,
             tail_curvature_divergent=True,
+            slope_inverse=_vectorized(np.exp),
         )
     if spec.kind == "corridor-down":
         a = float(spec.barrier)
@@ -241,6 +248,7 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             affine_tail_threshold=a,
             tail_curvature_divergent=False,
             barrier=a,
+            slope_inverse=_vectorized(lambda m: np.where(m <= 0.0, 1.0 / (1.0 / a - m), np.inf)),
         )
     if spec.kind == "corridor-up":
         a = float(spec.barrier)
@@ -259,6 +267,9 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             affine_tail_threshold=math.inf,
             tail_curvature_divergent=True,
             barrier=a,
+            slope_inverse=_vectorized(
+                lambda m: np.where(m <= 0.0, 0.0, np.where(m < 1.0 / a, 1.0 / (1.0 / a - m), np.inf))
+            ),
         )
     if spec.kind == "inverse":
         return ConvexPayoff(
@@ -270,6 +281,7 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             asymptotic_slope=0.0,
             affine_tail_threshold=math.inf,
             tail_curvature_divergent=False,
+            slope_inverse=_vectorized(lambda m: np.where(m < 0.0, 1.0 / np.sqrt(-m), np.inf)),
         )
     if spec.kind == "custom":
         value = _vectorized(spec.value_fn)

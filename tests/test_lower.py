@@ -189,6 +189,29 @@ START_DEPENDENT_CHAINS = [
 # only to within this.
 ORACLE_SLACK = 1e-10
 
+# chain-batch ops (weight, strikes, puts) whose vanishing-atom release, taken
+# at the clipped closed-form inverse without stepping it onto the root-find's
+# float, moved the measure (and on seed 22 op 109 the value) by an ulp:
+# seed/op 22/109, 23/35, 27/2 and 30/372.
+RELEASE_SNAP_CHAINS = [
+    ("vanilla",
+     [0.27919483435970993, 0.5778219571840717, 0.736412497064987, 0.7599807253170396,
+      0.7980508720413719, 1.572239333191765, 2.553231295360444],
+     [0.049274050101278284, 0.17236799924223137, 0.25782324496087566, 0.2709189292009262,
+      0.2920726033397884, 0.7497953147704153, 1.5532312953604437]),
+    ("gamma",
+     [0.21894086626340886, 0.6046200907056989, 0.694352387411385, 0.9879017208605334],
+     [0.0035864688938865223, 0.042532226332019904, 0.07938011834341963, 0.20613299587357922]),
+    ("vanilla",
+     [0.15669717844030412, 0.16881641973236997, 0.25338827880676684, 0.29755558647815583,
+      0.3743009709577344, 0.5269792248111006, 0.6597669622294731, 1.0870374897729134],
+     [0.002382395315108292, 0.0026313106272263308, 0.004368319586003972, 0.005275465413823629,
+      0.006851727563489672, 0.01181737988594861, 0.023531349361603483, 0.2378739733131562]),
+    ("gamma",
+     [0.3996818150947992, 0.7812731743724597, 0.8381097336729106, 0.9063656229159545],
+     [0.013411648391525921, 0.04568558292885271, 0.05865474045518742, 0.07496480629682777]),
+]
+
 # Every built-in weight, plus a custom payoff without a curvature density.
 SUBHEDGE_PAYOFFS = [make_payoff(parse_weight(w)) for w in CLI_WEIGHTS + ("inverse",)] + [
     make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
@@ -971,6 +994,68 @@ class TestBracketRoot:
 
         lo, hi = lower._bracket_root(refuse, 0.0, np.array([]), np.array([]))
         assert lo.shape == hi.shape == (0,) and lo.dtype == hi.dtype == float
+
+
+def assert_same_as_the_root_find(nc, payoff):
+    """``lp_lower_bound`` with the closed-form slope inverse and without it: the
+    same value and measure, bit for bit, and hedges within 1e-12."""
+    value, port, measure = lp_lower_bound(nc, payoff)
+    ref_value, ref_port, ref_measure = lp_lower_bound(nc, replace(payoff, slope_inverse=None))
+    assert value == ref_value
+    assert np.array_equal(measure.atoms, ref_measure.atoms)
+    assert np.array_equal(measure.weights, ref_measure.weights)
+    assert measure.mean_at_infinity == ref_measure.mean_at_infinity
+    np.testing.assert_allclose(port.puts, ref_port.puts, rtol=0.0, atol=1e-12)
+    assert port.cash == pytest.approx(ref_port.cash, rel=0.0, abs=1e-12)
+    assert port.forward == pytest.approx(ref_port.forward, rel=0.0, abs=1e-12)
+
+
+class TestClosedFormTangency:
+    @pytest.mark.parametrize("weight", CLI_WEIGHTS + ("inverse",))
+    def test_same_answers_as_the_root_find_on_random_chains(self, weight):
+        payoff = PAYOFFS_BY_NAME[weight]
+        rng = np.random.default_rng(161)
+        for _ in range(40):
+            assert_same_as_the_root_find(random_consistent_chain(rng, max_strikes=8), payoff)
+        for free, capped in ((True, False), (False, True)):
+            assert_same_as_the_root_find(trimmed_route_chain(rng, int(rng.integers(1, 8)), free, capped), payoff)
+
+    @pytest.mark.parametrize("weight,strikes,puts", RELEASE_SNAP_CHAINS)
+    def test_release_lands_on_the_root_finds_float(self, weight, strikes, puts):
+        assert_same_as_the_root_find(chain_of(strikes, puts), PAYOFFS_BY_NAME[weight])
+
+    def test_release_steps_onto_the_last_float_before_the_crossing(self):
+        # targets inside, below and above each interval's slope range, and
+        # a NaN target, which the root-find settles
+        for weight in CLI_WEIGHTS + ("inverse",):
+            payoff, rng = PAYOFFS_BY_NAME[weight], np.random.default_rng(7)
+            lo = np.sort(rng.uniform(0.05, 3.0, size=60))
+            hi = lo * rng.uniform(1.0001, 2.0, size=60)
+            with np.errstate(all="ignore"):
+                inside = payoff.slope(rng.uniform(lo, hi))
+            target = np.concatenate((inside, payoff.slope(lo) - 1.0, payoff.slope(hi) + 1.0, [np.nan]))
+            lo, hi = np.tile(lo, 3)[: target.size - 1], np.tile(hi, 3)[: target.size - 1]
+            lo, hi = np.append(lo, 1.0), np.append(hi, 2.0)
+            got = lower._last_float_below(payoff, target, lo, hi)
+            assert np.array_equal(got, lower._bracket_root(payoff.slope, target, lo, hi)[0]), weight
+
+    def test_dense_custom_twin_of_vanilla_opens_every_bracket_at_once(self, monkeypatch):
+        # the -ln x payoff given as a custom payoff, weight included, has no
+        # closed-form inverse: its exact domination root-finds all 999 pieces
+        # of the hedge in one batch, the array phase of _bracket_root
+        twin = make_payoff(WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x, lambda x: np.ones_like(x)))
+        nc = lognormal_chain(1000)
+        batches = []
+        bracket_root = lower._bracket_root
+
+        def counted(fn, target, lo, hi, tol=-math.inf):
+            batches.append(np.size(lo))
+            return bracket_root(fn, target, lo, hi, tol)
+
+        monkeypatch.setattr(lower, "_bracket_root", counted)
+        value = lp_lower_bound(nc, twin)[0]
+        assert max(batches) == 999
+        assert value == lp_lower_bound(nc, VANILLA)[0] == 0.01999925674305537
 
 
 class TestMergeAtoms:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -120,6 +121,97 @@ class TestAnalyticConsistency:
         np.testing.assert_allclose(shifted.slope(xs), lam.slope(xs) + 0.5)
         assert shifted.asymptotic_slope == pytest.approx(lam.asymptotic_slope + 0.5)
         assert shifted.origin_value == pytest.approx(lam.origin_value - 2.0)
+
+
+def exact_slope(spec, alpha, x):
+    """The slope of ``spec``'s payoff plus ``alpha * x`` at the float ``x``, to 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        X = Decimal(x)
+        if spec.kind == "vanilla":
+            s = -1 / X
+        elif spec.kind == "gamma":
+            s = X.ln()
+        elif spec.kind == "inverse":
+            s = -1 / (X * X)
+        else:
+            a = Decimal(spec.barrier)
+            inside = X < a if spec.kind == "corridor-down" else X > a
+            s = 1 / a - 1 / X if inside else Decimal(0)
+        return s + Decimal(alpha)
+
+
+def two_floats(x, direction):
+    return np.nextafter(np.nextafter(x, direction), direction)
+
+
+class TestSlopeInverse:
+    # inf{x > 0 : slope(x) >= m}, checked against the slope in exact
+    # arithmetic: the exact crossing lies within two floats of the answer, up
+    # to a slack of a few ulps of the numbers the slope is made of.  The
+    # float check slope(x) >= m > slope(prev(x)) cannot hold exactly: the
+    # rounded slope of corridor-up is flat over many floats far above the
+    # barrier, and a shift by alpha rounds m - alpha.
+    @staticmethod
+    def assert_inverts(payoff, spec, alpha, m):
+        x = float(payoff.slope_inverse(m))
+        scale = max(abs(m), abs(alpha), 1.0 / spec.barrier if spec.barrier else 0.0)
+        slack = Decimal(4.0 * np.finfo(float).eps * scale) if math.isfinite(m) else Decimal(0)
+        if x == 0.0:  # every positive float is past the crossing
+            assert exact_slope(spec, alpha, 5e-324) >= Decimal(m) - slack, m
+        elif x == math.inf:  # no float reaches it
+            assert exact_slope(spec, alpha, np.finfo(float).max) < Decimal(m) + slack, m
+        else:
+            assert exact_slope(spec, alpha, two_floats(x, math.inf)) >= Decimal(m) - slack, (m, x)
+            assert exact_slope(spec, alpha, two_floats(x, 0.0)) < Decimal(m) + slack, (m, x)
+
+    @staticmethod
+    def slopes_to_invert(payoff, rng):
+        xs = np.exp(rng.uniform(-20.0, 20.0, size=300))
+        with np.errstate(all="ignore"):
+            ms = np.concatenate((payoff.slope(xs), rng.normal(scale=3.0, size=100)))
+        if math.isfinite(payoff.asymptotic_slope):  # just below the slope's supremum
+            ms = np.append(ms, payoff.asymptotic_slope * (1.0 - 10.0 ** -rng.uniform(1.0, 15.0, size=50)))
+        return np.append(ms, [-math.inf, math.inf, 0.0, -0.0])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+    def test_inverts_the_slope(self, spec):
+        payoff = make_payoff(spec)
+        for m in self.slopes_to_invert(payoff, np.random.default_rng(3)):
+            self.assert_inverts(payoff, spec, 0.0, float(m))
+        # as an array, element by element
+        ms = np.array([-2.0, -0.5, 0.25])
+        assert list(payoff.slope_inverse(ms)) == [payoff.slope_inverse(float(m)) for m in ms]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+    def test_inverts_the_shifted_slope(self, spec):
+        alpha = 0.37
+        shifted = make_payoff(spec).shift_affine(alpha, -2.0)
+        for m in self.slopes_to_invert(shifted, np.random.default_rng(4)):
+            self.assert_inverts(shifted, spec, alpha, float(m))
+            assert shifted.slope_inverse(m) == make_payoff(spec).slope_inverse(m - alpha)
+
+    def test_outside_the_slope_range(self):
+        vanilla, gamma = make_payoff(WeightSpec.vanilla()), make_payoff(WeightSpec.gamma())
+        up, down = make_payoff(WeightSpec.corridor_up(0.8)), make_payoff(WeightSpec.corridor_down(0.8))
+        inverse = make_payoff(WeightSpec.inverse())
+        for m in (0.0, 1e-300, 1.0, math.inf):  # the slope -1/x stays below 0
+            assert vanilla.slope_inverse(m) == math.inf
+            assert inverse.slope_inverse(m) == math.inf
+        assert vanilla.slope_inverse(-math.inf) == 0.0
+        assert gamma.slope_inverse(-math.inf) == 0.0 and gamma.slope_inverse(math.inf) == math.inf
+        assert gamma.slope_inverse(-800.0) == 0.0  # below the least positive float
+        for m in (-math.inf, -1.0, -0.0, 0.0):  # slope 0 on (0, a]
+            assert up.slope_inverse(m) == 0.0
+        for m in (1.25, 2.0, math.inf):  # the slope stays below 1/a
+            assert up.slope_inverse(m) == math.inf
+        assert down.slope_inverse(1e-300) == math.inf and down.slope_inverse(-math.inf) == 0.0
+        assert down.slope_inverse(0.0) == pytest.approx(0.8, rel=1e-15)
+
+    def test_custom_payoffs_have_none(self):
+        custom = make_payoff(WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)))
+        assert custom.slope_inverse is None
+        assert custom.shift_affine(0.5, 1.0).slope_inverse is None
 
 
 class TestC1:
