@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -135,6 +135,19 @@ class NormalizedChain:
     def top_index(self) -> int:
         """Last informative strike index, n ∧ n_max."""
         return min(self.n, int(self.n_max)) if math.isfinite(self.n_max) else self.n
+
+    @cached_property
+    def window(self) -> "NormalizedChain":
+        """The chain on k[n_min..top], quoted prices kept, with n_min = 0 and no cap; computed once.
+
+        Every consistent model puts its mass there, so both bounds are taken on
+        it.  It is the chain itself when n_min = 0 and n_max is infinite, and
+        empty when the cap lies below the free puts.
+        """
+        if self.n_min == 0 and not math.isfinite(self.n_max):
+            return self
+        keep = slice(self.n_min, self.top_index + 1)
+        return replace(self, k=self.k[keep], p=self.p[keep], n_min=0, n_max=math.inf)
 
 
 def normalize(chain: OptionChain) -> NormalizedChain:

@@ -19,7 +19,7 @@ from . import pathwise as pw
 from .chain import ChainError, load_chain, normalize, validate_puts
 from .lower import (C1Violation, DEFAULT_GRID, DegeneratePolicy, ForwardViolation, ReconstructionFailure,
                     UnsupportedChain)
-from .payoff import InvalidPayoff, parse_weight
+from .payoff import InvalidPayoff, WeightSpec, make_payoff, parse_weight
 from .serialize import round_floats
 from .swap import PriceVerdict, VerdictStatus, rate_from_vol_points, swap_rate_bounds
 from .pathwise import C2Function
@@ -158,10 +158,7 @@ def run_pathcheck(input_path: str | None, seed: int, depth: int) -> tuple[dict, 
 
     positive = path.strictly_positive
     if positive:
-        neg_log = C2Function(
-            lambda x: -np.log(x), lambda x: -1.0 / x, lambda x: 1.0 / np.square(x)
-        )
-        res_log = pw.verify_ito(path, neg_log, ladder)
+        res_log = pw.verify_ito(path, make_payoff(WeightSpec.vanilla()), ladder)  # -ln x
         residuals["neg_log"] = res_log.tolist()
         checks["neg_log_decreasing"] = final_three_decreasing(res_log)
         transform = pw.transform_local_times(path, np.log, lambda x: 1.0 / x, np.exp, ladder.partitions)

@@ -28,10 +28,11 @@ at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
 exactly, piece by piece (Hettich & Kortanek, SIAM Review 35(3), 1993).
 Every chain puts its mass on [k_{n_min}, k_top]: nothing lies below a free
 put (n_min > 0) or above a strike priced at intrinsic value (finite n_max).
-``lp_lower_bound`` solves every chain on that window, which is the whole
-chain when n_min = 0 and n_max is infinite.  A dense-grid linear program over
-the same instruments is the independent primal oracle; only it samples a
-grid, and only it loads scipy.
+``lp_lower_bound`` solves every chain on that window, ``NormalizedChain.window``,
+and both hedges, this one and ``upper.superhedge``, come from their values at
+its strikes (``_portfolio_from_nodes``).  A dense-grid linear program over the
+same instruments is the independent primal oracle; only it samples a grid,
+and only it loads scipy.
 """
 
 from __future__ import annotations
@@ -225,8 +226,7 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
 
     A_i runs from the chain slope into strike i to the slope out of it; the
     final interval is capped at total mass 1.  Requires a consistent chain
-    with n_min = 0 and n_max infinite; ``lp_lower_bound`` trims every chain
-    to such a chain first.
+    with n_min = 0 and n_max infinite, such as ``NormalizedChain.window``.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("feasible policy sets need a consistent chain")
@@ -798,13 +798,16 @@ def _tail_slope(payoff, kn: float, y: float, cap: float) -> float:
 
 
 def _portfolio_from_nodes(nchain, node_values: np.ndarray, phi: float) -> HedgePortfolio:
-    # slopes has length n + 1: s_1..s_n on the inter-strike intervals, then
-    # phi beyond k_n; the put weight at strike i is the slope change there.
-    k = nchain.k
+    """The hedge through ``node_values`` at the strikes of ``nchain.window``, of slope ``phi`` beyond.
+
+    Its put weights, the slope changes at those strikes, go on the full strike list.
+    """
+    k = nchain.window.k
     slopes = np.append(np.diff(node_values) / np.diff(k), phi)
-    pi = slopes[1:] - slopes[:-1]
+    puts = np.zeros(nchain.n)
+    puts[nchain.n_min : nchain.n_min + k.size - 1] = slopes[1:] - slopes[:-1]
     cash = node_values[-1] - phi * k[-1]
-    return HedgePortfolio(cash=float(cash), forward=float(phi), puts=pi, strikes=k[1:].copy())
+    return HedgePortfolio(cash=float(cash), forward=float(phi), puts=puts, strikes=nchain.k[1:].copy())
 
 
 def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
@@ -819,7 +822,7 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
     segment between forced nodes stays under the payoff at the optimum: for
     a vanishing atom that is the reopening test of ``_vanishing_atom_release``.
     """
-    k = nchain.k
+    k = nchain.window.k
     live = measure.weights > _ZERO_W
     atoms = np.sort(measure.atoms[live])
     if atoms.size == 0:
@@ -876,11 +879,12 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
 def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
     """None when the portfolio passes; else which check failed, and by how much.
 
-    Domination is checked on [k_0, oo) of ``nchain``, or on [k_0, k_n] when
-    k_n caps the support: the window where its measures can put mass.
+    Domination is checked on ``nchain.window``, up to its last strike when
+    that caps the support: where the chain's measures can put mass.
     """
-    hi = math.inf if _tail_constant(nchain) > 0.0 else float(nchain.k[-1])
-    excess, x = _worst_excess(portfolio, payoff, float(nchain.k[0]), hi)
+    window = nchain.window
+    hi = math.inf if _tail_constant(window) > 0.0 else float(window.k[-1])
+    excess, x = _worst_excess(portfolio, payoff, float(window.k[0]), hi)
     if not excess <= _DOMINATION_TOL:
         return (f"domination: the hedge exceeds the payoff by {excess:.3g} at x = {x:.6g} "
                 f"(tail slope {portfolio.tail_slope():.6g})")
@@ -906,7 +910,7 @@ def reconstruct_subhedge(
 ) -> HedgePortfolio:
     """Piecewise-linear portfolio touching the payoff at every atom from below.
 
-    Built from the measure alone (see ``_tangent_construction``); beyond the
+    Built from a measure on ``nchain.window`` alone (see ``_tangent_construction``); beyond the
     last strike it follows the tail atom's tangent, or for boundary policies
     is flat where possible, so the cost equals the measure integral.  Raises
     :class:`ReconstructionFailure`, naming the failed check, when the
@@ -950,16 +954,14 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
     forward, else a chain far below it leaves the LP free to sell the
     forward without bound.
     """
-    k = nchain.k
-    lo = max(k[1] * 1e-3, 1e-4)
-    if nchain.n_min > 0:
-        lo = float(k[nchain.n_min])
-    if math.isfinite(nchain.n_max):
-        hi = float(k[nchain.top_index])
-    else:
-        mult = 10.0 if payoff.tail_curvature_divergent else 500.0
-        hi = mult * max(float(k[-1]), 1.0)
-    pieces = [k[1:][(k[1:] >= lo) & (k[1:] <= hi)]]
+    k = nchain.window.k
+    if k.size == 0:
+        raise ValueError("the cap lies below the free puts: the chain has no window to grid")
+    lo = float(k[0]) if k[0] > 0.0 else max(k[1] * 1e-3, 1e-4)
+    hi = float(k[-1])
+    if not math.isfinite(nchain.n_max):
+        hi = (10.0 if payoff.tail_curvature_divergent else 500.0) * max(hi, 1.0)
+    pieces = [k[k >= lo]]
     if payoff.barrier is not None and lo < payoff.barrier < hi:
         pieces.append(np.asarray([payoff.barrier]))
     if extra is not None:
@@ -1036,23 +1038,15 @@ def lp_lower_bound(
     """Lower bound, subhedge and worst-case law of any consistent chain.
 
     The name is historical: chains with free puts or a capped support once
-    went through the grid LP.  No mass lies below k_{n_min} (its put costs 0)
-    or above k_top (it prices at intrinsic value), so the bound is the policy
-    problem (``dp_lower_bound``) on the trimmed chain [k_{n_min}, ..., k_top]
-    with p = 0 at its first point; with n_min = 0 and n_max infinite the trim
-    is the identity.  The hedge, dominating on that window, goes back onto
-    the full strike list with no units on the free strikes; the measure
-    already reprices every put.  The C1 condition is checked on the full
-    chain, since on the trimmed one it can be vacuous.
+    went through the grid LP.  The bound is the policy problem
+    (``dp_lower_bound``) on ``nchain.window``, where all mass lies; the hedge
+    dominates there and holds no put outside it, and the measure reprices
+    every put.  A window with no interval leaves payoff(1) by Jensen, the
+    Dirac at the forward.  The C1 condition is checked on the full chain,
+    since on the window it can be vacuous.
     """
     _require_c1(nchain, payoff)
-    lo, top = nchain.n_min, nchain.top_index
-    if top <= lo:  # no interval left: payoff(1) by Jensen, the Dirac at the forward
+    if nchain.window.n < 1:
         return *_forward_tangent(nchain, payoff), AtomicMeasure(np.array([1.0]), np.array([1.0]))
-    trimmed = replace(nchain, k=nchain.k[lo : top + 1], p=np.append(0.0, nchain.p[lo + 1 : top + 1]),
-                      n_min=0, n_max=math.inf)
-    solution = dp_lower_bound(trimmed, payoff, grid=grid)
-    hedge = reconstruct_subhedge(trimmed, payoff, solution.measure)
-    puts = np.zeros(nchain.n)
-    puts[lo:top] = hedge.puts
-    return solution.value, replace(hedge, puts=puts, strikes=nchain.k[1:].copy()), solution.measure
+    solution = dp_lower_bound(nchain.window, payoff, grid=grid)
+    return solution.value, reconstruct_subhedge(nchain, payoff, solution.measure), solution.measure

@@ -266,8 +266,9 @@ def discrete_local_time(
     idx = np.asarray(partition, dtype=int)
     if t is None:
         t = float(path.times[idx[-1]])
-    pos = np.searchsorted(path.times[idx], t + 1e-12)
-    if pos == 0 or abs(path.times[idx[pos - 1]] - t) > 1e-9 * max(1.0, abs(t)):
+    tol = 1e-9 * max(1.0, abs(t))  # one tolerance both finds the partition time and accepts it
+    pos = np.searchsorted(path.times[idx], t + tol)
+    if pos == 0 or abs(path.times[idx[pos - 1]] - t) > tol:
         raise ValueError(f"t = {t} is not a partition time")
     if levels is None:
         levels = _default_levels(path, n_levels)

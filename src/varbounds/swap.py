@@ -189,7 +189,7 @@ def compute_lower(
     """Lower bound, sub-replicating portfolio, and the dual-existence verdict.
 
     ``lp_lower_bound`` serves every chain: the policy recursion and the
-    tangent subhedge on the chain trimmed to where its mass lies.  Without
+    tangent subhedge on ``nchain.window``, where its mass lies.  Without
     guaranteed dual existence ``tighten_tail`` lifts the tail in one solve.
     """
     value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff, grid=grid)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NormalizedChain
-from .lower import AtomicMeasure, HedgePortfolio, _forward_tangent
+from .lower import AtomicMeasure, HedgePortfolio, _forward_tangent, _portfolio_from_nodes
 from .payoff import ConvexPayoff
 
 
@@ -43,45 +43,28 @@ def _tame_tails(nchain: NormalizedChain, payoff: ConvexPayoff) -> bool:
 
 
 def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
-    """Interpolation portfolio through (k_i, payoff(k_i)) on the informative strikes.
+    """Interpolation portfolio through (k_i, payoff(k_i)) on the strikes of ``nchain.window``.
 
-    Forward weight equals the asymptotic slope (when the right tail is
-    unconstrained), cash makes the tail line pass through the last node, put
-    weights are the second divided differences of the payoff at the strikes.
-    The first chord continues below the lowest informative strike and the
-    last slope continues above the highest, so no weight falls on redundant
-    options.  Domination holds on all of (0, oo) when the payoff has tame
-    tails, and on [k_{n_min}, oo) in the relaxed cases.  A cap below the
-    free puts (within tolerance) pins the support at the forward: payoff(1).
+    Forward weight equals the asymptotic slope (the last chord's when
+    capped); put weights are the second divided differences of the payoff at
+    the strikes.  The first chord continues below the window and the tail
+    slope above it, so no weight falls on redundant options.  Domination
+    holds on all of (0, oo) when the payoff has tame tails, and on
+    [k_{n_min}, oo) in the relaxed cases.  A cap at or below the free puts
+    (within tolerance) pins the support at the forward: payoff(1).
     """
     if not _tame_tails(nchain, payoff):
         return UpperBound.infeasible()
-    k = nchain.k
-    n = nchain.n
-    first = nchain.n_min
-    top = nchain.top_index
-    if top < first:
+    capped = math.isfinite(nchain.n_max)
+    if capped and nchain.window.n < 1:  # uncapped, one free strike keeps slope gamma: mass may escape
         value, portfolio = _forward_tangent(nchain, payoff)
         return UpperBound(value=value, portfolio=portfolio, feasible=True)
-    xs = k[first : top + 1]
+    xs = nchain.window.k
     vs = np.atleast_1d(np.asarray(payoff.value(xs), dtype=float))
     if xs[0] == 0.0:
         vs[0] = payoff.origin_value
-    chord = np.diff(vs) / np.diff(xs)
-    if math.isfinite(nchain.n_max):
-        phi = float(chord[-1]) if chord.size else 0.0
-    else:
-        phi = float(payoff.asymptotic_slope)
-    # slopes[m] is the payoff slope on (k_m, k_{m+1}) for m < n and beyond
-    # k_n for m = n; put weight at strike i is the slope change across it.
-    slopes = np.empty(n + 1)
-    slopes[: first + 1] = chord[0] if chord.size else phi
-    for j in range(first + 1, top):
-        slopes[j] = chord[j - first]
-    slopes[top:] = phi
-    pi = slopes[1:] - slopes[:-1]
-    cash = float(vs[-1] - phi * xs[-1])
-    portfolio = HedgePortfolio(cash=cash, forward=phi, puts=pi, strikes=k[1:].copy())
+    phi = float((vs[-1] - vs[-2]) / (xs[-1] - xs[-2])) if capped else float(payoff.asymptotic_slope)
+    portfolio = _portfolio_from_nodes(nchain, vs, phi)
     return UpperBound(value=portfolio.setup_cost(nchain), portfolio=portfolio, feasible=True)
 
 
@@ -93,16 +76,14 @@ def extremal_upper_measure(nchain: NormalizedChain, z: float) -> AtomicMeasure:
     the mean is one.  Weights are the slope changes at the nodes; z below the
     admissibility threshold makes the weight at the last strike negative.
     """
-    k, p = nchain.k, nchain.p
-    first = nchain.n_min
-    top = nchain.top_index
-    xs = list(k[first : top + 1])
-    vs = list(p[first : top + 1])
+    window = nchain.window
+    xs, vs = list(window.k), list(window.p)
     if math.isfinite(nchain.n_max):
-        if abs(z - k[top]) > 1e-9:
-            raise ValueError(f"with a finite n_max the support cap must be k_{top} = {k[top]:.12g}")
+        if abs(z - xs[-1]) > 1e-9:
+            raise ValueError(f"with a finite n_max the support cap must be k_{nchain.top_index} = "
+                             f"{xs[-1]:.12g}")
     else:
-        if z <= k[-1] + 1e-12:
+        if z <= xs[-1] + 1e-12:
             raise ValueError("support cap z must exceed the last strike")
         xs.append(float(z))
         vs.append(float(z - 1.0))
@@ -124,11 +105,13 @@ def dominates_above(
     grid: np.ndarray,
     tol: float = 1e-10,
 ) -> bool:
-    """Superhedge domination check on [k_{n_min}, oo) (all of (0, oo) when n_min = 0)."""
-    start = nchain.k[nchain.n_min] if nchain.n_min > 0 else 0.0
-    pts = grid[grid >= start]
+    """Superhedge domination check at the points of ``grid`` on ``nchain.window``, to k_top when capped."""
+    k = nchain.window.k
+    if k.size == 0:  # a cap below the free puts leaves no point to check
+        return True
+    pts = grid[grid >= k[0]]
     if math.isfinite(nchain.n_max):
-        pts = pts[pts <= nchain.k[nchain.top_index]]
+        pts = pts[pts <= k[-1]]
     with np.errstate(all="ignore"):
         h = portfolio.payoff(pts)
         lam = payoff.value(pts)

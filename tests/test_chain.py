@@ -17,7 +17,7 @@ from varbounds import (
     validate_puts,
 )
 from varbounds.pathwise import read_path_csv
-from conftest import price_puts, random_consistent_chain, single_put_chain
+from conftest import price_puts, random_consistent_chain, single_put_chain, trimmed_route_chain
 
 
 def make_chain(strikes, prices, forward=1.0, discount=1.0):
@@ -122,6 +122,36 @@ class TestBoundaryIndices:
     def test_intrinsic_price_caps_n_max(self):
         nc = normalize(make_chain([2.0], [1.0]))
         assert boundary_indices(nc) == (0, 1)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("free,capped", [(False, False), (True, False), (False, True), (True, True)])
+    def test_the_informative_strikes_at_their_quoted_prices(self, free, capped):
+        rng = np.random.default_rng(18)
+        for n in range(1, 9):
+            nc = trimmed_route_chain(rng, n, free, capped)
+            window = nc.window
+            keep = slice(nc.n_min, nc.top_index + 1)
+            np.testing.assert_array_equal(window.k, nc.k[keep])
+            np.testing.assert_array_equal(window.p, nc.p[keep])
+            assert (window.n_min, window.n_max) == (0, math.inf)
+            assert nc.window is window
+            assert (window is nc) == (not free and not capped)
+            if validate_puts(nc).is_consistent:
+                assert validate_puts(window).is_consistent
+
+    def test_keeps_a_free_put_price_above_zero(self):
+        # The put at 0.5 costs 1e-12 (n_min = 1).  At 0 it would lift the
+        # window's first slope 1e-8 above the next, past EQ_TOL.
+        nc = normalize(make_chain([0.5, 0.5001, 0.5002, 1.0, 1.6], [1e-12, 1.01e-10, 2.01e-10, 0.125, 0.665]))
+        assert (nc.n_min, nc.n_max) == (1, math.inf)
+        assert nc.window.p[0] == 1e-12
+        assert validate_puts(nc).is_consistent and validate_puts(nc.window).is_consistent
+
+    def test_empty_when_the_cap_lies_below_the_free_puts(self):
+        nc = normalize(make_chain([1.0, 1.0 + 5e-13], [0.0, 0.0]))
+        assert nc.top_index < nc.n_min
+        assert nc.window.k.size == 0
 
 
 class TestInterpolant:

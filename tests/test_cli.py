@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,10 +19,11 @@ PATHCHECK_GOLDENS = json.loads((DATA / "pathcheck_goldens.json").read_text(encod
 # `bounds` on two chains that fail C1 for the vanilla weight (the second put
 # on or below the ray from the origin through the first), in both formats.
 C1_GOLDENS = json.loads((DATA / "c1_goldens.json").read_text(encoding="utf-8"))["cases"]
-# The last: the put at 1 + 5e-13 is priced 0, below intrinsic value by less
-# than EQ_TOL, so the cap (top = 1) lies below the free puts (n_min = 2).
+# "cap-below-free": the put at 1 + 5e-13 is priced 0, below intrinsic value by
+# less than EQ_TOL, so the cap (top = 1) lies below the free puts (n_min = 2).
+# "cap-at-free": that put alone is both free and capped (top = n_min = 1).
 PINNED_CHAINS = {"one-put": "1.0,0\n", "three-puts": "0.5,0\n1.0,0\n1.5,0.5\n",
-                 "cap-below-free": "1.0,0\n1.0000000000005,0\n"}
+                 "cap-below-free": "1.0,0\n1.0000000000005,0\n", "cap-at-free": "1.0000000000005,0\n"}
 # Free puts up to a strike at or below the forward, none above: no interval is left either.
 FREE_CHAINS = {"free-0.9": "0.9,0\n", "free-0.5-0.9": "0.5,0\n0.9,0\n"}
 WEIGHTS = ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "inverse")
@@ -128,7 +130,7 @@ class TestBounds:
         assert report["quote"]["verdict"]["status"] == "weak_arbitrage"
 
     def test_c1_is_checked_on_the_full_chain(self, capsys, tmp_path):
-        # The first put prices at intrinsic value, so the trimmed chain has
+        # The first put prices at intrinsic value, so the window has
         # one interval and nothing for C1 to check; the full chain's second
         # put lies on the ray from the origin through the first.
         f = tmp_path / "c1.csv"
@@ -223,6 +225,14 @@ class TestPathcheck:
         assert all(report["checks"].values())
         assert max(report["residuals"]["square"]) <= 1e-12
 
+    @pytest.mark.parametrize("step", [1000, 257])
+    def test_late_partition_times(self, capsys, tmp_path, step):
+        # Last times 64000 and 16448: there t + 1e-12 rounds to t.
+        f = tmp_path / "path.csv"
+        f.write_text("time,value\n" + "".join(f"{t * step},{100 + t}\n" for t in range(65)))
+        code, _, err = run(capsys, ["pathcheck", "--input", str(f), "--depth", "3"])
+        assert (code, err) == (0, "")
+
     def test_depth_one_rejected(self, capsys):
         code, _, err = run(capsys, ["pathcheck", "--seed", "42", "--depth", "1"])
         assert code == 1
@@ -294,14 +304,35 @@ def test_no_interval_left_gives_the_dirac_at_the_forward(capsys, tmp_path, rows,
     value, hedge, measure = lp_lower_bound(nc, payoff)
     assert value == float(payoff.value(1.0))
     assert abs(band["lower_value_normalized"] - value) <= 1e-12
+    upper = superhedge(nc, payoff).value
     if rows in PINNED_CHAINS.values():
-        assert value == superhedge(nc, payoff).value
+        assert value == upper
         assert abs(band["lower_value_normalized"] - band["upper_value_normalized"]) <= 1e-12
+    else:
+        # No cap: mass above the free puts may run off to infinity, so the
+        # upper bound is payoff(k_{n_min}) plus gamma for the rest of the mean.
+        k, gamma = float(nc.k[nc.n_min]), payoff.asymptotic_slope
+        expected = float(payoff.value(k)) + gamma * (1.0 - k) if math.isfinite(gamma) else math.inf
+        assert upper == pytest.approx(expected, abs=1e-15)
     assert measure.check(nc) == []
     assert np.all(hedge.puts == 0.0)
     assert lower._worst_excess(hedge, payoff)[0] <= 1e-12  # the tangent: under the payoff on all of (0, oo)
     assert abs(hedge.payoff(1.0) - value) <= 1e-12
     assert abs(hedge.setup_cost(nc) - value) <= 1e-12
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_free_put_priced_above_zero(capsys, tmp_path, weight):
+    # Consistent, with n_min = 1: the put at 0.5 costs 1e-12.  Zeroed, that
+    # price would lift the first slope above [0.5, 1.6] 1e-8 past the next one.
+    f = tmp_path / "chain.csv"
+    f.write_text("strike,put_price\n0.5,1e-12\n0.5001,1.01e-10\n0.5002,2.01e-10\n1.0,0.125\n1.6,0.665\n")
+    code, out, err = run(capsys, ["bounds", "--input", str(f), "--forward", "1", "--discount", "1",
+                                  "--maturity", "1", "--weight", weight])
+    assert (code, err) == (0, "")
+    report = parse_report(out)
+    assert report["market"]["n_min"] == 1
+    assert report["european"]["lower_value_normalized"] <= report["european"]["upper_value_normalized"]
 
 
 def test_free_put_past_the_forward_within_tolerance():

@@ -239,11 +239,11 @@ def assert_subhedge_contract(nc, payoff, measure):
     assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff), abs=1e-8)
 
 
-def assert_trimmed_contract(nc, payoff):
+def assert_trimmed_contract(nc, payoff, oracle=True):
     """``lp_lower_bound`` on a trimmed-route chain: the measure reprices the full
     chain; the hedge holds no free strike, dominates exactly on the window,
     touches every atom and costs the measure integral; the value is at most
-    the grid-LP oracle's."""
+    the grid-LP oracle's, when ``oracle`` is set."""
     value, port, measure = lp_lower_bound(nc, payoff)
     assert measure.check(nc) == []
     assert np.all(port.puts[: nc.n_min] == 0.0) and np.all(port.puts[nc.top_index :] == 0.0)
@@ -255,7 +255,8 @@ def assert_trimmed_contract(nc, payoff):
         assert cost <= integral + 1e-8  # the flat tail was inadmissible
     else:
         assert cost == pytest.approx(integral, abs=1e-8)
-    assert value <= oracle_value(nc, payoff, measure) + ORACLE_SLACK
+    if oracle:
+        assert value <= oracle_value(nc, payoff, measure) + ORACLE_SLACK
     return value, port, measure
 
 
@@ -1191,6 +1192,11 @@ class TestGridLp:
         assert measure.check(nc) == []
         assert window_excess(nc, GAMMA, port) <= 1e-8
 
+    def test_no_grid_without_a_window(self):
+        nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])  # the cap lies below the free puts
+        with pytest.raises(ValueError, match="no window"):
+            build_lp_grid(nc, VANILLA)
+
     @pytest.mark.parametrize("weight,strikes,puts", LP_GRID_BELOW_FORWARD_CHAINS)
     def test_grid_reaches_the_forward(self, weight, strikes, puts):
         nc = chain_of(strikes, puts)
@@ -1241,9 +1247,19 @@ class TestTrimmedRoute:
         assert measure.mean_at_infinity > 0.0
         assert port.forward <= 0.0
 
+    @pytest.mark.parametrize("weight", CLI_WEIGHTS + ("inverse",))
+    def test_free_put_priced_above_zero(self, weight):
+        # The put at 0.5 costs 1e-12 (n_min = 1).  A window that set it to 0
+        # was not convex to EQ_TOL, and every weight raised.  The oracle is
+        # left out: its grid starts at 0.5, where a put costing 1e-12 makes
+        # the LP unbounded.
+        nc = chain_of([0.5, 0.5001, 0.5002, 1.0, 1.6], [1e-12, 1.01e-10, 2.01e-10, 0.125, 0.665])
+        assert (nc.n_min, nc.n_max) == (1, math.inf)
+        assert_trimmed_contract(nc, PAYOFFS_BY_NAME[weight], oracle=False)
+
     @pytest.mark.parametrize("weight", ["vanilla", "inverse"])
     def test_no_origin_cap_above_a_free_put(self, weight):
-        # The trimmed chain starts at k_0 = 0.4.  Its first two quotes lie on a
+        # The window starts at k_0 = 0.4.  Its first two quotes lie on a
         # ray through the origin to within 1e-12 (an atom of weight 1.15e-11
         # just above 0.5), which would fail the cheapest-to-deliver test had
         # the chain started at 0; from 0.4 no mass reaches the origin.

@@ -275,6 +275,19 @@ class TestLocalTime:
         for part, values in zip(ladder.partitions, shared):
             np.testing.assert_array_equal(values, searched_sweep(path, part, levels))
 
+    def test_profile_does_not_depend_on_the_time_unit(self):
+        # Times 0..64 and 0..64000: from t = 16384 on, t + 1e-12 rounds to t,
+        # so the partition time must be found with the tolerance that accepts it.
+        values = geometric_walk(3, n_steps=64).values
+        path, scaled = SampledPath(np.arange(65.0), values), SampledPath(1000.0 * np.arange(65.0), values)
+        part = np.arange(0, 65, 2)
+        for t in (None, 32.0, 64.0):
+            base = discrete_local_time(path, part, t=t)
+            profile = discrete_local_time(scaled, part, t=None if t is None else 1000.0 * t)
+            np.testing.assert_array_equal(profile.levels, base.levels)
+            np.testing.assert_array_equal(profile.values, base.values)
+            assert profile.time == 1000.0 * base.time
+
     def test_t_must_be_partition_time(self):
         path = geometric_walk(3, n_steps=64)
         part = np.arange(0, 65, 8)

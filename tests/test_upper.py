@@ -70,6 +70,14 @@ class TestSuperhedge:
             grid = verification_grid(nc, CORRIDOR_UP)
             assert dominates_above(ub.portfolio, CORRIDOR_UP, nc, grid)
 
+    def test_cap_below_the_free_puts_leaves_no_window(self):
+        # The put at 1 + 5e-13 is free, and caps the support below itself.
+        nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])
+        assert nc.window.k.size == 0
+        ub = superhedge(nc, VANILLA)
+        assert ub.value == float(VANILLA.value(1.0))
+        assert dominates_above(ub.portfolio, VANILLA, nc, verification_grid(nc, VANILLA))
+
     def test_relaxed_origin_with_free_put(self):
         nc = chain_of([0.5, 1.2], [0.0, 0.4])
         assert nc.n_min == 1
