@@ -31,8 +31,8 @@ put (n_min > 0) or above a strike priced at intrinsic value (finite n_max).
 ``lp_lower_bound`` solves every chain on that window, ``NormalizedChain.window``,
 and both hedges, this one and ``upper.superhedge``, come from their values at
 its strikes (``_portfolio_from_nodes``).  A dense-grid linear program over the
-same instruments is the independent primal oracle; only it samples a grid,
-and only it loads scipy.
+same node-value hedges is the independent primal oracle; only it samples a
+grid, and only it loads scipy.
 """
 
 from __future__ import annotations
@@ -951,8 +951,8 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
     Payoffs whose tail curvature moment converges approach their asymptote
     slowly, so the grid then reaches much further out; otherwise ten times
     the last strike suffices.  Either multiple applies to at least the unit
-    forward, else a chain far below it leaves the LP free to sell the
-    forward without bound.
+    forward: the worst-case tail atom, at k_n + c / w >= 1 + p_n (c the call
+    value at k_n, w <= 1 its weight), lies past it however low the chain ends.
     """
     k = nchain.window.k
     if k.size == 0:
@@ -975,28 +975,34 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
 
 
 def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray) -> float:
-    """Finite LP: the largest setup cost of a portfolio kept under the payoff at ``x_grid``."""
+    """Finite LP: the largest setup cost of a hedge kept under the payoff at ``x_grid``.
+
+    Its hedges are the solver's (``_portfolio_from_nodes``): values y at the strikes
+    of ``nchain.window`` and a tail slope phi of at most gamma, priced q.y + c phi at
+    the window's implied masses q (0 within EQ_TOL: a node without mass is free) and
+    call value c.  Rows are the grid points where mass can lie, divided by x - k_m past k_m.
+    """
     from scipy.optimize import linprog  # only the oracle loads scipy
 
+    k, c = nchain.window.k, _tail_constant(nchain.window)
+    q = np.diff(np.concatenate(([0.0], nchain.window.slopes, [1.0])))
+    q[np.abs(q) <= EQ_TOL] = 0.0
     x = np.asarray(x_grid, dtype=float)
     with np.errstate(all="ignore"):
         lam = payoff.value(x)
-    keep = np.isfinite(lam)
+    keep = np.isfinite(lam) & (x >= k[0]) & ((x <= k[-1]) | (c > 0.0))
     x, lam = x[keep], lam[keep]
-    if x.size < nchain.n + 2:
-        raise RuntimeError("constraint grid too small after dropping infinite rows")
-    A = np.column_stack([np.ones_like(x), x, np.maximum(nchain.k[None, 1:] - x[:, None], 0.0)])
-    b = np.concatenate(([1.0, 1.0], nchain.p[1:]))
+    past = np.maximum(x - k[-1], 0.0)
+    scale = 1.0 / np.where(past > 0.0, past, 1.0)
+    # Hat functions at the strikes (the last one 1 past k_m) and phi's column, empty when capped.
+    A = np.column_stack([np.interp(x, k, e) for e in np.eye(k.size)] + [past])
     res = linprog(
-        c=-b,
-        A_ub=A,
-        b_ub=lam,
-        bounds=[(None, None)] * (nchain.n + 2),
+        c=-np.append(q, c),
+        A_ub=A * scale[:, None],
+        b_ub=lam * scale,
+        bounds=[(None, None)] * k.size + [(None, payoff.asymptotic_slope)],
         method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if res.status == 3:
         raise Unbounded("grid LP unbounded: the lower bound is infinite")

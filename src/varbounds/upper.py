@@ -74,14 +74,14 @@ def extremal_upper_measure(nchain: NormalizedChain, z: float) -> AtomicMeasure:
     Its put-value curve is the chain interpolant on the strikes, straight to
     (z, z - 1) and slope one beyond, so every quoted put reprices exactly and
     the mean is one.  Weights are the slope changes at the nodes; z below the
-    admissibility threshold makes the weight at the last strike negative.
+    admissibility threshold makes the weight at the last strike negative.  A
+    cap below the free puts pins the support at the forward: z must be 1.
     """
     window = nchain.window
-    xs, vs = list(window.k), list(window.p)
+    xs, vs = (list(window.k), list(window.p)) if window.k.size else ([1.0], [0.0])
     if math.isfinite(nchain.n_max):
         if abs(z - xs[-1]) > 1e-9:
-            raise ValueError(f"with a finite n_max the support cap must be k_{nchain.top_index} = "
-                             f"{xs[-1]:.12g}")
+            raise ValueError(f"with a finite n_max the support cap must be {xs[-1]:.12g}")
     else:
         if z <= xs[-1] + 1e-12:
             raise ValueError("support cap z must exceed the last strike")

@@ -146,3 +146,20 @@ class TestExtremalMeasure:
         nc = single_put_chain(0.4)
         with pytest.raises(ValueError):
             extremal_upper_measure(nc, 1.0)
+
+    # A one-strike cap at the forward, and a cap below the free puts (an empty window).
+    PINNED_CHAINS = [([1.0], [0.0]), ([1.0, 1.0 + 5e-13], [0.0, 0.0])]
+
+    @pytest.mark.parametrize("strikes,puts", PINNED_CHAINS, ids=["one-strike", "empty-window"])
+    def test_pinned_support_is_the_dirac_at_the_forward(self, strikes, puts):
+        nc = chain_of(strikes, puts)
+        mu = extremal_upper_measure(nc, 1.0 + 5e-10)
+        np.testing.assert_array_equal(mu.atoms, [1.0])
+        np.testing.assert_array_equal(mu.weights, [1.0])
+        assert mu.check(nc) == []
+
+    @pytest.mark.parametrize("strikes,puts", PINNED_CHAINS, ids=["one-strike", "empty-window"])
+    def test_pinned_support_names_the_forward(self, strikes, puts):
+        nc = chain_of(strikes, puts)
+        with pytest.raises(ValueError, match=r"must be 1$"):
+            extremal_upper_measure(nc, 1.5)
