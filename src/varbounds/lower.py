@@ -9,7 +9,7 @@ puts.  Each interval's term w * lambda(chi) is the perspective of the
 convex payoff applied to an affine map of (zeta_{i-1}, zeta_i), so the
 objective is convex with a tridiagonal Hessian.  One backwards recursion
 over a coarse policy grid (32 points per interval by default) gives the
-warm start, and a projected Newton solve over the box of intervals takes it
+warm start, and a projected Newton solve over the same intervals takes it
 to machine precision; each Newton step is one O(n) LDL^T solve of the
 tridiagonal system on Python floats, and each trial point one evaluation of
 the payoff, its slope and its curvature at all atoms.  Weights within
@@ -19,9 +19,7 @@ by the first-order residual of the weights it moved.  Where the solve
 reaches the optimum its value agrees across warm-start grids to about
 1e-12, but the optimal measure, and so the hedge, need not: on some dense
 chains the hedge built from one grid's solve fails its checks where another
-grid's passes.  Some small corridor chains stall short of the optimum from
-every grid, their values moving with the grid by up to 3e-4, and their
-hedges fail contact.
+grid's passes.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
@@ -45,8 +43,7 @@ import numpy as np
 from .chain import EQ_TOL, NormalizedChain, validate_puts
 from .payoff import ConvexPayoff, check_c1
 
-_ZERO_W = 1e-15          # cumulative-weight increments below this carry no atom
-_MIN_ATOM_WEIGHT = 1e-11  # reported measures drop dust atoms below this weight
+_MIN_ATOM_WEIGHT = 1e-11  # a weight of at most this carries no atom, in the solve and in the measure
 _ATOM_BOX_TOL = 1e-10    # atom may exceed its interval by at most this
 _FORWARD_TOL = 1e-8
 _WEIGHT_SUM_TOL = 1e-10  # AtomicMeasure.check: weights sum to one to within this
@@ -54,9 +51,8 @@ _MOMENT_TOL = 1e-8  # AtomicMeasure.check: forward and put prices repriced to wi
 _DOMINATION_TOL = 1e-8
 _CONTACT_TOL = 1e-8
 _ON_STRIKE = 1e-9  # an atom this close to a strike, relative to its interval, sits on it
-_FIXED_WIDTH = 1e-13  # policy intervals at most this wide hold their weight fixed
 _NOISE = 64 * np.finfo(float).eps  # relative rounding level of the policy objective
-_SNAP = 1e-12  # a weight this close to a bound of its interval sits on it
+_SNAP = 1e-12  # a weight this close to a bound of its interval sits on it; an interval this wide is a point
 DEFAULT_GRID = 32
 MIN_GRID = 8  # the recursion raises smaller grids to this many points per interval
 _GRID_BLOCK = 1 << 16  # grid pairs whose segment terms the recursion evaluates at once
@@ -225,8 +221,13 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
     """Closed intervals A_i for the cumulative weights, as an (n, 2) array.
 
     A_i runs from the chain slope into strike i to the slope out of it; the
-    final interval is capped at total mass 1.  Requires a consistent chain
-    with n_min = 0 and n_max infinite, such as ``NormalizedChain.window``.
+    final interval is capped at total mass 1.  Neighbours share their edge,
+    one float: the edges are the running maximum of the slopes (convexity to
+    ``EQ_TOL`` lets a slope dip), then 1, and an interval at most ``_SNAP``
+    wide (collinear quotes) collapses onto its right edge, lifting the one
+    before it, so no rounding-wide gap is left to hold a dust atom.  Requires
+    a consistent chain with n_min = 0 and n_max infinite, such as
+    ``NormalizedChain.window``.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("feasible policy sets need a consistent chain")
@@ -235,9 +236,11 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
             f"policy recursion needs n_min = 0 and unbounded n_max, got "
             f"({nchain.n_min}, {nchain.n_max})"
         )
-    s = nchain.slopes
-    # Convexity holds to EQ_TOL only: a rounded slope may dip below its predecessor.
-    return np.column_stack([s, np.maximum(np.append(s[1:], 1.0), s)])
+    edges = np.append(np.maximum.accumulate(nchain.slopes), 1.0).tolist()
+    for j in range(len(edges) - 2, -1, -1):
+        if edges[j + 1] - edges[j] <= _SNAP:
+            edges[j] = edges[j + 1]
+    return np.column_stack([edges[:-1], edges[1:]])
 
 
 def atoms_from_policy(nchain: NormalizedChain, zeta) -> AtomicMeasure:
@@ -314,7 +317,7 @@ def _segment_value(nchain, payoff, i, a, b):
     """Term w * lambda(chi) of segment(s) ``i``; ``i``, ``a`` and ``b`` broadcast."""
     k = nchain.k
     w = b - a
-    live = w > _ZERO_W
+    live = w > _MIN_ATOM_WEIGHT
     chi = np.clip(_atom(nchain, i, a, b), k[i - 1], k[i])
     with np.errstate(all="ignore"):
         return np.where(live, w * payoff.value(chi), np.where(w >= -1e-12, 0.0, np.inf))
@@ -330,7 +333,7 @@ def _tail_value(nchain, payoff, z):
     """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit (``_tail_limit``) at z = 1."""
     c = _tail_constant(nchain)
     w = 1.0 - z
-    live = w > _ZERO_W
+    live = w > _MIN_ATOM_WEIGHT
     with np.errstate(all="ignore"):
         vals = w * payoff.value(nchain.k[-1] + c / np.where(live, w, 1.0))
     return np.where(live, vals, _tail_limit(nchain, payoff))
@@ -455,17 +458,17 @@ def _policy_state(nchain, payoff, zeta) -> _PolicyState:
     to grad[i-1], -T_i(k_{i-1}) to grad[i-2] and lambda''(chi) / w [[A^2, AB],
     [AB, B^2]] to the Hessian, A = chi - k_{i-1}, B = k_i - chi; the tail adds
     its term, -T_{n+1}(k_n) and lambda''(chi_t) (chi_t - k_n)^2 / w_t.  A
-    vanishing atom (w = 0) takes its one-sided limits, chi = k_i as zeta_i rises
-    and chi = k_{i-1} as zeta_{i-1} falls, and adds no curvature.  One call of
+    vanishing atom (w <= ``_MIN_ATOM_WEIGHT``) takes its one-sided limits,
+    chi = k_i as zeta_i rises and chi = k_{i-1} as zeta_{i-1} falls, and adds no curvature.  One call of
     each payoff function serves all points; the value is ``policy_objective``'s.
     """
     k, n = nchain.k, zeta.size
     prev = np.concatenate(([0.0], zeta[:-1]))
     w = zeta - prev
-    live = w > _ZERO_W
+    live = w > _MIN_ATOM_WEIGHT
     chi = np.where(live, np.clip(_atom(nchain, np.arange(1, n + 1), prev, zeta), k[:-1], k[1:]), k[1:])
     w_tail = 1.0 - float(zeta[-1])
-    chi_tail = k[-1] + _tail_constant(nchain) / max(w_tail, _ZERO_W)
+    chi_tail = k[-1] + _tail_constant(nchain) / max(w_tail, _MIN_ATOM_WEIGHT)
     # Tangent points: the atoms (right ends), the atoms or vanishing limits
     # k_{i-1} (left ends of segments 2..n), the tail atom (its left end k_n).
     x = np.concatenate((chi, np.where(live[1:], chi[1:], k[1:-1]), [chi_tail]))
@@ -474,12 +477,12 @@ def _policy_state(nchain, payoff, zeta) -> _PolicyState:
         tangent = lam + payoff.slope(x) * (np.concatenate((k[1:], k[1:-1], k[-1:])) - x)
         curvature = payoff.curvature(np.append(chi, chi_tail))
         segments = np.where(live, w * lam[:n], np.where(w >= -1e-12, 0.0, np.inf))
-        tail = w_tail * lam[-1] if w_tail > _ZERO_W else _tail_limit(nchain, payoff)
+        tail = w_tail * lam[-1] if w_tail > _MIN_ATOM_WEIGHT else _tail_limit(nchain, payoff)
         h = np.where(live, curvature[:n] / np.where(live, w, 1.0), 0.0)
         A, B = chi - k[:-1], k[1:] - chi
         diag = h * B * B
         diag[:-1] += (h * A * A)[1:]
-        diag[-1] += curvature[-1] * (chi_tail - k[-1]) ** 2 / max(w_tail, _ZERO_W)
+        diag[-1] += curvature[-1] * (chi_tail - k[-1]) ** 2 / max(w_tail, _MIN_ATOM_WEIGHT)
         off = (h * A * B)[1:]
     return _PolicyState(zeta, float(np.sum(segments) + tail), tangent[:n] - tangent[n:], diag, off)
 
@@ -504,15 +507,15 @@ def _project(z, lo, hi) -> np.ndarray:
     atom release do not see them as on it, and the solve can stall short of
     the optimum.  A weight within ``_SNAP`` of a bound moves onto it, save
     the last weight's cap at total mass 1: the tail term has its own limit
-    there.  Two weights that straddle their shared bound s_i with less than
-    a dust atom between them both move onto it; that atom's curvature grows
-    as 1 / weight, so Newton steps could not close it.
+    there.  Two weights that straddle their shared bound with no atom
+    between them (``_MIN_ATOM_WEIGHT``) both move onto it; a dust atom's
+    curvature would grow as 1 / weight, so Newton steps could not close it.
     """
     z = np.clip(z, lo, hi)
     up = hi - z <= _SNAP
     up[-1] = False
     z = np.where(z - lo <= _SNAP, lo, np.where(up, hi, z))
-    dust = np.flatnonzero((np.diff(z) <= _MIN_ATOM_WEIGHT) & (hi[:-1] == lo[1:]))
+    dust = np.flatnonzero(np.diff(z) <= _MIN_ATOM_WEIGHT)
     z[dust], z[dust + 1] = hi[dust], lo[dust + 1]
     return z
 
@@ -611,7 +614,7 @@ def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.n
     theta, least where lambda'(chi) = -(r_a + r_b) / dk.
     """
     k, z, g = nchain.k, state.zeta, state.grad
-    i = 1 + np.flatnonzero((z[1:] - z[:-1] <= _ZERO_W) & (z[:-1] >= hi[:-1]) & (z[1:] <= lo[1:])
+    i = 1 + np.flatnonzero((z[:-1] >= hi[:-1]) & (z[1:] <= lo[1:])
                            & (lo[:-1] < hi[:-1]) & (lo[1:] < hi[1:]))  # zeta_i, 0-based
     if i.size == 0:
         return None
@@ -662,16 +665,6 @@ def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi) -> _PolicyState
     return None
 
 
-def _policy_boxes(sets) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) of the weights in the Newton solve.
-
-    An interval only rounding wide (collinear quotes) pins its weight at the
-    right end: the next atom then sits on its strike, not at huge curvature.
-    """
-    hi = sets[:, 1]
-    return np.where(hi - sets[:, 0] <= _FIXED_WIDTH, hi, sets[:, 0]), hi
-
-
 def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
     """Minimize the convex policy objective over the boxes A_i.
 
@@ -680,7 +673,7 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
     slope are pushed inward and vanishing atoms reopened before the point is
     accepted as optimal.
     """
-    lo, hi = _policy_boxes(sets)
+    lo, hi = sets[:, 0], sets[:, 1]
     state = _policy_state(nchain, payoff, _project(policy, lo, hi))
     for _ in range(200):  # a cap only: solves take a few dozen steps at most
         for direction in (_newton_direction, _inward_push, _vanishing_atom_release):
@@ -708,10 +701,9 @@ def dp_lower_bound(
     ``MIN_GRID``) gives the warm start; a projected Newton solve on the
     tridiagonal Hessian takes it toward the optimum.  Where it reaches the
     optimum the value does not depend on ``grid`` beyond rounding, but the
-    measure can, and some small corridor chains stall short of it from every
-    grid (see the module docstring).  The recursion makes O(n grid^2) payoff
-    evaluations.  The value includes the analytic boundary-limit tail term;
-    the measure records any escaped forward mass in ``mean_at_infinity``.
+    measure can (see the module docstring).  The recursion makes O(n grid^2)
+    payoff evaluations.  The value includes the analytic boundary-limit tail
+    term; the measure records any escaped forward mass in ``mean_at_infinity``.
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)
@@ -823,7 +815,7 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
     a vanishing atom that is the reopening test of ``_vanishing_atom_release``.
     """
     k = nchain.window.k
-    live = measure.weights > _ZERO_W
+    live = measure.weights > _MIN_ATOM_WEIGHT
     atoms = np.sort(measure.atoms[live])
     if atoms.size == 0:
         raise ReconstructionFailure("the measure has no atoms")
@@ -888,7 +880,7 @@ def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
     if not excess <= _DOMINATION_TOL:
         return (f"domination: the hedge exceeds the payoff by {excess:.3g} at x = {x:.6g} "
                 f"(tail slope {portfolio.tail_slope():.6g})")
-    atoms = measure.atoms[measure.weights > _ZERO_W]
+    atoms = measure.atoms[measure.weights > _MIN_ATOM_WEIGHT]
     if atoms.size:
         gap = np.nan_to_num(np.abs(portfolio.payoff(atoms) - payoff.value(atoms)), nan=np.inf)
         j = int(np.argmax(gap))
@@ -953,6 +945,7 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
     the last strike suffices.  Either multiple applies to at least the unit
     forward: the worst-case tail atom, at k_n + c / w >= 1 + p_n (c the call
     value at k_n, w <= 1 its weight), lies past it however low the chain ends.
+    Every strike is a point, the origin too when the window starts there.
     """
     k = nchain.window.k
     if k.size == 0:
@@ -961,7 +954,7 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
     hi = float(k[-1])
     if not math.isfinite(nchain.n_max):
         hi = (10.0 if payoff.tail_curvature_divergent else 500.0) * max(hi, 1.0)
-    pieces = [k[k >= lo]]
+    pieces = [k]
     if payoff.barrier is not None and lo < payoff.barrier < hi:
         pieces.append(np.asarray([payoff.barrier]))
     if extra is not None:
@@ -980,8 +973,11 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     Its hedges are the solver's (``_portfolio_from_nodes``): values y at the strikes
     of ``nchain.window`` and a tail slope phi of at most gamma, priced q.y + c phi at
     the window's implied masses q (0 within EQ_TOL: a node without mass is free) and
-    call value c.  Rows are the grid points where mass can lie, divided by x - k_m past k_m.
+    call value c.  Rows are the grid points where mass can lie, divided by x - k_m past k_m,
+    at 0 the payoff's limit there (none where it is infinite).  With no window, payoff(1).
     """
+    if nchain.window.k.size == 0:
+        return payoff.at_one()
     from scipy.optimize import linprog  # only the oracle loads scipy
 
     k, c = nchain.window.k, _tail_constant(nchain.window)
@@ -989,7 +985,7 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     q[np.abs(q) <= EQ_TOL] = 0.0
     x = np.asarray(x_grid, dtype=float)
     with np.errstate(all="ignore"):
-        lam = payoff.value(x)
+        lam = np.where(x > 0.0, payoff.value(x), payoff.origin_value)
     keep = np.isfinite(lam) & (x >= k[0]) & ((x <= k[-1]) | (c > 0.0))
     x, lam = x[keep], lam[keep]
     past = np.maximum(x - k[-1], 0.0)

@@ -33,7 +33,7 @@ from varbounds.lower import (
     lp_lower_bound,
     policy_objective,
 )
-from varbounds.swap import compute_lower
+from varbounds.swap import compute_lower, swap_rate_bounds
 from conftest import (
     lognormal_chain,
     random_consistent_chain,
@@ -184,6 +184,36 @@ START_DEPENDENT_CHAINS = [
       0.12269133149997556, 0.36536472611781884, 0.5919908253422417, 0.7996263696586416]),
 ]
 
+# chain-batch ops (strikes, puts) of the weight corridor-down:0.9 whose Newton
+# solve stalled from every warm start, its values moving with the grid by up
+# to 3e-4, and whose subhedge missed contact by 3.8e-7 to 5.2e-3: one weight
+# of 1.1e-15 to 2.1e-14 sat in the rounding-wide gap between two intervals,
+# a dust atom of curvature 1 / weight (seed/op 50/476, 71/229, 82/221,
+# 84/401 and 95/269).
+DUST_STALL_CHAINS = [
+    ([0.44645346572092026, 0.7525101288037676, 1.053248987255003, 1.057286571976093,
+      1.377648273940111, 1.4176068138562823, 1.8879807905085348],
+     [0.10425366781936886, 0.30380338866747886, 0.5110626044149981, 0.5138451734754675,
+      0.7346278001255224, 0.762165896426385, 1.0977911903918058]),
+    ([0.21268176225114127, 0.6500889174000816, 1.1943771284888927, 1.2031947660365683,
+      1.566267668411303, 1.7007526011566312, 1.7533043859362643, 1.8152529234761192],
+     [0.01120673445424318, 0.07345592289601147, 0.3909620266368614, 0.39610572382692366,
+      0.607901350221768, 0.7088474735851014, 0.7605551487975699, 0.8215086420505651]),
+    ([0.41723358361904167, 0.5403125918688808, 0.9799815511636233, 1.0440355847537193,
+      1.144781847646434, 2.1569864680212474],
+     [0.025260803915411145, 0.06961299237113089, 0.406384140670506, 0.45544730510209464,
+      0.5326154424563296, 1.3429642355948987]),
+    ([0.2783670778567956, 0.33271792602714223, 0.5792689364942772, 0.8222980325661431,
+      0.8657862462791978, 1.114249371570755, 1.1185879952164843, 1.4482332103425963],
+     [0.05065856137739987, 0.06824582088547816, 0.14802666606150985, 0.2268524877955131,
+      0.24313445838638623, 0.3806959079625611, 0.38309798415463847, 0.5656058455742614]),
+    ([0.14707790374493174, 0.6764790080892085, 0.8267295333351172, 1.2786521938777022,
+      1.3415261053357384, 1.6061319165890753],
+     [0.006633682945134283, 0.07206741175530469, 0.13740793065229898, 0.46217659619509976,
+      0.5073601598986032, 0.6975158739591479]),
+]
+DUST_STALL_IDS = ["50/476", "71/229", "82/221", "84/401", "95/269"]
+
 # Chains on which the grid LP over cash, a free forward and every put failed
 # (weight, strikes, puts).  HiGHS gave up on chain-batch seed 81 op 59, seed
 # 112 op 89 and the third bench/known_defects.json entry, whose strikes 2 and
@@ -191,7 +221,9 @@ START_DEPENDENT_CHAINS = [
 # above the bound, holding a forward that the grid's end left unchecked.
 # The free-put chain, its put at 0.5 costing 1e-12, was unbounded for every
 # weight, and the one-strike cap at the forward raised on its default grid,
-# which is that one strike.
+# which is that one strike.  The node-value LP was unbounded on the last
+# chain, whose first two quotes lie on a ray through the origin, until its
+# grid held the origin: y_0 then rose without limit as y_1 fell at no cost.
 FREE_PUT_CHAIN = ([0.5, 0.5001, 0.5002, 1.0, 1.6], [1e-12, 1.01e-10, 2.01e-10, 0.125, 0.665])
 ORACLE_FAILURE_CHAINS = [
     ("vanilla",
@@ -214,10 +246,10 @@ ORACLE_FAILURE_CHAINS = [
     ("inverse", [1.7363207281811075], [1.4094052880133092]),
 ] + [(w, *FREE_PUT_CHAIN) for w in CLI_WEIGHTS + ("inverse",)] + [
     (w, [1.0], [0.0]) for w in CLI_WEIGHTS + ("inverse",)
-]
+] + [(w, [0.5, 0.8, 1.2], [0.05, 0.08, 0.25]) for w in ("gamma", "corridor-up:1.0")]
 ORACLE_FAILURE_IDS = ["81/59", "112/89", "known-defect-3", "54/201", "103/199", "110/296"] + [
     f"{chain}-{w}" for chain in ("free-put", "pinned") for w in CLI_WEIGHTS + ("inverse",)
-]
+] + ["origin-ray-gamma", "origin-ray-corridor-up:1.0"]
 
 # The grid LP solves to feasibility tolerance 1e-10: a sampled relaxation
 # sits above the optimum only to within this.
@@ -300,8 +332,8 @@ def oracle_value(nc, payoff, measure):
 
 def final_kkt_residual(nc, payoff, policy):
     """First-order residual of a solved policy, on the boxes of the Newton solve."""
-    lo, hi = lower._policy_boxes(feasible_policy_sets(nc))
-    return lower._kkt_residual(lower._policy_state(nc, payoff, policy), lo, hi)
+    sets = feasible_policy_sets(nc)
+    return lower._kkt_residual(lower._policy_state(nc, payoff, policy), sets[:, 0], sets[:, 1])
 
 
 def chain_of(strikes, prices):
@@ -352,13 +384,22 @@ class TestPolicySets:
         sets = feasible_policy_sets(nc)
         assert np.all(sets[:, 1] >= sets[:, 0])
 
-    def test_left_endpoints_nondecreasing(self):
+    def test_neighbouring_intervals_share_one_edge(self):
+        # The edges are the running maximum of the slopes, each moved up by at
+        # most _SNAP where a rounding-wide interval collapsed to a point, then
+        # 1; no gap between two intervals is left to hold a dust atom.
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            nc = random_consistent_chain(rng)
+        chains = [random_consistent_chain(rng) for _ in range(200)] + [chain_of(*ROUNDED_SLOPES_CHAIN)]
+        chains += [chain_of(strikes, puts) for _, strikes, puts in DEGENERATE_POLICY_CHAINS]
+        chains += [chain_of(strikes, puts) for strikes, puts in DUST_STALL_CHAINS]
+        for nc in chains:
             sets = feasible_policy_sets(nc)
-            assert np.all(np.diff(sets[:, 0]) >= -1e-12)
-            assert np.all(sets[:, 1] - sets[:, 0] >= -1e-12)
+            width = sets[:, 1] - sets[:, 0]
+            assert np.array_equal(sets[1:, 0], sets[:-1, 1])
+            assert np.all(np.diff(sets[:, 0]) >= 0.0) and np.all(width >= 0.0) and sets[-1, 1] == 1.0
+            assert np.all((width == 0.0) | (width > lower._SNAP))
+            moved = sets[:, 0] - np.maximum.accumulate(nc.slopes)
+            assert np.all((moved >= 0.0) & (moved <= lower._SNAP))
 
 
 class TestAtomsFromPolicy:
@@ -492,6 +533,27 @@ class TestDpLowerBound:
                 values.append(sol.value)
             # 1e-13, not 1e-12: the stall on the last chain cost only 8.9e-13
             assert max(values) - min(values) <= 1e-13
+
+    def test_no_solved_weight_is_dust(self):
+        # A weight of at most _MIN_ATOM_WEIGHT carries no atom, in the solve as
+        # in the measure; the solve closes it rather than stall on its
+        # curvature of 1 / weight.  The tail weight 1 - zeta_n counts too.
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            nc = random_consistent_chain(rng)
+            for payoff in SUBHEDGE_PAYOFFS:
+                w = np.diff(np.concatenate(([0.0], dp_lower_bound(nc, payoff).policy, [1.0])))
+                assert not np.any((w > 0.0) & (w <= lower._MIN_ATOM_WEIGHT))
+
+    @pytest.mark.parametrize("strikes,puts", DUST_STALL_CHAINS, ids=DUST_STALL_IDS)
+    def test_dust_stalled_chains_solve_from_every_grid(self, strikes, puts):
+        nc = chain_of(strikes, puts)
+        spec = parse_weight("corridor-down:0.9")
+        reports = [swap_rate_bounds(nc, spec, grid=grid) for grid in (8, 32, 200)]
+        values = [report.lower_value for report in reports]
+        assert max(values) - min(values) <= 1e-12
+        payoff = make_payoff(spec)
+        assert values[0] <= oracle_value(nc, payoff, reports[0].lower_measure) + ORACLE_SLACK
 
     @pytest.mark.parametrize("sigma", [0.2, 0.5])
     @pytest.mark.parametrize("n", [200, 400, 1000])
@@ -705,8 +767,9 @@ class TestPolicyKernel:
 
 def edge_policies(nc, rng):
     """A random policy in the boxes, then the edges of the kernel: the last
-    weight exactly 1 and one ulp below (the tail limit), a vanishing atom, a
-    dust atom below ``_ZERO_W``, and an increment below -1e-12 (objective inf)."""
+    weight exactly 1 and one ulp below (the tail limit), a vanishing atom,
+    dust atoms of at most ``_MIN_ATOM_WEIGHT`` (1e-16 and 1e-12), and an
+    increment below -1e-12 (objective inf)."""
     sets = feasible_policy_sets(nc)
     zeta = sets[:, 0] + rng.uniform(size=nc.n) * (sets[:, 1] - sets[:, 0])
     yield zeta
@@ -714,7 +777,7 @@ def edge_policies(nc, rng):
         yield np.append(zeta[:-1], last)
     if nc.n > 1:
         j = int(rng.integers(1, nc.n))
-        for gap in (0.0, 1e-16, -1e-9):
+        for gap in (0.0, 1e-16, 1e-12, -1e-9):
             z = zeta.copy()
             z[j] = z[j - 1] + gap
             yield z
@@ -1229,6 +1292,13 @@ class TestGridLp:
         nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])  # the cap lies below the free puts
         with pytest.raises(ValueError, match="no window"):
             build_lp_grid(nc, VANILLA)
+
+    def test_no_window_pins_the_oracle_at_the_forward(self):
+        # On a grid of its own the LP has no strike to hold a node value:
+        # all mass sits at the forward, so the value is payoff(1).
+        nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])
+        for payoff in SUBHEDGE_PAYOFFS:
+            assert lower.solve_grid_lp(nc, payoff, np.geomspace(0.5, 2.0, 100)) == payoff.at_one()
 
     @pytest.mark.parametrize("weight,strikes,puts", LP_GRID_BELOW_FORWARD_CHAINS)
     def test_grid_reaches_the_forward(self, weight, strikes, puts):
