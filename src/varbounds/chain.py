@@ -194,7 +194,7 @@ def interpolant_r(nchain: NormalizedChain, x):
     """Piecewise-linear price interpolant on [0, k_n], extended right with slope 1.
 
     The slope-1 extension is the no-arbitrage ceiling for put prices beyond
-    the last quoted strike; the upper-bound construction relies on it.
+    the last quoted strike.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0

@@ -22,7 +22,7 @@ from .lower import AtomicMeasure, DualSolution, HedgePortfolio
 from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, make_payoff
 from .serialize import round_floats
 
-BOUNDARY_TOL = 1e-6  # quotes are finite precision; exact boundary hits need a band
+BOUNDARY_TOL = 2e-6  # swap-rate band: quotes are finite precision; exact boundary hits need a band
 _NOTES = ("swap-quote classification assumes the equivalent European payoff trades alongside the swap",)
 
 
@@ -210,9 +210,9 @@ def classify_european(
     """Classify a quoted European price against the sub/super-replication band.
 
     Strictly inside the open band is consistent; strictly outside is a
-    model-independent arbitrage on the named side; on the band edge the
-    verdict defers to dual existence on that side; the origin-cap failure is
-    a weak arbitrage regardless of the quote.
+    model-independent arbitrage on the named side; on the band edge, within
+    ``BOUNDARY_TOL`` in swap rate, the verdict defers to dual existence on
+    that side; the origin-cap failure is a weak arbitrage regardless of the quote.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("classification requires a consistent put chain")
@@ -223,7 +223,7 @@ def classify_european(
         return PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
     ub = upper_mod.superhedge(nchain, payoff)
     return classify_rate_against_bounds(
-        p_norm, solution.value, ub.value,
+        *(rate_from_european(v, payoff) for v in (p_norm, solution.value, ub.value)),
         lower_existence=existence, upper_existence=upper_dual_existence(nchain, payoff),
     )
 
@@ -243,7 +243,7 @@ def classify_rate_against_bounds(
     lower_existence: DualExistence | None = None,
     upper_existence: DualExistence | None = None,
 ) -> PriceVerdict:
-    """Classify a quote against a band given in the same units: swap rates or normalized prices.
+    """Classify a quoted swap rate against a swap-rate band (variance units).
 
     Used when only published bound values are available (no raw chain), and
     for every band this module computes.  A quote within ``BOUNDARY_TOL`` of
@@ -280,14 +280,13 @@ def swap_rate_bounds(
     upper_value = ub.value
     df = nchain.discount_factor * nchain.forward
     swap_lower = rate_from_european(lower_value, payoff)
-    swap_upper = rate_from_european(upper_value, payoff) if math.isfinite(upper_value) else math.inf
+    swap_upper = rate_from_european(upper_value, payoff)
 
     upper_existence = upper_dual_existence(nchain, payoff)
     quote_verdict = None
     if quoted_rate is not None:
-        p_equiv = european_from_rate(quoted_rate, payoff)
         quote_verdict = classify_rate_against_bounds(
-            p_equiv, lower_value, upper_value, lower_existence=lower_existence, upper_existence=upper_existence
+            quoted_rate, swap_lower, swap_upper, lower_existence=lower_existence, upper_existence=upper_existence
         )
     return BoundsReport(
         weight=weight.label(),
@@ -301,7 +300,7 @@ def swap_rate_bounds(
         lower_value=lower_value,
         upper_value=upper_value,
         lower_price=df * lower_value,
-        upper_price=df * upper_value if math.isfinite(upper_value) else math.inf,
+        upper_price=df * upper_value,
         swap_lower=swap_lower,
         swap_upper=swap_upper,
         vol_lower=vol_points(max(swap_lower, 0.0)),

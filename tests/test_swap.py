@@ -147,20 +147,24 @@ class TestClassifySwapQuote:
 
     @pytest.mark.parametrize("weight", ["vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "custom"])
     def test_one_verdict_from_every_entry_point(self, weight):
-        # quotes on, just inside and just outside the lower edge's boundary band
+        # rates on, just inside and just outside each finite edge's boundary band
         spec = parse_weight(weight)
         payoff = make_payoff(spec)
         rng = np.random.default_rng(15)
         for _ in range(4):
             nc = random_consistent_chain(rng)
             report = swap_rate_bounds(nc, spec)
-            for offset in (0.0, 5e-7, -5e-7, 2e-6, -2e-6):
-                rate = rate_from_european(report.lower_value + offset, payoff)
-                via_report = swap_rate_bounds(nc, spec, quoted_rate=rate).quote_verdict
-                via_band = classify_rate_against_bounds(
-                    european_from_rate(rate, payoff), report.lower_value, report.upper_value,
-                    lower_existence=report.lower_existence, upper_existence=report.upper_existence)
-                assert via_report == classify_swap_quote(nc, spec, rate) == via_band, (weight, offset)
+            edges = [e for e in (report.swap_lower, report.swap_upper) if math.isfinite(e)]
+            for edge in edges:
+                for offset in (0.0, 1e-6, -1e-6, 1.5e-6, -1.5e-6, 4e-6, -4e-6):
+                    rate = edge + offset
+                    via_report = swap_rate_bounds(nc, spec, quoted_rate=rate).quote_verdict
+                    via_band = classify_rate_against_bounds(
+                        rate, report.swap_lower, report.swap_upper,
+                        lower_existence=report.lower_existence, upper_existence=report.upper_existence)
+                    via_price = classify_european(nc, payoff, european_from_rate(rate, payoff), normalized=True)
+                    assert via_report == classify_swap_quote(nc, spec, rate) == via_band == via_price, (
+                        weight, edge, offset)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.8, max_value=3.0))

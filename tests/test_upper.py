@@ -93,6 +93,8 @@ class TestSuperhedge:
         assert ub.feasible
         mu = extremal_upper_measure(nc, 2.0)
         assert ub.value == pytest.approx(mu.integrate(GAMMA), abs=1e-8)
+        # past the cap at 2.0 no mass lies, so the check stops there
+        assert dominates_above(ub.portfolio, GAMMA, nc, np.geomspace(1e-3, 50, 4000))
 
     def test_lower_below_upper(self):
         rng = np.random.default_rng(16)
