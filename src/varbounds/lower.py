@@ -15,11 +15,14 @@ tridiagonal system on Python floats, and each trial point one evaluation of
 the payoff, its slope and its curvature at all atoms.  Weights within
 rounding of a bound are snapped onto it, dust atoms between two such
 weights are closed, and a step within rounding of the objective is judged
-by the first-order residual of the weights it moved.  Where the solve
-reaches the optimum its value agrees across warm-start grids to about
-1e-12, but the optimal measure, and so the hedge, need not: on some dense
-chains the hedge built from one grid's solve fails its checks where another
-grid's passes.
+by the first-order residual of the weights it moved.  A Newton step whose
+first-order gain sum |g_i d_i| is within rounding is tried in full only,
+not halved: by convexity no shorter step gains more (away from the tail
+term's switch at ``_MIN_ATOM_WEIGHT``, which the full step still meets).
+Where the solve reaches the optimum its value agrees across warm-start
+grids to about 1e-12, but the optimal measure, and so the hedge, need not:
+on some dense chains the hedge built from one grid's solve fails its checks
+where another grid's passes.
 
 The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
@@ -636,7 +639,7 @@ def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.n
     return d
 
 
-def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi) -> _PolicyState | None:
+def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi, newton=False) -> _PolicyState | None:
     """Armijo backtracking along the projection arc; None when no step helps.
 
     Only a decrease beyond rounding counts, else steps could trade rounding
@@ -644,9 +647,19 @@ def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi) -> _PolicyState
     residual of the weights it moved is accepted too, since the gradient
     still shrinks there.  Weights the step leaves in place (a step below one
     ulp) would otherwise hold the residual up and stall the solve.
+
+    A ``newton`` direction whose full step fails stops there when
+    sum |g_i d_i| over the finite slopes is within rounding: the projection
+    moves no weight further than alpha |d_i|, so by convexity no shorter
+    step lowers the objective by more than that sum.  The bound needs a
+    convex objective, which the jump of ``_tail_value`` at
+    ``_MIN_ATOM_WEIGHT`` breaks, so the full step is still tried.  It does
+    not hold for the other directions: an inward push moves only weights of
+    infinite slope, and a release gains from a kink the gradient misses.
     """
     finite = np.isfinite(state.grad)
     noise = _NOISE * (1.0 + abs(state.value))
+    at_floor = newton and float(np.sum(np.abs(state.grad[finite] * d[finite]))) <= noise
     alpha = 1.0
     for _ in range(60):
         trial = _project(state.zeta + alpha * d, lo, hi)
@@ -661,6 +674,8 @@ def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi) -> _PolicyState
             among = moved != 0.0
             if _kkt_residual(new, lo, hi, among) < _kkt_residual(state, lo, hi, among):
                 return new
+        if at_floor:
+            return None
         alpha *= 0.5
     return None
 
@@ -671,14 +686,17 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
     Projected Newton with active-set release (Bertsekas, SIAM J. Control
     Optim. 20(2), 1982); when no Newton step helps, weights with an infinite
     slope are pushed inward and vanishing atoms reopened before the point is
-    accepted as optimal.
+    accepted as optimal.  At the optimum the Newton step is rounding-wide,
+    and its line search does not halve a step whose first-order gain is
+    within rounding (``_line_search``): no shorter step can beat rounding.
     """
     lo, hi = sets[:, 0], sets[:, 1]
     state = _policy_state(nchain, payoff, _project(policy, lo, hi))
     for _ in range(200):  # a cap only: solves take a few dozen steps at most
         for direction in (_newton_direction, _inward_push, _vanishing_atom_release):
             d = direction(nchain, payoff, state, lo, hi)
-            new = None if d is None else _line_search(nchain, payoff, state, d, lo, hi)
+            newton = direction is _newton_direction
+            new = None if d is None else _line_search(nchain, payoff, state, d, lo, hi, newton)
             if new is not None:
                 break
         else:

@@ -190,7 +190,8 @@ def compute_lower(
 
     ``lp_lower_bound`` serves every chain: the policy recursion and the
     tangent subhedge on ``nchain.window``, where its mass lies.  Without
-    guaranteed dual existence ``tighten_tail`` lifts the tail in one solve.
+    guaranteed dual existence ``tighten_tail`` lifts the tail in one solve,
+    unless the measure has an atom past the window's last strike.
     """
     value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff, grid=grid)
     solution = DualSolution(value=value, measure=measure)
@@ -198,8 +199,12 @@ def compute_lower(
     if not existence.is_guaranteed:
         # The portfolio-dependent existence conditions presume the optimal
         # subhedge, whose tail is lifted as far toward the asymptotic slope
-        # as domination allows; apply the lift before consulting them.
-        portfolio = lower_mod.tighten_tail(nchain, payoff, portfolio)
+        # as domination allows; apply the lift before consulting them.  Past
+        # an atom beyond the window the tail is that atom's tangent, already
+        # the steepest ray under the payoff from k_n: the lift would be 0.
+        window = nchain.window
+        if not (window.n >= 1 and measure.atoms.max() > window.k[-1]):
+            portfolio = lower_mod.tighten_tail(nchain, payoff, portfolio)
         existence = dual_existence_lb(nchain, payoff, portfolio)
     return solution, portfolio, existence
 

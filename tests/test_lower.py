@@ -278,6 +278,16 @@ RELEASE_SNAP_CHAINS = [
      [0.013411648391525921, 0.04568558292885271, 0.05865474045518742, 0.07496480629682777]),
 ]
 
+# gamma chains (strikes, puts) that need an inward push of a weight whose
+# slope is infinite at an atom at 0: chain-batch seed 21 ops 365 and 475.
+INWARD_PUSH_CHAINS = [
+    ([0.1639612328345026, 2.6790829782610808, 2.689464200809268, 4.7291670683624165,
+      5.315796587976823, 5.40316928911489],
+     [0.0006282330642324871, 1.7730333606103037, 1.7831335252068345, 3.7676141193446204,
+      4.3383614159936155, 4.423368616122669]),
+    ([0.4699811933311046], [0.006460831667143041]),
+]
+
 # Every built-in weight, plus a custom payoff without a curvature density.
 SUBHEDGE_PAYOFFS = [make_payoff(parse_weight(w)) for w in CLI_WEIGHTS + ("inverse",)] + [
     make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
@@ -612,6 +622,30 @@ class TestDpLowerBound:
         assert grad[0] == -np.inf
         assert np.max(np.abs(grad[1:])) <= 1e-12
         assert_subhedge_contract(nc, GAMMA, sol.measure)
+
+
+class TestLineSearch:
+    def test_a_failed_newton_search_costs_one_evaluation(self, monkeypatch):
+        # At the optimum the Newton step is rounding-wide: once its full step
+        # fails, no shorter step can beat rounding, so none is evaluated.
+        nc = lognormal_chain(100)
+        sets = feasible_policy_sets(nc)
+        lo, hi = sets[:, 0], sets[:, 1]
+        state = lower._policy_state(nc, VANILLA, dp_lower_bound(nc, VANILLA).policy)
+        d = lower._newton_direction(nc, VANILLA, state, lo, hi)
+        calls = []
+        policy_state = lower._policy_state
+        monkeypatch.setattr(lower, "_policy_state", lambda *args: calls.append(args) or policy_state(*args))
+        assert lower._line_search(nc, VANILLA, state, d, lo, hi, newton=True) is None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("strikes,puts", INWARD_PUSH_CHAINS, ids=["21/365", "21/475"])
+    def test_the_floor_stays_off_the_other_directions(self, no_grid_lp, strikes, puts):
+        # An inward push moves only weights of infinite slope, so its finite
+        # first-order gain is 0; stopping it at the full step leaves a policy
+        # whose subhedge fails domination.
+        report = swap_rate_bounds(chain_of(strikes, puts), parse_weight("gamma"))
+        assert dominates_below(report.subhedge, GAMMA)
 
 
 class TestTridiagonalSolve:
