@@ -13,8 +13,7 @@ locally integrable (corridor payoffs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -68,12 +67,13 @@ class SampledPath:
 class PartitionLadder:
     """Nested partitions of a path's time grid, coarsest first.
 
-    Each partition is an index array into the path grid; the finest must be
-    the full grid and mesh sizes must strictly decrease.
+    Each partition is a strictly increasing index array into the path grid; the
+    finest must be the full grid and mesh sizes must strictly decrease.
     """
 
     path: SampledPath
     partitions: list
+    meshes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = [np.asarray(p, dtype=int) for p in self.partitions]
@@ -83,20 +83,19 @@ class PartitionLadder:
         full = self.path.times.size - 1
         if parts[-1].size != full + 1 or parts[-1][0] != 0 or parts[-1][-1] != full:
             raise ValueError("finest partition must equal the full grid")
+        steps = [np.diff(self.path.times[p]) for p in parts]
+        if any(step.min() <= 0.0 for step in steps):
+            raise ValueError("partitions must be strictly increasing")
+        object.__setattr__(self, "meshes", np.asarray([step.max() for step in steps]))
         if np.any(np.diff(self.meshes) >= 0.0):
             raise ValueError("mesh sizes must strictly decrease")
-        for coarse, fine in zip(parts, parts[1:]):  # ``meshes`` checked every index: small tables
+        for coarse, fine in zip(parts, parts[1:]):  # ``steps`` checked every index: small tables
             if not np.all(np.isin(coarse, fine, kind="table")):
                 raise ValueError("partitions must be nested")
 
     @property
     def depth(self) -> int:
         return len(self.partitions)
-
-    @cached_property
-    def meshes(self) -> np.ndarray:
-        t = self.path.times
-        return np.asarray([np.max(np.diff(t[p])) for p in self.partitions])
 
 
 def build_dyadic_ladder(path: SampledPath, depth: int) -> PartitionLadder:
@@ -196,50 +195,125 @@ def _default_levels(path: SampledPath, n_levels: int) -> np.ndarray:
     return np.linspace(lo - cell, hi + cell, n_levels)
 
 
+def _level_bins(u: np.ndarray, x: np.ndarray, idx=None, at=None) -> np.ndarray:
+    """Positions of the finite samples ``x`` among the sorted distinct levels ``u`` (NaN last),
+    counted in halves: ``np.searchsorted(u, x, side="left") + np.searchsorted(u, x, side="right")``.
+
+    The position is even between levels and odd on one; halved it gives the first level
+    ``>= x``, halved after adding one the first level ``> x``.  A uniform table of one cell
+    per finite level brackets each sample: the cell map is monotone, so the levels of lower
+    cells lie below the sample and those of higher cells above it.  One branch-free binary
+    search, as wide as the fullest cell, then finds the first level ``>= x`` in every bracket
+    at once; with at most one level in each cell it is a single step up.  ``idx`` (integer)
+    and ``at`` (float) are optional work buffers of at least ``x.size`` entries.
+    """
+    n = x.size
+    idx = np.empty(n, dtype=np.intp) if idx is None else idx[:n]
+    at = np.empty(n) if at is None else at[:n]
+    finite = u[np.isfinite(u)]
+    cells = max(finite.size, 1)
+    lo, scale = 0.0, 0.0  # one cell for every sample, and (x - 0) * 0 stays finite
+    if finite.size > 1:
+        with np.errstate(over="ignore"):
+            span = cells / (finite[-1] - finite[0])
+        if 0.0 < span < np.inf:
+            lo, scale = finite[0], span
+
+    def cell(v, c, out):  # subtract, scale, clip, truncate: each step is monotone in v
+        with np.errstate(over="ignore"):  # a far sample's overflow to inf clips like any other
+            np.multiply(np.subtract(v, lo, out=c), scale, out=c)
+        np.copyto(out, np.clip(c, 0, cells - 1, out=c), casting="unsafe")
+        return out
+
+    level_cells = cell(finite, np.empty(finite.size), np.empty(finite.size, dtype=np.intp))
+    # edges[c]: the first level of cell c or above; -inf lies below every cell
+    edges = np.count_nonzero(u == -np.inf) + np.searchsorted(level_cells, np.arange(cells + 1))
+    width = max(int(np.max(np.diff(edges))), 1)  # levels in the fullest cell
+    top = np.append(u, np.full(width, np.inf))  # a bracket may run past the last level
+    pos = edges.take(cell(x, at, idx))  # the first level of the sample's cell
+    step = np.empty(n, dtype=bool)
+    while width > 1:  # the first level >= x lies in [pos, pos + width]
+        half = width // 2
+        np.take(top, np.add(pos, half, out=idx), out=at, mode="clip")  # in range: clip skips a copy
+        np.add(pos, half, out=pos, where=np.less(at, x, out=step))
+        width -= half
+    np.take(top, pos, out=at, mode="clip")
+    pos += np.less(at, x, out=step)
+    np.take(top, pos, out=at, mode="clip")
+    pos += pos
+    pos += np.equal(at, x, out=step)
+    return pos
+
+
+def _regular(part: np.ndarray, n: int, scratch: np.ndarray):
+    """``part`` as a slice if it is a regular stride within ``n`` samples, read in place."""
+    k = part.size
+    if k > 1 and 0 <= part[0] < part[1] and part[-1] < n:
+        gaps = np.subtract(part[1:], part[:-1], out=scratch[:k - 1])
+        if np.all(gaps == gaps[0]):
+            return slice(int(part[0]), int(part[-1]) + 1, int(gaps[0]))
+    return part
+
+
+def _sweep(u: np.ndarray, x: np.ndarray, pos: np.ndarray, idx: np.ndarray, gap: np.ndarray,
+           sgn: np.ndarray) -> np.ndarray:
+    """Local time at the sorted levels ``u`` of the samples ``x`` at half-level positions ``pos``.
+
+    By monotonicity a step covers the levels from the first at or above its lower end up
+    to, not including, the first above its upper end.  Bins are level indices, so the
+    bins below the lowest sample are empty.  ``idx``, ``gap`` and ``sgn`` are work
+    buffers of at least one entry per step, shared by a ladder's partitions.
+    """
+    m = x.size - 1
+    idx, gap, sgn = idx[:m], gap[:m], sgn[:m]
+    first, last = int(pos.min()) // 2, (int(pos.max()) + 1) // 2  # levels outside meet no step: 0.0
+    left, right = x[:-1], x[1:]
+    np.sign(np.subtract(right, left, out=gap), out=sgn)
+    at = np.append(u[:last], 0.0)  # level of each bin; the last bin (past the top level) is dropped
+    np.minimum(pos[:-1], pos[1:], out=idx)
+    idx >>= 1  # the first level a step covers
+    np.take(at, idx, out=gap, mode="clip")  # each step's signed distance to its first, then last, level
+    enter = np.bincount(idx, np.multiply(sgn, np.subtract(right, gap, out=gap), out=gap), at.size)
+    opened = np.bincount(idx, sgn, at.size)
+    np.maximum(pos[:-1], pos[1:], out=idx)
+    idx += 1
+    idx >>= 1  # the first level past a step
+    np.take(at, idx, out=gap, mode="clip")
+    leave = np.bincount(idx, np.multiply(sgn, np.subtract(right, gap, out=gap), out=gap), at.size)
+    net = np.cumsum(opened - np.bincount(idx, sgn, at.size))
+    w = u[first:last]
+    drift = np.zeros(w.size)
+    drift[1:] = net[first:last - 1] * np.diff(w)  # steps still open, carried across each level gap
+    values = np.zeros(u.size)
+    values[first:last] = 2.0 * np.cumsum(enter[first:last] - leave[first:last] - drift)
+    return values
+
+
 def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np.ndarray]:
     """Local time of the samples ``x`` at ``levels`` along each partition, in level order.
 
-    Each visited sample is binned into the sorted distinct levels once; by monotonicity
-    a step covers the levels from the lower bin of its ends to the upper bin of its ends.
+    Each visited sample is binned into the sorted distinct levels once.  One partition is
+    binned on its own samples; a ladder bins every sample when one partition visits as many
+    samples as the path has, else only those some partition visits.  A partition of regular
+    stride is read in place, without a gather.
     """
     u, back = np.unique(levels, return_inverse=True)
-    if len(partitions) == 1:
-        visited = partitions[0]
+    n = max(part.size for part in partitions)
+    idx, gap, sgn = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n - 1)
+    parts = [_regular(part, x.size, idx) for part in partitions]
+    if len(parts) == 1:
+        xp = x[parts[0]]
+        return [_sweep(u, xp, _level_bins(u, xp, idx, gap), idx, gap, sgn)[back]]
+    if n == x.size:
+        pos = _level_bins(u, x, idx, gap)
     else:  # a mask of every sample some partition visits: no sort, no index array
         visited = np.zeros(x.size, dtype=bool)
-        for part in partitions:
+        for part in parts:
             visited[part] = True
-    xv = x[visited]
-    lower = np.searchsorted(u, xv, side="left")  # first level >= the sample
-    on_level = np.empty(x.size, dtype=bool)  # equal to that level: the first level > it is one further
-    on_level[visited] = np.append(u, np.nan)[lower] == xv
-    edges = np.empty(x.size, dtype=np.min_scalar_type(u.size))  # bin numbers: 2 bytes for 512 levels
-    edges[visited] = lower
-    del visited, xv, lower  # the sweeps need neither: keep their peak memory down
-    out = []
-    for part in partitions:
-        edge = edges[part]
-        first = edge.min()  # levels outside the path range (NaN included) meet no step: 0.0
-        start = np.minimum(edge[:-1], edge[1:]) - first
-        edge += on_level[part]  # in place: now the first level > the sample
-        last = edge.max()
-        stop = np.maximum(edge[:-1], edge[1:]) - first
-        w = u[first:last]
-        xp = x[part]
-        left, right = xp[:-1], xp[1:]
-        sgn = np.sign(right - left)
-        at = np.append(w, 0.0)  # level of each bin; the last bin (past every level) is dropped
-        gap = np.empty(sgn.size)  # one buffer for each step's signed distance to its first, then last, level
-        enter = np.bincount(start, np.multiply(sgn, np.subtract(right, at[start], out=gap), out=gap), at.size)
-        leave = np.bincount(stop, np.multiply(sgn, np.subtract(right, at[stop], out=gap), out=gap), at.size)
-        del edge, xp, left, right, gap  # likewise
-        net = np.cumsum(np.bincount(start, sgn, at.size) - np.bincount(stop, sgn, at.size))
-        drift = np.zeros(w.size)
-        drift[1:] = net[:-2] * np.diff(w)  # steps still open, carried across each level gap
-        values = np.zeros(u.size)
-        values[first:last] = 2.0 * np.cumsum(enter[:-1] - leave[:-1] - drift)
-        out.append(values[back])
-    return out
+        pos = np.empty(x.size, dtype=np.min_scalar_type(2 * u.size))  # 2 bytes for 512 levels
+        pos[visited] = _level_bins(u, x[visited])
+        del visited
+    return [_sweep(u, x[part], pos[part], idx, gap, sgn)[back] for part in parts]
 
 
 def discrete_local_time(
@@ -258,17 +332,21 @@ def discrete_local_time(
     steps that enter and leave there, minus the net sign of the steps still
     open times the level gap.  Every term is the distance from a step's end
     to a nearby level, so rounding stays close to that of the direct sum.
-    Each sample is binned into the distinct levels once, a lookup that a ladder
-    shares.  Cost O((N + L) log L) time and O(N + L) memory for N steps and L levels,
-    plus a flag and a bin number (2 bytes for 512 levels) per path sample.  Levels may
+    Each sample is binned into the distinct levels once, through a table of one
+    cell per level, a lookup that a ladder shares.  Cost O(N log c + L log L) time
+    and O(N + L) memory for N steps, L levels and at most c levels in one table
+    cell (c = 1 for evenly spaced levels, so the binning is linear).  Levels may
     come in any order, values come back in that order; outside the path range, exactly 0.0.
     """
     idx = np.asarray(partition, dtype=int)
     if t is None:
         t = float(path.times[idx[-1]])
+    times = path.times[idx]
+    if np.any(times[1:] <= times[:-1]):
+        raise ValueError("partition must be strictly increasing")
     tol = 1e-9 * max(1.0, abs(t))  # one tolerance both finds the partition time and accepts it
-    pos = np.searchsorted(path.times[idx], t + tol)
-    if pos == 0 or abs(path.times[idx[pos - 1]] - t) > tol:
+    pos = np.searchsorted(times, t + tol)
+    if pos == 0 or abs(times[pos - 1] - t) > tol:
         raise ValueError(f"t = {t} is not a partition time")
     if levels is None:
         levels = _default_levels(path, n_levels)
@@ -315,12 +393,15 @@ def verify_ito(path: SampledPath, f, ladder: PartitionLadder) -> np.ndarray:
     if mode == "local_time":  # one level lookup for the whole ladder
         levels = _default_levels(path, DEFAULT_LEVELS)
         profiles = _local_times(path.values, ladder.partitions, levels)
+    dx, term = np.empty(path.n_steps), np.empty(path.n_steps)  # sized for the finest level, the full grid
     residuals = []
     for i, part in enumerate(ladder.partitions):
-        riemann = follmer_integral(path, deriv, part)
+        x = path.values[part]  # each level's samples and increments serve both sums
+        m = x.size - 1
+        left, step, summand = x[:-1], np.subtract(x[1:], x[:-1], out=dx[:m]), term[:m]
+        riemann = float(np.sum(np.multiply(deriv(left), step, out=summand)))
         if mode == "riemann":
-            x = path.values[np.asarray(part, dtype=int)]
-            curv = float(np.sum(np.asarray(second(x[:-1])) * np.square(np.diff(x))))
+            curv = float(np.sum(np.multiply(second(left), np.square(step, out=summand), out=summand)))
         else:
             curv = LocalTimeProfile(levels, profiles[i], float(path.times[part[-1]])).integrate_against(second)
         residuals.append(abs(total - riemann - 0.5 * curv))

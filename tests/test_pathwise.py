@@ -143,6 +143,9 @@ class TestLadder:
             ([np.arange(0, 17, 2), np.arange(0, 17, 4), np.arange(17)], "decrease"),
             ([np.array([0, 4, 8, 12, 16]), np.array([0, 3, 6, 9, 12, 14, 16]), np.arange(17)], "nested"),
             ([np.array([0, 5, 16]), np.arange(0, 17, 2), np.arange(17)], "nested"),
+            ([np.array([0, 2, 1, *range(3, 17)])], "strictly increasing"),
+            ([np.array([0, 16, 8]), np.arange(17)], "strictly increasing"),
+            ([np.array([0, 8, 8, 16]), np.arange(17)], "strictly increasing"),
         ],
     )
     def test_invalid_ladders_rejected(self, partitions, message):
@@ -275,6 +278,19 @@ class TestLocalTime:
         for part, values in zip(ladder.partitions, shared):
             np.testing.assert_array_equal(values, searched_sweep(path, part, levels))
 
+    def test_irregular_partitions_match_per_partition_sweeps(self):
+        # Partitions of no regular stride are gathered, not read in place, with
+        # and without a partition that visits every sample.
+        path = arithmetic_walk(46, n_steps=1024)
+        rng = np.random.default_rng(46)
+        fine = np.arange(path.times.size)
+        mid = np.union1d(rng.choice(fine, 300, replace=False), [0, 1024])
+        coarse = np.union1d(rng.choice(mid, 40, replace=False), [0, 1024])
+        levels = np.linspace(path.values.min(), path.values.max(), 200)
+        for parts in ([coarse, mid, fine], [coarse, mid]):
+            for part, values in zip(parts, pathwise._local_times(path.values, parts, levels)):
+                np.testing.assert_array_equal(values, searched_sweep(path, part, levels))
+
     def test_profile_does_not_depend_on_the_time_unit(self):
         # Times 0..64 and 0..64000: from t = 16384 on, t + 1e-12 rounds to t,
         # so the partition time must be found with the tolerance that accepts it.
@@ -288,11 +304,64 @@ class TestLocalTime:
             np.testing.assert_array_equal(profile.values, base.values)
             assert profile.time == 1000.0 * base.time
 
+    @pytest.mark.parametrize("partition", [[0, 2, 1, 3, 4], [0, 4, 2], [0, 2, 2, 4]],
+                             ids=["permuted", "backward", "duplicated"])
+    def test_partition_must_increase(self, partition):
+        path = geometric_walk(3, n_steps=4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            discrete_local_time(path, np.array(partition))
+
     def test_t_must_be_partition_time(self):
         path = geometric_walk(3, n_steps=64)
         part = np.arange(0, 65, 8)
         with pytest.raises(ValueError):
             discrete_local_time(path, part, t=path.times[3])
+
+
+def _bin_cases():
+    """(name, levels, samples) for the level binning; levels may repeat and come unsorted."""
+    rng = np.random.default_rng(77)
+    walk = geometric_walk(44, n_steps=4096).values
+    lo, hi = walk.min(), walk.max()
+    even = np.linspace(lo, hi, 512)
+    yield "evenly-spaced", even, walk
+    yield "geometric", np.geomspace(1e-3, 1e3, 512), np.concatenate((walk, rng.uniform(-5.0, 1e3, 2000)))
+    cluster = 1.0 + np.linspace(0.0, 1e-9, 300)  # 300 of 302 levels in the first of 302 cells
+    yield "clustered", np.concatenate((cluster, [0.5, 2.0])), np.concatenate(
+        (cluster, rng.uniform(1.0, 1.0 + 1e-9, 500), rng.uniform(0.0, 3.0, 500)))
+    on = rng.permutation(np.concatenate((even[::7], walk[::97])))
+    ulps = np.concatenate((on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)))
+    yield "on-and-one-ulp-off", on, rng.permutation(ulps)
+    outside = np.array([lo - 1.0, hi + 1.0, lo - 1e-300, -1e308, 1e308, -np.finfo(float).max, np.finfo(float).max])
+    yield "outside", even[100:200], np.concatenate((outside, walk))
+    yield "nan-and-inf", rng.permutation(np.concatenate((even, [np.nan, np.nan, np.inf, -np.inf]))), np.concatenate(
+        (walk, outside, even))
+    yield "single", np.array([1.1]), np.concatenate((walk, [1.1, np.nextafter(1.1, 0.0), np.nextafter(1.1, 2.0)]))
+    yield "single-finite-and-inf", np.array([-np.inf, 1.1, np.inf, np.nan]), np.concatenate((walk, [1.1]))
+    yield "no-finite", np.array([np.nan, np.inf, -np.inf]), walk
+    yield "only-nan", np.array([np.nan]), walk
+    yield "span-overflows", np.array([-1e308, 0.0, 1e308]), np.concatenate((outside, [0.0, 5e-324, -5e-324]))
+    yield "span-underflows", np.array([0.0, 5e-324, 1e-323]), np.array([-1.0, 0.0, 5e-324, 7e-324, 1e-323, 1.0])
+    yield "duplicated", rng.choice(even[::16], 200), walk
+
+
+BIN_CASES = list(_bin_cases())
+
+
+class TestLevelBins:
+    @pytest.mark.parametrize("levels, x", [case[1:] for case in BIN_CASES], ids=[case[0] for case in BIN_CASES])
+    def test_matches_searchsorted(self, levels, x):
+        # Half-level positions: halved, the first level >= x; plus one and halved, the first > x.
+        u = np.unique(levels)
+        pos = pathwise._level_bins(u, x)
+        np.testing.assert_array_equal(pos // 2, np.searchsorted(u, x, side="left"))
+        np.testing.assert_array_equal((pos + 1) // 2, np.searchsorted(u, x, side="right"))
+
+    def test_work_buffers_do_not_change_the_bins(self):
+        u = np.unique(np.geomspace(1e-3, 1e3, 512))
+        x = geometric_walk(45, n_steps=1024, sigma=3.0).values
+        idx, at = np.full(2000, -7, dtype=np.intp), np.full(2000, np.nan)
+        np.testing.assert_array_equal(pathwise._level_bins(u, x, idx, at), pathwise._level_bins(u, x))
 
 
 class TestFollmerIntegral:
@@ -352,6 +421,26 @@ class TestVerifyIto:
             residuals = verify_ito(path, without, ladder)
             assert np.all(np.isfinite(residuals))
             np.testing.assert_allclose(residuals, verify_ito(path, analytic, ladder), rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("f", [SQUARE, NEG_LOG, make_payoff(WeightSpec.vanilla())],
+                             ids=["square", "neg-log", "vanilla"])
+    @pytest.mark.parametrize("seed, n_steps, depth", [(3, 4096, 7), (58, 2048, 9)])
+    def test_riemann_mode_matches_reference_sum(self, f, seed, n_steps, depth):
+        # |f(X_T) - f(X_0) - sum f'(x_j) dx_j - 0.5 sum f''(x_j) dx_j^2|, summed here, bit for bit.
+        path = geometric_walk(seed, n_steps=n_steps)
+        ladder = build_dyadic_ladder(path, depth)
+        value, deriv, second, mode = pathwise._as_test_function(f)
+        assert mode == "riemann"
+        total = float(value(path.values[-1])) - float(value(path.values[0]))
+        expected = []
+        for part in ladder.partitions:
+            x = path.values[part]
+            dx = np.diff(x)
+            ito = float(np.sum(np.asarray(deriv(x[:-1])) * dx))
+            assert follmer_integral(path, deriv, part) == ito
+            curv = float(np.sum(np.asarray(second(x[:-1])) * np.square(dx)))
+            expected.append(abs(total - ito - 0.5 * curv))
+        assert verify_ito(path, f, ladder).tolist() == expected
 
     @pytest.mark.parametrize("f", [make_payoff(WeightSpec.corridor_up(1.0))], ids=["corridor"])
     def test_local_time_mode_matches_per_partition_profiles(self, f):
