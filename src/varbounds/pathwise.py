@@ -204,7 +204,9 @@ def _level_bins(u: np.ndarray, x: np.ndarray, idx=None, at=None) -> np.ndarray:
     per finite level brackets each sample: the cell map is monotone, so the levels of lower
     cells lie below the sample and those of higher cells above it.  One branch-free binary
     search, as wide as the fullest cell, then finds the first level ``>= x`` in every bracket
-    at once; with at most one level in each cell it is a single step up.  ``idx`` (integer)
+    at once; with at most one level in each cell it is a single step up.  Each halving of
+    the fullest cell costs a pass over the samples, so the table is faster than a binary
+    search only for near-uniform levels, such as even or log-even grids.  ``idx`` (integer)
     and ``at`` (float) are optional work buffers of at least ``x.size`` entries.
     """
     n = x.size
@@ -245,16 +247,6 @@ def _level_bins(u: np.ndarray, x: np.ndarray, idx=None, at=None) -> np.ndarray:
     return pos
 
 
-def _regular(part: np.ndarray, n: int, scratch: np.ndarray):
-    """``part`` as a slice if it is a regular stride within ``n`` samples, read in place."""
-    k = part.size
-    if k > 1 and 0 <= part[0] < part[1] and part[-1] < n:
-        gaps = np.subtract(part[1:], part[:-1], out=scratch[:k - 1])
-        if np.all(gaps == gaps[0]):
-            return slice(int(part[0]), int(part[-1]) + 1, int(gaps[0]))
-    return part
-
-
 def _sweep(u: np.ndarray, x: np.ndarray, pos: np.ndarray, idx: np.ndarray, gap: np.ndarray,
            sgn: np.ndarray) -> np.ndarray:
     """Local time at the sorted levels ``u`` of the samples ``x`` at half-level positions ``pos``.
@@ -292,28 +284,23 @@ def _sweep(u: np.ndarray, x: np.ndarray, pos: np.ndarray, idx: np.ndarray, gap: 
 def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np.ndarray]:
     """Local time of the samples ``x`` at ``levels`` along each partition, in level order.
 
-    Each visited sample is binned into the sorted distinct levels once.  One partition is
-    binned on its own samples; a ladder bins every sample when one partition visits as many
-    samples as the path has, else only those some partition visits.  A partition of regular
-    stride is read in place, without a gather.
+    Each visited sample is binned into the sorted distinct levels once: one partition on
+    its own samples, a ladder on the whole path, which its finest partition visits.
     """
     u, back = np.unique(levels, return_inverse=True)
-    n = max(part.size for part in partitions)
-    idx, gap, sgn = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n - 1)
-    parts = [_regular(part, x.size, idx) for part in partitions]
-    if len(parts) == 1:
-        xp = x[parts[0]]
-        return [_sweep(u, xp, _level_bins(u, xp, idx, gap), idx, gap, sgn)[back]]
-    if n == x.size:
-        pos = _level_bins(u, x, idx, gap)
-    else:  # a mask of every sample some partition visits: no sort, no index array
-        visited = np.zeros(x.size, dtype=bool)
-        for part in parts:
-            visited[part] = True
-        pos = np.empty(x.size, dtype=np.min_scalar_type(2 * u.size))  # 2 bytes for 512 levels
-        pos[visited] = _level_bins(u, x[visited])
-        del visited
-    return [_sweep(u, x[part], pos[part], idx, gap, sgn)[back] for part in parts]
+    if len(partitions) == 1:
+        x, partitions = x[partitions[0]], [slice(None)]
+    idx, gap, sgn = np.empty(x.size, dtype=np.intp), np.empty(x.size), np.empty(x.size - 1)
+    pos = _level_bins(u, x, idx, gap)
+    return [_sweep(u, x[part], pos[part], idx, gap, sgn)[back] for part in partitions]
+
+
+def _partition_times(path: SampledPath, partition: np.ndarray) -> np.ndarray:
+    """Times of a partition, which must be strictly increasing."""
+    times = path.times[partition]
+    if np.any(times[1:] <= times[:-1]):
+        raise ValueError("partition must be strictly increasing")
+    return times
 
 
 def discrete_local_time(
@@ -341,9 +328,7 @@ def discrete_local_time(
     idx = np.asarray(partition, dtype=int)
     if t is None:
         t = float(path.times[idx[-1]])
-    times = path.times[idx]
-    if np.any(times[1:] <= times[:-1]):
-        raise ValueError("partition must be strictly increasing")
+    times = _partition_times(path, idx)
     tol = 1e-9 * max(1.0, abs(t))  # one tolerance both finds the partition time and accepts it
     pos = np.searchsorted(times, t + tol)
     if pos == 0 or abs(times[pos - 1] - t) > tol:
@@ -446,7 +431,7 @@ def transform_local_times(path: SampledPath, f: Callable, f_prime: Callable, f_i
     vgrid = _default_levels(ypath, DEFAULT_LEVELS)
     xlv = np.asarray(f_inverse(vgrid), dtype=float)
     scale = np.abs(np.asarray(f_prime(xlv)))
-    ends = path.times[[p[-1] for p in parts]]
+    ends = [_partition_times(path, p)[-1] for p in parts]
     lts = zip(_local_times(ypath.values, parts, vgrid), _local_times(path.values, parts, xlv), ends)
     return [LocalTimeProfile(vgrid, d, t).l2_distance(LocalTimeProfile(vgrid, scale * b, t))
             for d, b, t in lts]

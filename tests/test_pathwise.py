@@ -279,8 +279,8 @@ class TestLocalTime:
             np.testing.assert_array_equal(values, searched_sweep(path, part, levels))
 
     def test_irregular_partitions_match_per_partition_sweeps(self):
-        # Partitions of no regular stride are gathered, not read in place, with
-        # and without a partition that visits every sample.
+        # Partitions of no regular stride, with and without one that visits
+        # every sample: the ladder bins the whole path either way.
         path = arithmetic_walk(46, n_steps=1024)
         rng = np.random.default_rng(46)
         fine = np.arange(path.times.size)
@@ -521,6 +521,14 @@ class TestTransformLocalTime:
             ):
                 shared = transform_local_times(path, f, fp, fi, ladder.partitions)
                 assert shared == [transform_local_time(path, f, fp, fi, p) for p in ladder.partitions]
+
+    @pytest.mark.parametrize("partition", [[0, 32, 16, 64], [0, 16, 16, 64]], ids=["backward", "duplicated"])
+    def test_partition_must_increase(self, partition):
+        path = geometric_walk(3, n_steps=64)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            transform_local_times(path, np.log, lambda x: 1.0 / x, np.exp, [np.arange(65), np.array(partition)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            transform_local_time(path, np.log, lambda x: 1.0 / x, np.exp, np.array(partition))
 
     def test_non_monotone_rejected(self):
         path = geometric_walk(5, n_steps=256)
