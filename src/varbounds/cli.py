@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--weight",
             default="vanilla",
-            help="vanilla | gamma | corridor-down:<a> | corridor-up:<a> | inverse (alias: custom)",
+            help="vanilla | gamma | corridor-down:<a> | corridor-up:<a> | inverse (alias: custom); a > 0 finite",
         )
         p.add_argument(
             "--grid",

@@ -76,20 +76,16 @@ class PartitionLadder:
     meshes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parts = [np.asarray(p, dtype=int) for p in self.partitions]
+        parts = [_partition_indices(self.path, p) for p in self.partitions]
         object.__setattr__(self, "partitions", parts)
         if len(parts) < 1:
             raise ValueError("ladder needs at least one partition")
-        full = self.path.times.size - 1
-        if parts[-1].size != full + 1 or parts[-1][0] != 0 or parts[-1][-1] != full:
+        if parts[-1].size != self.path.times.size:  # increasing indices in range: all of them
             raise ValueError("finest partition must equal the full grid")
-        steps = [np.diff(self.path.times[p]) for p in parts]
-        if any(step.min() <= 0.0 for step in steps):
-            raise ValueError("partitions must be strictly increasing")
-        object.__setattr__(self, "meshes", np.asarray([step.max() for step in steps]))
+        object.__setattr__(self, "meshes", np.asarray([np.diff(self.path.times[p]).max() for p in parts]))
         if np.any(np.diff(self.meshes) >= 0.0):
             raise ValueError("mesh sizes must strictly decrease")
-        for coarse, fine in zip(parts, parts[1:]):  # ``steps`` checked every index: small tables
+        for coarse, fine in zip(parts, parts[1:]):  # indices lie in the grid: small tables
             if not np.all(np.isin(coarse, fine, kind="table")):
                 raise ValueError("partitions must be nested")
 
@@ -181,9 +177,20 @@ def read_path_csv(path) -> SampledPath:
 # core operations
 
 
+def _partition_indices(path: SampledPath, partition) -> np.ndarray:
+    """A partition's sample indices: a 1-d integer array of at least two, strictly increasing,
+    from 0 up to at most ``path.n_steps``.  Every entry point that takes a partition checks it here."""
+    idx = np.asarray(partition)
+    if idx.ndim != 1 or idx.size < 2 or idx.dtype.kind not in "iu":
+        raise ValueError(f"partition must be a 1-d integer array of at least two indices: {idx.dtype} {idx.shape}")
+    if idx[0] < 0 or idx[-1] > path.n_steps or np.any(idx[1:] <= idx[:-1]):
+        raise ValueError(f"partition indices must be strictly increasing within 0..{path.n_steps}")
+    return idx
+
+
 def quadratic_variation(path: SampledPath, partition: np.ndarray) -> np.ndarray:
     """Cumulative sum of squared increments along the partition times."""
-    x = path.values[np.asarray(partition, dtype=int)]
+    x = path.values[_partition_indices(path, partition)]
     return np.concatenate(([0.0], np.cumsum(np.square(np.diff(x)))))
 
 
@@ -295,14 +302,6 @@ def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np
     return [_sweep(u, x[part], pos[part], idx, gap, sgn)[back] for part in partitions]
 
 
-def _partition_times(path: SampledPath, partition: np.ndarray) -> np.ndarray:
-    """Times of a partition, which must be strictly increasing."""
-    times = path.times[partition]
-    if np.any(times[1:] <= times[:-1]):
-        raise ValueError("partition must be strictly increasing")
-    return times
-
-
 def discrete_local_time(
     path: SampledPath,
     partition: np.ndarray,
@@ -325,15 +324,16 @@ def discrete_local_time(
     cell (c = 1 for evenly spaced levels, so the binning is linear).  Levels may
     come in any order, values come back in that order; outside the path range, exactly 0.0.
     """
-    idx = np.asarray(partition, dtype=int)
-    if t is None:
-        t = float(path.times[idx[-1]])
-    times = _partition_times(path, idx)
+    idx = _partition_indices(path, partition)
+    times = path.times[idx]
+    t = float(times[-1]) if t is None else t
     tol = 1e-9 * max(1.0, abs(t))  # one tolerance both finds the partition time and accepts it
     pos = np.searchsorted(times, t + tol)
     if pos == 0 or abs(times[pos - 1] - t) > tol:
         raise ValueError(f"t = {t} is not a partition time")
     if levels is None:
+        if n_levels < 1:
+            raise ValueError(f"n_levels must be at least 1, not {n_levels}")
         levels = _default_levels(path, n_levels)
     levels = np.asarray(levels, dtype=float)
     (values,) = _local_times(path.values, [idx[:pos]], levels)
@@ -342,7 +342,7 @@ def discrete_local_time(
 
 def follmer_integral(path: SampledPath, integrand: Callable, partition: np.ndarray) -> float:
     """Left-endpoint Riemann sum of integrand(X) against the path increments."""
-    x = path.values[np.asarray(partition, dtype=int)]
+    x = path.values[_partition_indices(path, partition)]
     return float(np.sum(np.asarray(integrand(x[:-1])) * np.diff(x)))
 
 
@@ -408,7 +408,7 @@ def occupation_density_check(
     profile = discrete_local_time(path, part)
     indicator = lambda u: ((u >= a) & (u <= b)).astype(float)
     lhs = profile.integrate_against(indicator)
-    x = path.values[np.asarray(part, dtype=int)]
+    x = path.values[part]
     left = x[:-1]
     rhs = float(np.sum(np.square(np.diff(x)) * ((left >= a) & (left <= b))))
     return lhs, rhs
@@ -426,12 +426,12 @@ def transform_local_times(path: SampledPath, f: Callable, f_prime: Callable, f_i
     dprobe = np.asarray(f_prime(probe), dtype=float)
     if np.any(dprobe == 0.0) or (np.any(dprobe > 0.0) and np.any(dprobe < 0.0)):
         raise NonMonotone("transform map must have one-signed, nonvanishing derivative on the range")
-    parts = [np.asarray(p, dtype=int) for p in partitions]
+    parts = [_partition_indices(path, p) for p in partitions]
     ypath = path.transformed(f)
     vgrid = _default_levels(ypath, DEFAULT_LEVELS)
     xlv = np.asarray(f_inverse(vgrid), dtype=float)
     scale = np.abs(np.asarray(f_prime(xlv)))
-    ends = [_partition_times(path, p)[-1] for p in parts]
+    ends = [path.times[p[-1]] for p in parts]
     lts = zip(_local_times(ypath.values, parts, vgrid), _local_times(path.values, parts, xlv), ends)
     return [LocalTimeProfile(vgrid, d, t).l2_distance(LocalTimeProfile(vgrid, scale * b, t))
             for d, b, t in lts]

@@ -26,8 +26,6 @@ import numpy as np
 
 from .chain import NormalizedChain
 
-_PROBE_LO = 1e6
-_PROBE_HI = 1e7
 _SPOT_LO, _SPOT_HI, _SPOT_SAMPLES = 1e-3, 1e3, 400  # log grid of a custom payoff's convexity spot-check
 _DIFF_STEP = np.finfo(float).eps ** (1 / 3)  # relative step of the slope's central difference
 
@@ -59,8 +57,9 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind in ("corridor-down", "corridor-up"):
-            if self.barrier is None or not (self.barrier > 0.0):
-                raise InvalidPayoff("corridor weights need a positive barrier")
+            b = self.barrier
+            if b is None or not (0.0 < b < math.inf and 1.0 / float(b) < math.inf):
+                raise InvalidPayoff(f"corridor weights need a finite barrier b > 0 with 1/b finite, not {b}")
         elif self.kind in ("vanilla", "gamma", "inverse"):
             pass
         elif self.kind == "custom":
@@ -103,6 +102,7 @@ class WeightSpec:
 def parse_weight(text: str) -> WeightSpec:
     """Parse the CLI weight grammar: vanilla | gamma | corridor-down:<a> | corridor-up:<a> | inverse.
 
+    The barrier ``<a>`` is positive and finite, with a finite reciprocal.
     ``inverse`` is the demo payoff 1/x; ``custom`` is accepted as an alias for
     it (user-supplied callables go through ``WeightSpec.custom`` instead).
     """
@@ -373,9 +373,10 @@ def dual_existence_lb(nchain: NormalizedChain, payoff: ConvexPayoff, subhedge=No
     Checked in order: (i) a finite n_max confines all mass to a compact set;
     (iv) a divergent tail curvature moment forces the tail atom to stay
     finite; (ii), with a supplied optimal subhedge, a strict gap at the last
-    strike together with superlinear escape of the payoff over the hedge
-    line.  With an optimal subhedge, a strict gap on the whole tail ray
-    certifies failure (payoffs affine on a half-line are left undetermined).
+    strike and an asymptotic slope above the hedge's forward position phi,
+    so that the convex payoff - phi x grows without bound.  With an optimal
+    subhedge, a strict gap on the whole tail ray certifies failure (payoffs
+    affine on a half-line are left undetermined).
     """
     if math.isfinite(nchain.n_max):
         return DualExistence("guaranteed", "i")
@@ -390,10 +391,8 @@ def dual_existence_lb(nchain: NormalizedChain, payoff: ConvexPayoff, subhedge=No
     phi = float(subhedge.forward)
     gap_at_kn = lam_kn - hedge_kn
 
-    if gap_at_kn > 1e-9:
-        excess = lambda x: float(payoff.value(x)) - phi * x
-        if excess(_PROBE_HI) - excess(_PROBE_LO) > 1e-6:
-            return DualExistence("guaranteed", "ii")
+    if gap_at_kn > 1e-9 and payoff.asymptotic_slope > phi:
+        return DualExistence("guaranteed", "ii")
 
     if math.isfinite(payoff.affine_tail_threshold):
         return DualExistence("undetermined")

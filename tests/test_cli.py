@@ -103,8 +103,10 @@ class TestBounds:
         assert code == 1
 
     def test_bad_weight_is_input_error(self, capsys, market_flags):
-        code, _, err = run(capsys, ["bounds", *market_flags, "--weight", "cubic"])
-        assert code == 1
+        for weight in ("cubic", "corridor-down:inf", "corridor-up:inf", "corridor-up:1e-320"):
+            code, _, err = run(capsys, ["bounds", *market_flags, "--weight", weight])
+            assert code == 1
+            assert err.startswith("varbounds: error:") and err.count("\n") == 1
 
     def test_arbitrage_chain_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.csv"

@@ -146,6 +146,13 @@ class TestLadder:
             ([np.array([0, 2, 1, *range(3, 17)])], "strictly increasing"),
             ([np.array([0, 16, 8]), np.arange(17)], "strictly increasing"),
             ([np.array([0, 8, 8, 16]), np.arange(17)], "strictly increasing"),
+            ([np.array([0, 17]), np.arange(17)], "strictly increasing"),
+            ([np.array([0, 4, -1]), np.arange(17)], "strictly increasing"),
+            ([np.array([0, 3.7, 16]), np.arange(17)], "integer"),
+            ([np.array([0, 4.9, 16]), np.arange(17)], "integer"),
+            ([np.arange(17.0)], "integer"),
+            ([np.array([0]), np.arange(17)], "at least two"),
+            ([np.array([[0, 16]]), np.arange(17)], "1-d"),
         ],
     )
     def test_invalid_ladders_rejected(self, partitions, message):
@@ -304,12 +311,26 @@ class TestLocalTime:
             np.testing.assert_array_equal(profile.values, base.values)
             assert profile.time == 1000.0 * base.time
 
-    @pytest.mark.parametrize("partition", [[0, 2, 1, 3, 4], [0, 4, 2], [0, 2, 2, 4]],
-                             ids=["permuted", "backward", "duplicated"])
-    def test_partition_must_increase(self, partition):
-        path = geometric_walk(3, n_steps=4)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            discrete_local_time(path, np.array(partition))
+    @pytest.mark.parametrize(
+        "partition, message",
+        [([0, 2, 1, 3, 4], "strictly increasing"), ([0, 4, 2], "strictly increasing"),
+         ([0, 2, 2, 4], "strictly increasing"), ([0, 8, 4], "strictly increasing"),
+         ([0, 9], "strictly increasing"), ([0, 4, -1], "strictly increasing"), ([0, 3.7, 8], "integer"),
+         ([0, 4.9, 8], "integer"), ([0], "at least two"), ([[0, 8]], "1-d")],
+        ids=["permuted", "backward", "duplicated", "backward-end", "out-of-range", "negative", "float",
+             "float-4.9", "one-index", "2-d"],
+    )
+    def test_partition_must_increase(self, partition, message):
+        # Every entry point that takes one partition applies the same rule.
+        path = geometric_walk(3, n_steps=8)
+        for call in (discrete_local_time, quadratic_variation, lambda p, q: follmer_integral(p, lambda x: x, q)):
+            with pytest.raises(ValueError, match=message):
+                call(path, np.array(partition))
+
+    @pytest.mark.parametrize("n_levels", [0, -1])
+    def test_needs_a_level(self, n_levels):
+        with pytest.raises(ValueError, match="n_levels"):
+            discrete_local_time(geometric_walk(3, n_steps=8), np.arange(9), n_levels=n_levels)
 
     def test_t_must_be_partition_time(self):
         path = geometric_walk(3, n_steps=64)
@@ -522,12 +543,18 @@ class TestTransformLocalTime:
                 shared = transform_local_times(path, f, fp, fi, ladder.partitions)
                 assert shared == [transform_local_time(path, f, fp, fi, p) for p in ladder.partitions]
 
-    @pytest.mark.parametrize("partition", [[0, 32, 16, 64], [0, 16, 16, 64]], ids=["backward", "duplicated"])
-    def test_partition_must_increase(self, partition):
+    @pytest.mark.parametrize(
+        "partition, message",
+        [([0, 32, 16, 64], "strictly increasing"), ([0, 16, 16, 64], "strictly increasing"),
+         ([0, 65], "strictly increasing"), ([0, 32, -1], "strictly increasing"), ([0, 3.7, 64], "integer"),
+         ([0], "at least two"), ([[0, 64]], "1-d")],
+        ids=["backward", "duplicated", "out-of-range", "negative", "float", "one-index", "2-d"],
+    )
+    def test_partition_must_increase(self, partition, message):
         path = geometric_walk(3, n_steps=64)
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match=message):
             transform_local_times(path, np.log, lambda x: 1.0 / x, np.exp, [np.arange(65), np.array(partition)])
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match=message):
             transform_local_time(path, np.log, lambda x: 1.0 / x, np.exp, np.array(partition))
 
     def test_non_monotone_rejected(self):

@@ -70,9 +70,13 @@ class TestBuiltins:
         assert math.isinf(lam.origin_value)
         assert lam.affine_tail_threshold == a
 
-    def test_corridor_needs_positive_barrier(self):
-        with pytest.raises(InvalidPayoff):
-            WeightSpec.corridor_down(-1.0)
+    @pytest.mark.parametrize("kind", ["corridor-down", "corridor-up"])
+    @pytest.mark.parametrize("barrier", [-1.0, 0.0, math.nan, math.inf, 1e-320])  # 1 / 1e-320 is inf
+    def test_corridor_needs_positive_barrier(self, kind, barrier):
+        with pytest.raises(InvalidPayoff, match="finite barrier"):
+            WeightSpec(kind, barrier=barrier)
+        with pytest.raises(InvalidPayoff, match="finite barrier"):
+            parse_weight(f"{kind}:{barrier!r}")
 
     def test_custom_convexity_rejected(self):
         with pytest.raises(InvalidPayoff):
