@@ -62,7 +62,6 @@ _GRID_BLOCK = 1 << 16  # grid pairs whose segment terms the recursion evaluates 
 _FAR = 1e7  # hedges are checked out to this multiple of the last strike; beyond, by tail slope
 _TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this much
 _LP_POINTS = 2048  # log-spaced points of the oracle's constraint grid, before strikes and atoms
-_INVERSE_STEPS = 4  # float steps from a closed-form tangency point before falling back to the root-find
 
 
 class UnsupportedChain(RuntimeError):
@@ -581,32 +580,6 @@ def _inward_push(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray:
     return np.where(g == -np.inf, 0.5 * (hi - z), np.where(g == np.inf, 0.5 * (lo - z), 0.0))
 
 
-def _last_float_below(payoff, target, lo, hi) -> np.ndarray:
-    """``_bracket_root(payoff.slope, target, lo, hi)[0]``, from ``slope_inverse`` where the payoff has one.
-
-    That is hi where the slope stays below target, lo where it starts at or
-    above, else the last float x with slope(x) < target <= slope(next float).
-    The clipped inverse lies within a few floats of it (more where the
-    rounded slope is flat over many floats), so it steps one float at a time,
-    at most ``_INVERSE_STEPS`` times; brackets still unsettled, and every
-    bracket of a payoff without an inverse, go to the root-find.
-    """
-    if payoff.slope_inverse is None:
-        return _bracket_root(payoff.slope, target, lo, hi)[0]
-    with np.errstate(all="ignore"):
-        x = np.clip(payoff.slope_inverse(target), lo, hi)
-        for _ in range(_INVERSE_STEPS):
-            up = np.nextafter(x, np.inf)
-            s = payoff.slope(np.concatenate((x, up)))
-            below, above = s[: x.size] < target, s[: x.size] >= target
-            settled = ((x == hi) & below) | ((x == lo) & above) | ((x < hi) & below & (s[x.size :] >= target))
-            if settled.all():
-                return x
-            x = np.where(settled, x, np.where(above, np.nextafter(x, -np.inf), up))
-    x[~settled] = _bracket_root(payoff.slope, target[~settled], lo[~settled], hi[~settled])[0]
-    return x
-
-
 def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray | None:
     """Joint descent direction that reopens vanishing atoms, or None.
 
@@ -625,7 +598,7 @@ def _vanishing_atom_release(nchain, payoff, state: _PolicyState, lo, hi) -> np.n
     r_a = g[i - 1] + payoff.value(left)
     r_b = g[i] - payoff.value(right)
     target = -(r_a + r_b) / (right - left)
-    a = _last_float_below(payoff, target, left, right)
+    a = _bracket_root(payoff.slope, target, left, right)[0]
     theta = (right - a) / (right - left)
     slope = payoff.value(a) - theta * r_a + (1.0 - theta) * r_b
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -745,8 +718,8 @@ def _piece_excess(payoff, a, b, ya, yb) -> tuple[np.ndarray, np.ndarray]:
     Line minus payoff is concave, so its maximum lies at an end or where
     ``payoff.slope`` equals the line's slope: the clipped ``slope_inverse``
     of a built-in payoff, else one root-find for all pieces, from ``value``
-    and ``slope`` alone, to within 1e-15 of each maximum.  An end at 0 takes
-    the payoff's limit there; NaN excess counts as infinite.
+    and ``slope`` alone, to within 1e-15 of each maximum.  NaN excess counts
+    as infinite.
     """
     with np.errstate(all="ignore"):  # a piece with a == b has no slope and no interior
         m = (yb - ya) / (b - a)
@@ -757,7 +730,7 @@ def _piece_excess(payoff, a, b, ya, yb) -> tuple[np.ndarray, np.ndarray]:
         else:
             x[inner, 2:] = np.clip(payoff.slope_inverse(m[inner]), a[inner], b[inner])[:, None]
         line[inner, 2:] = ya[inner, None] + m[inner, None] * (x[inner, 2:] - a[inner, None])
-        excess = np.nan_to_num(line - np.where(x > 0.0, payoff.value(x), payoff.origin_value), nan=np.inf)
+        excess = np.nan_to_num(line - payoff.value(x), nan=np.inf)
     rows, j = np.arange(m.size), np.argmax(excess, axis=1)
     return excess[rows, j], x[rows, j]
 
@@ -991,8 +964,8 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     Its hedges are the solver's (``_portfolio_from_nodes``): values y at the strikes
     of ``nchain.window`` and a tail slope phi of at most gamma, priced q.y + c phi at
     the window's implied masses q (0 within EQ_TOL: a node without mass is free) and
-    call value c.  Rows are the grid points where mass can lie, divided by x - k_m past k_m,
-    at 0 the payoff's limit there (none where it is infinite).  With no window, payoff(1).
+    call value c.  Rows are the grid points where mass can lie and the payoff is finite,
+    divided by x - k_m past k_m.  With no window, payoff(1).
     """
     if nchain.window.k.size == 0:
         return payoff.at_one()
@@ -1002,8 +975,7 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     q = np.diff(np.concatenate(([0.0], nchain.window.slopes, [1.0])))
     q[np.abs(q) <= EQ_TOL] = 0.0
     x = np.asarray(x_grid, dtype=float)
-    with np.errstate(all="ignore"):
-        lam = np.where(x > 0.0, payoff.value(x), payoff.origin_value)
+    lam = payoff.value(x)
     keep = np.isfinite(lam) & (x >= k[0]) & ((x <= k[-1]) | (c > 0.0))
     x, lam = x[keep], lam[keep]
     past = np.maximum(x - k[-1], 0.0)

@@ -42,6 +42,8 @@ class SampledPath:
         object.__setattr__(self, "values", x)
         if t.ndim != 1 or t.size < 2 or x.shape != t.shape:
             raise ValueError("need matching 1-d times and values with at least two samples")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("path times must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(x)):
@@ -143,6 +145,8 @@ def geometric_walk(
     The drift keeps the third-order Itô-remainder bias dominant over its
     sign fluctuations, so residual ladders decrease monotonically run by run.
     """
+    if n_steps < 1:
+        raise ValueError(f"a walk needs at least one step, not {n_steps}")
     rng = np.random.default_rng(seed)
     h = maturity / n_steps
     signs = rng.integers(0, 2, size=n_steps) * 2 - 1
@@ -156,6 +160,8 @@ def arithmetic_walk(
     seed: int, n_steps: int = 4096, maturity: float = 1.0, scale: float = 1.0, start: float = 0.0
 ) -> SampledPath:
     """Symmetric walk with steps +-scale*sqrt(h); quadratic variation is scale**2 * T exactly."""
+    if n_steps < 1:
+        raise ValueError(f"a walk needs at least one step, not {n_steps}")
     rng = np.random.default_rng(seed)
     h = maturity / n_steps
     signs = rng.integers(0, 2, size=n_steps) * 2 - 1
@@ -326,10 +332,10 @@ def discrete_local_time(
     """
     idx = _partition_indices(path, partition)
     times = path.times[idx]
-    t = float(times[-1]) if t is None else t
+    t = float(times[-1]) if t is None else float(t)
     tol = 1e-9 * max(1.0, abs(t))  # one tolerance both finds the partition time and accepts it
     pos = np.searchsorted(times, t + tol)
-    if pos == 0 or abs(times[pos - 1] - t) > tol:
+    if not math.isfinite(t) or pos == 0 or abs(times[pos - 1] - t) > tol:
         raise ValueError(f"t = {t} is not a partition time")
     if levels is None:
         if n_levels < 1:

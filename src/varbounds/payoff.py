@@ -128,7 +128,8 @@ class ConvexPayoff:
     """A convex payoff with the analytic predicates the bound solvers need.
 
     ``slope`` is the right derivative.  ``weight(x) / x**2`` is the curvature
-    density.  ``origin_value`` is the limit at 0+, ``asymptotic_slope`` the
+    density.  ``origin_value`` is the limit at 0+, and ``value(0)`` returns
+    it for every payoff, custom ones included; ``asymptotic_slope`` is the
     limit of the right derivative at infinity, ``affine_tail_threshold`` the
     least z with the payoff affine on [z, oo) (inf when never affine).
     ``tail_curvature_divergent`` records whether the first moment of the
@@ -169,15 +170,13 @@ class ConvexPayoff:
     def shift_affine(self, alpha: float, beta: float) -> "ConvexPayoff":
         """The payoff plus ``alpha * x + beta``; bounds shift by exactly alpha + beta."""
         base_value, base_slope, base_inverse = self.value, self.slope, self.slope_inverse
-        origin = self.origin_value if not math.isfinite(self.origin_value) else self.origin_value + beta
-        gamma = self.asymptotic_slope if not math.isfinite(self.asymptotic_slope) else self.asymptotic_slope + alpha
         return replace(
             self,
             kind=f"{self.kind}+affine",
             value=_vectorized(lambda x: base_value(x) + alpha * x + beta),
             slope=_vectorized(lambda x: base_slope(x) + alpha),
-            origin_value=origin,
-            asymptotic_slope=gamma,
+            origin_value=self.origin_value + beta,
+            asymptotic_slope=self.asymptotic_slope + alpha,
             slope_inverse=None if base_inverse is None else _vectorized(lambda m: base_inverse(m - alpha)),
         )
 
@@ -298,6 +297,7 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             origin = math.inf
         else:
             origin = float(value(1e-14))
+        value = _vectorized(lambda x: np.where(x == 0.0, origin, spec.value_fn(x)))  # value(0) is the probed limit
         # The slope rises to gamma, typically as gamma - b / x, and extrapolated
         # so from the probes gets it exactly; the slope at 1e9 falls short and
         # would make a vanishing tail a spurious optimum of the lower bound.

@@ -73,7 +73,7 @@ class PriceVerdict:
 
 def vol_points(rate: float) -> float:
     """Variance units to volatility percentage points: 100 * sqrt(rate)."""
-    if rate < 0.0:
+    if not rate >= 0.0:  # NaN too; +inf is a band with no upper bound
         raise ValueError(f"variance rate must be nonnegative, got {rate}")
     return 100.0 * math.sqrt(rate)
 
@@ -256,6 +256,8 @@ def classify_rate_against_bounds(
     """
     if not math.isfinite(quoted):
         raise ValueError(f"quote must be finite, got {quoted}")
+    if math.isnan(lower) or math.isnan(upper):
+        raise ValueError(f"band edges must be numbers, got [{lower}, {upper}]")
     if abs(quoted - lower) <= BOUNDARY_TOL:
         return PriceVerdict(VerdictStatus.BOUNDARY, side="lower", existence=lower_existence)
     if math.isfinite(upper) and abs(quoted - upper) <= BOUNDARY_TOL:

@@ -61,8 +61,6 @@ def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
         return UpperBound(value=value, portfolio=portfolio, feasible=True)
     xs = nchain.window.k
     vs = np.atleast_1d(np.asarray(payoff.value(xs), dtype=float))
-    if xs[0] == 0.0:
-        vs[0] = payoff.origin_value
     phi = float((vs[-1] - vs[-2]) / (xs[-1] - xs[-2])) if capped else float(payoff.asymptotic_slope)
     portfolio = _portfolio_from_nodes(nchain, vs, phi)
     return UpperBound(value=portfolio.setup_cost(nchain), portfolio=portfolio, feasible=True)

@@ -266,7 +266,8 @@ class TestPathcheck:
     @pytest.mark.parametrize("rows, message", [
         ("0.0,1.0\n", "need matching 1-d times and values with at least two samples"),
         ("0.0,1.0\n0.5,1.0\n0.5,1.1\n1.0,1.0\n", "times must be strictly increasing"),
-    ], ids=["one-row", "repeated-time"])
+        ("0.0,1.0\n0.5,1.0\n0.75,1.1\ninf,1.2\n", "path times must be finite"),
+    ], ids=["one-row", "repeated-time", "inf-time"])
     def test_path_error_names_the_file(self, capsys, tmp_path, rows, message):
         f = tmp_path / "path.csv"
         f.write_text("time,value\n" + rows)

@@ -1119,6 +1119,30 @@ class TestBracketRoot:
         else:
             assert steps < 100 and math.nextafter(a, b) == b
 
+    def test_slope_crossings_close_on_the_last_float_before(self):
+        # The bracket rule on payoff slopes, as the atom release uses it: hi
+        # where the slope stays below the target, lo where it starts at or
+        # above, else the last float x with slope(x) < target <= slope(next
+        # float).  Targets inside, below and above each interval's slope
+        # range; a NaN target, never reached, closes on the float below hi.
+        for weight in CLI_WEIGHTS + ("inverse",):
+            payoff, rng = PAYOFFS_BY_NAME[weight], np.random.default_rng(7)
+            lo = np.sort(rng.uniform(0.05, 3.0, size=60))
+            hi = lo * rng.uniform(1.0001, 2.0, size=60)
+            inside = payoff.slope(rng.uniform(lo, hi))
+            target = np.concatenate((inside, payoff.slope(lo) - 1.0, payoff.slope(hi) + 1.0))
+            lo, hi = np.tile(lo, 3), np.tile(hi, 3)
+            x = lower._bracket_root(payoff.slope, target, lo, hi)[0]
+            stays_below, starts_above = payoff.slope(hi) < target, payoff.slope(lo) >= target
+            crossing = ~stays_below & ~starts_above
+            assert stays_below.any() and starts_above.any() and crossing.any(), weight
+            assert np.array_equal(x[stays_below], hi[stays_below]), weight
+            assert np.array_equal(x[starts_above], lo[starts_above]), weight
+            assert np.all(payoff.slope(x[crossing]) < target[crossing]), weight
+            assert np.all(payoff.slope(np.nextafter(x[crossing], np.inf)) >= target[crossing]), weight
+            nan = lower._bracket_root(payoff.slope, math.nan, np.array([1.0]), np.array([2.0]))[0]
+            assert nan[0] == np.nextafter(2.0, 0.0), weight
+
     def test_no_bracket_makes_no_call(self):
         def refuse(x):
             raise AssertionError("fn was called")
@@ -1154,21 +1178,6 @@ class TestClosedFormTangency:
     @pytest.mark.parametrize("weight,strikes,puts", RELEASE_SNAP_CHAINS)
     def test_release_lands_on_the_root_finds_float(self, weight, strikes, puts):
         assert_same_as_the_root_find(chain_of(strikes, puts), PAYOFFS_BY_NAME[weight])
-
-    def test_release_steps_onto_the_last_float_before_the_crossing(self):
-        # targets inside, below and above each interval's slope range, and
-        # a NaN target, which the root-find settles
-        for weight in CLI_WEIGHTS + ("inverse",):
-            payoff, rng = PAYOFFS_BY_NAME[weight], np.random.default_rng(7)
-            lo = np.sort(rng.uniform(0.05, 3.0, size=60))
-            hi = lo * rng.uniform(1.0001, 2.0, size=60)
-            with np.errstate(all="ignore"):
-                inside = payoff.slope(rng.uniform(lo, hi))
-            target = np.concatenate((inside, payoff.slope(lo) - 1.0, payoff.slope(hi) + 1.0, [np.nan]))
-            lo, hi = np.tile(lo, 3)[: target.size - 1], np.tile(hi, 3)[: target.size - 1]
-            lo, hi = np.append(lo, 1.0), np.append(hi, 2.0)
-            got = lower._last_float_below(payoff, target, lo, hi)
-            assert np.array_equal(got, lower._bracket_root(payoff.slope, target, lo, hi)[0]), weight
 
     def test_dense_custom_twin_of_vanilla_opens_every_bracket_at_once(self, monkeypatch):
         # the -ln x payoff given as a custom payoff, weight included, has no

@@ -272,9 +272,10 @@ class TestLocalTime:
 
     @pytest.mark.parametrize("n_levels", [255, 256, 70_000])
     def test_bin_numbers_fit_every_level_count(self, n_levels):
-        # Bin numbers are stored in the narrowest unsigned type that holds the
-        # level count: one byte up to 255 distinct levels, then two, then four.
-        # The path runs past the top level, so the largest bin number occurs.
+        # Bins are half-level positions in np.intp, up to twice the level count
+        # plus one; the counts straddle the one- and two-byte ranges, where a
+        # narrower index type would wrap.  The path runs past the top level, so
+        # the largest bin number occurs.
         path = geometric_walk(43, n_steps=2048)
         lo, hi = path.values.min(), path.values.max()
         inner = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), n_levels - 40)
@@ -337,6 +338,12 @@ class TestLocalTime:
         part = np.arange(0, 65, 8)
         with pytest.raises(ValueError):
             discrete_local_time(path, part, t=path.times[3])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_t_must_be_finite(self, t):
+        # NaN and inf slip through the tolerance test, which would return the full profile
+        with pytest.raises(ValueError, match="not a partition time"):
+            discrete_local_time(geometric_walk(3, n_steps=8), np.arange(9), t=t)
 
 
 def _bin_cases():
@@ -574,6 +581,17 @@ class TestPathValidation:
     def test_values_finite(self):
         with pytest.raises(ValueError):
             SampledPath(np.array([0.0, 1.0]), np.array([1.0, math.inf]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_times_finite(self, bad):
+        with pytest.raises(ValueError, match="path times must be finite"):
+            SampledPath(np.array([0.0, 1.0, bad]), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("walk", [geometric_walk, arithmetic_walk])
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_walks_need_a_step(self, walk, n_steps):
+        with pytest.raises(ValueError, match="at least one step"):
+            walk(1, n_steps=n_steps)
 
     def test_generators_deterministic(self):
         a = geometric_walk(123, n_steps=64)

@@ -117,6 +117,17 @@ class TestAnalyticConsistency:
         mid = lam.value(t * x + (1.0 - t) * y)
         assert mid <= t * lam.value(x) + (1.0 - t) * lam.value(y) + 1e-12
 
+    @pytest.mark.parametrize("spec", ALL_SPECS + [
+        WeightSpec.custom(lambda x: x * np.log(x) - x, np.log),  # NaN at 0
+        WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x),  # inf at 0
+        WeightSpec.custom(lambda x: np.exp(-x), lambda x: -np.exp(-x)),  # finite at 0
+    ], ids=lambda s: s.label())
+    def test_value_at_the_origin_is_the_origin_value(self, spec):
+        lam = make_payoff(spec)
+        for payoff in (lam, lam.shift_affine(0.5, -2.0)):
+            assert payoff.value(0.0) == payoff.origin_value
+            assert payoff.value(np.zeros(2)).tolist() == [payoff.origin_value] * 2
+
     def test_shift_affine(self):
         lam = make_payoff(WeightSpec.corridor_up(1.0))
         shifted = lam.shift_affine(0.5, -2.0)

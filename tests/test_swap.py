@@ -24,7 +24,7 @@ from varbounds import (
 from varbounds.cli import parse_report, round_floats
 from varbounds.lower import C1Violation, build_lp_grid, grid_lp_oracle
 from varbounds.swap import european_from_rate, rate_from_european, rate_from_vol_points
-from conftest import random_consistent_chain, single_put_chain, trimmed_route_chain, window_excess
+from conftest import lognormal_chain, random_consistent_chain, single_put_chain, trimmed_route_chain, window_excess
 
 INVERSE = make_payoff(WeightSpec.inverse())
 # The five built-in weights, plus a custom payoff without a curvature density.
@@ -59,6 +59,12 @@ class TestVolPoints:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             vol_points(-0.01)
+
+    def test_nan_rejected_and_inf_kept(self):
+        # +inf is the band with no upper bound; NaN would slip past a test for rate < 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            vol_points(math.nan)
+        assert vol_points(math.inf) == math.inf
 
     @pytest.mark.parametrize("points", [-60.0, -0.0001, math.nan, math.inf])
     def test_negative_or_non_finite_points_rejected(self, points):
@@ -145,6 +151,12 @@ class TestClassifySwapQuote:
         with pytest.raises(ValueError, match="finite"):
             classify_rate_against_bounds(quote, 0.04, 0.09)
 
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 0.09), (0.04, math.nan)], ids=["lower", "upper"])
+    def test_nan_band_edge_rejected(self, lower, upper):
+        # NaN fails every comparison, so 0.1 against [0.04, nan] would read "consistent"
+        with pytest.raises(ValueError, match="band edges"):
+            classify_rate_against_bounds(0.1, lower, upper)
+
     @pytest.mark.parametrize("weight", ["vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "custom"])
     def test_one_verdict_from_every_entry_point(self, weight):
         # rates on, just inside and just outside each finite edge's boundary band
@@ -221,6 +233,20 @@ class TestSwapRateBounds:
         # the affine shift cancels in the rate: 2(v + a + b) - 2(lam(1) + a + b)
         assert lo_rate == pytest.approx(base.swap_lower, abs=1e-9)
         assert hi_rate == pytest.approx(base.swap_upper, abs=1e-9)
+
+    @pytest.mark.parametrize("name, twin", [
+        ("gamma", WeightSpec.custom(lambda x: x * np.log(x) - x, np.log, lambda x: x)),
+        ("vanilla", WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x, np.ones_like)),
+    ], ids=["gamma", "vanilla"])
+    def test_custom_twin_gives_the_builtin_band(self, name, twin):
+        # Unguarded twins: x ln x - x is NaN at 0, where its payoff takes the
+        # probed limit, so the twin solves wherever the built-in does.
+        rng = np.random.default_rng(27)
+        chains = [chain_of([0.8, 1.0, 1.2], [0.075, 0.125, 0.275]), lognormal_chain(50)]
+        for nc in chains + [random_consistent_chain(rng) for _ in range(20)]:
+            got, want = swap_rate_bounds(nc, twin), swap_rate_bounds(nc, WeightSpec(name))
+            assert got.swap_lower == pytest.approx(want.swap_lower, rel=0.0, abs=1e-12)
+            assert got.swap_upper == pytest.approx(want.swap_upper, rel=0.0, abs=1e-12)
 
     def test_quote_verdict_embedded(self):
         nc = single_put_chain(0.4)
