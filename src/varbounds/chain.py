@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -47,6 +48,47 @@ class ChainVerdict:
 
     def to_dict(self) -> dict:
         return {"status": self.status.value, "witness": self.witness}
+
+
+# Input rules, one per kind of number; each is called where the caller's value enters.
+def _real(name: str, value, *, nonnegative: bool = False, finite: bool = True, error=ValueError) -> float:
+    """``value`` as a float: a real number, not a bool or NaN, and nonnegative or finite where asked."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if math.isnan(x) or (nonnegative and x < 0.0) or (finite and math.isinf(x)):
+        need = " and ".join(w for w, on in (("finite", finite), ("nonnegative", nonnegative)) if on)
+        raise error(f"{name} must be {need or 'a number'}, got {x}")
+    return x
+
+
+def _scale(name: str, value, top: float = math.inf, error=ValueError) -> float:
+    """``value`` as a float if it is a scale: positive, at most ``top``, finite, with a finite reciprocal."""
+    x = _real(name, value, finite=False, error=error)
+    if not 0.0 < x <= top:
+        raise error(f"{name} must " + ("be positive" if top == math.inf else f"lie in (0, {top:g}]") + f", got {x}")
+    if not (x < math.inf and 1.0 / x < math.inf):
+        raise error(f"{name} must be finite, with a finite reciprocal, got {x}")
+    return x
+
+
+def _count(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as an int if it is an integer (not a bool) from ``low`` to ``high``; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return int(value)
+
+
+def _normalized_quotes(k: np.ndarray, p: np.ndarray) -> None:
+    """Raise :class:`ChainError` unless k = K/F and every nonzero p = P/(DF) are finite normal floats, k increasing."""
+    x = np.concatenate((k, p[p != 0.0]))
+    if not (np.all((x >= np.finfo(float).tiny) & (x < math.inf)) and np.all(np.diff(k) > 0.0)):
+        raise ChainError("normalized quotes K/F and P/(DF) must be finite normal floats, with K/F distinct; "
+                         f"K/F spans [{k[0]:g}, {k[-1]:g}], P/(DF) [{p.min():g}, {p.max():g}]")
 
 
 def _check_quotes(strikes: np.ndarray, prices: np.ndarray) -> None:
@@ -87,12 +129,10 @@ class OptionChain:
         prices = np.asarray(self.put_prices, dtype=float)
         object.__setattr__(self, "strikes", strikes)
         object.__setattr__(self, "put_prices", prices)
-        if not (self.maturity > 0.0):
-            raise ChainError(f"maturity must be positive, got {self.maturity}")
-        if not (0.0 < self.discount_factor <= 1.0):
-            raise ChainError(f"discount factor must lie in (0, 1], got {self.discount_factor}")
-        if not (self.forward > 0.0):
-            raise ChainError(f"forward must be positive, got {self.forward}")
+        _scale("maturity", self.maturity, error=ChainError)
+        discount = _scale("discount factor", self.discount_factor, 1.0, ChainError)
+        forward = _scale("forward", self.forward, error=ChainError)
+        _scale("discounted forward", discount * forward, error=ChainError)
         _check_quotes(strikes, prices)
 
     @property
@@ -127,9 +167,15 @@ class NormalizedChain:
     @cached_property
     def slopes(self) -> np.ndarray:
         """Divided differences (p_i - p_{i-1}) / (k_i - k_{i-1}), i = 1..n; computed once, read-only."""
-        slopes = np.diff(self.p) / np.diff(self.k)
+        with np.errstate(over="ignore"):  # a chord steeper than the float range is vertical: an arbitrage
+            slopes = np.diff(self.p) / np.diff(self.k)
         slopes.flags.writeable = False  # every caller shares this array
         return slopes
+
+    @cached_property
+    def _verdict(self) -> ChainVerdict:
+        """The chain's :func:`validate_puts` verdict; computed once."""
+        return _classify_puts(self)
 
     @property
     def top_index(self) -> int:
@@ -152,8 +198,10 @@ class NormalizedChain:
 
 def normalize(chain: OptionChain) -> NormalizedChain:
     """Move a raw chain to normalized units and locate the boundary indices."""
-    k = np.concatenate(([0.0], chain.strikes / chain.forward))
-    p = np.concatenate(([0.0], chain.put_prices / (chain.discount_factor * chain.forward)))
+    with np.errstate(over="ignore"):  # a quote out of range comes out inf, which the rule rejects
+        k, p = chain.strikes / chain.forward, chain.put_prices / (chain.discount_factor * chain.forward)
+    _normalized_quotes(k, p)
+    k, p = np.concatenate(([0.0], k)), np.concatenate(([0.0], p))
     n_min, n_max = _boundary_indices(k, p)
     return NormalizedChain(
         k=k,
@@ -216,8 +264,12 @@ def validate_puts(nchain: NormalizedChain) -> ChainVerdict:
     convex, dominates the intrinsic value (k - 1)^+ and has left slope < 1 at
     the last informative strike.  The single borderline failure -- slope
     exactly 1 at k_n while no put prices at intrinsic value -- admits no
-    model yet no model-free arbitrage either.
+    model yet no model-free arbitrage either.  Computed once per chain.
     """
+    return nchain._verdict
+
+
+def _classify_puts(nchain: NormalizedChain) -> ChainVerdict:
     k, p = nchain.k, nchain.p
     s = nchain.slopes
     failures: list[str] = []
@@ -226,8 +278,9 @@ def validate_puts(nchain: NormalizedChain) -> ChainVerdict:
         failures.append("negative put price")
     if np.any(s < -EQ_TOL):
         failures.append("price interpolant decreasing (calendar of strikes mispriced)")
-    if np.any(np.diff(s) < -EQ_TOL):
-        failures.append("price interpolant not convex")
+    with np.errstate(invalid="ignore"):  # two vertical chords in a row: inf - inf, neither a dip
+        if np.any(np.diff(s) < -EQ_TOL):
+            failures.append("price interpolant not convex")
     intrinsic = np.maximum(k - 1.0, 0.0)
     if np.any(p < intrinsic - EQ_TOL):
         failures.append("price below intrinsic value (k - 1)^+")

@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from . import pathwise as pw
-from .chain import ChainError, load_chain, normalize, validate_puts
-from .lower import (C1Violation, DEFAULT_GRID, DegeneratePolicy, ForwardViolation, ReconstructionFailure,
-                    UnsupportedChain)
-from .payoff import InvalidPayoff, WeightSpec, make_payoff, parse_weight
+from .chain import _count, load_chain, normalize, validate_puts
+from .lower import (C1Violation, DEFAULT_GRID, MIN_GRID, DegeneratePolicy, ForwardViolation, ReconstructionFailure,
+                    UnsupportedChain, _MAX_GRID)
+from .payoff import WeightSpec, make_payoff, parse_weight
 from .serialize import round_floats
 from .swap import PriceVerdict, VerdictStatus, rate_from_vol_points, swap_rate_bounds
 from .pathwise import C2Function
@@ -40,10 +40,13 @@ def parse_report(text: str) -> dict:
     return revive(json.loads(text))
 
 
+_MAX_DEPTH = 15  # the built-in walk then has at most 64 * 2**14 = 2**20 steps
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are input errors: exit 1
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"varbounds: error: {message}\n")  # a subcommand's too: one prefix for every input error
         raise SystemExit(1)
 
 
@@ -66,8 +69,8 @@ def _build_parser() -> _Parser:
             "--grid",
             type=int,
             default=DEFAULT_GRID,
-            help="points per interval of the warm-start policy recursion (at least 8); "
-            "the Newton solve then takes the warm start to the optimum",
+            help=f"points per interval of the warm-start policy recursion, {MIN_GRID} to {_MAX_GRID} (smaller values "
+            f"are raised to {MIN_GRID}); the Newton solve then takes the warm start to the optimum",
         )
         p.add_argument("--format", choices=("json", "text"), default="json")
         quote = p.add_mutually_exclusive_group()
@@ -82,7 +85,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("pathcheck", help="pathwise calculus checks on a ladder")
     p.add_argument("--input", help="path CSV with header time,value (default: built-in walk)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=6,
+                   help=f"ladder depth, 2 to {_MAX_DEPTH}; the built-in walk has 64 * 2**(depth - 1) steps")
     p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -135,8 +139,7 @@ def run_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
 
 def run_pathcheck(input_path: str | None, seed: int, depth: int) -> tuple[dict, int]:
     """Ladder checks: Itô residuals, occupation density, local-time transform."""
-    if depth < 2:
-        raise ValueError("ladder too shallow: depth must be at least 2")
+    depth = _count("depth", depth, 2, _MAX_DEPTH)
     if input_path:
         path = pw.read_path_csv(input_path)
     else:
@@ -206,8 +209,7 @@ def main(argv=None) -> int:
             report, code = run_bounds(ns)
         _emit(report, ns.format)
         return code
-    except (ChainError, InvalidPayoff, ValueError, OSError,
-            ReconstructionFailure, DegeneratePolicy, ForwardViolation, UnsupportedChain) as exc:
+    except (ValueError, OSError, ReconstructionFailure, DegeneratePolicy, ForwardViolation, UnsupportedChain) as exc:
         sys.stderr.write(f"varbounds: error: {exc}\n")
         return 1
 

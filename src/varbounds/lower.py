@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import EQ_TOL, NormalizedChain, validate_puts
+from .chain import EQ_TOL, NormalizedChain, _count, validate_puts
 from .payoff import ConvexPayoff, check_c1
 
 _MIN_ATOM_WEIGHT = 1e-11  # a weight of at most this carries no atom, in the solve and in the measure
@@ -59,6 +59,7 @@ _SNAP = 1e-12  # a weight this close to a bound of its interval sits on it; an i
 DEFAULT_GRID = 32
 MIN_GRID = 8  # the recursion raises smaller grids to this many points per interval
 _GRID_BLOCK = 1 << 16  # grid pairs whose segment terms the recursion evaluates at once
+_MAX_GRID = math.isqrt(_GRID_BLOCK)  # 256: one block then holds a whole interval's grid pairs
 _FAR = 1e7  # hedges are checked out to this multiple of the last strike; beyond, by tail slope
 _TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this much
 _LP_POINTS = 2048  # log-spaced points of the oracle's constraint grid, before strikes and atoms
@@ -358,7 +359,7 @@ def _solve_on_grids(nchain, payoff, grids: np.ndarray) -> np.ndarray:
     n, g = grids.shape
     V = _tail_value(nchain, payoff, grids[n - 1])
     choices = np.zeros((n, g), dtype=int)
-    block = max(_GRID_BLOCK // (g * g), 1)
+    block = _GRID_BLOCK // (g * g)  # at least one interval, as g <= _MAX_GRID
     for stop in range(n - 1, 0, -block):
         j = np.arange(max(stop - block, 0) + 1, stop + 1)
         terms = _segment_value(nchain, payoff, j[:, None, None] + 1, grids[j - 1][:, :, None], grids[j][:, None, :])
@@ -683,6 +684,11 @@ def _require_c1(nchain, payoff) -> None:
         raise C1Violation("payoff unbounded at the origin and p_2 <= (k_2/k_1) p_1: the lower bound is infinite")
 
 
+def _effective_grid(grid) -> int:
+    """Points per interval of the recursion: the integer ``grid``, at most ``_MAX_GRID``, raised to ``MIN_GRID``."""
+    return max(_count("grid", grid, high=_MAX_GRID), MIN_GRID)
+
+
 def dp_lower_bound(
     nchain: NormalizedChain, payoff: ConvexPayoff, grid: int = DEFAULT_GRID
 ) -> DualSolution:
@@ -698,7 +704,7 @@ def dp_lower_bound(
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)
-    g = max(int(grid), MIN_GRID)
+    g = _effective_grid(grid)
     grids = np.linspace(sets[:, 0], sets[:, 1], g, axis=1)
     policy = _projected_newton(nchain, payoff, sets, _solve_on_grids(nchain, payoff, grids))
     measure = atoms_from_policy(nchain, policy)

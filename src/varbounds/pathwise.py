@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import _read_two_columns
+from .chain import _count, _read_two_columns, _real, _scale
 from .payoff import ConvexPayoff
 
 DEFAULT_LEVELS = 512
@@ -87,9 +87,12 @@ class PartitionLadder:
         object.__setattr__(self, "meshes", np.asarray([np.diff(self.path.times[p]).max() for p in parts]))
         if np.any(np.diff(self.meshes) >= 0.0):
             raise ValueError("mesh sizes must strictly decrease")
-        for coarse, fine in zip(parts, parts[1:]):  # indices lie in the grid: small tables
-            if not np.all(np.isin(coarse, fine, kind="table")):
-                raise ValueError("partitions must be nested")
+        rank = np.empty(self.path.times.size, dtype=np.intp)  # each sample's coarsest level
+        for level in range(len(parts) - 1, -1, -1):
+            rank[parts[level]] = level
+        # each level holds the samples of all coarser ones iff it is as large as their union
+        if np.any(np.cumsum(np.bincount(rank, minlength=len(parts))) != [p.size for p in parts]):
+            raise ValueError("partitions must be nested")
 
     @property
     def depth(self) -> int:
@@ -98,8 +101,7 @@ class PartitionLadder:
 
 def build_dyadic_ladder(path: SampledPath, depth: int) -> PartitionLadder:
     """Ladder whose level j keeps every 2**(depth-j)-th sample; finest keeps all."""
-    if depth < 2:
-        raise ValueError("ladder too shallow: need depth >= 2")
+    depth = _count("depth", depth, 2)
     n = path.n_steps
     if n % (2 ** (depth - 1)) != 0:
         raise ValueError(f"path with {n} steps does not support a depth-{depth} dyadic ladder")
@@ -145,13 +147,13 @@ def geometric_walk(
     The drift keeps the third-order Itô-remainder bias dominant over its
     sign fluctuations, so residual ladders decrease monotonically run by run.
     """
-    if n_steps < 1:
-        raise ValueError(f"a walk needs at least one step, not {n_steps}")
-    rng = np.random.default_rng(seed)
-    h = maturity / n_steps
-    signs = rng.integers(0, 2, size=n_steps) * 2 - 1
-    log_steps = drift * h + sigma * math.sqrt(h) * signs
-    values = start * np.exp(np.concatenate(([0.0], np.cumsum(log_steps))))
+    n_steps = _count("n_steps", n_steps, 1)
+    h = _scale("maturity", maturity) / n_steps
+    sigma, drift, start = (_real(name, v) for name, v in (("sigma", sigma), ("drift", drift), ("start", start)))
+    signs = np.random.default_rng(seed).integers(0, 2, size=n_steps) * 2 - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # values past the float range: SampledPath rejects them
+        log_steps = drift * h + sigma * math.sqrt(h) * signs
+        values = start * np.exp(np.concatenate(([0.0], np.cumsum(log_steps))))
     times = np.linspace(0.0, maturity, n_steps + 1)
     return SampledPath(times, values)
 
@@ -160,12 +162,12 @@ def arithmetic_walk(
     seed: int, n_steps: int = 4096, maturity: float = 1.0, scale: float = 1.0, start: float = 0.0
 ) -> SampledPath:
     """Symmetric walk with steps +-scale*sqrt(h); quadratic variation is scale**2 * T exactly."""
-    if n_steps < 1:
-        raise ValueError(f"a walk needs at least one step, not {n_steps}")
-    rng = np.random.default_rng(seed)
-    h = maturity / n_steps
-    signs = rng.integers(0, 2, size=n_steps) * 2 - 1
-    values = start + np.concatenate(([0.0], np.cumsum(scale * math.sqrt(h) * signs)))
+    n_steps = _count("n_steps", n_steps, 1)
+    h = _scale("maturity", maturity) / n_steps
+    scale, start = _real("scale", scale), _real("start", start)
+    signs = np.random.default_rng(seed).integers(0, 2, size=n_steps) * 2 - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # values past the float range: SampledPath rejects them
+        values = start + np.concatenate(([0.0], np.cumsum(scale * math.sqrt(h) * signs)))
     times = np.linspace(0.0, maturity, n_steps + 1)
     return SampledPath(times, values)
 
@@ -332,15 +334,13 @@ def discrete_local_time(
     """
     idx = _partition_indices(path, partition)
     times = path.times[idx]
-    t = float(times[-1]) if t is None else float(t)
+    t = float(times[-1]) if t is None else _real("t", t)
     tol = 1e-9 * max(1.0, abs(t))  # one tolerance both finds the partition time and accepts it
     pos = np.searchsorted(times, t + tol)
-    if not math.isfinite(t) or pos == 0 or abs(times[pos - 1] - t) > tol:
+    if pos == 0 or abs(times[pos - 1] - t) > tol:
         raise ValueError(f"t = {t} is not a partition time")
     if levels is None:
-        if n_levels < 1:
-            raise ValueError(f"n_levels must be at least 1, not {n_levels}")
-        levels = _default_levels(path, n_levels)
+        levels = _default_levels(path, _count("n_levels", n_levels, 1))
     levels = np.asarray(levels, dtype=float)
     (values,) = _local_times(path.values, [idx[:pos]], levels)
     return LocalTimeProfile(levels=levels, values=values, time=float(t))
@@ -407,7 +407,7 @@ def occupation_density_check(
     Left side: trapezoidal integral of the local time over A.  Right side:
     squared increments accumulated while the path's left endpoint sits in A.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = (_real("interval end", end, finite=False) for end in interval)
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     part = ladder.partitions[-1]

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import NormalizedChain
+from .chain import NormalizedChain, _scale
 
 _SPOT_LO, _SPOT_HI, _SPOT_SAMPLES = 1e-3, 1e3, 400  # log grid of a custom payoff's convexity spot-check
 _DIFF_STEP = np.finfo(float).eps ** (1 / 3)  # relative step of the slope's central difference
@@ -57,9 +57,7 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind in ("corridor-down", "corridor-up"):
-            b = self.barrier
-            if b is None or not (0.0 < b < math.inf and 1.0 / float(b) < math.inf):
-                raise InvalidPayoff(f"corridor weights need a finite barrier b > 0 with 1/b finite, not {b}")
+            _scale("the finite barrier of a corridor weight", self.barrier, error=InvalidPayoff)
         elif self.kind in ("vanilla", "gamma", "inverse"):
             pass
         elif self.kind == "custom":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import lower as lower_mod
 from . import upper as upper_mod
-from .chain import ChainVerdict, NormalizedChain, validate_puts
+from .chain import ChainVerdict, NormalizedChain, _real, validate_puts
 from .lower import AtomicMeasure, DualSolution, HedgePortfolio
 from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, make_payoff
 from .serialize import round_floats
@@ -73,16 +73,15 @@ class PriceVerdict:
 
 def vol_points(rate: float) -> float:
     """Variance units to volatility percentage points: 100 * sqrt(rate)."""
-    if not rate >= 0.0:  # NaN too; +inf is a band with no upper bound
-        raise ValueError(f"variance rate must be nonnegative, got {rate}")
-    return 100.0 * math.sqrt(rate)
+    return 100.0 * math.sqrt(_real("variance rate", rate, nonnegative=True, finite=False))  # +inf: no upper bound
 
 
 def rate_from_vol_points(points: float) -> float:
-    """Volatility percentage points to variance units: (points / 100)**2."""
-    if not 0.0 <= points < math.inf:
-        raise ValueError(f"volatility points must be finite and nonnegative, got {points}")
-    return (points / 100.0) ** 2
+    """Volatility percentage points to variance units: (points / 100)**2, a finite rate."""
+    try:
+        return (_real("volatility points", points, nonnegative=True) / 100.0) ** 2
+    except OverflowError:
+        raise ValueError(f"volatility points must give a finite variance rate, got {points}") from None
 
 
 def rate_from_european(value_norm: float, payoff: ConvexPayoff) -> float:
@@ -219,6 +218,7 @@ def classify_european(
     ``BOUNDARY_TOL`` in swap rate, the verdict defers to dual existence on
     that side; the origin-cap failure is a weak arbitrage regardless of the quote.
     """
+    quoted_price = _real("quoted price", quoted_price)
     if not validate_puts(nchain).is_consistent:
         raise ValueError("classification requires a consistent put chain")
     p_norm = quoted_price if normalized else quoted_price / (nchain.discount_factor * nchain.forward)
@@ -236,7 +236,7 @@ def classify_european(
 def classify_swap_quote(nchain: NormalizedChain, weight: WeightSpec, quoted_rate: float) -> PriceVerdict:
     """Map a quoted swap rate (variance units) to the equivalent European price and classify."""
     payoff = make_payoff(weight)
-    p_equiv = european_from_rate(quoted_rate, payoff)
+    p_equiv = european_from_rate(_real("quote", quoted_rate), payoff)
     return classify_european(nchain, payoff, p_equiv, normalized=True)
 
 
@@ -254,10 +254,8 @@ def classify_rate_against_bounds(
     for every band this module computes.  A quote within ``BOUNDARY_TOL`` of
     an edge defers to dual existence on that side.
     """
-    if not math.isfinite(quoted):
-        raise ValueError(f"quote must be finite, got {quoted}")
-    if math.isnan(lower) or math.isnan(upper):
-        raise ValueError(f"band edges must be numbers, got [{lower}, {upper}]")
+    quoted = _real("quote", quoted)
+    lower, upper = (_real("band edges", edge, finite=False) for edge in (lower, upper))
     if abs(quoted - lower) <= BOUNDARY_TOL:
         return PriceVerdict(VerdictStatus.BOUNDARY, side="lower", existence=lower_existence)
     if math.isfinite(upper) and abs(quoted - upper) <= BOUNDARY_TOL:
@@ -277,6 +275,7 @@ def swap_rate_bounds(
     quoted_rate: float | None = None,
 ) -> BoundsReport:
     """Full pipeline: payoff bounds, portfolios, measures, swap-rate band, verdicts."""
+    grid = lower_mod._effective_grid(grid)
     verdict = validate_puts(nchain)
     if not verdict.is_consistent:
         raise ValueError(f"chain is not consistent: {verdict.status.value} ({verdict.witness})")
@@ -321,5 +320,5 @@ def swap_rate_bounds(
         upper_existence=upper_existence,
         quoted_rate=quoted_rate,
         quote_verdict=quote_verdict,
-        grid=max(int(grid), lower_mod.MIN_GRID),
+        grid=grid,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import NormalizedChain
+from .chain import NormalizedChain, _real
 from .lower import AtomicMeasure, HedgePortfolio, _forward_tangent, _portfolio_from_nodes
 from .payoff import ConvexPayoff
 
@@ -75,6 +75,7 @@ def extremal_upper_measure(nchain: NormalizedChain, z: float) -> AtomicMeasure:
     admissibility threshold makes the weight at the last strike negative.  A
     cap below the free puts pins the support at the forward: z must be 1.
     """
+    z = _real("support cap z", z)
     window = nchain.window
     xs, vs = (list(window.k), list(window.p)) if window.k.size else ([1.0], [0.0])
     if math.isfinite(nchain.n_max):

@@ -36,6 +36,11 @@ class TestNormalize:
         np.testing.assert_allclose(nc.k, [0.0, 1.2])
         np.testing.assert_allclose(nc.p, [0.0, 0.4])
 
+    def test_strikes_that_meet_once_divided_are_rejected(self):
+        # 1.5 + 2^-52 and 1.5 + 2^-51 are distinct, but divided by 3 both round to one float
+        with pytest.raises(ChainError, match="K/F distinct"):
+            normalize(make_chain([1.5000000000000002, 1.5000000000000004], [0.1, 0.2], forward=3.0))
+
     def test_discount_and_forward_scaling(self):
         nc = normalize(make_chain([100.0], [5.0], forward=100.0, discount=0.5))
         np.testing.assert_allclose(nc.k, [0.0, 1.0])

@@ -186,6 +186,15 @@ class TestBounds:
         monkeypatch.setattr(cli, "swap_rate_bounds", fail)
         assert run(capsys, ["bounds", *market_flags]) == (1, "", "varbounds: error: the solve failed\n")
 
+    def test_one_verdict_per_run(self, capsys, monkeypatch, market_flags):
+        # The CLI, swap_rate_bounds and the policy boxes each ask for the verdict of a chain
+        # with n_min = 0 and no cap, whose window is the chain itself: one classification.
+        calls = []
+        classify = varbounds.chain._classify_puts
+        monkeypatch.setattr(varbounds.chain, "_classify_puts", lambda nchain: calls.append(1) or classify(nchain))
+        assert run(capsys, ["bounds", *market_flags])[0] == 0
+        assert len(calls) == 1
+
     def test_text_format(self, capsys, market_flags):
         code, out, _ = run(capsys, ["bounds", *market_flags, "--weight", "custom", "--format", "text"])
         assert code == 0
@@ -237,8 +246,7 @@ class TestPathcheck:
 
     def test_depth_one_rejected(self, capsys):
         code, _, err = run(capsys, ["pathcheck", "--seed", "42", "--depth", "1"])
-        assert code == 1
-        assert "shallow" in err
+        assert (code, err) == (1, "varbounds: error: depth must be at least 2, got 1\n")
 
     def test_constant_path_csv(self, capsys, tmp_path):
         f = tmp_path / "path.csv"

@@ -126,7 +126,7 @@ class TestLadder:
 
     def test_too_shallow(self):
         path = geometric_walk(0, n_steps=256)
-        with pytest.raises(ValueError, match="shallow"):
+        with pytest.raises(ValueError, match="depth must be at least 2"):
             build_dyadic_ladder(path, 1)
 
     def test_indivisible_steps(self):
@@ -153,6 +153,9 @@ class TestLadder:
             ([np.arange(17.0)], "integer"),
             ([np.array([0]), np.arange(17)], "at least two"),
             ([np.array([[0, 16]]), np.arange(17)], "1-d"),
+            # the outer levels nest, the middle pair does not: 4 and 12 leave at the third level
+            ([np.array([0, 8, 16]), np.arange(0, 17, 4), np.array([0, 2, 3, 6, 8, 10, 11, 14, 16]), np.arange(17)],
+             "nested"),
         ],
     )
     def test_invalid_ladders_rejected(self, partitions, message):
@@ -342,7 +345,7 @@ class TestLocalTime:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_t_must_be_finite(self, t):
         # NaN and inf slip through the tolerance test, which would return the full profile
-        with pytest.raises(ValueError, match="not a partition time"):
+        with pytest.raises(ValueError, match="t must be finite"):
             discrete_local_time(geometric_walk(3, n_steps=8), np.arange(9), t=t)
 
 
@@ -590,7 +593,7 @@ class TestPathValidation:
     @pytest.mark.parametrize("walk", [geometric_walk, arithmetic_walk])
     @pytest.mark.parametrize("n_steps", [0, -1])
     def test_walks_need_a_step(self, walk, n_steps):
-        with pytest.raises(ValueError, match="at least one step"):
+        with pytest.raises(ValueError, match="n_steps must be at least 1"):
             walk(1, n_steps=n_steps)
 
     def test_generators_deterministic(self):
