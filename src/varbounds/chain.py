@@ -261,10 +261,11 @@ def validate_puts(nchain: NormalizedChain) -> ChainVerdict:
     """Classify the chain as consistent, weak arbitrage, or model-independent arbitrage.
 
     A market model exists iff the interpolant is nonnegative, nondecreasing,
-    convex, dominates the intrinsic value (k - 1)^+ and has left slope < 1 at
-    the last informative strike.  The single borderline failure -- slope
-    exactly 1 at k_n while no put prices at intrinsic value -- admits no
-    model yet no model-free arbitrage either.  Computed once per chain.
+    convex, dominates the intrinsic value (k - 1)^+, meets it past the cap
+    and has left slope < 1 at the last informative strike.  The single
+    borderline failure -- slope exactly 1 at k_n while no put prices at
+    intrinsic value -- admits no model yet no model-free arbitrage either.
+    Computed once per chain.
     """
     return nchain._verdict
 
@@ -286,6 +287,10 @@ def _classify_puts(nchain: NormalizedChain) -> ChainVerdict:
         failures.append("price below intrinsic value (k - 1)^+")
 
     top = nchain.top_index
+    # The put at intrinsic value makes the call free there: puts past it are worth k - 1 in every model.
+    if np.any(p[top + 1 :] - (k[top + 1 :] - 1.0) > EQ_TOL):
+        failures.append("put past the cap priced above intrinsic value k - 1 (put spread against the cap strike)")
+
     slope_at_top = float(s[top - 1]) if top >= 1 else 0.0
     slope_ok = slope_at_top < 1.0 - EQ_TOL
 

@@ -372,9 +372,10 @@ def dual_existence_lb(nchain: NormalizedChain, payoff: ConvexPayoff, subhedge=No
     (iv) a divergent tail curvature moment forces the tail atom to stay
     finite; (ii), with a supplied optimal subhedge, a strict gap at the last
     strike and an asymptotic slope above the hedge's forward position phi,
-    so that the convex payoff - phi x grows without bound.  With an optimal
-    subhedge, a strict gap on the whole tail ray certifies failure (payoffs
-    affine on a half-line are left undetermined).
+    so that the convex payoff - phi x grows without bound.  Past those, a gap
+    over 1e-9 at k_n is failure, exactly, for a payoff affine on no half-line:
+    its slope stays below gamma <= phi, so the gap falls on all of [k_n, oo)
+    and never closes; the infimum lies at infinity.  Else: undetermined.
     """
     if math.isfinite(nchain.n_max):
         return DualExistence("guaranteed", "i")
@@ -392,11 +393,6 @@ def dual_existence_lb(nchain: NormalizedChain, payoff: ConvexPayoff, subhedge=No
     if gap_at_kn > 1e-9 and payoff.asymptotic_slope > phi:
         return DualExistence("guaranteed", "ii")
 
-    if math.isfinite(payoff.affine_tail_threshold):
+    if math.isfinite(payoff.affine_tail_threshold) or not gap_at_kn > 1e-9:
         return DualExistence("undetermined")
-
-    xs = np.geomspace(kn, max(1e8, 100.0 * kn), 400)
-    gaps = payoff.value(xs) - subhedge.payoff(xs)
-    if np.all(gaps > 1e-9):
-        return DualExistence("fails")
-    return DualExistence("undetermined")
+    return DualExistence("fails")

@@ -101,16 +101,20 @@ def dominates_above(
     portfolio: HedgePortfolio,
     payoff: ConvexPayoff,
     nchain: NormalizedChain,
-    grid: np.ndarray,
+    grid: np.ndarray | None = None,
     tol: float = 1e-10,
 ) -> bool:
-    """Superhedge domination check at the points of ``grid`` on ``nchain.window``, to k_top when capped."""
+    """Exact domination to ``tol`` on ``nchain.window``, past k_top unless capped; ``grid`` is not read.
+
+    Payoff minus a line is convex, so it peaks at the window's ends and strikes, and past an uncapped
+    window it does not rise iff the portfolio's tail slope is at least the payoff's asymptotic slope.
+    """
     k = nchain.window.k
     if k.size == 0:  # a cap below the free puts leaves no point to check
         return True
-    pts = grid[grid >= k[0]]
-    if math.isfinite(nchain.n_max):
-        pts = pts[pts <= k[-1]]
+    if not math.isfinite(nchain.n_max) and portfolio.tail_slope() < payoff.asymptotic_slope:
+        return False
+    pts = np.clip(np.append(portfolio.strikes, (k[0], k[-1])), k[0], k[-1])
     with np.errstate(all="ignore"):
         h = portfolio.payoff(pts)
         lam = payoff.value(pts)

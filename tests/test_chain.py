@@ -9,11 +9,13 @@ from varbounds import (
     ChainError,
     ChainStatus,
     OptionChain,
+    WeightSpec,
     boundary_indices,
     denormalize,
     interpolant_r,
     load_chain,
     normalize,
+    swap_rate_bounds,
     validate_puts,
 )
 from varbounds.pathwise import read_path_csv
@@ -97,6 +99,21 @@ class TestValidate:
     def test_capped_support_consistent(self):
         nc = normalize(make_chain([2.0], [1.0]))
         assert validate_puts(nc).is_consistent
+
+    # The put at 1.5 sits at intrinsic value and caps the support; the put at 2.0 lies past the cap.
+    @pytest.mark.parametrize("last,consistent", [(5.0, False), (1.2, False), (1.0, True)])
+    def test_puts_past_the_cap_sit_at_intrinsic_value(self, last, consistent):
+        nc = normalize(make_chain([0.5, 1.0, 1.5, 2.0], [0.05, 0.2, 0.5, last]))
+        assert nc.n_max == 3
+        verdict = validate_puts(nc)
+        if consistent:
+            assert verdict.is_consistent
+            return
+        # Short the put at 2.0, long the put at 1.5 and 0.5 cash: cost 1.0 - last < 0, payoff >= 0.
+        assert verdict.status is ChainStatus.MODEL_INDEPENDENT_ARBITRAGE
+        assert verdict.witness == "put past the cap priced above intrinsic value k - 1 (put spread against the cap strike)"
+        with pytest.raises(ValueError, match="model_independent_arbitrage"):
+            swap_rate_bounds(nc, WeightSpec.gamma())
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -119,6 +119,18 @@ class TestBounds:
         report = parse_report(out)
         assert report["chain_verdict"]["status"] == "model_independent_arbitrage"
 
+    @pytest.mark.parametrize("last,code", [("5.0", 2), ("1.2", 2), ("1.0", 0)])
+    def test_put_past_the_cap_above_intrinsic_is_an_arbitrage(self, capsys, tmp_path, last, code):
+        f = tmp_path / "past.csv"
+        f.write_text(f"strike,put_price\n0.5,0.05\n1.0,0.2\n1.5,0.5\n2.0,{last}\n")  # capped at 1.5
+        got, out, _ = run(
+            capsys,
+            ["bounds", "--input", str(f), "--forward", "1", "--discount", "1", "--maturity", "1"],
+        )
+        assert got == code
+        status = parse_report(out)["chain_verdict"]["status"]
+        assert status == ("model_independent_arbitrage" if code == 2 else "consistent")
+
     def test_origin_cap_weak_arbitrage(self, capsys, tmp_path):
         f = tmp_path / "cap.csv"
         f.write_text("strike,put_price\n0.5,0.05\n0.6,0.06\n")

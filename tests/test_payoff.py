@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from varbounds import (
+    DualExistence,
+    HedgePortfolio,
     InvalidPayoff,
     WeightSpec,
     check_c1,
@@ -18,7 +20,8 @@ from varbounds import (
     superhedge,
 )
 from varbounds import OptionChain
-from conftest import single_put_chain
+from varbounds.swap import compute_lower
+from conftest import random_consistent_chain, single_put_chain
 
 ALL_SPECS = [
     WeightSpec.vanilla(),
@@ -258,7 +261,56 @@ class TestSuperhedgeFeasible:
         assert superhedge(single_put_chain(0.4), make_payoff(WeightSpec.corridor_up(2.0))).feasible is True
 
 
+def sampled_dual_existence(nchain, payoff, subhedge) -> DualExistence:
+    """The reference: ``dual_existence_lb`` with ``fails`` read off 400 points of the tail ray, as it once was."""
+    if math.isfinite(nchain.n_max):
+        return DualExistence("guaranteed", "i")
+    if payoff.tail_curvature_divergent:
+        return DualExistence("guaranteed", "iv")
+    kn = float(nchain.k[-1])
+    gap_at_kn = float(payoff.value(kn)) - float(subhedge.payoff(kn))
+    if gap_at_kn > 1e-9 and payoff.asymptotic_slope > float(subhedge.forward):
+        return DualExistence("guaranteed", "ii")
+    if math.isfinite(payoff.affine_tail_threshold):
+        return DualExistence("undetermined")
+    xs = np.geomspace(kn, max(1e8, 100.0 * kn), 400)
+    gaps = payoff.value(xs) - subhedge.payoff(xs)
+    return DualExistence("fails" if np.all(gaps > 1e-9) else "undetermined")
+
+
+# The five built-ins, and the custom twins of inverse (1/x) and vanilla (-ln x).
+EXISTENCE_SPECS = {
+    **{spec.label(): spec for spec in ALL_SPECS},
+    "custom-1/x": WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)),
+    "custom--ln": WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x),
+}
+
+
 class TestDualExistence:
+    @pytest.mark.parametrize("name", EXISTENCE_SPECS)
+    def test_exact_rule_agrees_with_the_tail_sample(self, name):
+        payoff = make_payoff(EXISTENCE_SPECS[name])
+        rng = np.random.default_rng(29)
+        for _ in range(100):  # draws 72 and 79 give "fails" for inverse
+            nc = random_consistent_chain(rng)
+            _, portfolio, existence = compute_lower(nc, payoff)
+            assert existence == sampled_dual_existence(nc, payoff, portfolio)
+
+    def test_contact_at_the_last_strike_is_undetermined(self):
+        # The tangent of 1/x at k_n: no gap there, and a tail slope below gamma = 0.
+        nc, payoff = single_put_chain(0.4), make_payoff(WeightSpec.inverse())
+        kn = float(nc.k[-1])
+        tangent = HedgePortfolio(2.0 / kn, -1.0 / kn**2, np.zeros(1), nc.k[1:])
+        assert abs(float(payoff.value(kn)) - tangent.payoff(kn)) <= 1e-9
+        assert dual_existence_lb(nc, payoff, tangent) == DualExistence("undetermined")
+
+    def test_gap_at_the_last_strike_with_a_tail_at_gamma_fails(self):
+        # The zero hedge under 1/x: a gap of 1/k_n, and a tail slope phi = gamma = 0.
+        nc, payoff = single_put_chain(0.4), make_payoff(WeightSpec.inverse())
+        flat = HedgePortfolio(0.0, 0.0, np.zeros(1), nc.k[1:])
+        assert payoff.asymptotic_slope == flat.tail_slope() == 0.0
+        assert dual_existence_lb(nc, payoff, flat) == DualExistence("fails")
+
     def test_vanilla_tail_divergence(self):
         nc = single_put_chain(0.4)
         verdict = dual_existence_lb(nc, make_payoff(WeightSpec.vanilla()))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from varbounds import (
     normalize,
     superhedge,
 )
+from varbounds.lower import _portfolio_from_nodes
 from varbounds.upper import dominates_above
 from conftest import random_consistent_chain, single_put_chain, verification_grid
 
@@ -95,6 +97,32 @@ class TestSuperhedge:
         assert ub.value == pytest.approx(mu.integrate(GAMMA), abs=1e-8)
         # past the cap at 2.0 no mass lies, so the check stops there
         assert dominates_above(ub.portfolio, GAMMA, nc, np.geomspace(1e-3, 50, 4000))
+
+    def test_domination_is_exact_between_grid_points(self):
+        # The grid of test_relaxed_tail_with_capped_support misses every strike,
+        # so a node lowered by 1e-6 passes on it; the exact check reads the node.
+        nc = chain_of([0.8, 2.0], [0.1, 1.0])
+        ub = superhedge(nc, GAMMA)
+        nodes = GAMMA.value(nc.window.k) - 1e-6 * (nc.window.k == 0.8)
+        low = _portfolio_from_nodes(nc, nodes, ub.portfolio.tail_slope())
+        grid = np.geomspace(1e-3, 50, 4000)
+        on_window = grid[grid <= 2.0]
+        assert np.all(low.payoff(on_window) >= GAMMA.value(on_window) - 1e-10)
+        assert not dominates_above(low, GAMMA, nc, grid)
+
+    def test_a_tail_below_the_asymptotic_slope_fails(self):
+        # The forward 1e-7 short of gamma, with the value at k_n kept: the
+        # shortfall, about 1e-7 (x - k_n) - ln(x / k_n), appears only far past
+        # the 1000 k_n end of the verification grid.
+        nc = random_consistent_chain(np.random.default_rng(6))
+        ub = superhedge(nc, CORRIDOR_UP)
+        kn = nc.k[-1]
+        short = replace(ub.portfolio, forward=ub.portfolio.forward - 1e-7, cash=ub.portfolio.cash + 1e-7 * kn)
+        assert short.payoff(kn) == pytest.approx(ub.portfolio.payoff(kn), abs=1e-14)
+        grid = verification_grid(nc, CORRIDOR_UP)
+        assert np.all(short.payoff(grid) >= CORRIDOR_UP.value(grid) - 1e-10)
+        assert dominates_above(ub.portfolio, CORRIDOR_UP, nc)
+        assert not dominates_above(short, CORRIDOR_UP, nc, grid)
 
     def test_lower_below_upper(self):
         rng = np.random.default_rng(16)
