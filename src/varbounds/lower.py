@@ -820,11 +820,10 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
     with np.errstate(all="ignore"):
         if not np.isfinite(payoff.slope(atoms[0])):
             # An atom at the origin where the slope is infinite (gamma) touches
-            # through the tangent at the largest c = k_1 10^-j that passes
-            # within a tenth of the contact tolerance of the payoff at 0.
-            c = k[1] * np.logspace(-1, -300, 300)
-            gap = payoff.value(0.0) - payoff.value(c) + c * payoff.slope(c)
-            touch[0] = c[np.argmax(gap <= 0.1 * _CONTACT_TOL)]
+            # through the tangent at the largest c in (0, k_1] passing within a tenth
+            # of the contact tolerance of the payoff at 0: that gap rises from 0 at 0.
+            gap = lambda c: np.where(c > 0.0, payoff.value(0.0) - payoff.value(c) + c * payoff.slope(c), 0.0)
+            touch[0] = _bracket_root(gap, 0.1 * _CONTACT_TOL, np.array([0.0]), k[1:2])[0][0]
         lam, slope = payoff.value(touch), payoff.slope(touch)
 
     def tangent(i, j):

@@ -191,6 +191,20 @@ def _convexity_spot_check(value) -> None:
         raise InvalidPayoff("custom payoff fails the convexity spot-check")
 
 
+def _probed_limit(fn, probes) -> float:
+    """Limit of ``fn`` past four geometric probes: Aitken's delta-squared over
+    the first three, checked on the last three.  inf unless the increments
+    shrink at least twofold (a NaN, an inf, a log) and both limits agree within
+    1e-12 of max(|fn(1)|, |limit|), the scale they serve at (slow powers)."""
+    v = fn(np.array(probes))
+    d = np.diff(v)
+    if not np.all(np.abs(d[1:]) <= 0.5 * np.abs(d[:-1])):
+        return math.inf
+    with np.errstate(all="ignore"):
+        lim = np.where(d[1:] == 0.0, v[2:], v[2:] - d[1:] * d[1:] / (d[1:] - d[:-1]))
+    return float(lim[0]) if abs(lim[1] - lim[0]) <= 1e-12 * max(abs(fn(1.0)), abs(lim[0])) else math.inf
+
+
 def _probe_tail_divergence(value, slope) -> bool:
     # x * slope(x) - value(x) is nondecreasing; it diverges iff the tail
     # first moment of the curvature measure does.  Divergence (even
@@ -290,19 +304,10 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
 
         weight = _vectorized(spec.weight_fn if spec.weight_fn is not None else difference_weight)
         _convexity_spot_check(value)
-        v_near, v_nearer = value(1e-9), value(1e-12)
-        if not math.isfinite(v_near) or not math.isfinite(v_nearer) or v_nearer > v_near + 1e-6:
-            origin = math.inf
-        else:
-            origin = float(value(1e-14))
+        origin = _probed_limit(value, (1e-10, 1e-12, 1e-14, 1e-16))
         value = _vectorized(lambda x: np.where(x == 0.0, origin, spec.value_fn(x)))  # value(0) is the probed limit
-        # The slope rises to gamma, typically as gamma - b / x, and extrapolated
-        # so from the probes gets it exactly; the slope at 1e9 falls short and
-        # would make a vanishing tail a spurious optimum of the lower bound.
-        s_hi, s_hi2 = slope(1e7), slope(1e9)
-        gamma = math.inf
-        if abs(s_hi2 - s_hi) <= 1e-6 * max(1.0, abs(s_hi2)):
-            gamma = float(s_hi2 + (s_hi2 - s_hi) / 99.0)  # 99 = (1e9 - 1e7) / 1e7
+        # Extrapolated: a slope at 1e9 short of gamma would make a vanishing tail a spurious optimum.
+        gamma = _probed_limit(slope, (1e5, 1e7, 1e9, 1e11))
         divergent = _probe_tail_divergence(value, slope)
         # Affine tail detection: the slope is constant beyond z iff the
         # curvature vanishes there; probe a coarse grid for the last change

@@ -188,24 +188,15 @@ def compute_lower(
     """Lower bound, sub-replicating portfolio, and the dual-existence verdict.
 
     ``lp_lower_bound`` serves every chain: the policy recursion and the
-    tangent subhedge on ``nchain.window``, where its mass lies.  Without
-    guaranteed dual existence ``tighten_tail`` lifts the tail in one solve,
-    unless the measure has an atom past the window's last strike.
+    tangent subhedge on ``nchain.window``, where its mass lies.  Exactly where
+    mass escapes to infinity (``mean_at_infinity > 0``) ``tighten_tail`` lifts
+    the tail toward the asymptotic slope in one solve, since the existence
+    conditions presume the optimal subhedge; they are read once, from it.
     """
     value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff, grid=grid)
-    solution = DualSolution(value=value, measure=measure)
-    existence = dual_existence_lb(nchain, payoff)
-    if not existence.is_guaranteed:
-        # The portfolio-dependent existence conditions presume the optimal
-        # subhedge, whose tail is lifted as far toward the asymptotic slope
-        # as domination allows; apply the lift before consulting them.  Past
-        # an atom beyond the window the tail is that atom's tangent, already
-        # the steepest ray under the payoff from k_n: the lift would be 0.
-        window = nchain.window
-        if not (window.n >= 1 and measure.atoms.max() > window.k[-1]):
-            portfolio = lower_mod.tighten_tail(nchain, payoff, portfolio)
-        existence = dual_existence_lb(nchain, payoff, portfolio)
-    return solution, portfolio, existence
+    if measure.mean_at_infinity > 0.0:
+        portfolio = lower_mod.tighten_tail(nchain, payoff, portfolio)
+    return DualSolution(value=value, measure=measure), portfolio, dual_existence_lb(nchain, payoff, portfolio)
 
 
 def classify_european(
@@ -213,31 +204,28 @@ def classify_european(
 ) -> PriceVerdict:
     """Classify a quoted European price against the sub/super-replication band.
 
-    Strictly inside the open band is consistent; strictly outside is a
+    The price maps to its swap rate, classified as ``swap_rate_bounds`` does:
+    strictly inside the open band is consistent; strictly outside is a
     model-independent arbitrage on the named side; on the band edge, within
     ``BOUNDARY_TOL`` in swap rate, the verdict defers to dual existence on
     that side; the origin-cap failure is a weak arbitrage regardless of the quote.
     """
     quoted_price = _real("quoted price", quoted_price)
-    if not validate_puts(nchain).is_consistent:
-        raise ValueError("classification requires a consistent put chain")
     p_norm = quoted_price if normalized else quoted_price / (nchain.discount_factor * nchain.forward)
-    try:
-        solution, _, existence = compute_lower(nchain, payoff)
-    except lower_mod.C1Violation as exc:
-        return PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
-    ub = upper_mod.superhedge(nchain, payoff)
-    return classify_rate_against_bounds(
-        *(rate_from_european(v, payoff) for v in (p_norm, solution.value, ub.value)),
-        lower_existence=existence, upper_existence=upper_dual_existence(nchain, payoff),
-    )
+    return _quote_verdict(nchain, payoff, rate_from_european(p_norm, payoff))
 
 
 def classify_swap_quote(nchain: NormalizedChain, weight: WeightSpec, quoted_rate: float) -> PriceVerdict:
-    """Map a quoted swap rate (variance units) to the equivalent European price and classify."""
-    payoff = make_payoff(weight)
-    p_equiv = european_from_rate(_real("quote", quoted_rate), payoff)
-    return classify_european(nchain, payoff, p_equiv, normalized=True)
+    """Classify a quoted swap rate (variance units) against the band itself, as ``classify_european`` does."""
+    return _quote_verdict(nchain, make_payoff(weight), quoted_rate)
+
+
+def _quote_verdict(nchain: NormalizedChain, payoff: ConvexPayoff, quoted_rate: float) -> PriceVerdict:
+    """The report's quote verdict, or a weak arbitrage where the C1 condition fails."""
+    try:
+        return _report(nchain, payoff, payoff.kind, quoted_rate=quoted_rate).quote_verdict
+    except lower_mod.C1Violation as exc:
+        return PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
 
 
 def classify_rate_against_bounds(
@@ -275,27 +263,34 @@ def swap_rate_bounds(
     quoted_rate: float | None = None,
 ) -> BoundsReport:
     """Full pipeline: payoff bounds, portfolios, measures, swap-rate band, verdicts."""
+    return _report(nchain, make_payoff(weight), weight.label(), grid, quoted_rate)
+
+
+def _report(nchain, payoff, label, grid=lower_mod.DEFAULT_GRID, quoted_rate=None) -> BoundsReport:
+    """The one band pipeline of ``swap_rate_bounds`` and both classifiers.
+
+    A band inverted past ``BOUNDARY_TOL`` raises ``ValueError``: weak duality
+    puts the lower bound under the upper, so only rounding can invert it.
+    """
     grid = lower_mod._effective_grid(grid)
+    quoted_rate = None if quoted_rate is None else _real("quote", quoted_rate)
     verdict = validate_puts(nchain)
     if not verdict.is_consistent:
         raise ValueError(f"chain is not consistent: {verdict.status.value} ({verdict.witness})")
-    payoff = make_payoff(weight)
     solution, sub_portfolio, lower_existence = compute_lower(nchain, payoff, grid=grid)
     ub = upper_mod.superhedge(nchain, payoff)
-    lower_value = solution.value
-    upper_value = ub.value
-    df = nchain.discount_factor * nchain.forward
-    swap_lower = rate_from_european(lower_value, payoff)
-    swap_upper = rate_from_european(upper_value, payoff)
-
+    swap_lower, swap_upper = rate_from_european(solution.value, payoff), rate_from_european(ub.value, payoff)
+    if swap_lower > swap_upper + BOUNDARY_TOL:
+        raise ValueError(f"the swap-rate band is inverted: lower {swap_lower:.6g} above upper {swap_upper:.6g}")
     upper_existence = upper_dual_existence(nchain, payoff)
     quote_verdict = None
     if quoted_rate is not None:
         quote_verdict = classify_rate_against_bounds(
             quoted_rate, swap_lower, swap_upper, lower_existence=lower_existence, upper_existence=upper_existence
         )
+    df = nchain.discount_factor * nchain.forward
     return BoundsReport(
-        weight=weight.label(),
+        weight=label,
         chain_verdict=verdict,
         forward=nchain.forward,
         discount_factor=nchain.discount_factor,
@@ -303,10 +298,10 @@ def swap_rate_bounds(
         n_puts=nchain.n,
         n_min=nchain.n_min,
         n_max=nchain.n_max,
-        lower_value=lower_value,
-        upper_value=upper_value,
-        lower_price=df * lower_value,
-        upper_price=df * upper_value,
+        lower_value=solution.value,
+        upper_value=ub.value,
+        lower_price=df * solution.value,
+        upper_price=df * ub.value,
         swap_lower=swap_lower,
         swap_upper=swap_upper,
         vol_lower=vol_points(max(swap_lower, 0.0)),

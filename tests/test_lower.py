@@ -881,6 +881,10 @@ class TestReconstruct:
         measure = dp_lower_bound(nc, GAMMA).measure
         assert measure.atoms[0] == 0.0 and measure.atoms[1] > nc.k[2]
         assert_subhedge_contract(nc, GAMMA, measure)
+        # The touch is the largest c with gap lambda(0) - lambda(c) + c lambda'(c)
+        # = c at most 1e-9, not the sample k_1 10^-j below it (5e-10).
+        gap = GAMMA.value(0.0) - reconstruct_subhedge(nc, GAMMA, measure).payoff(0.0)
+        assert 0.999e-9 <= gap <= 1e-9
 
     def test_failure_names_the_check_and_its_size(self):
         # Away from the optimum the tangents at the atom and at the tail atom
@@ -1249,6 +1253,19 @@ class TestTightenTail:
         again = tighten_tail(nc, payoff, tight)
         assert again.forward == tight.forward
         assert again.cash == tight.cash
+
+    @pytest.mark.parametrize("name", ["vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "inverse",
+                                      "1/x + x/4"])
+    def test_lifted_exactly_where_mass_escapes(self, name):
+        payoff = affine_plus_inverse(0.25) if name == "1/x + x/4" else make_payoff(parse_weight(name))
+        rng = np.random.default_rng(30)
+        for draw in range(40):
+            nc = random_consistent_chain(rng)
+            _, base, measure = lp_lower_bound(nc, payoff)
+            _, port, _ = compute_lower(nc, payoff)
+            want = tighten_tail(nc, payoff, base) if measure.mean_at_infinity > 0.0 else base
+            assert (port.cash, port.forward) == (want.cash, want.forward), draw
+            assert np.array_equal(port.puts, want.puts), draw
 
     def test_not_invoked_when_existence_guaranteed(self):
         # pipeline guard: tail-moment divergence keeps the optimal tail atom

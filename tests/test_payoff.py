@@ -163,6 +163,53 @@ def two_floats(x, direction):
     return np.nextafter(np.nextafter(x, direction), direction)
 
 
+class TestCustomLimits:
+    """A custom payoff's origin value and asymptotic slope: Aitken's delta-squared, checked by a fourth probe."""
+
+    @pytest.mark.parametrize("spec, origin, gamma, origin_tol", [
+        (WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)), math.inf, 0.0, 0.0),
+        (WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x), math.inf, 0.0, 0.0),
+        (WeightSpec.custom(lambda x: x * np.log(x) - x, np.log), 0.0, math.inf, 1e-14),
+        (WeightSpec.custom(lambda x: np.exp(-x), lambda x: -np.exp(-x)), 1.0, 0.0, 0.0),
+        (WeightSpec.custom(lambda x: -4.0 * np.sqrt(x), lambda x: -2.0 / np.sqrt(x)), 0.0, 0.0, 1e-20),
+        (WeightSpec.custom(lambda x: 1.0 / x + 0.25 * x, lambda x: -1.0 / np.square(x) + 0.25), math.inf, 0.25, 0.0),
+        (WeightSpec.custom(lambda x: 100.0 * (x * np.log(x) - x), lambda x: 100.0 * np.log(x)), 0.0, math.inf, 1e-12),
+        (WeightSpec.custom(lambda x: -np.power(x, 0.7) / 0.7 - np.power(x, 0.8) / 8.0,
+                           lambda x: -np.power(x, -0.3) - 0.1 * np.power(x, -0.2)), 0.0, math.inf, 1e-12),
+        (WeightSpec.custom(lambda x: -np.power(x, 0.3) - 0.1 * np.power(x, 0.2),
+                           lambda x: -0.3 * np.power(x, -0.7) - 0.02 * np.power(x, -0.8)), math.inf, math.inf, 0.0),
+    ], ids=["1/x", "-ln x", "x ln x - x", "exp(-x)", "-4 sqrt x", "1/x + x/4", "100 (x ln x - x)", "slow slope",
+         "slow origin"])
+    def test_limits(self, spec, origin, gamma, origin_tol):
+        # Without the shrink test the ln x slope would extrapolate to 1.19e16;
+        # without the fourth probe the two sums of slow powers would extrapolate
+        # to a slope limit -3.2e-4 and an origin value -2.3e-5, both short of 0.
+        # The check scales with the payoff: 100 (x ln x - x) keeps its origin.
+        payoff = make_payoff(spec)
+        assert payoff.origin_value == pytest.approx(origin, rel=0.0, abs=origin_tol)
+        assert payoff.asymptotic_slope == pytest.approx(gamma, rel=0.0, abs=1e-20)
+
+    def test_a_slowly_settling_payoff_has_a_finite_superhedge(self):
+        # -4 sqrt x: value 0 at the origin, slope rising to 0 as x^(-1/2)
+        payoff = make_payoff(WeightSpec.custom(lambda x: -4.0 * np.sqrt(x), lambda x: -2.0 / np.sqrt(x)))
+        upper = superhedge(single_put_chain(0.4), payoff)
+        assert upper.feasible and upper.value == pytest.approx(-2.921, abs=1e-3)
+
+    @pytest.mark.parametrize("name, twin", [
+        ("inverse", WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x))),
+        ("vanilla", WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x)),
+        ("gamma", WeightSpec.custom(lambda x: x * np.log(x) - x, np.log)),
+    ], ids=["inverse", "vanilla", "gamma"])
+    def test_twin_has_the_builtin_existence_verdict(self, name, twin):
+        # draws 72 and 79: the 1/x twin's slope limit of 1e-16 once passed
+        # condition (ii) where inverse fails
+        builtin, twin = make_payoff(WeightSpec(name)), make_payoff(twin)
+        rng = np.random.default_rng(29)
+        for draw in range(100):
+            nc = random_consistent_chain(rng)
+            assert compute_lower(nc, twin)[2] == compute_lower(nc, builtin)[2], draw
+
+
 class TestSlopeInverse:
     # inf{x > 0 : slope(x) >= m}, checked against the slope in exact
     # arithmetic: the exact crossing lies within two floats of the answer, up

@@ -23,7 +23,7 @@ from varbounds import (
 )
 from varbounds.cli import parse_report, round_floats
 from varbounds.lower import C1Violation, build_lp_grid, grid_lp_oracle
-from varbounds.swap import european_from_rate, rate_from_european, rate_from_vol_points
+from varbounds.swap import BOUNDARY_TOL, european_from_rate, rate_from_european, rate_from_vol_points
 from conftest import lognormal_chain, random_consistent_chain, single_put_chain, trimmed_route_chain, window_excess
 
 INVERSE = make_payoff(WeightSpec.inverse())
@@ -159,7 +159,10 @@ class TestClassifySwapQuote:
 
     @pytest.mark.parametrize("weight", ["vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "custom"])
     def test_one_verdict_from_every_entry_point(self, weight):
-        # rates on, just inside and just outside each finite edge's boundary band
+        # rates on, just inside and just outside each finite edge's boundary
+        # band, and at exactly BOUNDARY_TOL from the edge and its float neighbours
+        at_tol = (BOUNDARY_TOL, np.nextafter(BOUNDARY_TOL, 0.0), np.nextafter(BOUNDARY_TOL, 1.0))
+        offsets = (0.0, 1e-6, -1e-6, 1.5e-6, -1.5e-6, 4e-6, -4e-6) + at_tol + tuple(-t for t in at_tol)
         spec = parse_weight(weight)
         payoff = make_payoff(spec)
         rng = np.random.default_rng(15)
@@ -168,15 +171,28 @@ class TestClassifySwapQuote:
             report = swap_rate_bounds(nc, spec)
             edges = [e for e in (report.swap_lower, report.swap_upper) if math.isfinite(e)]
             for edge in edges:
-                for offset in (0.0, 1e-6, -1e-6, 1.5e-6, -1.5e-6, 4e-6, -4e-6):
-                    rate = edge + offset
+                for offset in offsets:
+                    # the rate of the quoted price, so that every entry point sees one rate
+                    price = european_from_rate(edge + offset, payoff)
+                    rate = rate_from_european(price, payoff)
                     via_report = swap_rate_bounds(nc, spec, quoted_rate=rate).quote_verdict
                     via_band = classify_rate_against_bounds(
                         rate, report.swap_lower, report.swap_upper,
                         lower_existence=report.lower_existence, upper_existence=report.upper_existence)
-                    via_price = classify_european(nc, payoff, european_from_rate(rate, payoff), normalized=True)
+                    via_price = classify_european(nc, payoff, price, normalized=True)
                     assert via_report == classify_swap_quote(nc, spec, rate) == via_band == via_price, (
                         weight, edge, offset)
+
+    def test_every_entry_point_rejects_an_inconsistent_chain(self):
+        nc, spec = single_put_chain(0.1), WeightSpec.vanilla()
+        messages = set()
+        for call in (lambda: swap_rate_bounds(nc, spec, quoted_rate=0.04),
+                     lambda: classify_european(nc, make_payoff(spec), 1.0, normalized=True),
+                     lambda: classify_swap_quote(nc, spec, 0.04)):
+            with pytest.raises(ValueError, match="^chain is not consistent") as error:
+                call()
+            messages.add(str(error.value))
+        assert len(messages) == 1
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.8, max_value=3.0))
@@ -202,6 +218,13 @@ class TestClassifySwapQuote:
 
 
 class TestSwapRateBounds:
+    def test_an_inverted_band_is_an_error(self):
+        # a corridor-up barrier of 1e-300 rounds the lower edge to 2.97e284
+        # above an upper edge of 0
+        nc = chain_of([0.8, 1.0, 1.2], [0.075, 0.125, 0.275])
+        with pytest.raises(ValueError, match="band is inverted"):
+            swap_rate_bounds(nc, WeightSpec.corridor_up(1e-300))
+
     def test_vanilla_report(self):
         rng = np.random.default_rng(2)
         nc = random_consistent_chain(rng, max_strikes=5)
