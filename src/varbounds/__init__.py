@@ -43,6 +43,7 @@ from .swap import (
     BoundsReport,
     PriceVerdict,
     VerdictStatus,
+    bounds_payload,
     classify_european,
     classify_rate_against_bounds,
     classify_swap_quote,
@@ -61,6 +62,7 @@ from .pathwise import (
     discrete_local_time,
     follmer_integral,
     geometric_walk,
+    ladder_checks,
     occupation_density_check,
     quadratic_variation,
     transform_local_time,

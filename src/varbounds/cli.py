@@ -13,16 +13,12 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import pathwise as pw
-from .chain import _count, load_chain, normalize, validate_puts
-from .lower import (C1Violation, DEFAULT_GRID, MIN_GRID, DegeneratePolicy, ForwardViolation, ReconstructionFailure,
-                    UnsupportedChain, _MAX_GRID)
-from .payoff import WeightSpec, make_payoff, parse_weight
+from .chain import _count, load_chain, normalize
+from .lower import (DEFAULT_GRID, MIN_GRID, DegeneratePolicy, ForwardViolation, ReconstructionFailure, UnsupportedChain,
+                    _MAX_GRID)
 from .serialize import round_floats
-from .swap import PriceVerdict, VerdictStatus, rate_from_vol_points, swap_rate_bounds
-from .pathwise import C2Function
+from .swap import bounds_payload, rate_from_vol_points
 
 
 def parse_report(text: str) -> dict:
@@ -92,11 +88,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(round_floats(report), indent=2))
-        return
-    for line in _text_lines(report, prefix=""):
-        print(line)
+    print(json.dumps(round_floats(report), indent=2) if fmt == "json" else "\n".join(_text_lines(report, prefix="")))
 
 
 def _text_lines(obj, prefix: str):
@@ -121,79 +113,16 @@ def run_bounds(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.command == "classify" and quote is None:
         raise ValueError("classify requires --quote-volpts or --quote-var")
     nchain = normalize(load_chain(ns.input, ns.forward, ns.discount, ns.maturity))
-    verdict = validate_puts(nchain)
-    if not verdict.is_consistent:
-        return {"chain_verdict": verdict.to_dict()}, 2
-    weight = parse_weight(ns.weight)
-    try:
-        report = swap_rate_bounds(nchain, weight, grid=ns.grid, quoted_rate=quote)
-    except C1Violation as exc:
-        quote_verdict = PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
-        return {"chain_verdict": verdict.to_dict(), "quote": {"verdict": quote_verdict.to_dict()}}, 2
-    payload = report.to_dict()
-    code = 0
-    if report.quote_verdict is not None and report.quote_verdict.is_arbitrage:
-        code = 2
-    return payload, code
+    payload, arbitrage = bounds_payload(nchain, ns.weight, grid=ns.grid, quoted_rate=quote)
+    return payload, 2 if arbitrage else 0
 
 
 def run_pathcheck(input_path: str | None, seed: int, depth: int) -> tuple[dict, int]:
-    """Ladder checks: Itô residuals, occupation density, local-time transform."""
+    """``pathwise.ladder_checks`` on the CSV path or the built-in walk; exit 2 when a check fails."""
     depth = _count("depth", depth, 2, _MAX_DEPTH)
-    if input_path:
-        path = pw.read_path_csv(input_path)
-    else:
-        path = pw.geometric_walk(seed, n_steps=64 * 2 ** (depth - 1))
-    ladder = pw.build_dyadic_ladder(path, depth)
-    floor = 1e-14
-
-    def final_three_decreasing(vals) -> bool:
-        tail = np.asarray(vals[-3:] if len(vals) >= 3 else vals)
-        if np.all(tail <= floor):
-            return True
-        return bool(np.all(np.diff(tail) < 0.0))
-
-    square = C2Function(lambda x: x**2, lambda x: 2.0 * x, lambda x: np.full_like(np.asarray(x, float), 2.0))
-    res_square = pw.verify_ito(path, square, ladder)
-    checks = {}
-    residuals = {"square": res_square.tolist()}
-    checks["square_identity"] = bool(np.all(res_square <= 1e-12))
-
-    positive = path.strictly_positive
-    if positive:
-        res_log = pw.verify_ito(path, make_payoff(WeightSpec.vanilla()), ladder)  # -ln x
-        residuals["neg_log"] = res_log.tolist()
-        checks["neg_log_decreasing"] = final_three_decreasing(res_log)
-        transform = pw.transform_local_times(path, np.log, lambda x: 1.0 / x, np.exp, ladder.partitions)
-        residuals["log_transform"] = transform
-        checks["log_transform_decreasing"] = final_three_decreasing(transform)
-    else:
-        checks["neg_log_decreasing"] = True
-        checks["log_transform_decreasing"] = True
-        residuals["note"] = "path not strictly positive: log checks skipped"
-
-    lo, hi = float(path.values.min()), float(path.values.max())
-    if hi - lo > 1e-12:
-        third = (hi - lo) / 3.0
-        interval = (lo + third, hi - third)
-    else:
-        interval = (lo - 1.0, lo + 1.0)
-    lhs, rhs = pw.occupation_density_check(path, ladder, interval)
-    if max(abs(lhs), abs(rhs)) <= floor:
-        gap = 0.0
-    else:
-        gap = abs(lhs - rhs) / max(abs(rhs), floor)
-    checks["occupation_density"] = bool(gap < 0.05)
-
-    report = {
-        "n_steps": path.n_steps,
-        "depth": depth,
-        "meshes": ladder.meshes.tolist(),
-        "residuals": residuals,
-        "occupation": {"lhs": lhs, "rhs": rhs, "relative_gap": gap},
-        "checks": checks,
-    }
-    return report, 0 if all(checks.values()) else 2
+    path = pw.read_path_csv(input_path) if input_path else pw.geometric_walk(seed, n_steps=64 * 2 ** (depth - 1))
+    report = pw.ladder_checks(path, pw.build_dyadic_ladder(path, depth))
+    return report, 0 if all(report["checks"].values()) else 2
 
 
 def main(argv=None) -> int:
@@ -203,10 +132,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if ns.command == "pathcheck":
-            report, code = run_pathcheck(ns.input, ns.seed, ns.depth)
-        else:
-            report, code = run_bounds(ns)
+        report, code = run_pathcheck(ns.input, ns.seed, ns.depth) if ns.command == "pathcheck" else run_bounds(ns)
         _emit(report, ns.format)
         return code
     except (ValueError, OSError, ReconstructionFailure, DegeneratePolicy, ForwardViolation, UnsupportedChain) as exc:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import _count, _read_two_columns, _real, _scale
-from .payoff import ConvexPayoff
+from .payoff import ConvexPayoff, WeightSpec, make_payoff
 
 DEFAULT_LEVELS = 512
 
@@ -447,3 +447,54 @@ def transform_local_time(path: SampledPath, f: Callable, f_prime: Callable, f_in
                          partition: np.ndarray) -> float:
     """``transform_local_times`` on one partition."""
     return transform_local_times(path, f, f_prime, f_inverse, [partition])[0]
+
+
+_SQUARE = C2Function(lambda x: x**2, lambda x: 2.0 * x, lambda x: np.full_like(np.asarray(x, float), 2.0))
+_FLOOR = 1e-14  # residuals, and occupation sides, at or below this count as zero
+
+
+def _square_rounding(path: SampledPath, ladder: PartitionLadder) -> np.ndarray:
+    """Per level, a bound on the rounding in ``verify_ito``'s residual for x**2, whose identity telescopes.
+
+    Summed in any order over m steps, the residual is at most gamma_{m+4} S, with gamma_k = k u / (1 - k u)
+    and S = x_T^2 + x_0^2 + sum |2 x dx| + sum dx^2.  S as computed is within a factor 1 + gamma_{m+4}
+    of S, so gamma_{2m+8} times it bounds the residual.
+    """
+    u, bounds = np.finfo(float).eps / 2.0, []
+    for x in (path.values[part] for part in ladder.partitions):
+        dx, k = np.diff(x), 2 * x.size + 6  # 2m + 8 for m = x.size - 1 steps
+        s = x[-1] ** 2 + x[0] ** 2 + np.sum(np.abs(2.0 * x[:-1] * dx)) + np.sum(dx * dx)
+        bounds.append(k * u / (1.0 - k * u) * s)
+    return np.asarray(bounds)
+
+
+def ladder_checks(path: SampledPath, ladder: PartitionLadder) -> dict:
+    """The report of ``varbounds pathcheck`` as a dict; the README states the rules of its four ``checks``.
+
+    ``neg_log_decreasing`` and ``log_transform_decreasing`` are trend rules, not remainder bounds:
+    the last three values strictly decrease or all lie at or below 1e-14.  A path that is not
+    strictly positive skips both, which then read true.
+    """
+    def final_three_decreasing(values) -> bool:
+        tail = np.asarray(values[-3:])
+        return bool(np.all(tail <= _FLOOR) or np.all(np.diff(tail) < 0.0))
+
+    res_square, bound = verify_ito(path, _SQUARE, ladder), _square_rounding(path, ladder)
+    residuals = {"square": res_square.tolist()}
+    checks = {"square_identity": bool(np.all(res_square <= bound) and np.all(np.isfinite(bound)))}
+    if path.strictly_positive:
+        res_log = verify_ito(path, make_payoff(WeightSpec.vanilla()), ladder)  # -ln x
+        transform = transform_local_times(path, np.log, lambda x: 1.0 / x, np.exp, ladder.partitions)
+        residuals.update(neg_log=res_log.tolist(), log_transform=transform)
+        checks["neg_log_decreasing"] = final_three_decreasing(res_log)
+        checks["log_transform_decreasing"] = final_three_decreasing(transform)
+    else:
+        checks["neg_log_decreasing"] = checks["log_transform_decreasing"] = True
+        residuals["note"] = "path not strictly positive: log checks skipped"
+    lo, hi = float(path.values.min()), float(path.values.max())
+    interval = (lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0) if hi - lo > 1e-12 else (lo - 1.0, lo + 1.0)
+    lhs, rhs = occupation_density_check(path, ladder, interval)
+    gap = 0.0 if max(abs(lhs), abs(rhs)) <= _FLOOR else abs(lhs - rhs) / max(abs(rhs), _FLOOR)
+    checks["occupation_density"] = bool(gap < 0.05)
+    return {"n_steps": path.n_steps, "depth": ladder.depth, "meshes": ladder.meshes.tolist(), "residuals": residuals,
+            "occupation": {"lhs": lhs, "rhs": rhs, "relative_gap": gap}, "checks": checks}

@@ -19,7 +19,7 @@ from . import lower as lower_mod
 from . import upper as upper_mod
 from .chain import ChainVerdict, NormalizedChain, _real, validate_puts
 from .lower import AtomicMeasure, DualSolution, HedgePortfolio
-from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, make_payoff
+from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, make_payoff, parse_weight
 from .serialize import round_floats
 
 BOUNDARY_TOL = 2e-6  # swap-rate band: quotes are finite precision; exact boundary hits need a band
@@ -225,7 +225,28 @@ def _quote_verdict(nchain: NormalizedChain, payoff: ConvexPayoff, quoted_rate: f
     try:
         return _report(nchain, payoff, payoff.kind, quoted_rate=quoted_rate).quote_verdict
     except lower_mod.C1Violation as exc:
-        return PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))
+        return _c1_verdict(exc)
+
+
+def _c1_verdict(exc: lower_mod.C1Violation) -> PriceVerdict:
+    return PriceVerdict(VerdictStatus.WEAK_ARBITRAGE, reason=str(exc))  # an infinite lower bound, whatever the quote
+
+
+def bounds_payload(nchain: NormalizedChain, weight: str, *, grid: int = lower_mod.DEFAULT_GRID,
+                   quoted_rate: float | None = None) -> tuple[dict, bool]:
+    """The report of ``varbounds bounds`` and ``classify`` as a dict, and whether it names an arbitrage.
+
+    An inconsistent chain gives its verdict alone, one failing C1 adds the weak-arbitrage quote verdict, and any
+    other gives ``swap_rate_bounds(...).to_dict()``.  ``weight`` is parsed by ``parse_weight``, after the chain check.
+    """
+    verdict = validate_puts(nchain)
+    if not verdict.is_consistent:
+        return {"chain_verdict": verdict.to_dict()}, True
+    try:
+        report = swap_rate_bounds(nchain, parse_weight(weight), grid=grid, quoted_rate=quoted_rate)
+    except lower_mod.C1Violation as exc:
+        return {"chain_verdict": verdict.to_dict(), "quote": {"verdict": _c1_verdict(exc).to_dict()}}, True
+    return report.to_dict(), report.quote_verdict is not None and report.quote_verdict.is_arbitrage
 
 
 def classify_rate_against_bounds(

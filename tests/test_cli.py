@@ -204,11 +204,12 @@ class TestBounds:
         def fail(*args, **kwargs):
             raise error("the solve failed")
 
-        monkeypatch.setattr(cli, "swap_rate_bounds", fail)
+        # The solve inside bounds_payload, the CLI's one library call: only C1Violation becomes a verdict there.
+        monkeypatch.setattr(varbounds.swap, "swap_rate_bounds", fail)
         assert run(capsys, ["bounds", *market_flags]) == (1, "", "varbounds: error: the solve failed\n")
 
     def test_one_verdict_per_run(self, capsys, monkeypatch, market_flags):
-        # The CLI, swap_rate_bounds and the policy boxes each ask for the verdict of a chain
+        # bounds_payload, swap_rate_bounds and the policy boxes each ask for the verdict of a chain
         # with n_min = 0 and no cap, whose window is the chain itself: one classification.
         calls = []
         classify = varbounds.chain._classify_puts
@@ -399,6 +400,83 @@ def test_main_repeats_as_a_fresh_process(capsys, monkeypatch, market_flags):
     for _ in range(2):
         for argv, p in zip(cases, fresh):
             assert run(capsys, argv) == (p.returncode, p.stdout, p.stderr)
+
+
+class TestLibraryAgreement:
+    """The CLI prints what the library decides: same reports, and exit 2 exactly on a failed check or an arbitrage."""
+
+    @pytest.mark.parametrize("argv", [c["args"] for c in PATHCHECK_GOLDENS]
+                             + [["pathcheck", "--seed", str(s), "--depth", "6"] for s in range(20)],
+                             ids=lambda a: " ".join(a[1:]))
+    def test_pathcheck(self, capsys, argv):
+        argv = [str(DATA / a) if a.endswith(".csv") else a for a in argv]
+        depth = int(argv[argv.index("--depth") + 1])
+        if "--input" in argv:
+            path = varbounds.pathwise.read_path_csv(argv[argv.index("--input") + 1])
+        else:
+            path = varbounds.geometric_walk(int(argv[argv.index("--seed") + 1]), n_steps=64 * 2 ** (depth - 1))
+        report = varbounds.ladder_checks(path, varbounds.build_dyadic_ladder(path, depth))
+        code, out, _ = run(capsys, argv)
+        assert round_floats(report) == parse_report(out)
+        assert code == (0 if all(report["checks"].values()) else 2)
+
+    @pytest.mark.parametrize("rows, quote", [
+        *(pytest.param(c["rows"], None, id=" ".join(c["rows"].split())) for c in C1_GOLDENS if c["format"] == "json"),
+        pytest.param("1.2,0.1\n", None, id="inconsistent"),  # below intrinsic value
+        pytest.param("1.2,0.4\n", 0.01, id="arbitrage-quote"),  # far below this chain's band
+    ])
+    def test_bounds(self, capsys, tmp_path, rows, quote):
+        f = tmp_path / "chain.csv"
+        f.write_text("strike,put_price\n" + rows)
+        nc = normalize(load_chain(str(f), 1.0, 1.0, 1.0))
+        payload, arbitrage = varbounds.bounds_payload(nc, "vanilla", quoted_rate=quote)
+        argv = ["bounds", "--input", str(f), "--forward", "1", "--discount", "1", "--maturity", "1"]
+        code, out, _ = run(capsys, argv + ([] if quote is None else ["--quote-var", str(quote)]))
+        assert json.dumps(round_floats(payload), indent=2) + "\n" == out
+        assert (code, arbitrage) == (2, True)
+
+    def test_consistent_quote_is_no_arbitrage(self, capsys, market_flags):
+        nc = normalize(load_chain(market_flags[1], 1.0, 1.0, 1.0))
+        payload, arbitrage = varbounds.bounds_payload(nc, "corridor-up:1.0", quoted_rate=0.2)
+        code, out, _ = run(capsys, ["bounds", *market_flags, "--weight", "corridor-up:1.0", "--quote-var", "0.2"])
+        assert (round_floats(payload), code, arbitrage) == (json.loads(out), 0, False)
+
+
+class TestSquareIdentityScale:
+    """The x**2 residual is rounding alone, so its bound scales with the path's level."""
+
+    @pytest.mark.parametrize("start", [1e-3, 1.0, 100.0, 1000.0, 1e4])
+    def test_walk_at_price_level_passes(self, capsys, tmp_path, start):
+        walk, f = varbounds.geometric_walk(42, 2048, start=start), tmp_path / "walk.csv"
+        rows = zip(walk.times.tolist(), walk.values.tolist())
+        f.write_text("time,value\n" + "".join(f"{t!r},{x!r}\n" for t, x in rows))
+        code, out, _ = run(capsys, ["pathcheck", "--input", str(f), "--depth", "6"])
+        assert code == 0 and all(parse_report(out)["checks"].values())
+
+    @pytest.mark.parametrize("start", [1.0, 100.0, 1000.0])
+    def test_right_point_ito_sum_fails(self, monkeypatch, start):
+        # The right-point sum of 2 x dx counts the quadratic variation twice: a residual
+        # of 2 sum dx^2, far above the rounding of the sums.
+        verify_ito = varbounds.pathwise.verify_ito
+
+        def right_point(path, f, ladder):
+            if f is not varbounds.pathwise._SQUARE:
+                return verify_ito(path, f, ladder)
+            x = [path.values[part] for part in ladder.partitions]
+            return np.array([abs(v[-1] ** 2 - v[0] ** 2 - np.sum(2.0 * v[1:] * np.diff(v)) - np.sum(np.diff(v) ** 2))
+                             for v in x])
+
+        monkeypatch.setattr(varbounds.pathwise, "verify_ito", right_point)
+        path = varbounds.geometric_walk(42, 2048, start=start)
+        report = varbounds.ladder_checks(path, varbounds.build_dyadic_ladder(path, 6))
+        assert report["checks"]["square_identity"] is False
+        assert min(report["residuals"]["square"]) > 1e-6 * start**2
+
+    def test_overflowing_square_fails(self):
+        path = varbounds.SampledPath(np.linspace(0.0, 1.0, 5), [1e200, 2e200, 1e200, 3e200, 1e200])
+        with np.errstate(all="ignore"):
+            report = varbounds.ladder_checks(path, varbounds.build_dyadic_ladder(path, 2))
+        assert report["checks"]["square_identity"] is False
 
 
 class TestSerialization:
