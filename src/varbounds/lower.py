@@ -553,7 +553,9 @@ def _newton_direction(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray
     O(n) steps on Python floats.
     """
     g, z = state.grad, state.zeta
-    pinned = (lo >= hi) | ((z <= lo) & (g >= 0.0)) | ((z >= hi) & (g <= 0.0))
+    # An affine stretch (no curvature, a slope of rounding): the floor below would throw the weight across its box.
+    flat = (state.diag == 0.0) & (np.abs(g) <= _NOISE * (1.0 + abs(state.value)))
+    pinned = flat | (lo >= hi) | ((z <= lo) & (g >= 0.0)) | ((z >= hi) & (g <= 0.0))
     idx = np.flatnonzero(~pinned & np.isfinite(g) & (state.diag != np.inf))
     d = np.zeros_like(z)
     if idx.size == 0:
@@ -883,14 +885,9 @@ def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
         if gap[j] > _CONTACT_TOL:
             return f"contact: the hedge misses the payoff by {gap[j]:.3g} at the atom {atoms[j]:.6g}"
     cost = portfolio.setup_cost(nchain)
-    target = measure.integrate(payoff)
-    if measure.mean_at_infinity > 0.0 and portfolio.tail_slope() < -1e-12:
-        # Flat tail was inadmissible; the cost legitimately sits below the
-        # measure integral.
-        ok = cost <= target + _CONTACT_TOL
-    else:
-        ok = abs(cost - target) <= max(_CONTACT_TOL, 1e-10 * abs(target))
-    return None if ok else f"cost: setup cost minus measure integral is {cost - target:.3g}"
+    target = measure.integrate(payoff) + portfolio.tail_slope() * measure.mean_at_infinity  # the tail prices m
+    ok = abs(cost - target) <= max(_CONTACT_TOL, 1e-10 * abs(target))
+    return None if ok else f"cost: setup cost minus measure integral and tail is {cost - target:.3g}"
 
 
 def reconstruct_subhedge(
@@ -900,7 +897,8 @@ def reconstruct_subhedge(
 
     Built from a measure on ``nchain.window`` alone (see ``_tangent_construction``); beyond the
     last strike it follows the tail atom's tangent, or for boundary policies
-    is flat where possible, so the cost equals the measure integral.  Raises
+    is flat where possible; it costs the measure integral plus its tail slope
+    times the escaped mean.  Raises
     :class:`ReconstructionFailure`, naming the failed check, when the
     portfolio misses exact domination, contact or cost.
     """

@@ -4,10 +4,17 @@ Each weight ``w`` induces a convex payoff with curvature density
 ``w(x) / x**2``.  The built-in weights and their payoffs:
 
 * ``vanilla``        w(x) = 1            ->  -ln x
-* ``corridor-down``  w(x) = 1 on (0, a)  ->  (-ln(x/a) + x/a - 1) below a, 0 above
-* ``corridor-up``    w(x) = 1 on (a, oo) ->  0 below a, (-ln(x/a) + x/a - 1) above
+* ``corridor-down``  w(x) = 1 on (0, a)  ->  -ln(x/c) + x/c - 1 below a, c = min(a, 1)
+* ``corridor-up``    w(x) = 1 on (a, oo) ->  -ln(x/c) + x/c - 1 above a, c = max(a, 1)
 * ``gamma``          w(x) = x            ->  x ln x - x
 * ``inverse``        demo payoff 1/x (w(x) = 2/x), used by the CLI fixture
+
+Every corridor vanishes with its slope at the forward 1: c is the corridor
+point nearest it, and outside the corridor the payoff is its tangent at a, 0
+when c = a.  With the forward inside (a < 1 up, a > 1 down), c = 1 and the
+payoff is -ln(x/a) + x/a - 1 less ln a + (1/a - 1) x: the swap rate is the
+same, European values are ln a + 1/a - 1 lower, and hedges hold 1/a - 1 less
+forward and ln a less cash.
 
 A custom payoff supplies its value and slope, and may supply its weight;
 without one, its curvature density is a central difference of its slope.
@@ -242,45 +249,30 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             tail_curvature_divergent=True,
             slope_inverse=_vectorized(np.exp),
         )
-    if spec.kind == "corridor-down":
-        a = float(spec.barrier)
+    if spec.kind in ("corridor-down", "corridor-up"):
+        a, up = float(spec.barrier), spec.kind == "corridor-up"
+        c, inside = (max(a, 1.0), np.greater) if up else (min(a, 1.0), np.less)  # c: nearest the forward
+        s, v = 1.0 / c - 1.0 / a, -math.log(a / c) + a / c - 1.0  # slope and value at a: both 0.0 when c = a
 
-        def value(x):
-            core = -np.log(x / a) + x / a - 1.0
-            return np.where(x <= 0.0, np.inf, np.where(x < a, core, 0.0))
+        def value(x):  # the tangent at a outside the corridor, the scalar 0.0 when c = a
+            out = np.where(inside(x, a), -np.log(x / c) + x / c - 1.0, 0.0 if c == a else v + s * (x - a))
+            return out if up else np.where(x <= 0.0, np.inf, out)
 
-        return ConvexPayoff(
-            kind="corridor-down",
-            value=_vectorized(value),
-            slope=_vectorized(lambda x: np.where(x < a, 1.0 / a - 1.0 / x, 0.0)),
-            weight=_vectorized(lambda x: (x < a).astype(float) * (x > 0.0)),
-            origin_value=math.inf,
-            asymptotic_slope=0.0,
-            affine_tail_threshold=a,
-            tail_curvature_divergent=False,
-            barrier=a,
-            slope_inverse=_vectorized(lambda m: np.where(m <= 0.0, 1.0 / (1.0 / a - m), np.inf)),
-        )
-    if spec.kind == "corridor-up":
-        a = float(spec.barrier)
-
-        def value(x):
-            core = -np.log(x / a) + x / a - 1.0
-            return np.where(x > a, core, 0.0)
+        def slope_inverse(m):  # the inside slope 1/c - 1/x runs over (s, 1/c) for corridor-up, (-oo, s] for down
+            x = 1.0 / (1.0 / c - m)
+            return np.where(m <= s, 0.0, np.where(m < 1.0 / c, x, np.inf)) if up else np.where(m <= s, x, np.inf)
 
         return ConvexPayoff(
-            kind="corridor-up",
+            kind=spec.kind,
             value=_vectorized(value),
-            slope=_vectorized(lambda x: np.where(x > a, 1.0 / a - 1.0 / x, 0.0)),
-            weight=_vectorized(lambda x: (x > a).astype(float)),
-            origin_value=0.0,
-            asymptotic_slope=1.0 / a,
-            affine_tail_threshold=math.inf,
-            tail_curvature_divergent=True,
+            slope=_vectorized(lambda x: np.where(inside(x, a), 1.0 / c - 1.0 / x, s)),
+            weight=_vectorized(lambda x: inside(x, a) if up else (x < a) & (x > 0.0)),
+            origin_value=v - s * a if up else math.inf,
+            asymptotic_slope=1.0 / c if up else s,
+            affine_tail_threshold=math.inf if up else a,
+            tail_curvature_divergent=up,
             barrier=a,
-            slope_inverse=_vectorized(
-                lambda m: np.where(m <= 0.0, 0.0, np.where(m < 1.0 / a, 1.0 / (1.0 / a - m), np.inf))
-            ),
+            slope_inverse=_vectorized(slope_inverse),
         )
     if spec.kind == "inverse":
         return ConvexPayoff(

@@ -261,10 +261,11 @@ def classify_rate_against_bounds(
 
     Used when only published bound values are available (no raw chain), and
     for every band this module computes.  A quote within ``BOUNDARY_TOL`` of
-    an edge defers to dual existence on that side.
+    an edge defers to dual existence on that side; an inverted band raises.
     """
     quoted = _real("quote", quoted)
     lower, upper = (_real("band edges", edge, finite=False) for edge in (lower, upper))
+    _check_band(lower, upper)
     if abs(quoted - lower) <= BOUNDARY_TOL:
         return PriceVerdict(VerdictStatus.BOUNDARY, side="lower", existence=lower_existence)
     if math.isfinite(upper) and abs(quoted - upper) <= BOUNDARY_TOL:
@@ -274,6 +275,12 @@ def classify_rate_against_bounds(
     if quoted > upper:
         return PriceVerdict(VerdictStatus.MODEL_INDEPENDENT_ARBITRAGE, side="above")
     return PriceVerdict(VerdictStatus.CONSISTENT)
+
+
+def _check_band(lower: float, upper: float) -> None:
+    """Refuse a band inverted past ``BOUNDARY_TOL``: by weak duality only a fault can invert a computed band."""
+    if lower > upper + BOUNDARY_TOL:
+        raise ValueError(f"the swap-rate band is inverted: lower {lower:.6g} above upper {upper:.6g}")
 
 
 def swap_rate_bounds(
@@ -288,11 +295,7 @@ def swap_rate_bounds(
 
 
 def _report(nchain, payoff, label, grid=lower_mod.DEFAULT_GRID, quoted_rate=None) -> BoundsReport:
-    """The one band pipeline of ``swap_rate_bounds`` and both classifiers.
-
-    A band inverted past ``BOUNDARY_TOL`` raises ``ValueError``: weak duality
-    puts the lower bound under the upper, so only rounding can invert it.
-    """
+    """The one band pipeline of ``swap_rate_bounds`` and both classifiers; its band passes ``_check_band``."""
     grid = lower_mod._effective_grid(grid)
     quoted_rate = None if quoted_rate is None else _real("quote", quoted_rate)
     verdict = validate_puts(nchain)
@@ -301,8 +304,7 @@ def _report(nchain, payoff, label, grid=lower_mod.DEFAULT_GRID, quoted_rate=None
     solution, sub_portfolio, lower_existence = compute_lower(nchain, payoff, grid=grid)
     ub = upper_mod.superhedge(nchain, payoff)
     swap_lower, swap_upper = rate_from_european(solution.value, payoff), rate_from_european(ub.value, payoff)
-    if swap_lower > swap_upper + BOUNDARY_TOL:
-        raise ValueError(f"the swap-rate band is inverted: lower {swap_lower:.6g} above upper {swap_upper:.6g}")
+    _check_band(swap_lower, swap_upper)
     upper_existence = upper_dual_existence(nchain, payoff)
     quote_verdict = None
     if quoted_rate is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import NormalizedChain, _real
+from .chain import NormalizedChain, _real, validate_puts
 from .lower import AtomicMeasure, HedgePortfolio, _forward_tangent, _portfolio_from_nodes
 from .payoff import ConvexPayoff
 
@@ -51,8 +51,11 @@ def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
     slope above it, so no weight falls on redundant options.  Domination
     holds on all of (0, oo) when the payoff has tame tails, and on
     [k_{n_min}, oo) in the relaxed cases.  A cap at or below the free puts
-    (within tolerance) pins the support at the forward: payoff(1).
+    (within tolerance) pins the support at the forward: payoff(1).  An
+    inconsistent chain raises ``ValueError``.
     """
+    if not validate_puts(nchain).is_consistent:
+        raise ValueError("a superhedge needs a consistent chain")
     if not _tame_tails(nchain, payoff):
         return UpperBound.infeasible()
     capped = math.isfinite(nchain.n_max)
@@ -74,7 +77,10 @@ def extremal_upper_measure(nchain: NormalizedChain, z: float) -> AtomicMeasure:
     the mean is one.  Weights are the slope changes at the nodes; z below the
     admissibility threshold makes the weight at the last strike negative.  A
     cap below the free puts pins the support at the forward: z must be 1.
+    An inconsistent chain raises ``ValueError``, whatever z.
     """
+    if not validate_puts(nchain).is_consistent:
+        raise ValueError("the extremal upper measure needs a consistent chain")
     z = _real("support cap z", z)
     window = nchain.window
     xs, vs = (list(window.k), list(window.p)) if window.k.size else ([1.0], [0.0])

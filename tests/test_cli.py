@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +109,15 @@ class TestBounds:
             assert code == 1
             assert err.startswith("varbounds: error:") and err.count("\n") == 1
 
-    def test_inverted_band_is_input_error(self, capsys, tmp_path):
-        # corridor-up:1e-300 once reported a lower swap rate of 2.97e284 over an upper of 0, exit 0
+    def test_inverted_band_is_input_error(self, capsys, monkeypatch, tmp_path):
+        # corridor-up:1e-300 once reported a lower swap rate of 2.97e284 over an upper of 0, exit 0;
+        # no known input inverts the band now, so a superhedge patched to report -1 stands in
+        real = varbounds.upper.superhedge
+        monkeypatch.setattr(varbounds.upper, "superhedge", lambda nc, payoff: replace(real(nc, payoff), value=-1.0))
         f = tmp_path / "chain.csv"
         f.write_text("strike,put_price\n0.8,0.075\n1.0,0.125\n1.2,0.275\n")
         flags = ["--input", str(f), "--forward", "1", "--discount", "1", "--maturity", "1"]
-        code, out, err = run(capsys, ["bounds", *flags, "--weight", "corridor-up:1e-300"])
+        code, out, err = run(capsys, ["bounds", *flags, "--weight", "corridor-up:1.0"])
         assert code == 1 and out == ""
         assert err.startswith("varbounds: error: the swap-rate band is inverted") and err.count("\n") == 1
 

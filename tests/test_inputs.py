@@ -19,7 +19,6 @@ from varbounds import (OptionChain, WeightSpec, arithmetic_walk, build_dyadic_la
                        extremal_upper_measure, geometric_walk, make_payoff, normalize, occupation_density_check,
                        swap_rate_bounds, vol_points)
 from varbounds import pathwise as pw
-from varbounds.lower import ReconstructionFailure
 from varbounds.swap import rate_from_vol_points
 
 BAD = (math.nan, math.inf, -math.inf, 0, -1, 5e-324, 1e308, "x", True, np.array([1.0, 2.0]))
@@ -107,16 +106,7 @@ def assert_finite(result):
         assert not math.isnan(result) and result != -math.inf, result
 
 
-def _known_failure(entry, value):
-    """An open defect: on this chain a corridor-up barrier from the smallest normal float to 1e-12,
-    which the scale rule accepts, gives a subhedge that fails its domination or contact check."""
-    if entry == "WeightSpec.corridor_up" and isinstance(value, float) and np.finfo(float).tiny <= value <= 1e-12:
-        return [pytest.mark.xfail(raises=ReconstructionFailure, strict=True, reason="open: tiny corridor-up barrier")]
-    return []
-
-
-LIBRARY_CASES = [pytest.param(entry, value, id=f"{entry}-{value!r}", marks=_known_failure(entry, value))
-                 for entry in LIBRARY for value in VALUES]
+LIBRARY_CASES = [pytest.param(entry, value, id=f"{entry}-{value!r}") for entry in LIBRARY for value in VALUES]
 
 
 @pytest.mark.parametrize("entry, value", LIBRARY_CASES)

@@ -288,6 +288,28 @@ INWARD_PUSH_CHAINS = [
     ([0.4699811933311046], [0.006460831667143041]),
 ]
 
+# (weight, strikes, puts) of random consistent chains (default_rng(7) draws 292 and 104, default_rng(32) draws 77
+# and 4) where corridors anchored at the forward are affine, with values a rounding off 0 slope apart, over whole
+# intervals: a slope of rounding there once sent a weight across its box, and the solve stalled on the others.
+AFFINE_STRETCH_CHAINS = [
+    ("corridor-down:1.5",
+     [0.36963081945997756, 0.4296461410252522, 0.5668079735652721, 1.0278597313433142, 1.9276195759486565,
+      2.659899831703322],
+     [0.112166040315516, 0.13950521354287654, 0.20198744311679154, 0.41476233889953945, 0.9836197978873411,
+      1.6729039673037374]),
+    ("corridor-down:1.1",
+     [0.3637309257608358, 0.6652832965058596, 1.1378356495124318, 1.5655927939774998, 1.9517836505237276],
+     [0.0175601069390593, 0.0769205985530861, 0.38613595058309763, 0.7088724362785096, 1.0132378777739512]),
+    ("corridor-up:0.9",
+     [0.6950831660163009, 1.0024560708810706, 1.2087144579641274, 1.4046709752543034, 2.483588355906646,
+      2.514366698060806],
+     [0.15147284620132692, 0.3175847000316985, 0.44880457890204, 0.5825245107497893, 1.52387747973476,
+      1.5510116494951047]),
+    ("corridor-down:1.25",
+     [0.4634983268584811, 0.5328130747809777, 0.9412224081277889, 4.1737151164569415],
+     [0.05436863240945084, 0.0821211521888782, 0.2456666412869738, 3.240759765962476]),
+]
+
 # Every built-in weight, plus a custom payoff without a curvature density.
 SUBHEDGE_PAYOFFS = [make_payoff(parse_weight(w)) for w in CLI_WEIGHTS + ("inverse",)] + [
     make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
@@ -565,6 +587,17 @@ class TestDpLowerBound:
         payoff = make_payoff(spec)
         assert values[0] <= oracle_value(nc, payoff, reports[0].lower_measure) + ORACLE_SLACK
 
+    @pytest.mark.parametrize("weight,strikes,puts", AFFINE_STRETCH_CHAINS, ids=[c[0] for c in AFFINE_STRETCH_CHAINS])
+    def test_affine_stretches_hold_still(self, weight, strikes, puts):
+        # each raised ReconstructionFailure (contact missed by 1.8e-8 to 8.7e-6); the barrier-anchored
+        # form, which differs by ln a + (1/a - 1) x, must give the same bound less ln a + 1/a - 1
+        nc, spec = chain_of(strikes, puts), parse_weight(weight)
+        payoff, a = make_payoff(spec), spec.barrier
+        report = swap_rate_bounds(nc, spec)
+        assert window_excess(nc, payoff, report.subhedge) <= 1e-8
+        anchored = lp_lower_bound(nc, payoff.shift_affine(1.0 / a - 1.0, math.log(a)))[0]
+        assert abs(report.lower_value - (anchored - (math.log(a) + 1.0 / a - 1.0))) <= 1e-11
+
     @pytest.mark.parametrize("sigma", [0.2, 0.5])
     @pytest.mark.parametrize("n", [200, 400, 1000])
     def test_large_lognormal_chains_end_stationary(self, n, sigma):
@@ -685,6 +718,17 @@ class TestTridiagonalSolve:
         )
         d = lower._newton_direction(None, None, state, np.zeros(2), np.ones(2))
         np.testing.assert_allclose(d, [-0.5, 0.25], rtol=1e-11)
+
+
+    def test_newton_direction_holds_a_flat_weight(self):
+        # no curvature on either side: a slope of rounding stays put, a real one (a vanishing
+        # atom's kink) still crosses the box
+        state = lower._PolicyState(
+            zeta=np.array([0.3, 0.6]), value=0.5, grad=np.array([3e-17, 0.25]),
+            diag=np.array([0.0, 0.0]), off=np.array([0.0]),
+        )
+        d = lower._newton_direction(None, None, state, np.zeros(2), np.ones(2))
+        assert d[0] == 0.0 and d[1] == pytest.approx(-1.0, rel=1e-11)
 
 
 def interior_policy(nc, rng):
@@ -818,6 +862,19 @@ def edge_policies(nc, rng):
 
 
 class TestReconstruct:
+    def test_the_escaped_mean_prices_at_the_tail_slope(self):
+        # Mass m escapes and the last atom sits one ulp past k_n, so the hedge takes that atom's tangent,
+        # slope 1/3 under corridor-down:1.5, beyond k_n: it costs the measure integral plus m / 3, where the
+        # check once asked for the integral alone and raised.
+        nc = chain_of([1.3666400344345075, 1.5176703536394367], [0.5631485812340449, 0.687269917739869])
+        measure = AtomicMeasure(np.array([0.6814032139335465, 1.517670353639437]),
+                                np.array([0.8218305910974543, 0.17816940889264488]), 0.16959956411545862)
+        payoff = make_payoff(WeightSpec.corridor_down(1.5))
+        port = reconstruct_subhedge(nc, payoff, measure)
+        assert port.tail_slope() == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff) + measure.mean_at_infinity / 3.0,
+                                                    abs=1e-8)
+
     def test_regular_portfolio(self):
         nc = single_put_chain(0.4)
         sol = dp_lower_bound(nc, INVERSE)

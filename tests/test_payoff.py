@@ -29,6 +29,8 @@ ALL_SPECS = [
     WeightSpec.corridor_down(0.8),
     WeightSpec.corridor_up(1.0),
     WeightSpec.inverse(),
+    WeightSpec.corridor_down(1.5),  # the forward inside the corridor: c = 1
+    WeightSpec.corridor_up(0.5),
 ]
 
 
@@ -84,6 +86,69 @@ class TestBuiltins:
     def test_custom_convexity_rejected(self):
         with pytest.raises(InvalidPayoff):
             make_payoff(WeightSpec.custom(lambda x: -np.square(x - 1.0), lambda x: -2.0 * (x - 1.0)))
+
+
+def old_corridor(kind, a):
+    """The barrier-anchored forms, -ln(x/a) + x/a - 1 in the corridor and 0 outside, as closed forms."""
+    up = kind == "corridor-up"
+
+    def value(x):
+        core = -np.log(x / a) + x / a - 1.0
+        return np.where(x > a, core, 0.0) if up else np.where(x <= 0.0, np.inf, np.where(x < a, core, 0.0))
+
+    def slope(x):
+        return np.where(x > a, 1.0 / a - 1.0 / x, 0.0) if up else np.where(x < a, 1.0 / a - 1.0 / x, 0.0)
+
+    def weight(x):
+        return (x > a).astype(float) if up else (x < a).astype(float) * (x > 0.0)
+
+    def slope_inverse(m):
+        if up:
+            return np.where(m <= 0.0, 0.0, np.where(m < 1.0 / a, 1.0 / (1.0 / a - m), np.inf))
+        return np.where(m <= 0.0, 1.0 / (1.0 / a - m), np.inf)
+
+    return value, slope, weight, slope_inverse
+
+
+class TestCorridorAnchor:
+    """Every corridor is -ln(x/c) + x/c - 1 in the corridor, c the corridor point nearest the forward,
+    and the tangent at the barrier outside it."""
+
+    BARRIERS = [("corridor-up", a) for a in (1e-300, 1e-6, 0.5, 0.9, 1.0, 1.5, 2.0)] + [
+        ("corridor-down", a) for a in (0.5, 0.8, 0.9, 1.0, 1.1, 1.3, 2.0, 1e300)]
+    OUTSIDE = [("corridor-up", a) for a in (1.0, 1.5, 2.0)] + [("corridor-down", a) for a in (0.8, 0.9, 1.0)]
+
+    @pytest.mark.parametrize("kind, a", BARRIERS, ids=lambda v: str(v))
+    def test_vanishes_with_its_slope_at_the_forward(self, kind, a):
+        payoff = make_payoff(WeightSpec(kind, barrier=a))
+        assert payoff.value(1.0) == payoff.slope(1.0) == payoff.at_one() == 0.0
+        assert payoff.value(0.0) == payoff.origin_value
+
+    @pytest.mark.parametrize("kind, a", OUTSIDE, ids=lambda v: str(v))
+    def test_outside_barriers_keep_the_old_closed_forms_bit_for_bit(self, kind, a):
+        payoff = make_payoff(WeightSpec(kind, barrier=a))
+        value, slope, weight, slope_inverse = old_corridor(kind, a)
+        below, above = np.nextafter(a, 0.0), np.nextafter(a, math.inf)
+        xs = np.array([0.0, 1e-300, 0.5 * a, below, a, above, 2.0 * a, 1.0, 1e300, math.inf])
+        ms = np.concatenate(([-math.inf, -1.0, -0.0, 0.0, 1e-300, 1.0 / a, math.inf], payoff.slope(xs[1:-1])))
+        with np.errstate(all="ignore"):
+            for new, old, points in ((payoff.value, value, xs), (payoff.slope, slope, xs),
+                                     (payoff.weight, weight, xs), (payoff.slope_inverse, slope_inverse, ms)):
+                assert new(points).tobytes() == old(points).tobytes()
+        assert payoff.origin_value == (0.0 if kind == "corridor-up" else math.inf)
+        assert payoff.asymptotic_slope == (1.0 / a if kind == "corridor-up" else 0.0)
+
+    @pytest.mark.parametrize("kind, a", [("corridor-up", 0.5), ("corridor-up", 1e-3), ("corridor-down", 1.5),
+                                         ("corridor-down", 40.0)], ids=lambda v: str(v))
+    def test_inside_barriers_drop_the_tangent_at_one(self, kind, a):
+        # the barrier-anchored form less ln a + (1/a - 1) x, its tangent at the forward
+        payoff = make_payoff(WeightSpec(kind, barrier=a))
+        value, slope, _, _ = old_corridor(kind, a)
+        xs = np.geomspace(a / 50.0, 50.0 * a, 201)
+        tangent = math.log(a) + (1.0 / a - 1.0) * xs
+        scale = 1.0 + np.abs(value(xs)) + np.abs(tangent)
+        assert np.all(np.abs(payoff.value(xs) - (value(xs) - tangent)) <= 1e-13 * scale)
+        assert np.all(np.abs(payoff.slope(xs) - (slope(xs) - (1.0 / a - 1.0))) <= 1e-13 * (1.0 + 1.0 / a))
 
 
 class TestAnalyticConsistency:
@@ -153,9 +218,9 @@ def exact_slope(spec, alpha, x):
         elif spec.kind == "inverse":
             s = -1 / (X * X)
         else:
-            a = Decimal(spec.barrier)
-            inside = X < a if spec.kind == "corridor-down" else X > a
-            s = 1 / a - 1 / X if inside else Decimal(0)
+            a, up = Decimal(spec.barrier), spec.kind == "corridor-up"
+            c = max(a, Decimal(1)) if up else min(a, Decimal(1))
+            s = 1 / c - 1 / (X if (X > a if up else X < a) else a)
         return s + Decimal(alpha)
 
 
@@ -258,7 +323,7 @@ class TestSlopeInverse:
 
     def test_outside_the_slope_range(self):
         vanilla, gamma = make_payoff(WeightSpec.vanilla()), make_payoff(WeightSpec.gamma())
-        up, down = make_payoff(WeightSpec.corridor_up(0.8)), make_payoff(WeightSpec.corridor_down(0.8))
+        up, down = make_payoff(WeightSpec.corridor_up(1.5)), make_payoff(WeightSpec.corridor_down(0.8))
         inverse = make_payoff(WeightSpec.inverse())
         for m in (0.0, 1e-300, 1.0, math.inf):  # the slope -1/x stays below 0
             assert vanilla.slope_inverse(m) == math.inf
@@ -272,6 +337,17 @@ class TestSlopeInverse:
             assert up.slope_inverse(m) == math.inf
         assert down.slope_inverse(1e-300) == math.inf and down.slope_inverse(-math.inf) == 0.0
         assert down.slope_inverse(0.0) == pytest.approx(0.8, rel=1e-15)
+
+    def test_outside_the_slope_range_with_the_forward_in_the_corridor(self):
+        up, down = make_payoff(WeightSpec.corridor_up(0.8)), make_payoff(WeightSpec.corridor_down(1.5))
+        for m in (-math.inf, -1.0, 1.0 - 1.0 / 0.8):  # slope 1 - 1/a on (0, a]
+            assert up.slope_inverse(m) == 0.0
+        for m in (1.0, 2.0, math.inf):  # the slope stays below 1/c = 1
+            assert up.slope_inverse(m) == math.inf
+        for m in (0.5, 1.0, math.inf):  # slope 1 - 1/a on [a, oo)
+            assert down.slope_inverse(m) == math.inf
+        assert down.slope_inverse(-math.inf) == 0.0
+        assert up.slope_inverse(0.0) == down.slope_inverse(0.0) == 1.0  # both vanish with their slope at 1
 
     def test_custom_payoffs_have_none(self):
         custom = make_payoff(WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)))
@@ -325,7 +401,7 @@ def sampled_dual_existence(nchain, payoff, subhedge) -> DualExistence:
     return DualExistence("fails" if np.all(gaps > 1e-9) else "undetermined")
 
 
-# The five built-ins, and the custom twins of inverse (1/x) and vanilla (-ln x).
+# The built-ins, and the custom twins of inverse (1/x) and vanilla (-ln x).
 EXISTENCE_SPECS = {
     **{spec.label(): spec for spec in ALL_SPECS},
     "custom-1/x": WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)),

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from varbounds import (
     swap_rate_bounds,
     vol_points,
 )
+from varbounds import swap as swap_mod
+from varbounds import upper as upper_mod
 from varbounds.cli import parse_report, round_floats
 from varbounds.lower import C1Violation, build_lp_grid, grid_lp_oracle
 from varbounds.swap import BOUNDARY_TOL, european_from_rate, rate_from_european, rate_from_vol_points
@@ -157,6 +160,14 @@ class TestClassifySwapQuote:
         with pytest.raises(ValueError, match="band edges"):
             classify_rate_against_bounds(0.1, lower, upper)
 
+    def test_an_inverted_band_is_refused(self):
+        # it once called 0.06 against [0.09, 0.04] a model-independent arbitrage below the band
+        with pytest.raises(ValueError, match="^the swap-rate band is inverted: lower 0.09 above upper 0.04$"):
+            classify_rate_against_bounds(0.06, 0.09, 0.04)
+        # inverted by rounding alone, within BOUNDARY_TOL, a band still classifies
+        v = classify_rate_against_bounds(0.04, 0.04 + 0.5 * BOUNDARY_TOL, 0.04)
+        assert v.status is VerdictStatus.BOUNDARY and v.side == "lower"
+
     @pytest.mark.parametrize("weight", ["vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "custom"])
     def test_one_verdict_from_every_entry_point(self, weight):
         # rates on, just inside and just outside each finite edge's boundary
@@ -217,13 +228,60 @@ class TestClassifySwapQuote:
         assert VerdictStatus.WEAK_ARBITRAGE not in seen
 
 
+class TestCorridorBarriers:
+    """Every corridor payoff vanishes with its slope at the forward, so no barrier puts a number of size 1/a into
+    the solver or the rate map (a corridor-up barrier of 1e-300 once inverted the band, 1e-12 raised, and 1e-4
+    already moved the lower edge)."""
+
+    TEST_CHAIN = ([0.8, 1.0, 1.2], [0.075, 0.125, 0.275])
+
+    # Every strike lies above each corridor-up barrier.  The worst-case law of vanilla on this chain has its top
+    # atom at 1.5, so corridor-down barriers from there keep all of its mass in the corridor (at 1.3 the
+    # corridor-down edge is rightly 0.0095 lower).
+    @pytest.mark.parametrize("kind, barriers", [("corridor-up", np.geomspace(1e-300, 0.5, 120)),
+                                                ("corridor-down", np.geomspace(1.5, 1e300, 120))])
+    def test_barrier_scans_give_vanillas_lower_edge(self, kind, barriers):
+        nc = chain_of(*self.TEST_CHAIN)
+        vanilla = swap_rate_bounds(nc, WeightSpec.vanilla()).swap_lower
+        for a in barriers:
+            report = swap_rate_bounds(nc, WeightSpec(kind, barrier=float(a)))
+            assert abs(report.swap_lower - vanilla) <= 1e-12, a
+            assert report.swap_lower <= report.swap_upper
+
+    @pytest.mark.parametrize("kind, a", [("corridor-up", 0.5), ("corridor-up", 0.9), ("corridor-down", 1.1),
+                                         ("corridor-down", 2.0)])
+    def test_the_forward_anchor_moves_no_band(self, kind, a):
+        # With the forward in the corridor, the barrier-anchored form -ln(x/a) + x/a - 1 differs by
+        # ln a + (1/a - 1) x: the same band and verdicts, European values ln a + 1/a - 1 apart.
+        rng = np.random.default_rng(32)
+        payoff = make_payoff(WeightSpec(kind, barrier=a))
+        anchored = payoff.shift_affine(1.0 / a - 1.0, math.log(a))
+        for _ in range(30):
+            nc = random_consistent_chain(rng)
+            report, other = swap_rate_bounds(nc, WeightSpec(kind, barrier=a)), swap_mod._report(nc, anchored, "")
+            for mine, theirs in ((report.swap_lower, other.swap_lower), (report.swap_upper, other.swap_upper)):
+                assert math.isclose(mine, theirs, rel_tol=0.0, abs_tol=1e-11)  # +inf matches +inf
+            assert abs(other.lower_value - report.lower_value - (math.log(a) + 1.0 / a - 1.0)) <= 1e-11
+            assert (report.lower_existence, report.upper_existence) == (other.lower_existence, other.upper_existence)
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_dense_chains_at_a_tiny_barrier(self, n):
+        # both raised ReconstructionFailure under corridor-up:1e-6 (contact missed by 1.7e-6 at n = 250)
+        nc = lognormal_chain(n, sigma=0.2)
+        report = swap_rate_bounds(nc, WeightSpec.corridor_up(1e-6), grid=32)
+        vanilla = swap_rate_bounds(nc, WeightSpec.vanilla(), grid=32)
+        assert abs(report.swap_lower - vanilla.swap_lower) <= 1e-12
+
+
 class TestSwapRateBounds:
-    def test_an_inverted_band_is_an_error(self):
-        # a corridor-up barrier of 1e-300 rounds the lower edge to 2.97e284
-        # above an upper edge of 0
+    def test_an_inverted_band_is_an_error(self, monkeypatch):
+        # No known input inverts the band (a corridor-up barrier of 1e-300 once did), so a
+        # superhedge patched to report a value of -1 stands in for a fault that would.
+        real = upper_mod.superhedge
+        monkeypatch.setattr(upper_mod, "superhedge", lambda nc, payoff: replace(real(nc, payoff), value=-1.0))
         nc = chain_of([0.8, 1.0, 1.2], [0.075, 0.125, 0.275])
         with pytest.raises(ValueError, match="band is inverted"):
-            swap_rate_bounds(nc, WeightSpec.corridor_up(1e-300))
+            swap_rate_bounds(nc, WeightSpec.corridor_up(1.0))
 
     def test_vanilla_report(self):
         rng = np.random.default_rng(2)

@@ -21,6 +21,8 @@ from conftest import random_consistent_chain, single_put_chain, verification_gri
 VANILLA = make_payoff(WeightSpec.vanilla())
 GAMMA = make_payoff(WeightSpec.gamma())
 CORRIDOR_UP = make_payoff(WeightSpec.corridor_up(1.0))
+# The put at 1.0 sits below the chord of its neighbours: not convex, a model-independent arbitrage.
+NONCONVEX = ([0.8, 1.0, 1.2], [0.075, 0.08, 0.275])
 
 
 def chain_of(strikes, prices):
@@ -131,6 +133,20 @@ class TestSuperhedge:
             lower = dp_lower_bound(nc, CORRIDOR_UP).value
             upper = superhedge(nc, CORRIDOR_UP).value
             assert lower <= upper + 1e-6
+
+
+class TestInconsistentChains:
+    def test_superhedge_refuses(self):
+        # it once priced a feasible superhedge at 0.0754 on this chain
+        with pytest.raises(ValueError, match="consistent chain"):
+            superhedge(chain_of(*NONCONVEX), CORRIDOR_UP)
+
+    @pytest.mark.parametrize("z", [5.0, 1e6])
+    def test_extremal_measure_refuses_without_blaming_z(self, z):
+        # it once raised NegativeWeight("support cap z = 5 too small") for the chain's own arbitrage
+        with pytest.raises(ValueError, match="consistent chain") as error:
+            extremal_upper_measure(chain_of(*NONCONVEX), z)
+        assert not isinstance(error.value, NegativeWeight)
 
 
 class TestExtremalMeasure:
