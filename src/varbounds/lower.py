@@ -897,12 +897,16 @@ def reconstruct_subhedge(
 
     Built from a measure on ``nchain.window`` alone (see ``_tangent_construction``); beyond the
     last strike it follows the tail atom's tangent, or for boundary policies
-    is flat where possible; it costs the measure integral plus its tail slope
-    times the escaped mean.  Raises
-    :class:`ReconstructionFailure`, naming the failed check, when the
-    portfolio misses exact domination, contact or cost.
+    is flat where possible, and where mass escapes to infinity
+    (``mean_at_infinity > 0``) ``tighten_tail`` lifts it toward the asymptotic
+    slope, since the existence conditions presume the optimal subhedge.  It
+    costs the measure integral plus its tail slope times the escaped mean.
+    Raises :class:`ReconstructionFailure`, naming the failed check, when the
+    portfolio, lifted tail included, misses exact domination, contact or cost.
     """
     portfolio = _tangent_construction(nchain, payoff, measure)
+    if measure.mean_at_infinity > 0.0:
+        portfolio = tighten_tail(nchain, payoff, portfolio)
     failure = _subhedge_checks(nchain, payoff, measure, portfolio)
     if failure is not None:
         raise ReconstructionFailure(f"tangent subhedge fails {failure}")

@@ -16,11 +16,13 @@ payoff is -ln(x/a) + x/a - 1 less ln a + (1/a - 1) x: the swap rate is the
 same, European values are ln a + 1/a - 1 lower, and hedges hold 1/a - 1 less
 forward and ln a less cash.
 
-A custom payoff supplies its value and slope, and may supply its weight;
-without one, its curvature density is a central difference of its slope.
-Payoffs are represented analytically, never tabulated: the lower-bound
-search evaluates them at adaptively chosen points including very large
-arguments.
+A custom payoff, ``WeightSpec.custom``, states its value, its slope, its four
+limits and, if it likes, its weight; without one, its curvature density is a
+central difference of its slope.  ``make_payoff`` never estimates a
+limit: it checks each stated one against facts that convexity makes exact at
+sample points, and refuses the payoff where one fails.  Payoffs are
+represented analytically, never tabulated: the lower-bound search evaluates
+them at adaptively chosen points including very large arguments.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ import numpy as np
 
 from .chain import NormalizedChain, _scale
 
-_SPOT_LO, _SPOT_HI, _SPOT_SAMPLES = 1e-3, 1e3, 400  # log grid of a custom payoff's convexity spot-check
-_DIFF_STEP = np.finfo(float).eps ** (1 / 3)  # relative step of the slope's central difference
+_SPOT_LO, _SPOT_HI, _SPOT_SAMPLES = 1e-3, 1e3, 400  # log grid of a custom payoff's checks
+_EPS = np.finfo(float).eps  # a value checked may be off by this much of its size
+_DIFF_STEP = _EPS ** (1 / 3)  # relative step of the slope's central difference
 
 
 class InvalidPayoff(ValueError):
-    """Raised when a custom payoff fails the convexity spot-check."""
+    """Raised for an unknown weight, a bad barrier, or a custom payoff that fails a check."""
 
 
 def _vectorized(fn: Callable[[np.ndarray], np.ndarray]):
@@ -58,9 +61,7 @@ class WeightSpec:
 
     kind: str
     barrier: float | None = None
-    value_fn: Callable | None = None
-    slope_fn: Callable | None = None
-    weight_fn: Callable | None = None
+    payoff: ConvexPayoff | None = None  # custom weights only
 
     def __post_init__(self):
         if self.kind in ("corridor-down", "corridor-up"):
@@ -68,8 +69,8 @@ class WeightSpec:
         elif self.kind in ("vanilla", "gamma", "inverse"):
             pass
         elif self.kind == "custom":
-            if self.value_fn is None or self.slope_fn is None:
-                raise InvalidPayoff("custom weights need value and slope callables")
+            if not isinstance(self.payoff, ConvexPayoff):
+                raise InvalidPayoff("a custom weight needs a ConvexPayoff stating its limits")
         else:
             raise InvalidPayoff(f"unknown weight kind {self.kind!r}")
 
@@ -94,9 +95,32 @@ class WeightSpec:
         return cls("inverse")
 
     @classmethod
-    def custom(cls, value_fn, slope_fn, weight_fn=None) -> "WeightSpec":
-        """A user payoff; without ``weight_fn`` the weight is x^2 times a central difference of the slope."""
-        return cls("custom", value_fn=value_fn, slope_fn=slope_fn, weight_fn=weight_fn)
+    def custom(cls, value: Callable, slope: Callable, weight: Callable | None = None, *, origin_value: float,
+               asymptotic_slope: float, tail_curvature_divergent: bool,
+               affine_tail_threshold: float = math.inf) -> "WeightSpec":
+        """A user payoff: its value, its right slope and its four limits, as stated.
+
+        ``origin_value`` (the value at 0+), ``asymptotic_slope`` (the slope's
+        limit at infinity), ``tail_curvature_divergent`` (whether the integral
+        of x d slope diverges at infinity) and ``affine_tail_threshold`` (the
+        least z with the payoff affine on [z, oo)) set the superhedge, its tail
+        and both existence verdicts.  Without a ``weight``, the curvature
+        density is a central difference of the slope.  ``make_payoff`` raises
+        :class:`InvalidPayoff` where a check on its log grid refutes the
+        payoff: a convexity spot-check, a slope above the stated asymptotic
+        slope, an origin value below a tangent's intercept, a slope that
+        changes past a finite affine threshold, or an infinite asymptotic slope
+        with a convergent tail curvature moment.  The checks can refute a
+        stated limit, never supply one.
+        """
+        if weight is None:
+            def weight(x):  # x^2 times the slope's central difference; NaN (0/0) at x = 0
+                up, down = x * (1.0 + _DIFF_STEP), x * (1.0 - _DIFF_STEP)
+                return np.square(x) * (slope(up) - slope(down)) / (up - down)
+
+        payoff = ConvexPayoff("custom", value, slope, weight, origin_value, asymptotic_slope, affine_tail_threshold,
+                              tail_curvature_divergent)
+        return cls("custom", payoff=payoff)
 
     def label(self) -> str:
         if self.barrier is not None:
@@ -109,7 +133,7 @@ def parse_weight(text: str) -> WeightSpec:
 
     The barrier ``<a>`` is positive and finite, with a finite reciprocal.
     ``inverse`` is the demo payoff 1/x; ``custom`` is accepted as an alias for
-    it (user-supplied callables go through ``WeightSpec.custom`` instead).
+    it (user payoffs go through ``WeightSpec.custom`` instead).
     """
     token = text.strip().lower()
     if token == "vanilla":
@@ -140,8 +164,8 @@ class ConvexPayoff:
     ``tail_curvature_divergent`` records whether the first moment of the
     curvature measure diverges at infinity.  ``slope_inverse`` is the
     generalized inverse m -> inf{x > 0 : slope(x) >= m} (0 or inf where m
-    lies outside the slope's range) in closed form, to within rounding; it is
-    None for custom payoffs, whose tangency points are root-found.
+    lies outside the slope's range) in closed form, to within rounding; where
+    it is None, as for every custom payoff, tangency points are root-found.
     """
 
     kind: str
@@ -186,41 +210,42 @@ class ConvexPayoff:
         )
 
 
-def _convexity_spot_check(value) -> None:
+def _check_custom(value, slope, stated: ConvexPayoff) -> None:
+    """Refute a custom payoff or its stated limits at the points of a log grid.
+
+    Each test is one-sided and exact for a convex payoff, up to the rounding
+    of the numbers it compares (each may be off by ``_EPS`` of its size): the
+    difference quotients of the values rise; the right slope rises to its
+    limit gamma, so no slope exceeds it, and where the payoff is affine on
+    [z, oo) every slope there is gamma; every tangent lies below the payoff,
+    so its intercept is at most the value at 0+; and a slope rising to inf
+    makes the tail curvature moment, the integral of x d slope, diverge.
+    """
     x = np.geomspace(_SPOT_LO, _SPOT_HI, _SPOT_SAMPLES)
-    v = value(x)
+    v, s = value(x), slope(x)
     finite = np.isfinite(v)
-    x, v = x[finite], v[finite]
-    if x.size < 3:
-        raise InvalidPayoff("custom payoff not finite anywhere on the probe grid")
-    slopes = np.diff(v) / np.diff(x)
-    if np.any(np.diff(slopes) < -1e-10):
+    if np.count_nonzero(finite) < 3:
+        raise InvalidPayoff("custom payoff not finite anywhere on the check grid")
+    xf, vf = x[finite], v[finite]
+    dx = np.diff(xf)
+    quotients = np.diff(vf) / dx
+    rounding = _EPS * ((np.abs(vf[:-1]) + np.abs(vf[1:])) / dx + np.abs(quotients))
+    if np.any(np.diff(quotients) < -(rounding[:-1] + rounding[1:])):
         raise InvalidPayoff("custom payoff fails the convexity spot-check")
-
-
-def _probed_limit(fn, probes) -> float:
-    """Limit of ``fn`` past four geometric probes: Aitken's delta-squared over
-    the first three, checked on the last three.  inf unless the increments
-    shrink at least twofold (a NaN, an inf, a log) and both limits agree within
-    1e-12 of max(|fn(1)|, |limit|), the scale they serve at (slow powers)."""
-    v = fn(np.array(probes))
-    d = np.diff(v)
-    if not np.all(np.abs(d[1:]) <= 0.5 * np.abs(d[:-1])):
-        return math.inf
-    with np.errstate(all="ignore"):
-        lim = np.where(d[1:] == 0.0, v[2:], v[2:] - d[1:] * d[1:] / (d[1:] - d[:-1]))
-    return float(lim[0]) if abs(lim[1] - lim[0]) <= 1e-12 * max(abs(fn(1.0)), abs(lim[0])) else math.inf
-
-
-def _probe_tail_divergence(value, slope) -> bool:
-    # x * slope(x) - value(x) is nondecreasing; it diverges iff the tail
-    # first moment of the curvature measure does.  Divergence (even
-    # logarithmic) keeps the increments from decaying; convergence shrinks
-    # them geometrically across decades.
-    g = lambda x: x * slope(x) - value(x)
-    d1 = g(1e6) - g(1e4)
-    d2 = g(1e8) - g(1e6)
-    return bool(d2 > 1e-10 and d2 > 0.5 * d1)
+    gamma, z = stated.asymptotic_slope, stated.affine_tail_threshold
+    live = np.isfinite(s)
+    if not np.all(s[live] <= gamma + _EPS * np.abs(s[live])):
+        raise InvalidPayoff(f"a slope of the custom payoff exceeds its stated asymptotic slope {gamma!r}")
+    ok = finite & live
+    intercept, slack = v[ok] - x[ok] * s[ok], _EPS * (np.abs(v[ok]) + np.abs(x[ok] * s[ok]))
+    if not np.all(stated.origin_value >= intercept - slack):
+        raise InvalidPayoff(f"the stated origin value {stated.origin_value!r} lies below a tangent's intercept")
+    if z != math.inf:
+        past = slope(np.append(z, x[x > z]))
+        if not (z >= 0.0 and np.all(np.abs(past - gamma) <= _EPS * np.abs(past))):
+            raise InvalidPayoff(f"the slope of the custom payoff is not {gamma!r} past its affine threshold {z!r}")
+    if gamma == math.inf and not stated.tail_curvature_divergent:
+        raise InvalidPayoff("an infinite asymptotic slope needs a divergent tail curvature moment")
 
 
 def make_payoff(spec: WeightSpec) -> ConvexPayoff:
@@ -286,45 +311,13 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             tail_curvature_divergent=False,
             slope_inverse=_vectorized(lambda m: np.where(m < 0.0, 1.0 / np.sqrt(-m), np.inf)),
         )
-    if spec.kind == "custom":
-        value = _vectorized(spec.value_fn)
-        slope = _vectorized(spec.slope_fn)
-
-        def difference_weight(x):  # x^2 times the slope's central difference; NaN (0/0) at x = 0
-            up, down = x * (1.0 + _DIFF_STEP), x * (1.0 - _DIFF_STEP)
-            return np.square(x) * (slope(up) - slope(down)) / (up - down)
-
-        weight = _vectorized(spec.weight_fn if spec.weight_fn is not None else difference_weight)
-        _convexity_spot_check(value)
-        origin = _probed_limit(value, (1e-10, 1e-12, 1e-14, 1e-16))
-        value = _vectorized(lambda x: np.where(x == 0.0, origin, spec.value_fn(x)))  # value(0) is the probed limit
-        # Extrapolated: a slope at 1e9 short of gamma would make a vanishing tail a spurious optimum.
-        gamma = _probed_limit(slope, (1e5, 1e7, 1e9, 1e11))
-        divergent = _probe_tail_divergence(value, slope)
-        # Affine tail detection: the slope is constant beyond z iff the
-        # curvature vanishes there; probe a coarse grid for the last change
-        # (exact constancy up to rounding, so a merely flattening slope does
-        # not masquerade as an affine tail).
-        xs = np.geomspace(1e-2, 1e6, 200)
-        sl = slope(xs)
-        local_scale = 1e-14 * (1.0 + np.abs(sl[:-1]))
-        changing = np.flatnonzero(np.abs(np.diff(sl)) > local_scale)
-        if changing.size == 0:
-            tail = 0.0
-        elif changing[-1] < xs.size - 2:
-            tail = float(xs[changing[-1] + 1])
-        else:
-            tail = math.inf
-        return ConvexPayoff(
-            kind="custom",
-            value=value,
-            slope=slope,
-            weight=weight,
-            origin_value=origin,
-            asymptotic_slope=gamma,
-            affine_tail_threshold=tail,
-            tail_curvature_divergent=divergent,
-        )
+    if spec.kind == "custom":  # the stated value, slope, weight and limits; no barrier, no closed-form inverse
+        stated = spec.payoff
+        slope, base_value, origin = _vectorized(stated.slope), stated.value, stated.origin_value
+        value = _vectorized(lambda x: np.where(x == 0.0, origin, base_value(x)))  # value(0) is the stated limit
+        _check_custom(value, slope, stated)
+        return ConvexPayoff("custom", value, slope, _vectorized(stated.weight), origin, stated.asymptotic_slope,
+                            stated.affine_tail_threshold, stated.tail_curvature_divergent)
     raise InvalidPayoff(f"unknown weight kind {spec.kind!r}")
 
 

@@ -188,14 +188,11 @@ def compute_lower(
     """Lower bound, sub-replicating portfolio, and the dual-existence verdict.
 
     ``lp_lower_bound`` serves every chain: the policy recursion and the
-    tangent subhedge on ``nchain.window``, where its mass lies.  Exactly where
-    mass escapes to infinity (``mean_at_infinity > 0``) ``tighten_tail`` lifts
-    the tail toward the asymptotic slope in one solve, since the existence
-    conditions presume the optimal subhedge; they are read once, from it.
+    tangent subhedge on ``nchain.window``, where its mass lies, with its tail
+    lifted where mass escapes (``reconstruct_subhedge``).  The existence
+    conditions presume that optimal subhedge; they are read once, from it.
     """
     value, portfolio, measure = lower_mod.lp_lower_bound(nchain, payoff, grid=grid)
-    if measure.mean_at_infinity > 0.0:
-        portfolio = lower_mod.tighten_tail(nchain, payoff, portfolio)
     return DualSolution(value=value, measure=measure), portfolio, dual_existence_lb(nchain, payoff, portfolio)
 
 

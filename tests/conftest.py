@@ -1,4 +1,4 @@
-"""Shared generators: random consistent chains from atomic laws, lognormal chains."""
+"""Shared generators: random consistent chains from atomic laws, lognormal chains, custom weights."""
 
 from __future__ import annotations
 
@@ -7,8 +7,17 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from varbounds import ConvexPayoff, NormalizedChain, OptionChain, normalize
+from varbounds import ConvexPayoff, NormalizedChain, OptionChain, WeightSpec, make_payoff, normalize, parse_weight
 from varbounds import lower
+
+
+def twin_weight(name, value, slope, weight=None) -> WeightSpec:
+    """A custom weight with the four limits of the built-in weight ``name``."""
+    builtin = make_payoff(parse_weight(name))
+    return WeightSpec.custom(value, slope, weight, origin_value=builtin.origin_value,
+                             asymptotic_slope=builtin.asymptotic_slope,
+                             tail_curvature_divergent=builtin.tail_curvature_divergent,
+                             affine_tail_threshold=builtin.affine_tail_threshold)
 
 
 def atomic_law(rng, m_lo=3, m_hi=9):

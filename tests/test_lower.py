@@ -39,6 +39,7 @@ from conftest import (
     random_consistent_chain,
     single_put_chain,
     trimmed_route_chain,
+    twin_weight,
     window_excess,
 )
 
@@ -312,7 +313,8 @@ AFFINE_STRETCH_CHAINS = [
 
 # Every built-in weight, plus a custom payoff without a curvature density.
 SUBHEDGE_PAYOFFS = [make_payoff(parse_weight(w)) for w in CLI_WEIGHTS + ("inverse",)] + [
-    make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
+    make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1,
+                                  origin_value=math.inf, asymptotic_slope=0.1, tail_curvature_divergent=False))
 ]
 PAYOFFS_BY_NAME = dict(zip(CLI_WEIGHTS + ("inverse", "custom"), SUBHEDGE_PAYOFFS))
 
@@ -328,13 +330,15 @@ def no_grid_lp(monkeypatch):
 
 
 def assert_subhedge_contract(nc, payoff, measure):
-    """Domination, contact at every atom, and cost equal to the measure integral."""
+    """Domination, contact at every atom, and cost equal to the measure integral plus the tail slope times
+    the escaped mean: the hedge is reported with its tail already lifted where mass escapes."""
     port = reconstruct_subhedge(nc, payoff, measure)
     assert dominates_below(port, payoff)
     live = measure.weights > 1e-11
     contact = port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live])
     assert np.max(np.abs(contact)) <= 1e-8
-    assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff), abs=1e-8)
+    target = measure.integrate(payoff) + port.tail_slope() * measure.mean_at_infinity
+    assert port.setup_cost(nc) == pytest.approx(target, abs=1e-8)
 
 
 def assert_trimmed_contract(nc, payoff):
@@ -381,13 +385,9 @@ def chain_of(strikes, prices):
 
 
 def affine_plus_inverse(alpha):
-    return make_payoff(
-        WeightSpec.custom(
-            lambda x: 1.0 / x + alpha * x,
-            lambda x: -1.0 / np.square(x) + alpha,
-            lambda x: 2.0 / x,
-        )
-    )
+    return make_payoff(WeightSpec.custom(lambda x: 1.0 / x + alpha * x, lambda x: -1.0 / np.square(x) + alpha,
+                                         lambda x: 2.0 / x, origin_value=math.inf, asymptotic_slope=alpha,
+                                         tail_curvature_divergent=False))
 
 
 class TestPolicySets:
@@ -530,10 +530,9 @@ class TestDpLowerBound:
                                               (2.164856026028474, 1.1802590481536201),
                                               (1.4711861916592146, 0.4735659757595344)])
     def test_density_free_twin_of_vanilla(self, strike, price):
-        # The slope -1/x at the probe 1e9 is -1e-9; taken as gamma, the tail
-        # limit gamma c held the solve at the boundary policy on these chains.
-        twin = make_payoff(WeightSpec.custom(lambda x: np.where(x > 0.0, -np.log(x), np.inf), lambda x: -1.0 / x))
-        assert twin.asymptotic_slope == 0.0
+        # chains on which a gamma of -1e-9, the slope at 1e9, in place of 0
+        # would hold the solve at the boundary policy through the tail limit gamma c
+        twin = make_payoff(twin_weight("vanilla", lambda x: np.where(x > 0.0, -np.log(x), np.inf), lambda x: -1.0 / x))
         nc = single_put_chain(price, strike)
         assert dp_lower_bound(nc, twin).value == pytest.approx(dp_lower_bound(nc, VANILLA).value, abs=1e-12)
 
@@ -607,6 +606,22 @@ class TestDpLowerBound:
             sol = dp_lower_bound(nc, payoff)
             assert final_kkt_residual(nc, payoff, sol.policy) <= 1e-15
             assert sol.measure.check(nc) == []
+
+    # Dense lognormal chains whose solve still stalls or misses an atom
+    # reopening, so the hedge fails domination or contact by 1e-9 to 1e-7.
+    @pytest.mark.xfail(raises=ReconstructionFailure, strict=True)
+    @pytest.mark.parametrize("n, sigma, weight, grid", [
+        (750, 0.2, "corridor-up:1.0", 32), (850, 0.2, "corridor-up:1.0", 32), (850, 0.2, "inverse", 32),
+        (900, 0.2, "inverse", 32), (950, 0.2, "inverse", 32), (1000, 0.2, "inverse", 32),
+        (550, 0.5, "corridor-down:0.9", 32),
+        (250, 0.2, "corridor-up:1.0", 8), (750, 0.2, "corridor-up:1.0", 8), (300, 0.2, "vanilla", 8),
+        (300, 0.2, "gamma", 8), (300, 0.2, "inverse", 8), (550, 0.2, "corridor-down:0.9", 8),
+        (800, 0.2, "corridor-down:0.9", 8),
+        (600, 0.2, "corridor-down:1.5", 32), (850, 0.2, "corridor-down:1.5", 32),
+        (750, 0.5, "corridor-down:1.2", 32), (850, 0.5, "corridor-down:1.5", 32),
+    ])
+    def test_dense_chains_that_still_fail_to_hedge(self, n, sigma, weight, grid):
+        swap_rate_bounds(lognormal_chain(n, sigma=sigma), parse_weight(weight), grid=grid)
 
     @pytest.mark.parametrize("weight,strikes,puts", DEGENERATE_POLICY_CHAINS)
     def test_degenerate_policy_chains(self, weight, strikes, puts):
@@ -781,7 +796,7 @@ class TestPolicyKernel:
     def test_difference_hessian_without_curvature_density(self):
         # Without a weight, the curvature is a central difference of the slope.
         with_density = affine_plus_inverse(0.1)
-        without = make_payoff(WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1))
+        without = PAYOFFS_BY_NAME["custom"]
         rng = np.random.default_rng(7)
         for _ in range(10):
             nc = random_consistent_chain(rng)
@@ -1244,7 +1259,7 @@ class TestClosedFormTangency:
         # the -ln x payoff given as a custom payoff, weight included, has no
         # closed-form inverse: its exact domination root-finds all 999 pieces
         # of the hedge in one batch, the array phase of _bracket_root
-        twin = make_payoff(WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x, lambda x: np.ones_like(x)))
+        twin = make_payoff(twin_weight("vanilla", lambda x: -np.log(x), lambda x: -1.0 / x, np.ones_like))
         nc = lognormal_chain(1000)
         batches = []
         bracket_root = lower._bracket_root
@@ -1290,13 +1305,15 @@ class TestMergeAtoms:
 
 class TestTightenTail:
     def test_lifts_to_asymptotic_slope(self):
+        # reconstruct_subhedge lifts the flat tail of the construction and
+        # checks the lifted hedge: it costs 2.25, not the measure integral 2.125
         payoff = affine_plus_inverse(0.25)
         nc = single_put_chain(0.7)
         sol = dp_lower_bound(nc, payoff)
-        port = reconstruct_subhedge(nc, payoff, sol.measure)
-        assert port.setup_cost(nc) == pytest.approx(sol.measure.integrate(payoff), abs=1e-8)
-        tight = tighten_tail(nc, payoff, port)
-        theta = tight.forward - port.forward
+        flat = lower._tangent_construction(nc, payoff, sol.measure)
+        assert flat.setup_cost(nc) == pytest.approx(sol.measure.integrate(payoff), abs=1e-8)
+        tight = reconstruct_subhedge(nc, payoff, sol.measure)
+        theta = tight.forward - flat.forward
         assert theta == pytest.approx(0.25, abs=1e-6)
         assert tight.setup_cost(nc) > sol.measure.integrate(payoff) + 0.1
         assert tight.setup_cost(nc) == pytest.approx(sol.value, abs=1e-6)
@@ -1305,7 +1322,7 @@ class TestTightenTail:
         payoff = affine_plus_inverse(0.25)
         nc = single_put_chain(0.7)
         sol = dp_lower_bound(nc, payoff)
-        port = reconstruct_subhedge(nc, payoff, sol.measure)
+        port = lower._tangent_construction(nc, payoff, sol.measure)
         tight = tighten_tail(nc, payoff, port)
         again = tighten_tail(nc, payoff, tight)
         assert again.forward == tight.forward
@@ -1318,9 +1335,10 @@ class TestTightenTail:
         rng = np.random.default_rng(30)
         for draw in range(40):
             nc = random_consistent_chain(rng)
-            _, base, measure = lp_lower_bound(nc, payoff)
-            _, port, _ = compute_lower(nc, payoff)
-            want = tighten_tail(nc, payoff, base) if measure.mean_at_infinity > 0.0 else base
+            # the hedge reconstruct_subhedge checks is the one reported, lifted once
+            sol, port, _ = compute_lower(nc, payoff)
+            flat = lower._tangent_construction(nc, payoff, sol.measure)
+            want = tighten_tail(nc, payoff, flat) if sol.measure.mean_at_infinity > 0.0 else flat
             assert (port.cash, port.forward) == (want.cash, want.forward), draw
             assert np.array_equal(port.puts, want.puts), draw
 
@@ -1385,7 +1403,8 @@ class TestGridLp:
         assert value == pytest.approx(11.0 / 9.0, abs=2e-3)
 
     def test_affine_payoff_replicates_exactly(self):
-        payoff = make_payoff(WeightSpec.custom(lambda x: x - 1.0, lambda x: np.ones_like(x)))
+        payoff = make_payoff(WeightSpec.custom(lambda x: x - 1.0, np.ones_like, origin_value=-1.0, asymptotic_slope=1.0,
+                                               tail_curvature_divergent=False, affine_tail_threshold=0.0))
         rng = np.random.default_rng(14)
         for _ in range(5):
             nc = random_consistent_chain(rng)
@@ -1395,7 +1414,7 @@ class TestGridLp:
         payoff = affine_plus_inverse(0.25)
         nc = single_put_chain(0.7)
         sol = dp_lower_bound(nc, payoff)
-        port = tighten_tail(nc, payoff, reconstruct_subhedge(nc, payoff, sol.measure))
+        port = reconstruct_subhedge(nc, payoff, sol.measure)  # lifted to the asymptotic slope 0.25
         value = grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=sol.measure.atoms))
         assert value == pytest.approx(port.setup_cost(nc), abs=2e-3)
 

@@ -444,8 +444,9 @@ class TestVerifyIto:
     def test_custom_payoff_without_weight_matches_its_analytic_weight(self):
         # The weight from a central difference of the slope stands in for 2/x.
         value, slope = lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1
-        without = make_payoff(WeightSpec.custom(value, slope))
-        analytic = make_payoff(WeightSpec.custom(value, slope, lambda x: 2.0 / x))
+        limits = dict(origin_value=math.inf, asymptotic_slope=0.1, tail_curvature_divergent=False)
+        without = make_payoff(WeightSpec.custom(value, slope, **limits))
+        analytic = make_payoff(WeightSpec.custom(value, slope, lambda x: 2.0 / x, **limits))
         for seed in range(20):
             path = geometric_walk(seed, n_steps=8192)
             ladder = build_dyadic_ladder(path, 8)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,10 +19,12 @@ from varbounds import (
     normalize,
     parse_weight,
     superhedge,
+    swap_rate_bounds,
 )
-from varbounds import OptionChain
+from varbounds import OptionChain, VerdictStatus
+from varbounds.lower import dominates_below
 from varbounds.swap import compute_lower
-from conftest import random_consistent_chain, single_put_chain
+from conftest import random_consistent_chain, single_put_chain, twin_weight
 
 ALL_SPECS = [
     WeightSpec.vanilla(),
@@ -84,8 +87,10 @@ class TestBuiltins:
             parse_weight(f"{kind}:{barrier!r}")
 
     def test_custom_convexity_rejected(self):
-        with pytest.raises(InvalidPayoff):
-            make_payoff(WeightSpec.custom(lambda x: -np.square(x - 1.0), lambda x: -2.0 * (x - 1.0)))
+        with pytest.raises(InvalidPayoff, match="convexity"):
+            make_payoff(WeightSpec.custom(lambda x: -np.square(x - 1.0), lambda x: -2.0 * (x - 1.0),
+                                          origin_value=math.inf, asymptotic_slope=math.inf,
+                                          tail_curvature_divergent=True))
 
 
 def old_corridor(kind, a):
@@ -186,9 +191,10 @@ class TestAnalyticConsistency:
         assert mid <= t * lam.value(x) + (1.0 - t) * lam.value(y) + 1e-12
 
     @pytest.mark.parametrize("spec", ALL_SPECS + [
-        WeightSpec.custom(lambda x: x * np.log(x) - x, np.log),  # NaN at 0
-        WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x),  # inf at 0
-        WeightSpec.custom(lambda x: np.exp(-x), lambda x: -np.exp(-x)),  # finite at 0
+        twin_weight("gamma", lambda x: x * np.log(x) - x, np.log),  # NaN at 0
+        twin_weight("vanilla", lambda x: -np.log(x), lambda x: -1.0 / x),  # inf at 0
+        WeightSpec.custom(lambda x: np.exp(-x), lambda x: -np.exp(-x), origin_value=1.0, asymptotic_slope=0.0,
+                          tail_curvature_divergent=False),
     ], ids=lambda s: s.label())
     def test_value_at_the_origin_is_the_origin_value(self, spec):
         lam = make_payoff(spec)
@@ -228,47 +234,130 @@ def two_floats(x, direction):
     return np.nextafter(np.nextafter(x, direction), direction)
 
 
-class TestCustomLimits:
-    """A custom payoff's origin value and asymptotic slope: Aitken's delta-squared, checked by a fourth probe."""
+def rising(x):
+    """1/(1+x) + x - 1e30 ln(1 + x/1e30): convex, slope -1/(1+x)^2 + x/(1e30 + x), rising to 1 only past 1e30."""
+    return 1.0 / (1.0 + x) + x - 1e30 * np.log1p(x / 1e30)
 
-    @pytest.mark.parametrize("spec, origin, gamma, origin_tol", [
-        (WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)), math.inf, 0.0, 0.0),
-        (WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x), math.inf, 0.0, 0.0),
-        (WeightSpec.custom(lambda x: x * np.log(x) - x, np.log), 0.0, math.inf, 1e-14),
-        (WeightSpec.custom(lambda x: np.exp(-x), lambda x: -np.exp(-x)), 1.0, 0.0, 0.0),
-        (WeightSpec.custom(lambda x: -4.0 * np.sqrt(x), lambda x: -2.0 / np.sqrt(x)), 0.0, 0.0, 1e-20),
-        (WeightSpec.custom(lambda x: 1.0 / x + 0.25 * x, lambda x: -1.0 / np.square(x) + 0.25), math.inf, 0.25, 0.0),
-        (WeightSpec.custom(lambda x: 100.0 * (x * np.log(x) - x), lambda x: 100.0 * np.log(x)), 0.0, math.inf, 1e-12),
-        (WeightSpec.custom(lambda x: -np.power(x, 0.7) / 0.7 - np.power(x, 0.8) / 8.0,
-                           lambda x: -np.power(x, -0.3) - 0.1 * np.power(x, -0.2)), 0.0, math.inf, 1e-12),
-        (WeightSpec.custom(lambda x: -np.power(x, 0.3) - 0.1 * np.power(x, 0.2),
-                           lambda x: -0.3 * np.power(x, -0.7) - 0.02 * np.power(x, -0.8)), math.inf, math.inf, 0.0),
+
+def rising_slope(x):
+    return -1.0 / np.square(1.0 + x) + x / (1e30 + x)
+
+
+CHAIN_CSV = ([0.8, 1.0, 1.2], [0.075, 0.125, 0.275])  # the CI's chain.csv
+
+
+class TestCustomLimits:
+    """A custom payoff's limits are taken as stated; checks exact under convexity refute wrong ones."""
+
+    @pytest.mark.parametrize("value, slope, origin, gamma, divergent, tail", [
+        (lambda x: 1.0 / x, lambda x: -1.0 / np.square(x), math.inf, 0.0, False, math.inf),
+        (lambda x: -np.log(x), lambda x: -1.0 / x, math.inf, 0.0, True, math.inf),
+        (lambda x: x * np.log(x) - x, np.log, 0.0, math.inf, True, math.inf),
+        (lambda x: np.exp(-x), lambda x: -np.exp(-x), 1.0, 0.0, False, math.inf),
+        (lambda x: -4.0 * np.sqrt(x), lambda x: -2.0 / np.sqrt(x), 0.0, 0.0, True, math.inf),
+        (lambda x: 1.0 / x + 0.25 * x, lambda x: -1.0 / np.square(x) + 0.25, math.inf, 0.25, False, math.inf),
+        (lambda x: 100.0 * (x * np.log(x) - x), lambda x: 100.0 * np.log(x), 0.0, math.inf, True, math.inf),
+        (lambda x: -np.power(x, 0.7) / 0.7 - np.power(x, 0.8) / 8.0,
+         lambda x: -np.power(x, -0.3) - 0.1 * np.power(x, -0.2), 0.0, 0.0, True, math.inf),
+        (lambda x: -np.power(x, 0.3) - 0.1 * np.power(x, 0.2),
+         lambda x: -0.3 * np.power(x, -0.7) - 0.02 * np.power(x, -0.8), 0.0, 0.0, True, math.inf),
+        (rising, rising_slope, 1.0, 1.0, False, math.inf),
+        (lambda x: x - 1.0, np.ones_like, -1.0, 1.0, False, 0.0),
+        (lambda x: np.maximum(1.0 - x, 0.0), lambda x: np.where(x < 1.0, -1.0, 0.0), 1.0, 0.0, False, 1.0),
     ], ids=["1/x", "-ln x", "x ln x - x", "exp(-x)", "-4 sqrt x", "1/x + x/4", "100 (x ln x - x)", "slow slope",
-         "slow origin"])
-    def test_limits(self, spec, origin, gamma, origin_tol):
-        # Without the shrink test the ln x slope would extrapolate to 1.19e16;
-        # without the fourth probe the two sums of slow powers would extrapolate
-        # to a slope limit -3.2e-4 and an origin value -2.3e-5, both short of 0.
-        # The check scales with the payoff: 100 (x ln x - x) keeps its origin.
-        payoff = make_payoff(spec)
-        assert payoff.origin_value == pytest.approx(origin, rel=0.0, abs=origin_tol)
-        assert payoff.asymptotic_slope == pytest.approx(gamma, rel=0.0, abs=1e-20)
+         "slow origin", "rising", "x - 1", "(1 - x)+"])
+    def test_limits(self, value, slope, origin, gamma, divergent, tail):
+        payoff = make_payoff(WeightSpec.custom(value, slope, origin_value=origin, asymptotic_slope=gamma,
+                                               tail_curvature_divergent=divergent, affine_tail_threshold=tail))
+        assert (payoff.origin_value, payoff.asymptotic_slope) == (origin, gamma)
+        assert (payoff.tail_curvature_divergent, payoff.affine_tail_threshold) == (divergent, tail)
+        assert payoff.value(0.0) == origin
+
+    @pytest.mark.parametrize("value, slope, origin, gamma, divergent, tail, refusal", [
+        # the slope -1/x^2 + 1/4 reaches 0.2499990 at x = 1e3
+        (lambda x: 1.0 / x + 0.25 * x, lambda x: -1.0 / np.square(x) + 0.25, math.inf, 0.0, False, math.inf,
+         "exceeds its stated asymptotic slope"),
+        (lambda x: -np.log(x), lambda x: -1.0 / x, math.inf, -0.01, True, math.inf,
+         "exceeds its stated asymptotic slope"),
+        (lambda x: -np.log(x), lambda x: -1.0 / x, math.inf, math.nan, True, math.inf,
+         "exceeds its stated asymptotic slope"),
+        # the tangent of exp(-x) at 1e-3 meets the axis at 0.9999999995
+        (lambda x: np.exp(-x), lambda x: -np.exp(-x), 0.999999, 0.0, False, math.inf, "below a tangent's intercept"),
+        (lambda x: -4.0 * np.sqrt(x), lambda x: -2.0 / np.sqrt(x), -0.1, 0.0, True, math.inf,
+         "below a tangent's intercept"),
+        # the slope of 1/x + x/4 still rises past 100, that of (1 - x)+ turns at 1
+        (lambda x: 1.0 / x + 0.25 * x, lambda x: -1.0 / np.square(x) + 0.25, math.inf, 0.25, False, 100.0,
+         "past its affine threshold"),
+        (lambda x: np.maximum(1.0 - x, 0.0), lambda x: np.where(x < 1.0, -1.0, 0.0), 1.0, 0.0, False, 0.5,
+         "past its affine threshold"),
+        (lambda x: np.maximum(1.0 - x, 0.0), lambda x: np.where(x < 1.0, -1.0, 0.0), 1.0, 0.0, False, math.nan,
+         "past its affine threshold"),
+        (lambda x: x * np.log(x) - x, np.log, 0.0, math.inf, False, math.inf, "divergent tail curvature moment"),
+    ], ids=["1/x + x/4 at gamma 0", "-ln x at gamma -0.01", "-ln x at gamma nan", "exp(-x) at origin 0.999999",
+         "-4 sqrt x at origin -0.1", "1/x + x/4 affine past 100", "(1 - x)+ affine past 0.5",
+         "(1 - x)+ affine past nan", "x ln x - x convergent"])
+    def test_a_refuted_limit_is_refused(self, value, slope, origin, gamma, divergent, tail, refusal):
+        with pytest.raises(InvalidPayoff, match=refusal):
+            make_payoff(WeightSpec.custom(value, slope, origin_value=origin, asymptotic_slope=gamma,
+                                          tail_curvature_divergent=divergent, affine_tail_threshold=tail))
+
+    def test_a_limit_wrong_only_past_the_grid_is_taken_as_stated(self):
+        # the rising payoff's slope is below 1e-21 on the check grid and reaches 1 only past 1e30,
+        # so a gamma stated as 1e-21 is not refuted, and the band it gives is too narrow
+        weight = WeightSpec.custom(rising, rising_slope, origin_value=1.0, asymptotic_slope=1e-21,
+                                   tail_curvature_divergent=False)
+        assert make_payoff(weight).asymptotic_slope == 1e-21
+
+    @pytest.mark.parametrize("value, slope, origin", [
+        (lambda x: 100.0 + x, np.ones_like, 100.0),
+        (lambda x: 1e8 + x, np.ones_like, 1e8),
+    ], ids=["100 + x", "1e8 + x"])
+    def test_the_convexity_check_scales_with_the_values(self, value, slope, origin):
+        # the rounding of 1e8 + x moves its difference quotients by up to 3e-4 at x = 1e-3
+        payoff = make_payoff(WeightSpec.custom(value, slope, origin_value=origin, asymptotic_slope=1.0,
+                                               tail_curvature_divergent=False, affine_tail_threshold=0.0))
+        assert payoff.value(2.0) == origin + 2.0
+
+    @pytest.mark.parametrize("value, slope", [
+        (lambda x: -1e-12 * np.square(x - 1.0), lambda x: -2e-12 * (x - 1.0)),
+        (lambda x: 1e-10 * np.sqrt(x), lambda x: 0.5e-10 / np.sqrt(x)),
+    ], ids=["-1e-12 (x - 1)^2", "1e-10 sqrt x"])
+    def test_a_slightly_concave_payoff_is_refused(self, value, slope):
+        with pytest.raises(InvalidPayoff, match="convexity"):
+            make_payoff(WeightSpec.custom(value, slope, origin_value=math.inf, asymptotic_slope=math.inf,
+                                          tail_curvature_divergent=True))
 
     def test_a_slowly_settling_payoff_has_a_finite_superhedge(self):
         # -4 sqrt x: value 0 at the origin, slope rising to 0 as x^(-1/2)
-        payoff = make_payoff(WeightSpec.custom(lambda x: -4.0 * np.sqrt(x), lambda x: -2.0 / np.sqrt(x)))
+        payoff = make_payoff(WeightSpec.custom(lambda x: -4.0 * np.sqrt(x), lambda x: -2.0 / np.sqrt(x),
+                                               origin_value=0.0, asymptotic_slope=0.0, tail_curvature_divergent=True))
         upper = superhedge(single_put_chain(0.4), payoff)
         assert upper.feasible and upper.value == pytest.approx(-2.921, abs=1e-3)
 
-    @pytest.mark.parametrize("name, twin", [
-        ("inverse", WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x))),
-        ("vanilla", WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x)),
-        ("gamma", WeightSpec.custom(lambda x: x * np.log(x) - x, np.log)),
+    def test_the_slow_slope_has_a_finite_upper_edge(self):
+        # the slope -x^-0.3 - x^-0.2/10 rises to 0, so the superhedge is finite
+        weight = WeightSpec.custom(lambda x: -np.power(x, 0.7) / 0.7 - np.power(x, 0.8) / 8.0,
+                                   lambda x: -np.power(x, -0.3) - 0.1 * np.power(x, -0.2),
+                                   origin_value=0.0, asymptotic_slope=0.0, tail_curvature_divergent=True)
+        report = swap_rate_bounds(chain_of(*CHAIN_CSV), weight)
+        assert report.swap_upper == pytest.approx(0.25519, abs=1e-5)
+
+    def test_the_rising_payoff_has_the_upper_edge_of_its_stated_slope(self):
+        weight = WeightSpec.custom(rising, rising_slope, origin_value=1.0, asymptotic_slope=1.0,
+                                   tail_curvature_divergent=False)
+        report = swap_rate_bounds(chain_of(*CHAIN_CSV), weight, quoted_rate=0.163)
+        assert report.swap_upper == pytest.approx(0.238383838384, abs=1e-12)
+        assert report.quote_verdict.status is VerdictStatus.CONSISTENT
+
+    @pytest.mark.parametrize("name, value, slope", [
+        ("inverse", lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)),
+        ("vanilla", lambda x: -np.log(x), lambda x: -1.0 / x),
+        ("gamma", lambda x: x * np.log(x) - x, np.log),
     ], ids=["inverse", "vanilla", "gamma"])
-    def test_twin_has_the_builtin_existence_verdict(self, name, twin):
-        # draws 72 and 79: the 1/x twin's slope limit of 1e-16 once passed
-        # condition (ii) where inverse fails
-        builtin, twin = make_payoff(WeightSpec(name)), make_payoff(twin)
+    def test_twin_has_the_builtin_existence_verdict(self, name, value, slope):
+        # on draws 72 and 79 a slope limit of 1e-16 for the 1/x twin would
+        # pass condition (ii) where inverse fails
+        builtin, twin = make_payoff(WeightSpec(name)), make_payoff(twin_weight(name, value, slope))
         rng = np.random.default_rng(29)
         for draw in range(100):
             nc = random_consistent_chain(rng)
@@ -350,9 +439,20 @@ class TestSlopeInverse:
         assert up.slope_inverse(0.0) == down.slope_inverse(0.0) == 1.0  # both vanish with their slope at 1
 
     def test_custom_payoffs_have_none(self):
-        custom = make_payoff(WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)))
+        custom = make_payoff(twin_weight("inverse", lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)))
         assert custom.slope_inverse is None
         assert custom.shift_affine(0.5, 1.0).slope_inverse is None
+
+    def test_a_stated_inverse_or_barrier_is_dropped(self):
+        # an inverse that always answers 1e6 would clip every tangency to a
+        # piece's right end and miss the excess 1e-3 of this line at x = 1
+        stated = WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x, origin_value=math.inf,
+                                   asymptotic_slope=0.0, tail_curvature_divergent=True).payoff
+        wrong = replace(stated, kind="vanilla", barrier=0.5, slope_inverse=lambda m: np.full_like(m, 1e6))
+        payoff = make_payoff(WeightSpec("custom", payoff=wrong))
+        assert (payoff.kind, payoff.barrier, payoff.slope_inverse) == ("custom", None, None)
+        line = HedgePortfolio(cash=1.001, forward=-1.0, puts=np.array([]), strikes=np.array([]))
+        assert not dominates_below(line, payoff)
 
 
 class TestC1:
@@ -404,8 +504,8 @@ def sampled_dual_existence(nchain, payoff, subhedge) -> DualExistence:
 # The built-ins, and the custom twins of inverse (1/x) and vanilla (-ln x).
 EXISTENCE_SPECS = {
     **{spec.label(): spec for spec in ALL_SPECS},
-    "custom-1/x": WeightSpec.custom(lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)),
-    "custom--ln": WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x),
+    "custom-1/x": twin_weight("inverse", lambda x: 1.0 / x, lambda x: -1.0 / np.square(x)),
+    "custom--ln": twin_weight("vanilla", lambda x: -np.log(x), lambda x: -1.0 / x),
 }
 
 

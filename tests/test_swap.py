@@ -27,7 +27,8 @@ from varbounds import upper as upper_mod
 from varbounds.cli import parse_report, round_floats
 from varbounds.lower import C1Violation, build_lp_grid, grid_lp_oracle
 from varbounds.swap import BOUNDARY_TOL, european_from_rate, rate_from_european, rate_from_vol_points
-from conftest import lognormal_chain, random_consistent_chain, single_put_chain, trimmed_route_chain, window_excess
+from conftest import (lognormal_chain, random_consistent_chain, single_put_chain, trimmed_route_chain, twin_weight,
+                      window_excess)
 
 INVERSE = make_payoff(WeightSpec.inverse())
 # The five built-in weights, plus a custom payoff without a curvature density.
@@ -37,7 +38,8 @@ SPECS = {
     "corridor-up:1.0": WeightSpec.corridor_up(1.0),
     "corridor-down:0.9": WeightSpec.corridor_down(0.9),
     "inverse": WeightSpec.inverse(),
-    "custom": WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1),
+    "custom": WeightSpec.custom(lambda x: 1.0 / x + 0.1 * x, lambda x: -1.0 / np.square(x) + 0.1,
+                                origin_value=math.inf, asymptotic_slope=0.1, tail_curvature_divergent=False),
 }
 
 
@@ -316,12 +318,15 @@ class TestSwapRateBounds:
         assert hi_rate == pytest.approx(base.swap_upper, abs=1e-9)
 
     @pytest.mark.parametrize("name, twin", [
-        ("gamma", WeightSpec.custom(lambda x: x * np.log(x) - x, np.log, lambda x: x)),
-        ("vanilla", WeightSpec.custom(lambda x: -np.log(x), lambda x: -1.0 / x, np.ones_like)),
-    ], ids=["gamma", "vanilla"])
+        ("gamma", twin_weight("gamma", lambda x: x * np.log(x) - x, np.log, lambda x: x)),
+        ("vanilla", twin_weight("vanilla", lambda x: -np.log(x), lambda x: -1.0 / x, np.ones_like)),
+        ("gamma", twin_weight("gamma", lambda x: x * np.log(x) - x, np.log)),
+        ("vanilla", twin_weight("vanilla", lambda x: -np.log(x), lambda x: -1.0 / x)),
+        ("inverse", twin_weight("inverse", lambda x: 1.0 / x, lambda x: -1.0 / np.square(x))),
+    ], ids=["gamma", "vanilla", "gamma-difference", "vanilla-difference", "inverse-difference"])
     def test_custom_twin_gives_the_builtin_band(self, name, twin):
         # Unguarded twins: x ln x - x is NaN at 0, where its payoff takes the
-        # probed limit, so the twin solves wherever the built-in does.
+        # stated limit, so the twin solves wherever the built-in does.
         rng = np.random.default_rng(27)
         chains = [chain_of([0.8, 1.0, 1.2], [0.075, 0.125, 0.275]), lognormal_chain(50)]
         for nc in chains + [random_consistent_chain(rng) for _ in range(20)]:

@@ -47,7 +47,8 @@ class TestSuperhedge:
         assert not ub.feasible and math.isinf(ub.value)
 
     def test_affine_payoff_replicates_at_zero_cost(self):
-        payoff = make_payoff(WeightSpec.custom(lambda x: x - 1.0, lambda x: np.ones_like(x)))
+        payoff = make_payoff(WeightSpec.custom(lambda x: x - 1.0, np.ones_like, origin_value=-1.0, asymptotic_slope=1.0,
+                                               tail_curvature_divergent=False, affine_tail_threshold=0.0))
         nc = single_put_chain(0.4)
         ub = superhedge(nc, payoff)
         assert ub.feasible
