@@ -152,14 +152,14 @@ class AtomicMeasure:
 class HedgePortfolio:
     """Static cash / forward / put position, evaluable as a piecewise-linear payoff.
 
-    ``strikes`` are normalized when ``normalized`` is set, currency otherwise.
+    Always in normalized units: strikes over the forward, cash over the discounted forward.  Only
+    ``BoundsReport.to_dict`` renders a hedge in currency.
     """
 
     cash: float
     forward: float
     puts: np.ndarray
     strikes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "puts", np.asarray(self.puts, dtype=float))
@@ -186,22 +186,11 @@ class HedgePortfolio:
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def setup_cost(self, nchain: NormalizedChain) -> float:
-        if self.normalized:
-            return float(self.cash + self.forward + np.dot(self.puts, nchain.p[1:]))
-        prices = nchain.p[1:] * nchain.discount_factor * nchain.forward
-        spot = nchain.discount_factor * nchain.forward
-        return float(np.dot(self.puts, prices) + self.forward * spot + self.cash)
+        return float(self.cash + self.forward + np.dot(self.puts, nchain.p[1:]))
 
     def tail_slope(self) -> float:
         """Slope of the payoff beyond the last strike (all puts dead)."""
         return float(self.forward)
-
-    def denormalize(self, nchain: NormalizedChain) -> "HedgePortfolio":
-        """Currency-unit twin under the no-dividend convention (share factor 1)."""
-        if not self.normalized:
-            return self
-        f, d = nchain.forward, nchain.discount_factor
-        return replace(self, cash=self.cash * f * d, strikes=self.strikes * f, normalized=False)
 
     def to_dict(self) -> dict:
         return {
@@ -209,7 +198,7 @@ class HedgePortfolio:
             "forward": self.forward,
             "puts": self.puts.tolist(),
             "strikes": self.strikes.tolist(),
-            "normalized": self.normalized,
+            "normalized": True,
         }
 
 

@@ -3,8 +3,9 @@
 A weighted variance swap is price-equivalent to a European option with the
 convex payoff generated by its weight: the swap rate equals twice the
 normalized option value minus twice the payoff at the forward level.  This
-module maps the European-payoff bounds through that relation, classifies
-quoted rates against the band, and renders everything in currency and
+module maps the European-payoff bounds through that relation and classifies
+quoted rates against the band.  Results stay in the normalized units they
+were solved in; ``BoundsReport.to_dict`` alone renders them in currency and
 volatility-point units.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from . import lower as lower_mod
 from . import upper as upper_mod
-from .chain import ChainVerdict, NormalizedChain, _real, validate_puts
+from .chain import NormalizedChain, _real, validate_puts
 from .lower import AtomicMeasure, DualSolution, HedgePortfolio
 from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, make_payoff, parse_weight
 from .serialize import round_floats
@@ -96,28 +97,20 @@ def european_from_rate(rate: float, payoff: ConvexPayoff) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Lower/upper values, portfolios, dual measures, swap-rate bounds, verdicts."""
+    """What the band pipeline found on ``chain``, in the normalized units it solved in.
+
+    ``to_dict`` alone renders market units: the chain verdict and market block, prices D F v, vol points
+    and both ``*_currency`` hedges.
+    """
 
     weight: str
-    chain_verdict: ChainVerdict
-    forward: float
-    discount_factor: float
-    maturity: float
-    n_puts: int
-    n_min: int
-    n_max: float
+    chain: NormalizedChain
     lower_value: float
     upper_value: float
-    lower_price: float
-    upper_price: float
     swap_lower: float
     swap_upper: float
-    vol_lower: float | None
-    vol_upper: float | None
     subhedge: HedgePortfolio | None
     superhedge: HedgePortfolio | None
-    subhedge_currency: HedgePortfolio | None
-    superhedge_currency: HedgePortfolio | None
     lower_measure: AtomicMeasure | None
     lower_existence: DualExistence | None
     upper_existence: DualExistence | None
@@ -125,28 +118,38 @@ class BoundsReport:
     quote_verdict: PriceVerdict | None = None
     grid: int = lower_mod.DEFAULT_GRID
 
+    @property
+    def vol_lower(self) -> float:
+        return vol_points(max(self.swap_lower, 0.0))
+
+    @property
+    def vol_upper(self) -> float:
+        return vol_points(max(self.swap_upper, 0.0))  # inf when the band is unbounded above
+
     def to_dict(self) -> dict:
         def num(x):
             if x is None:
                 return None
             return "inf" if math.isinf(x) else float(x)
 
+        nc = self.chain
+        df = nc.discount_factor * nc.forward
         return {
             "weight": self.weight,
-            "chain_verdict": self.chain_verdict.to_dict(),
+            "chain_verdict": validate_puts(nc).to_dict(),
             "market": {
-                "forward": self.forward,
-                "discount_factor": self.discount_factor,
-                "maturity": self.maturity,
-                "n_puts": self.n_puts,
-                "n_min": self.n_min,
-                "n_max": num(self.n_max),
+                "forward": nc.forward,
+                "discount_factor": nc.discount_factor,
+                "maturity": nc.maturity,
+                "n_puts": nc.n,
+                "n_min": nc.n_min,
+                "n_max": num(nc.n_max),
             },
             "european": {
                 "lower_value_normalized": num(self.lower_value),
                 "upper_value_normalized": num(self.upper_value),
-                "lower_price": num(self.lower_price),
-                "upper_price": num(self.upper_price),
+                "lower_price": num(df * self.lower_value),
+                "upper_price": num(df * self.upper_value),
             },
             "swap_rate": {
                 "lower": num(self.swap_lower),
@@ -156,8 +159,8 @@ class BoundsReport:
             },
             "subhedge": self.subhedge.to_dict() if self.subhedge else None,
             "superhedge": self.superhedge.to_dict() if self.superhedge else None,
-            "subhedge_currency": self.subhedge_currency.to_dict() if self.subhedge_currency else None,
-            "superhedge_currency": self.superhedge_currency.to_dict() if self.superhedge_currency else None,
+            "subhedge_currency": _currency_hedge(self.subhedge, nc),
+            "superhedge_currency": _currency_hedge(self.superhedge, nc),
             "lower_measure": self.lower_measure.to_dict() if self.lower_measure else None,
             "lower_existence": self.lower_existence.to_dict() if self.lower_existence else None,
             "upper_existence": self.upper_existence.to_dict() if self.upper_existence else None,
@@ -171,6 +174,15 @@ class BoundsReport:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(round_floats(self.to_dict()), **kwargs)
+
+
+def _currency_hedge(portfolio: HedgePortfolio | None, nchain: NormalizedChain) -> dict | None:
+    """A normalized hedge's dict in currency units, no-dividend convention: cash x F x D, strikes x F."""
+    if portfolio is None:
+        return None
+    f, d = nchain.forward, nchain.discount_factor
+    return {**portfolio.to_dict(), "cash": portfolio.cash * f * d, "strikes": (portfolio.strikes * f).tolist(),
+            "normalized": False}
 
 
 def upper_dual_existence(nchain: NormalizedChain, payoff: ConvexPayoff) -> DualExistence:
@@ -261,8 +273,7 @@ def classify_rate_against_bounds(
     an edge defers to dual existence on that side; an inverted band raises.
     """
     quoted = _real("quote", quoted)
-    lower, upper = (_real("band edges", edge, finite=False) for edge in (lower, upper))
-    _check_band(lower, upper)
+    lower, upper = _check_band(lower, upper)
     if abs(quoted - lower) <= BOUNDARY_TOL:
         return PriceVerdict(VerdictStatus.BOUNDARY, side="lower", existence=lower_existence)
     if math.isfinite(upper) and abs(quoted - upper) <= BOUNDARY_TOL:
@@ -274,10 +285,12 @@ def classify_rate_against_bounds(
     return PriceVerdict(VerdictStatus.CONSISTENT)
 
 
-def _check_band(lower: float, upper: float) -> None:
-    """Refuse a band inverted past ``BOUNDARY_TOL``: by weak duality only a fault can invert a computed band."""
+def _check_band(lower: float, upper: float) -> tuple[float, float]:
+    """Both edges as floats; a NaN edge or inversion past ``BOUNDARY_TOL`` raises: either is a fault (weak duality)."""
+    lower, upper = _real("lower band edge", lower, finite=False), _real("upper band edge", upper, finite=False)
     if lower > upper + BOUNDARY_TOL:
         raise ValueError(f"the swap-rate band is inverted: lower {lower:.6g} above upper {upper:.6g}")
+    return lower, upper
 
 
 def swap_rate_bounds(
@@ -300,36 +313,22 @@ def _report(nchain, payoff, label, grid=lower_mod.DEFAULT_GRID, quoted_rate=None
         raise ValueError(f"chain is not consistent: {verdict.status.value} ({verdict.witness})")
     solution, sub_portfolio, lower_existence = compute_lower(nchain, payoff, grid=grid)
     ub = upper_mod.superhedge(nchain, payoff)
-    swap_lower, swap_upper = rate_from_european(solution.value, payoff), rate_from_european(ub.value, payoff)
-    _check_band(swap_lower, swap_upper)
+    swap_lower, swap_upper = _check_band(*(rate_from_european(v, payoff) for v in (solution.value, ub.value)))
     upper_existence = upper_dual_existence(nchain, payoff)
     quote_verdict = None
     if quoted_rate is not None:
         quote_verdict = classify_rate_against_bounds(
             quoted_rate, swap_lower, swap_upper, lower_existence=lower_existence, upper_existence=upper_existence
         )
-    df = nchain.discount_factor * nchain.forward
     return BoundsReport(
         weight=label,
-        chain_verdict=verdict,
-        forward=nchain.forward,
-        discount_factor=nchain.discount_factor,
-        maturity=nchain.maturity,
-        n_puts=nchain.n,
-        n_min=nchain.n_min,
-        n_max=nchain.n_max,
+        chain=nchain,
         lower_value=solution.value,
         upper_value=ub.value,
-        lower_price=df * solution.value,
-        upper_price=df * ub.value,
         swap_lower=swap_lower,
         swap_upper=swap_upper,
-        vol_lower=vol_points(max(swap_lower, 0.0)),
-        vol_upper=vol_points(max(swap_upper, 0.0)),  # inf when the band is unbounded above
         subhedge=sub_portfolio,
         superhedge=ub.portfolio,
-        subhedge_currency=sub_portfolio.denormalize(nchain) if sub_portfolio else None,
-        superhedge_currency=ub.portfolio.denormalize(nchain) if ub.portfolio else None,
         lower_measure=solution.measure,
         lower_existence=lower_existence,
         upper_existence=upper_existence,

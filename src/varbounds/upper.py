@@ -27,13 +27,14 @@ class NegativeWeight(ValueError):
 
 @dataclass(frozen=True)
 class UpperBound:
+    """The cheapest superhedge and its cost; no portfolio and an infinite value where none exists."""
+
     value: float
     portfolio: HedgePortfolio | None
-    feasible: bool
 
-    @classmethod
-    def infeasible(cls) -> "UpperBound":
-        return cls(value=math.inf, portfolio=None, feasible=False)
+    @property
+    def feasible(self) -> bool:
+        return self.portfolio is not None
 
 
 def _tame_tails(nchain: NormalizedChain, payoff: ConvexPayoff) -> bool:
@@ -57,16 +58,16 @@ def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
     if not validate_puts(nchain).is_consistent:
         raise ValueError("a superhedge needs a consistent chain")
     if not _tame_tails(nchain, payoff):
-        return UpperBound.infeasible()
+        return UpperBound(math.inf, None)
     capped = math.isfinite(nchain.n_max)
     if capped and nchain.window.n < 1:  # uncapped, one free strike keeps slope gamma: mass may escape
         value, portfolio = _forward_tangent(nchain, payoff)
-        return UpperBound(value=value, portfolio=portfolio, feasible=True)
+        return UpperBound(value, portfolio)
     xs = nchain.window.k
     vs = np.atleast_1d(np.asarray(payoff.value(xs), dtype=float))
     phi = float((vs[-1] - vs[-2]) / (xs[-1] - xs[-2])) if capped else float(payoff.asymptotic_slope)
     portfolio = _portfolio_from_nodes(nchain, vs, phi)
-    return UpperBound(value=portfolio.setup_cost(nchain), portfolio=portfolio, feasible=True)
+    return UpperBound(portfolio.setup_cost(nchain), portfolio)
 
 
 def extremal_upper_measure(nchain: NormalizedChain, z: float) -> AtomicMeasure:

@@ -1352,23 +1352,6 @@ class TestTightenTail:
 
 
 class TestPortfolioUnits:
-    def test_denormalize_consistency(self):
-        chain = OptionChain(
-            maturity=0.5,
-            discount_factor=0.95,
-            forward=120.0,
-            strikes=np.array([100.0, 144.0]),
-            put_prices=np.array([0.02 * 0.95 * 120.0, 0.25 * 0.95 * 120.0]),
-        )
-        nc = normalize(chain)
-        sol = dp_lower_bound(nc, VANILLA)
-        port = reconstruct_subhedge(nc, VANILLA, sol.measure)
-        currency = port.denormalize(nc)
-        assert not currency.normalized
-        np.testing.assert_allclose(currency.strikes, chain.strikes)
-        scale = nc.discount_factor * nc.forward
-        assert currency.setup_cost(nc) == pytest.approx(scale * port.setup_cost(nc), rel=1e-12)
-
     def test_payoff_matches_the_dense_formula(self):
         # cash + forward x + sum_i q_i (k_i - x)^+ over grid x strikes, on
         # points below, on, between and above the strikes; mixed-sign put

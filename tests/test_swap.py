@@ -22,6 +22,7 @@ from varbounds import (
     swap_rate_bounds,
     vol_points,
 )
+from varbounds import lower as lower_mod
 from varbounds import swap as swap_mod
 from varbounds import upper as upper_mod
 from varbounds.cli import parse_report, round_floats
@@ -159,7 +160,8 @@ class TestClassifySwapQuote:
     @pytest.mark.parametrize("lower, upper", [(math.nan, 0.09), (0.04, math.nan)], ids=["lower", "upper"])
     def test_nan_band_edge_rejected(self, lower, upper):
         # NaN fails every comparison, so 0.1 against [0.04, nan] would read "consistent"
-        with pytest.raises(ValueError, match="band edges"):
+        side = "lower" if math.isnan(lower) else "upper"
+        with pytest.raises(ValueError, match=f"^{side} band edge must be a number, got nan$"):
             classify_rate_against_bounds(0.1, lower, upper)
 
     def test_an_inverted_band_is_refused(self):
@@ -284,6 +286,40 @@ class TestSwapRateBounds:
         nc = chain_of([0.8, 1.0, 1.2], [0.075, 0.125, 0.275])
         with pytest.raises(ValueError, match="band is inverted"):
             swap_rate_bounds(nc, WeightSpec.corridor_up(1.0))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_a_nan_band_edge_is_an_error(self, monkeypatch, side):
+        # No known input leaves an edge NaN, so a bound patched to report NaN stands in for a fault that would.
+        if side == "upper":
+            real = upper_mod.superhedge
+            monkeypatch.setattr(upper_mod, "superhedge", lambda nc, payoff: replace(real(nc, payoff), value=math.nan))
+        else:
+            real = lower_mod.lp_lower_bound
+            monkeypatch.setattr(lower_mod, "lp_lower_bound", lambda *a, **k: (math.nan, *real(*a, **k)[1:]))
+        nc = chain_of([0.8, 1.0, 1.2], [0.075, 0.125, 0.275])
+        with pytest.raises(ValueError, match=f"^{side} band edge must be a number, got nan$"):
+            swap_rate_bounds(nc, WeightSpec.corridor_up(1.0))
+
+    @pytest.mark.parametrize("weight", ["vanilla", "corridor-up:1.0"])
+    def test_currency_hedges_match_the_chain(self, weight):
+        # The rendered currency hedges hold the chain's own strikes and cost D F times the normalized hedges.
+        chain = OptionChain(maturity=0.5, discount_factor=0.95, forward=120.0, strikes=np.array([100.0, 144.0]),
+                            put_prices=np.array([0.02 * 0.95 * 120.0, 0.25 * 0.95 * 120.0]))
+        nc = normalize(chain)
+        report = swap_rate_bounds(nc, parse_weight(weight))
+        rendered = report.to_dict()
+        scale = nc.discount_factor * nc.forward
+        assert rendered["european"]["lower_price"] == scale * report.lower_value
+        assert (rendered["superhedge_currency"] is None) == (weight == "vanilla")
+        for side in ("subhedge", "superhedge"):
+            hedge, currency = getattr(report, side), rendered[f"{side}_currency"]
+            if hedge is None:
+                continue
+            assert (rendered[side]["normalized"], currency["normalized"]) == (True, False)
+            assert (currency["forward"], currency["puts"]) == (hedge.forward, hedge.puts.tolist())
+            np.testing.assert_allclose(currency["strikes"], chain.strikes, rtol=1e-15)
+            cost = np.dot(currency["puts"], chain.put_prices) + currency["forward"] * scale + currency["cash"]
+            assert cost == pytest.approx(scale * hedge.setup_cost(nc), rel=1e-12)
 
     def test_vanilla_report(self):
         rng = np.random.default_rng(2)
