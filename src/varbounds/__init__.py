@@ -8,9 +8,6 @@ from .chain import (
     ChainVerdict,
     NormalizedChain,
     OptionChain,
-    boundary_indices,
-    denormalize,
-    interpolant_r,
     load_chain,
     normalize,
     validate_puts,
@@ -22,7 +19,6 @@ from .lower import (
     HedgePortfolio,
     ReconstructionFailure,
     UnsupportedChain,
-    atoms_from_policy,
     dp_lower_bound,
     feasible_policy_sets,
     grid_lp_oracle,

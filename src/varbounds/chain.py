@@ -3,10 +3,9 @@
 Raw quotes arrive as strike/price pairs in currency units together with the
 forward, discount factor and maturity.  Everything downstream works in
 normalized units: strikes divided by the forward, prices divided by the
-discounted forward.  The normalized chain carries the piecewise-linear
-interpolant of the (strike, price) points and the two boundary indices that
-delimit the strikes carrying information (below ``n_min`` puts are free,
-from ``n_max`` on calls are free).
+discounted forward.  The normalized chain carries the two boundary indices
+that delimit the strikes carrying information (below ``n_min`` puts are
+free, from ``n_max`` on calls are free).
 """
 
 from __future__ import annotations
@@ -135,10 +134,6 @@ class OptionChain:
         _scale("discounted forward", discount * forward, error=ChainError)
         _check_quotes(strikes, prices)
 
-    @property
-    def n(self) -> int:
-        return int(self.strikes.size)
-
 
 @dataclass(frozen=True)
 class NormalizedChain:
@@ -214,47 +209,12 @@ def normalize(chain: OptionChain) -> NormalizedChain:
     )
 
 
-def denormalize(nchain: NormalizedChain) -> OptionChain:
-    """Inverse of :func:`normalize`; drops the artificial (0, 0) point."""
-    return OptionChain(
-        maturity=nchain.maturity,
-        discount_factor=nchain.discount_factor,
-        forward=nchain.forward,
-        strikes=nchain.k[1:] * nchain.forward,
-        put_prices=nchain.p[1:] * (nchain.discount_factor * nchain.forward),
-    )
-
-
 def _boundary_indices(k: np.ndarray, p: np.ndarray) -> tuple[int, float]:
     zero = np.flatnonzero(p <= EQ_TOL)
     n_min = int(zero.max()) if zero.size else 0
     intrinsic = np.flatnonzero(np.abs(p[1:] - (k[1:] - 1.0)) <= EQ_TOL)
     n_max = float(intrinsic.min() + 1) if intrinsic.size else math.inf
     return n_min, n_max
-
-
-def boundary_indices(nchain: NormalizedChain) -> tuple[int, float]:
-    """``(n_min, n_max)`` with ``math.inf`` marking an empty defining set for n_max."""
-    return _boundary_indices(nchain.k, nchain.p)
-
-
-def interpolant_r(nchain: NormalizedChain, x):
-    """Piecewise-linear price interpolant on [0, k_n], extended right with slope 1.
-
-    The slope-1 extension is the no-arbitrage ceiling for put prices beyond
-    the last quoted strike.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0):
-        raise ValueError("interpolant is defined for k >= 0 only")
-    out = np.interp(arr, nchain.k, nchain.p)
-    kn, pn = nchain.k[-1], nchain.p[-1]
-    beyond = arr > kn
-    if np.any(beyond):
-        out = np.where(beyond, pn + (arr - kn), out)
-    return float(out[0]) if scalar else out
 
 
 def validate_puts(nchain: NormalizedChain) -> ChainVerdict:

@@ -54,10 +54,6 @@ class SampledPath:
         return int(self.times.size - 1)
 
     @property
-    def maturity(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def strictly_positive(self) -> bool:
         return bool(np.all(self.values > 0.0))
 
@@ -125,7 +121,7 @@ class LocalTimeProfile:
         return float(np.trapezoid(self.values * g, self.levels))
 
     def l2_distance(self, other: "LocalTimeProfile") -> float:
-        if self.levels.shape != other.levels.shape:
+        if not np.array_equal(self.levels, other.levels):
             raise ValueError("level grids must match")
         return float(np.sqrt(np.trapezoid((self.values - other.values) ** 2, self.levels)))
 
@@ -194,6 +190,13 @@ def _partition_indices(path: SampledPath, partition) -> np.ndarray:
     if idx[0] < 0 or idx[-1] > path.n_steps or np.any(idx[1:] <= idx[:-1]):
         raise ValueError(f"partition indices must be strictly increasing within 0..{path.n_steps}")
     return idx
+
+
+def _ladder_partitions(path: SampledPath, ladder: PartitionLadder) -> list:
+    """``ladder.partitions`` if the ladder is on ``path``'s time grid: built on it, or on equal times."""
+    if ladder.path is not path and not np.array_equal(ladder.path.times, path.times):
+        raise ValueError("ladder must be built on the path's time grid")
+    return ladder.partitions
 
 
 def quadratic_variation(path: SampledPath, partition: np.ndarray) -> np.ndarray:
@@ -379,14 +382,14 @@ def verify_ito(path: SampledPath, f, ladder: PartitionLadder) -> np.ndarray:
     curvature (corridors), per level of the ladder.
     """
     value, deriv, second, mode = _as_test_function(f)
-    x0, xT = path.values[0], path.values[-1]
-    total = float(value(xT)) - float(value(x0))
+    parts = _ladder_partitions(path, ladder)
+    total = float(value(path.values[-1])) - float(value(path.values[0]))
     if mode == "local_time":  # one level lookup for the whole ladder
         levels = _default_levels(path, DEFAULT_LEVELS)
-        profiles = _local_times(path.values, ladder.partitions, levels)
+        profiles = _local_times(path.values, parts, levels)
     dx, term = np.empty(path.n_steps), np.empty(path.n_steps)  # sized for the finest level, the full grid
     residuals = []
-    for i, part in enumerate(ladder.partitions):
+    for i, part in enumerate(parts):
         x = path.values[part]  # each level's samples and increments serve both sums
         m = x.size - 1
         left, step, summand = x[:-1], np.subtract(x[1:], x[:-1], out=dx[:m]), term[:m]
@@ -410,7 +413,7 @@ def occupation_density_check(
     a, b = (_real("interval end", end, finite=False) for end in interval)
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    part = ladder.partitions[-1]
+    part = _ladder_partitions(path, ladder)[-1]
     profile = discrete_local_time(path, part)
     indicator = lambda u: ((u >= a) & (u <= b)).astype(float)
     lhs = profile.integrate_against(indicator)

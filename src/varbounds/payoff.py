@@ -179,9 +179,6 @@ class ConvexPayoff:
     barrier: float | None = None
     slope_inverse: Callable | None = None
 
-    def __call__(self, x):
-        return self.value(x)
-
     @property
     def unbounded_at_origin(self) -> bool:
         return not math.isfinite(self.origin_value)
@@ -346,10 +343,6 @@ class DualExistence:
 
     verdict: str  # "guaranteed" | "fails" | "undetermined"
     condition: str | None = None
-
-    @property
-    def is_guaranteed(self) -> bool:
-        return self.verdict == "guaranteed"
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, "condition": self.condition}

@@ -44,18 +44,6 @@ class PriceVerdict:
     reason: str = ""
 
     @property
-    def is_consistent(self) -> bool:
-        return self.status is VerdictStatus.CONSISTENT
-
-    @property
-    def consistent_at_boundary(self) -> bool:
-        return (
-            self.status is VerdictStatus.BOUNDARY
-            and self.existence is not None
-            and self.existence.is_guaranteed
-        )
-
-    @property
     def is_arbitrage(self) -> bool:
         if self.status in (VerdictStatus.MODEL_INDEPENDENT_ARBITRAGE, VerdictStatus.WEAK_ARBITRAGE):
             return True
@@ -88,11 +76,6 @@ def rate_from_vol_points(points: float) -> float:
 def rate_from_european(value_norm: float, payoff: ConvexPayoff) -> float:
     """Swap rate implied by a normalized European value: 2 v - 2 payoff(1)."""
     return 2.0 * value_norm - 2.0 * payoff.at_one()
-
-
-def european_from_rate(rate: float, payoff: ConvexPayoff) -> float:
-    """Inverse of :func:`rate_from_european`."""
-    return 0.5 * rate + payoff.at_one()
 
 
 @dataclass(frozen=True)

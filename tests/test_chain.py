@@ -10,9 +10,6 @@ from varbounds import (
     ChainStatus,
     OptionChain,
     WeightSpec,
-    boundary_indices,
-    denormalize,
-    interpolant_r,
     load_chain,
     normalize,
     swap_rate_bounds,
@@ -70,7 +67,11 @@ class TestNormalize:
         rng = np.random.default_rng(11)
         for _ in range(20):
             nc = random_consistent_chain(rng, forward=87.5, discount=0.97)
-            back = normalize(denormalize(nc))
+            chain = make_chain(nc.k[1:] * 87.5, nc.p[1:] * (0.97 * 87.5), forward=87.5, discount=0.97)
+            back = normalize(chain)
+            # normalize divides exactly and prepends (0, 0)
+            np.testing.assert_array_equal(back.k, np.concatenate(([0.0], chain.strikes / 87.5)))
+            np.testing.assert_array_equal(back.p, np.concatenate(([0.0], chain.put_prices / (0.97 * 87.5))))
             np.testing.assert_allclose(back.k, nc.k, rtol=1e-14)
             np.testing.assert_allclose(back.p, nc.p, rtol=1e-14, atol=1e-16)
 
@@ -135,15 +136,16 @@ class TestValidate:
 
 class TestBoundaryIndices:
     def test_plain(self):
-        assert boundary_indices(single_put_chain(0.4)) == (0, math.inf)
+        nc = single_put_chain(0.4)
+        assert (nc.n_min, nc.n_max) == (0, math.inf)
 
     def test_zero_price_raises_n_min(self):
         nc = normalize(make_chain([0.5, 1.2], [0.0, 0.4]))
-        assert boundary_indices(nc) == (1, math.inf)
+        assert (nc.n_min, nc.n_max) == (1, math.inf)
 
     def test_intrinsic_price_caps_n_max(self):
         nc = normalize(make_chain([2.0], [1.0]))
-        assert boundary_indices(nc) == (0, 1)
+        assert (nc.n_min, nc.n_max) == (0, 1)
 
 
 class TestWindow:
@@ -174,27 +176,6 @@ class TestWindow:
         nc = normalize(make_chain([1.0, 1.0 + 5e-13], [0.0, 0.0]))
         assert nc.top_index < nc.n_min
         assert nc.window.k.size == 0
-
-
-class TestInterpolant:
-    def test_midpoint(self):
-        nc = single_put_chain(0.4)
-        assert interpolant_r(nc, 0.6) == pytest.approx(0.2, abs=1e-15)
-
-    def test_node(self):
-        nc = single_put_chain(0.4)
-        assert interpolant_r(nc, 1.2) == pytest.approx(0.4, abs=1e-15)
-
-    def test_slope_one_extension(self):
-        nc = single_put_chain(0.4)
-        assert interpolant_r(nc, 2.2) == pytest.approx(1.4, abs=1e-15)
-
-    def test_vectorized_and_domain(self):
-        nc = single_put_chain(0.4)
-        out = interpolant_r(nc, np.array([0.0, 0.6, 3.0]))
-        np.testing.assert_allclose(out, [0.0, 0.2, 2.2])
-        with pytest.raises(ValueError):
-            interpolant_r(nc, -0.1)
 
 
 class TestCsv:

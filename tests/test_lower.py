@@ -14,7 +14,6 @@ from varbounds import (
     OptionChain,
     UnsupportedChain,
     WeightSpec,
-    atoms_from_policy,
     dp_lower_bound,
     feasible_policy_sets,
     grid_lp_oracle,
@@ -28,6 +27,7 @@ from varbounds import lower
 from varbounds.lower import (
     HedgePortfolio,
     ReconstructionFailure,
+    atoms_from_policy,
     build_lp_grid,
     dominates_below,
     lp_lower_bound,

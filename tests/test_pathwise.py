@@ -6,6 +6,7 @@ import pytest
 
 from varbounds import (
     C2Function,
+    LocalTimeProfile,
     NonMonotone,
     SampledPath,
     WeightSpec,
@@ -15,6 +16,7 @@ from varbounds import (
     discrete_local_time,
     follmer_integral,
     geometric_walk,
+    ladder_checks,
     make_payoff,
     occupation_density_check,
     quadratic_variation,
@@ -27,6 +29,12 @@ from varbounds import pathwise
 SQUARE = C2Function(lambda x: x**2, lambda x: 2.0 * x, lambda x: np.full_like(np.asarray(x, float), 2.0))
 NEG_LOG = C2Function(lambda x: -np.log(x), lambda x: -1.0 / x, lambda x: 1.0 / np.square(x))
 CUBE = C2Function(lambda x: x**3, lambda x: 3.0 * x**2, lambda x: 6.0 * x)
+# The entry points that take a path and a ladder, each returning plain data.
+LADDER_ENTRY_POINTS = {
+    "verify_ito": lambda path, ladder: verify_ito(path, SQUARE, ladder).tolist(),
+    "occupation_density_check": lambda path, ladder: occupation_density_check(path, ladder, (0.9, 1.1)),
+    "ladder_checks": ladder_checks,
+}
 
 
 def constant_path(value=2.0, n=64):
@@ -163,6 +171,20 @@ class TestLadder:
         with pytest.raises(ValueError, match=message):
             PartitionLadder(path, partitions)
 
+    # A 64-step path, or one of 128 steps at other times, against a ladder built on a 128-step walk.
+    @pytest.mark.parametrize("other", [dict(n_steps=64), dict(n_steps=128, maturity=2.0)], ids=["steps", "times"])
+    @pytest.mark.parametrize("entry", LADDER_ENTRY_POINTS.values(), ids=LADDER_ENTRY_POINTS.keys())
+    def test_a_ladder_on_another_time_grid_is_rejected(self, entry, other):
+        ladder = build_dyadic_ladder(geometric_walk(0, n_steps=128), 4)
+        with pytest.raises(ValueError, match="ladder must be built on the path's time grid"):
+            entry(geometric_walk(1, **other), ladder)
+
+    @pytest.mark.parametrize("entry", LADDER_ENTRY_POINTS.values(), ids=LADDER_ENTRY_POINTS.keys())
+    def test_a_ladder_fits_any_path_on_its_time_grid(self, entry):
+        path = geometric_walk(1, n_steps=128)
+        borrowed = build_dyadic_ladder(geometric_walk(0, n_steps=128), 4)
+        assert entry(path, borrowed) == entry(path, build_dyadic_ladder(path, 4))
+
 
 class TestQuadraticVariation:
     def test_constant_path(self):
@@ -213,6 +235,14 @@ class TestLocalTime:
         profile = discrete_local_time(path, part, levels=levels)
         outside = (levels < path.values.min()) | (levels > path.values.max())
         assert np.all(profile.values[outside] == 0.0)
+
+    def test_l2_distance_needs_one_level_grid(self):
+        ones = np.ones(2)
+        profile = LocalTimeProfile(np.array([0.0, 1.0]), ones, 1.0)
+        assert profile.l2_distance(LocalTimeProfile(np.array([0.0, 1.0]), ones, 1.0)) == 0.0
+        for levels in (np.array([0.0, 2.0]), np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(ValueError, match="level grids must match"):
+                profile.l2_distance(LocalTimeProfile(levels, np.ones(levels.size), 1.0))
 
     def test_profiles_stabilize_along_ladder(self):
         path = geometric_walk(11, n_steps=4096)
