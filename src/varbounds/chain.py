@@ -3,9 +3,9 @@
 Raw quotes arrive as strike/price pairs in currency units together with the
 forward, discount factor and maturity.  Everything downstream works in
 normalized units: strikes divided by the forward, prices divided by the
-discounted forward.  The normalized chain carries the two boundary indices
-that delimit the strikes carrying information (below ``n_min`` puts are
-free, from ``n_max`` on calls are free).
+discounted forward.  The normalized chain reads off its quotes the two
+boundary indices that delimit the strikes carrying information (below
+``n_min`` puts are free, from ``n_max`` on calls are free).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -140,7 +140,7 @@ class NormalizedChain:
     """Normalized put chain with the artificial (0, 0) point prepended.
 
     ``k[i] = K_i / F`` and ``p[i] = P_i / (D F)`` exactly; ``k[0] = p[0] = 0``.
-    ``n_max`` is ``math.inf`` when no strike prices at intrinsic forward value.
+    ``n_min`` and ``n_max`` are read off the quotes, so none can contradict them.
     """
 
     k: np.ndarray
@@ -148,8 +148,6 @@ class NormalizedChain:
     forward: float
     discount_factor: float
     maturity: float
-    n_min: int = field(default=0)
-    n_max: float = field(default=math.inf)
 
     def __post_init__(self):
         object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
@@ -158,6 +156,18 @@ class NormalizedChain:
     @property
     def n(self) -> int:
         return int(self.k.size - 1)
+
+    @cached_property
+    def n_min(self) -> int:
+        """Last index whose put is free (priced within EQ_TOL of 0); 0 when none is."""
+        zero = np.flatnonzero(self.p <= EQ_TOL)
+        return int(zero.max()) if zero.size else 0
+
+    @cached_property
+    def n_max(self) -> float:
+        """First index i >= 1 whose put prices at intrinsic value k_i - 1; ``math.inf`` when none does."""
+        intrinsic = np.flatnonzero(np.abs(self.p[1:] - (self.k[1:] - 1.0)) <= EQ_TOL)
+        return float(intrinsic.min() + 1) if intrinsic.size else math.inf
 
     @cached_property
     def slopes(self) -> np.ndarray:
@@ -175,46 +185,28 @@ class NormalizedChain:
     @property
     def top_index(self) -> int:
         """Last informative strike index, n ∧ n_max."""
-        return min(self.n, int(self.n_max)) if math.isfinite(self.n_max) else self.n
+        return int(self.n_max) if math.isfinite(self.n_max) else self.n
 
     @cached_property
     def window(self) -> "NormalizedChain":
-        """The chain on k[n_min..top], quoted prices kept, with n_min = 0 and no cap; computed once.
+        """The chain on k[n_min..top] at its quoted prices, where every consistent model puts its mass.
 
-        Every consistent model puts its mass there, so both bounds are taken on
-        it.  It is the chain itself when n_min = 0 and n_max is infinite, and
-        empty when the cap lies below the free puts.
+        Both bounds are taken on it.  Its ``n_min`` is 0 and its cap, if any, its last strike, so
+        ``window.window is window``; it is empty when the cap lies below the free puts.
         """
-        if self.n_min == 0 and not math.isfinite(self.n_max):
+        if self.n_min == 0 and self.top_index == self.n:
             return self
         keep = slice(self.n_min, self.top_index + 1)
-        return replace(self, k=self.k[keep], p=self.p[keep], n_min=0, n_max=math.inf)
+        return replace(self, k=self.k[keep], p=self.p[keep])
 
 
 def normalize(chain: OptionChain) -> NormalizedChain:
-    """Move a raw chain to normalized units and locate the boundary indices."""
+    """Move a raw chain to normalized units, the (0, 0) point prepended."""
     with np.errstate(over="ignore"):  # a quote out of range comes out inf, which the rule rejects
         k, p = chain.strikes / chain.forward, chain.put_prices / (chain.discount_factor * chain.forward)
     _normalized_quotes(k, p)
-    k, p = np.concatenate(([0.0], k)), np.concatenate(([0.0], p))
-    n_min, n_max = _boundary_indices(k, p)
-    return NormalizedChain(
-        k=k,
-        p=p,
-        forward=chain.forward,
-        discount_factor=chain.discount_factor,
-        maturity=chain.maturity,
-        n_min=n_min,
-        n_max=n_max,
-    )
-
-
-def _boundary_indices(k: np.ndarray, p: np.ndarray) -> tuple[int, float]:
-    zero = np.flatnonzero(p <= EQ_TOL)
-    n_min = int(zero.max()) if zero.size else 0
-    intrinsic = np.flatnonzero(np.abs(p[1:] - (k[1:] - 1.0)) <= EQ_TOL)
-    n_max = float(intrinsic.min() + 1) if intrinsic.size else math.inf
-    return n_min, n_max
+    return NormalizedChain(np.concatenate(([0.0], k)), np.concatenate(([0.0], p)), chain.forward,
+                           chain.discount_factor, chain.maturity)
 
 
 def validate_puts(nchain: NormalizedChain) -> ChainVerdict:

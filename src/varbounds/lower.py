@@ -66,7 +66,7 @@ _LP_POINTS = 2048  # log-spaced points of the oracle's constraint grid, before s
 
 
 class UnsupportedChain(RuntimeError):
-    """Chain outside the recursion's domain (n_min > 0 or finite n_max)."""
+    """Chain outside the recursion's domain: not its own window (a free put below, or a strike past the cap)."""
 
 
 class C1Violation(RuntimeError):
@@ -218,16 +218,14 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
     ``EQ_TOL`` lets a slope dip), then 1, and an interval at most ``_SNAP``
     wide (collinear quotes) collapses onto its right edge, lifting the one
     before it, so no rounding-wide gap is left to hold a dust atom.  Requires
-    a consistent chain with n_min = 0 and n_max infinite, such as
-    ``NormalizedChain.window``.
+    a consistent chain that is its own ``NormalizedChain.window``: no free put
+    below its first strike and no strike past its cap, which may be its last.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("feasible policy sets need a consistent chain")
-    if nchain.n_min != 0 or math.isfinite(nchain.n_max):
-        raise UnsupportedChain(
-            f"policy recursion needs n_min = 0 and unbounded n_max, got "
-            f"({nchain.n_min}, {nchain.n_max})"
-        )
+    if nchain.window is not nchain:
+        raise UnsupportedChain(f"policy recursion needs a chain that is its own window, got (n_min, n_max, n) = "
+                               f"({nchain.n_min}, {nchain.n_max}, {nchain.n})")
     edges = np.append(np.maximum.accumulate(nchain.slopes), 1.0).tolist()
     for j in range(len(edges) - 2, -1, -1):
         if edges[j + 1] - edges[j] <= _SNAP:
@@ -692,6 +690,7 @@ def dp_lower_bound(
     measure can (see the module docstring).  The recursion makes O(n grid^2)
     payoff evaluations.  The value includes the analytic boundary-limit tail
     term; the measure records any escaped forward mass in ``mean_at_infinity``.
+    The chain must be its own window, capped at its last strike or not.
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)

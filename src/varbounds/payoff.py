@@ -57,22 +57,23 @@ def _vectorized(fn: Callable[[np.ndarray], np.ndarray]):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Selection of the curvature weight; ``barrier`` applies to corridors only."""
+    """Selection of the curvature weight; only a corridor takes a ``barrier``, only ``custom`` a ``payoff``."""
 
     kind: str
     barrier: float | None = None
-    payoff: ConvexPayoff | None = None  # custom weights only
+    payoff: ConvexPayoff | None = None
 
     def __post_init__(self):
         if self.kind in ("corridor-down", "corridor-up"):
             _scale("the finite barrier of a corridor weight", self.barrier, error=InvalidPayoff)
-        elif self.kind in ("vanilla", "gamma", "inverse"):
-            pass
-        elif self.kind == "custom":
-            if not isinstance(self.payoff, ConvexPayoff):
-                raise InvalidPayoff("a custom weight needs a ConvexPayoff stating its limits")
-        else:
+        elif self.kind not in ("vanilla", "gamma", "inverse", "custom"):
             raise InvalidPayoff(f"unknown weight kind {self.kind!r}")
+        elif self.barrier is not None:
+            raise InvalidPayoff(f"only a corridor weight takes a barrier, not {self.kind} (got {self.barrier!r})")
+        if self.kind == "custom" and not isinstance(self.payoff, ConvexPayoff):
+            raise InvalidPayoff("a custom weight needs a ConvexPayoff stating its limits")
+        if self.kind != "custom" and self.payoff is not None:
+            raise InvalidPayoff(f"only a custom weight takes a payoff, not {self.kind}")
 
     @classmethod
     def vanilla(cls) -> "WeightSpec":

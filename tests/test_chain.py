@@ -158,9 +158,10 @@ class TestWindow:
             keep = slice(nc.n_min, nc.top_index + 1)
             np.testing.assert_array_equal(window.k, nc.k[keep])
             np.testing.assert_array_equal(window.p, nc.p[keep])
-            assert (window.n_min, window.n_max) == (0, math.inf)
-            assert nc.window is window
-            assert (window is nc) == (not free and not capped)
+            assert (window.n_min, window.top_index) == (0, window.n)
+            assert window.n_max == (window.n if capped else math.inf)
+            assert nc.window is window and window.window is window
+            assert (window is nc) == (not free)
             if validate_puts(nc).is_consistent:
                 assert validate_puts(window).is_consistent
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varbounds import (
     AtomicMeasure,
@@ -406,7 +408,7 @@ class TestPolicySets:
 
     def test_unsupported_when_capped(self):
         with pytest.raises(UnsupportedChain):
-            feasible_policy_sets(chain_of([2.0], [1.0]))
+            feasible_policy_sets(chain_of([2.0, 3.0], [1.0, 2.0]))
 
     @pytest.mark.parametrize("weight,strikes,puts", DEGENERATE_POLICY_CHAINS[:3])
     def test_rounded_slopes_never_invert_an_interval(self, weight, strikes, puts):
@@ -483,6 +485,12 @@ class TestDpLowerBound:
     def test_unsupported_chain_propagates(self):
         with pytest.raises(UnsupportedChain):
             dp_lower_bound(chain_of([1.0], [0.0]), VANILLA)
+
+    def test_solves_a_chain_capped_at_its_last_strike(self):
+        # The put at 1.5 prices at intrinsic value 0.5: the chain is its own window.
+        nc = chain_of([0.8, 1.0, 1.5], [0.075, 0.125, 0.5])
+        assert nc.n_max == nc.n == 3 and nc.window is nc
+        assert dp_lower_bound(nc, VANILLA).value == lp_lower_bound(nc, VANILLA)[0]
 
     def test_refinement_never_increases_value(self):
         nc = single_put_chain(0.4)
@@ -672,6 +680,24 @@ class TestDpLowerBound:
         assert_subhedge_contract(nc, GAMMA, sol.measure)
 
 
+class TestEveryWindowIsItsOwnWindow:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["free", "capped", "both", "priced"]),
+           st.sampled_from(CLI_WEIGHTS))
+    def test_the_recursion_solves_each_window_in_place(self, seed, route, weight):
+        rng = np.random.default_rng(seed)
+        if route == "priced":
+            nc = random_consistent_chain(rng)
+        else:
+            nc = trimmed_route_chain(rng, int(rng.integers(1, 8)), route != "capped", route != "free")
+        window = nc.window
+        assert window.window is window and window.n_min == 0 and window.top_index == window.n
+        payoff = make_payoff(parse_weight(weight))
+        assert dp_lower_bound(window, payoff).value == lp_lower_bound(nc, payoff)[0]
+        with pytest.raises(TypeError):
+            replace(nc, n_max=1.0)
+
+
 class TestLineSearch:
     def test_a_failed_newton_search_costs_one_evaluation(self, monkeypatch):
         # At the optimum the Newton step is rounding-wide: once its full step
@@ -830,7 +856,7 @@ class TestPolicyKernel:
         for trial in range(40):
             capped = trial % 2 == 1
             if capped:  # a trimmed chain: the last strike prices at intrinsic value, c = 0
-                nc = replace(trimmed_route_chain(rng, int(rng.integers(1, 8)), False, True), n_max=math.inf)
+                nc = trimmed_route_chain(rng, int(rng.integers(1, 8)), False, True)
             else:
                 nc = random_consistent_chain(rng)
             assert (lower._tail_constant(nc) == 0.0) == capped

@@ -142,6 +142,21 @@ class TestLadder:
         with pytest.raises(ValueError):
             build_dyadic_ladder(path, 6)
 
+    def test_a_depth_past_the_path_is_refused_before_its_power_is_built(self):
+        # 2 ** (10 ** 8 - 1) alone is a 12.5 MB integer, about half a second to build.
+        path = geometric_walk(0, n_steps=64)
+        assert build_dyadic_ladder(path, 7).depth == 7  # 2 ** 6 = 64 steps: the deepest ladder
+        with pytest.raises(ValueError, match="does not support a depth-8 dyadic ladder"):
+            build_dyadic_ladder(path, 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not support a depth-100000000 dyadic ladder"):
+                build_dyadic_ladder(path, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
         "partitions, message",
         [
@@ -243,6 +258,20 @@ class TestLocalTime:
         for levels in (np.array([0.0, 2.0]), np.array([0.0, 1.0, 2.0])):
             with pytest.raises(ValueError, match="level grids must match"):
                 profile.l2_distance(LocalTimeProfile(levels, np.ones(levels.size), 1.0))
+
+    def test_integrals_run_in_level_order(self):
+        # Levels may come in any order and values come back in that order; the
+        # integrals must not follow it.  Integrating 1 gives the quadratic variation.
+        path = geometric_walk(3, n_steps=4096)
+        part = np.arange(path.times.size)
+        levels = np.linspace(path.values.min(), path.values.max(), 301)
+        shuffled = np.random.default_rng(0).permutation(levels)
+        one = lambda x: np.ones_like(x)
+        fine, coarse = (discrete_local_time(path, p, levels=levels) for p in (part, part[::2]))
+        fine_s, coarse_s = (discrete_local_time(path, p, levels=shuffled) for p in (part, part[::2]))
+        assert fine.integrate_against(one) == pytest.approx(quadratic_variation(path, part)[-1], rel=0.05)
+        assert fine_s.integrate_against(one) == pytest.approx(fine.integrate_against(one), rel=1e-12)
+        assert fine_s.l2_distance(coarse_s) == pytest.approx(fine.l2_distance(coarse), rel=1e-12)
 
     def test_profiles_stabilize_along_ladder(self):
         path = geometric_walk(11, n_steps=4096)

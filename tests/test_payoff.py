@@ -86,6 +86,18 @@ class TestBuiltins:
         with pytest.raises(InvalidPayoff, match="finite barrier"):
             parse_weight(f"{kind}:{barrier!r}")
 
+    @pytest.mark.parametrize("kind", ["vanilla", "gamma", "inverse", "custom"])
+    def test_only_a_corridor_takes_a_barrier(self, kind):
+        payoff = make_payoff(WeightSpec.vanilla()) if kind == "custom" else None
+        with pytest.raises(InvalidPayoff, match="only a corridor weight takes a barrier"):
+            WeightSpec(kind, barrier=2.0, payoff=payoff)
+
+    @pytest.mark.parametrize("kind,barrier", [("vanilla", None), ("gamma", None), ("inverse", None),
+                                              ("corridor-up", 1.0), ("corridor-down", 0.9)])
+    def test_only_a_custom_weight_takes_a_payoff(self, kind, barrier):
+        with pytest.raises(InvalidPayoff, match="only a custom weight takes a payoff"):
+            WeightSpec(kind, barrier=barrier, payoff=make_payoff(WeightSpec.vanilla()))
+
     def test_custom_convexity_rejected(self):
         with pytest.raises(InvalidPayoff, match="convexity"):
             make_payoff(WeightSpec.custom(lambda x: -np.square(x - 1.0), lambda x: -2.0 * (x - 1.0),
