@@ -57,9 +57,6 @@ class SampledPath:
     def strictly_positive(self) -> bool:
         return bool(np.all(self.values > 0.0))
 
-    def transformed(self, fn: Callable) -> "SampledPath":
-        return SampledPath(self.times, np.asarray(fn(self.values), dtype=float))
-
 
 @dataclass(frozen=True)
 class PartitionLadder:
@@ -211,8 +208,8 @@ def quadratic_variation(path: SampledPath, partition: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.square(np.diff(x)))))
 
 
-def _default_levels(path: SampledPath, n_levels: int) -> np.ndarray:
-    lo, hi = float(path.values.min()), float(path.values.max())
+def _default_levels(x: np.ndarray, n_levels: int) -> np.ndarray:
+    lo, hi = float(x.min()), float(x.max())
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
     cell = (hi - lo) / n_levels
@@ -276,33 +273,57 @@ def _sweep(u: np.ndarray, x: np.ndarray, pos: np.ndarray, idx: np.ndarray, gap: 
     """Local time at the sorted levels ``u`` of the samples ``x`` at half-level positions ``pos``.
 
     By monotonicity a step covers the levels from the first at or above its lower end up
-    to, not including, the first above its upper end.  Bins are level indices, so the
-    bins below the lowest sample are empty.  ``idx``, ``gap`` and ``sgn`` are work
-    buffers of at least one entry per step, shared by a ladder's partitions.
+    to, not including, the first above its upper end: level i iff its half-position
+    v = 2i + 1 lies in the closed range of the step's end positions h_t, h_{t+1}.  The
+    signed count of the steps covering level i telescopes: with I(h) = 1, 1/2 or 0 as h
+    lies above, at or below v, a step's sign times its cover is
+    I(h_{t+1}) - I(h_t) + (sgn_t / 2) ([h_t = v] + [h_{t+1} = v]), so the count is
+    I(h_N) - I(h_0) plus half the sum of sgn_{t-1} + sgn_t over the samples on level i, a
+    step outside the walk counting 0.  Only the samples on a level, those of odd
+    position, need a scatter; every term is a small multiple of 1/2, so the count is
+    exact.  Bins are level indices, so the bins below the lowest sample are empty.
+    ``idx`` is a work buffer of at least one entry per sample, ``gap`` and ``sgn`` of at
+    least one per step, shared by a ladder's partitions.
     """
     m = x.size - 1
-    idx, gap, sgn = idx[:m], gap[:m], sgn[:m]
+    gap, sgn = gap[:m], sgn[:m]
     first, last = int(pos.min()) // 2, (int(pos.max()) + 1) // 2  # levels outside meet no step: 0.0
     left, right = x[:-1], x[1:]
     np.sign(np.subtract(right, left, out=gap), out=sgn)
+    w = u[first:last]
+    net = np.zeros(max(w.size - 1, 0))  # signed count of the steps covering each level below the top one
+    on = np.flatnonzero(np.bitwise_and(pos, 1, out=idx[:m + 1]))  # samples on a level
+    if on.size:
+        before = np.where(on > 0, sgn.take(on - 1, mode="clip"), 0.0)
+        after = np.where(on < m, sgn.take(on, mode="clip"), 0.0)
+        net += np.bincount(pos[on] // 2 - first, 0.5 * (before + after), net.size + 1)[:-1]
+    for h, side in ((int(pos[-1]), 1.0), (int(pos[0]), -1.0)):  # I(h_N) - I(h_0)
+        k = h // 2 - first  # the levels below h; h sits on the next one when odd
+        net[:k] += side
+        if h % 2 and k < net.size:
+            net[k] += 0.5 * side
+    idx = idx[:m]
     at = np.append(u[:last], 0.0)  # level of each bin; the last bin (past the top level) is dropped
     np.minimum(pos[:-1], pos[1:], out=idx)
     idx >>= 1  # the first level a step covers
     np.take(at, idx, out=gap, mode="clip")  # each step's signed distance to its first, then last, level
     enter = np.bincount(idx, np.multiply(sgn, np.subtract(right, gap, out=gap), out=gap), at.size)
-    opened = np.bincount(idx, sgn, at.size)
     np.maximum(pos[:-1], pos[1:], out=idx)
     idx += 1
     idx >>= 1  # the first level past a step
     np.take(at, idx, out=gap, mode="clip")
     leave = np.bincount(idx, np.multiply(sgn, np.subtract(right, gap, out=gap), out=gap), at.size)
-    net = np.cumsum(opened - np.bincount(idx, sgn, at.size))
-    w = u[first:last]
     drift = np.zeros(w.size)
-    drift[1:] = net[first:last - 1] * np.diff(w)  # steps still open, carried across each level gap
+    drift[1:] = net * np.diff(w)  # steps still open, carried across each level gap
     values = np.zeros(u.size)
     values[first:last] = 2.0 * np.cumsum(enter[first:last] - leave[first:last] - drift)
     return values
+
+
+def _samples(a: np.ndarray, part) -> np.ndarray:
+    """``a`` at a checked partition's indices; ``a`` itself, read in place, for the full grid, whose
+    indices are the only strictly increasing ones as many as ``a``'s entries."""
+    return a if len(part) == a.size else a[part]
 
 
 def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np.ndarray]:
@@ -312,11 +333,12 @@ def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np
     its own samples, a ladder on the whole path, which its finest partition visits.
     """
     u, back = np.unique(levels, return_inverse=True)
-    if len(partitions) == 1:
-        x, partitions = x[partitions[0]], [slice(None)]
+    if len(partitions) == 1:  # one partition bins only its own samples, and then visits them all
+        x = _samples(x, partitions[0])
+        partitions = [range(x.size)]
     idx, gap, sgn = np.empty(x.size, dtype=np.intp), np.empty(x.size), np.empty(x.size - 1)
     pos = _level_bins(u, x, idx, gap)
-    return [_sweep(u, x[part], pos[part], idx, gap, sgn)[back] for part in partitions]
+    return [_sweep(u, _samples(x, part), _samples(pos, part), idx, gap, sgn)[back] for part in partitions]
 
 
 def discrete_local_time(
@@ -335,21 +357,27 @@ def discrete_local_time(
     steps that enter and leave there, minus the net sign of the steps still
     open times the level gap.  Every term is the distance from a step's end
     to a nearby level, so rounding stays close to that of the direct sum.
-    Each sample is binned into the distinct levels once, through a table of one
-    cell per level, a lookup that a ladder shares.  Cost O(N log c + L log L) time
-    and O(N + L) memory for N steps, L levels and at most c levels in one table
-    cell (c = 1 for evenly spaced levels, so the binning is linear).  Levels may
-    come in any order, values come back in that order; outside the path range, exactly 0.0.
+    The net sign of the open steps telescopes along the walk: the side of the
+    last sample minus that of the first (1 above the level, 1/2 on it, 0 below),
+    plus half the signs of the steps into and out of each sample on the level,
+    since a step that starts or ends on a level counts only half in that
+    difference.  So beside the entering and leaving steps, only the samples on
+    a level are scattered.  Each sample is binned into the distinct levels once,
+    through a table of one cell per level, a lookup that a ladder shares.  Cost
+    O(N log c + L log L) time and O(N + L) memory for N steps, L levels and at
+    most c levels in one table cell (c = 1 for evenly spaced levels, so the
+    binning is linear).  Levels may come in any order, values come back in that
+    order; outside the path range, exactly 0.0.
     """
     idx = _partition_indices(path, partition)
-    times = path.times[idx]
+    times = _samples(path.times, idx)
     t = float(times[-1]) if t is None else _real("t", t)
     tol = 1e-9 * max(1.0, abs(t))  # one tolerance both finds the partition time and accepts it
     pos = np.searchsorted(times, t + tol)
     if pos == 0 or abs(times[pos - 1] - t) > tol:
         raise ValueError(f"t = {t} is not a partition time")
     if levels is None:
-        levels = _default_levels(path, _count("n_levels", n_levels, 1))
+        levels = _default_levels(path.values, _count("n_levels", n_levels, 1))
     levels = np.asarray(levels, dtype=float)
     (values,) = _local_times(path.values, [idx[:pos]], levels)
     return LocalTimeProfile(levels=levels, values=values, time=float(t))
@@ -391,12 +419,12 @@ def verify_ito(path: SampledPath, f, ladder: PartitionLadder) -> np.ndarray:
     parts = _ladder_partitions(path, ladder)
     total = float(value(path.values[-1])) - float(value(path.values[0]))
     if mode == "local_time":  # one level lookup for the whole ladder
-        levels = _default_levels(path, DEFAULT_LEVELS)
+        levels = _default_levels(path.values, DEFAULT_LEVELS)
         profiles = _local_times(path.values, parts, levels)
     dx, term = np.empty(path.n_steps), np.empty(path.n_steps)  # sized for the finest level, the full grid
     residuals = []
     for i, part in enumerate(parts):
-        x = path.values[part]  # each level's samples and increments serve both sums
+        x = _samples(path.values, part)  # each level's samples and increments serve both sums
         m = x.size - 1
         left, step, summand = x[:-1], np.subtract(x[1:], x[:-1], out=dx[:m]), term[:m]
         riemann = float(np.sum(np.multiply(deriv(left), step, out=summand)))
@@ -423,7 +451,7 @@ def occupation_density_check(
     profile = discrete_local_time(path, part)
     indicator = lambda u: ((u >= a) & (u <= b)).astype(float)
     lhs = profile.integrate_against(indicator)
-    x = path.values[part]
+    x = _samples(path.values, part)
     left = x[:-1]
     rhs = float(np.sum(np.square(np.diff(x)) * ((left >= a) & (left <= b))))
     return lhs, rhs
@@ -442,12 +470,14 @@ def transform_local_times(path: SampledPath, f: Callable, f_prime: Callable, f_i
     if np.any(dprobe == 0.0) or (np.any(dprobe > 0.0) and np.any(dprobe < 0.0)):
         raise NonMonotone("transform map must have one-signed, nonvanishing derivative on the range")
     parts = [_partition_indices(path, p) for p in partitions]
-    ypath = path.transformed(f)
-    vgrid = _default_levels(ypath, DEFAULT_LEVELS)
+    y = np.asarray(f(path.values), dtype=float)
+    if y.shape != path.values.shape or not np.all(np.isfinite(y)):
+        raise ValueError("transform map must give finite values of the path's shape")
+    vgrid = _default_levels(y, DEFAULT_LEVELS)
     xlv = np.asarray(f_inverse(vgrid), dtype=float)
     scale = np.abs(np.asarray(f_prime(xlv)))
     ends = [path.times[p[-1]] for p in parts]
-    lts = zip(_local_times(ypath.values, parts, vgrid), _local_times(path.values, parts, xlv), ends)
+    lts = zip(_local_times(y, parts, vgrid), _local_times(path.values, parts, xlv), ends)
     return [LocalTimeProfile(vgrid, d, t).l2_distance(LocalTimeProfile(vgrid, scale * b, t))
             for d, b, t in lts]
 
@@ -470,7 +500,7 @@ def _square_rounding(path: SampledPath, ladder: PartitionLadder) -> np.ndarray:
     of S, so gamma_{2m+8} times it bounds the residual.
     """
     u, bounds = np.finfo(float).eps / 2.0, []
-    for x in (path.values[part] for part in ladder.partitions):
+    for x in (_samples(path.values, part) for part in ladder.partitions):
         dx, k = np.diff(x), 2 * x.size + 6  # 2m + 8 for m = x.size - 1 steps
         s = x[-1] ** 2 + x[0] ** 2 + np.sum(np.abs(2.0 * x[:-1] * dx)) + np.sum(dx * dx)
         bounds.append(k * u / (1.0 - k * u) * s)

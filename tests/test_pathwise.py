@@ -91,6 +91,13 @@ def _ladder_level_cases():
         not_finite = np.concatenate((on_path, [np.nan, np.nan, np.inf, -np.inf]))
         yield f"{name}-nan", path, rng.permutation(not_finite), None
         yield f"{name}-mid-horizon", path, rng.permutation(on_path), path.times[1024]
+    # Steps of +-1 from 0, each sample taken twice: every sample sits on an integer level,
+    # and every other step is flat.
+    walk = arithmetic_walk(47, 1024, scale=32.0)
+    path = SampledPath(walk.times, np.repeat(walk.values, 2)[:1025])
+    integers = np.arange(path.values.min() - 2.0, path.values.max() + 3.0)
+    on_levels = np.concatenate((integers, integers[::2], [np.inf, -np.inf]))
+    yield "every-sample-on-a-level", path, rng.permutation(on_levels), None
 
 
 LADDER_LEVEL_CASES = list(_ladder_level_cases())
@@ -626,6 +633,12 @@ class TestTransformLocalTime:
             transform_local_times(path, np.log, lambda x: 1.0 / x, np.exp, [np.arange(65), np.array(partition)])
         with pytest.raises(ValueError, match=message):
             transform_local_time(path, np.log, lambda x: 1.0 / x, np.exp, np.array(partition))
+
+    def test_transformed_values_must_be_finite(self):
+        path = geometric_walk(5, n_steps=256)
+        f = lambda x: np.where(x > np.median(x), np.inf, x)
+        with pytest.raises(ValueError, match="finite"):
+            transform_local_times(path, f, np.ones_like, lambda v: v, [np.arange(257)])
 
     def test_non_monotone_rejected(self):
         path = geometric_walk(5, n_steps=256)
