@@ -165,9 +165,9 @@ class NormalizedChain:
 
     @cached_property
     def n_max(self) -> float:
-        """First index i >= 1 whose put prices at intrinsic value k_i - 1; ``math.inf`` when none does."""
-        intrinsic = np.flatnonzero(np.abs(self.p[1:] - (self.k[1:] - 1.0)) <= EQ_TOL)
-        return float(intrinsic.min() + 1) if intrinsic.size else math.inf
+        """First index whose put prices at intrinsic value k_i - 1 (the origin never does); ``math.inf`` if none."""
+        intrinsic = np.flatnonzero(np.abs(self.p - (self.k - 1.0)) <= EQ_TOL)
+        return float(intrinsic.min()) if intrinsic.size else math.inf
 
     @cached_property
     def slopes(self) -> np.ndarray:

@@ -28,7 +28,8 @@ The subhedge is built from the optimal measure alone: tangent to the payoff
 at every atom, as in Davis, Obloj & Raval (arXiv:1001.2678), and checked
 exactly, piece by piece (Hettich & Kortanek, SIAM Review 35(3), 1993).
 Every chain puts its mass on [k_{n_min}, k_top]: nothing lies below a free
-put (n_min > 0) or above a strike priced at intrinsic value (finite n_max).
+put (n_min > 0) or above a strike priced at intrinsic value (finite n_max).  The tail's
+price, the call value c at the window's last strike, is 0 exactly when n_max is finite.
 ``lp_lower_bound`` solves every chain on that window, ``NormalizedChain.window``,
 and both hedges, this one and ``upper.superhedge``, come from their values at
 its strikes (``_portfolio_from_nodes``).  A dense-grid linear program over the
@@ -284,9 +285,8 @@ def atoms_from_policy(nchain: NormalizedChain, zeta) -> AtomicMeasure:
 
 
 def _tail_constant(nchain: NormalizedChain) -> float:
-    """Call value 1 + p_n - k_n at the last strike; 0 when it prices at intrinsic value (a cap)."""
-    c = float(1.0 + nchain.p[-1] - nchain.k[-1])
-    return c if c > EQ_TOL else 0.0
+    """Call value 1 + p_n - k_n at the last strike; exactly 0 when ``n_max`` is finite, the one cap rule."""
+    return 0.0 if math.isfinite(nchain.n_max) else float(1.0 + nchain.p[-1] - nchain.k[-1])
 
 
 def _atom(nchain, i, a, b):

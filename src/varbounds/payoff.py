@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import NormalizedChain, _scale
+from .chain import EQ_TOL, NormalizedChain, _scale
 
 _SPOT_LO, _SPOT_HI, _SPOT_SAMPLES = 1e-3, 1e3, 400  # log grid of a custom payoff's checks
 _EPS = np.finfo(float).eps  # a value checked may be off by this much of its size
@@ -335,7 +335,7 @@ def check_c1(nchain: NormalizedChain, payoff: ConvexPayoff) -> bool:
     if nchain.n < 2:
         return True
     k, p = nchain.k, nchain.p
-    return bool(p[2] > (k[2] / k[1]) * p[1] + 1e-12)
+    return bool(p[2] > (k[2] / k[1]) * p[1] + EQ_TOL)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,15 @@ class TestBoundaryIndices:
         nc = normalize(make_chain([2.0], [1.0]))
         assert (nc.n_min, nc.n_max) == (0, 1)
 
+    def test_a_one_strike_window_at_intrinsic_is_capped_at_its_strike(self):
+        # The put at 1 + 5e-13 is both free and at intrinsic value (n_min = n_max = 1):
+        # its window's one strike is its first, index 0, and caps it there.
+        nc = normalize(make_chain([1.0 + 5e-13], [0.0]))
+        assert (nc.n_min, nc.n_max) == (1, 1)
+        window = nc.window
+        assert (window.n, window.n_min, window.n_max) == (0, 0, 0)
+        assert window.window is window
+
 
 class TestWindow:
     @pytest.mark.parametrize("free,capped", [(False, False), (True, False), (False, True), (True, True)])

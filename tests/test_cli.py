@@ -409,6 +409,21 @@ def test_free_put_priced_above_zero(capsys, tmp_path, weight):
     assert report["european"]["lower_value_normalized"] <= report["european"]["upper_value_normalized"]
 
 
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_cap_quoted_just_above_intrinsic(capsys, tmp_path, weight):
+    # The put at 150 is 1e-10 above intrinsic value 50 at F = 100: within
+    # EQ_TOL normalized, so the support is capped there (n_max = 3) and no
+    # mass escapes past it.  gamma exited 1 on an atom past the cap.
+    f = tmp_path / "chain.csv"
+    f.write_text("strike,put_price\n60,2\n100,12\n150,50.0000000001\n")
+    code, out, err = run(capsys, ["bounds", "--input", str(f), "--forward", "100", "--discount", "1",
+                                  "--maturity", "1", "--weight", weight])
+    assert (code, err) == (0, "")
+    report = parse_report(out)
+    assert report["market"]["n_max"] == 3
+    assert report["lower_measure"]["mean_at_infinity"] == 0.0
+
+
 def test_free_put_past_the_forward_within_tolerance():
     # The put at 1 + 5e-13 is priced 0, below intrinsic value by less than
     # EQ_TOL: n_min = 2 > top = 1, and the trim would leave no strike at all.

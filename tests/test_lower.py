@@ -107,6 +107,16 @@ CAPPED_GAMMA_CHAINS = [
       0.27754351540096706, 0.2932425520391738, 0.87980916333085]),
 ]
 
+# Capped chains whose last put is quoted 1.000088900582341e-12 above intrinsic
+# value: n_max = n although 1 + p_n - k_n exceeds EQ_TOL, so any cap test but
+# n_max's lets mass escape past the cap (strikes, puts, the last put at exactly
+# k_n - 1).  The first is 60 / 100 / 150 at F = 100 with the last put at
+# 50.0000000001, normalized.
+NEAR_INTRINSIC_CAPS = [
+    ([0.6, 1.0, 1.5], [0.02, 0.12, 0.500000000001], 0.5),
+    ([0.6, 1.0, 2.854054898240249], [0.02, 0.12, 1.8540548982412488], 2.854054898240249 - 1.0),
+]
+
 # Draw 179 (from 0) of random_consistent_chain(default_rng(103)): s_2..s_6
 # agree to rounding and are not monotone, and the atom of a segment of
 # weight 7.4e-7 came out 1.7e-10 above its interval (strikes, puts).
@@ -1511,6 +1521,36 @@ class TestTrimmedRoute:
         value, _, measure = assert_trimmed_contract(nc, GAMMA)
         assert math.isfinite(value)
         assert measure.mean_at_infinity == 0.0
+
+    @pytest.mark.parametrize("weight", CLI_WEIGHTS + ("inverse",))
+    @pytest.mark.parametrize("strikes,puts,intrinsic", NEAR_INTRINSIC_CAPS, ids=["currency-chain", "cap-at-2.85"])
+    def test_cap_quoted_within_tolerance_of_intrinsic(self, strikes, puts, intrinsic, weight):
+        # n_max alone decides the cap: no mass past k_top, and the band of the
+        # chain quoted exactly at intrinsic value.  gamma raised a
+        # ReconstructionFailure here, at an atom past the cap.
+        nc = chain_of(strikes, puts)
+        assert nc.n_max == nc.n and 1.0 + nc.p[-1] - nc.k[-1] > 1e-12
+        assert lower._tail_constant(nc.window) == 0.0
+        spec = parse_weight(weight)
+        report = swap_rate_bounds(nc, spec)
+        assert report.lower_measure.mean_at_infinity == 0.0
+        assert np.all(report.lower_measure.atoms <= nc.k[nc.top_index])
+        exact = swap_rate_bounds(chain_of(strikes, puts[:-1] + [intrinsic]), spec)
+        for got, want in ((report.lower_value, exact.lower_value), (report.upper_value, exact.upper_value)):
+            assert got == want if math.isinf(want) else abs(got - want) <= 1e-10
+
+    def test_tail_constant_is_zero_exactly_on_a_capped_window(self):
+        # c is the call value at the window's last strike: 0 when n_max caps
+        # the window, positive when nothing does, a one-strike window included.
+        rng = np.random.default_rng(39)
+        chains = [trimmed_route_chain(rng, n, free, capped)
+                  for n in range(1, 6) for free in (False, True) for capped in (False, True)]
+        chains += [chain_of(strikes, puts) for strikes, puts, _ in NEAR_INTRINSIC_CAPS]
+        chains += [chain_of([1.0 + 5e-13], [0.0]), chain_of([1.0 - 5e-13], [0.0]), chain_of([0.9], [0.0])]
+        for nc in chains:
+            window = nc.window
+            c = lower._tail_constant(window)
+            assert c == 0.0 if math.isfinite(window.n_max) else c > 0.0
 
     def test_free_chain_whose_mass_escapes(self):
         # The sampled grid LP reported 1.812976 here, with a subhedge of tail
