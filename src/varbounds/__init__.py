@@ -18,7 +18,6 @@ from .lower import (
     DualSolution,
     HedgePortfolio,
     ReconstructionFailure,
-    UnsupportedChain,
     dp_lower_bound,
     feasible_policy_sets,
     grid_lp_oracle,

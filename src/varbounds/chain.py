@@ -192,11 +192,12 @@ class NormalizedChain:
         """The chain on k[n_min..top] at its quoted prices, where every consistent model puts its mass.
 
         Both bounds are taken on it.  Its ``n_min`` is 0 and its cap, if any, its last strike, so
-        ``window.window is window``; it is empty when the cap lies below the free puts.
+        ``window.window is window``.  It is never empty: a cap at or below the free puts leaves the cap
+        strike alone, which consistency puts within 2 EQ_TOL of the forward.
         """
         if self.n_min == 0 and self.top_index == self.n:
             return self
-        keep = slice(self.n_min, self.top_index + 1)
+        keep = slice(min(self.n_min, self.top_index), self.top_index + 1)
         return replace(self, k=self.k[keep], p=self.p[keep])
 
 

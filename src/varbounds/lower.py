@@ -30,7 +30,7 @@ exactly, piece by piece (Hettich & Kortanek, SIAM Review 35(3), 1993).
 Every chain puts its mass on [k_{n_min}, k_top]: nothing lies below a free
 put (n_min > 0) or above a strike priced at intrinsic value (finite n_max).  The tail's
 price, the call value c at the window's last strike, is 0 exactly when n_max is finite.
-``lp_lower_bound`` solves every chain on that window, ``NormalizedChain.window``,
+``dp_lower_bound`` solves every chain on that window, ``NormalizedChain.window``,
 and both hedges, this one and ``upper.superhedge``, come from their values at
 its strikes (``_portfolio_from_nodes``).  A dense-grid linear program over the
 same node-value hedges is the independent primal oracle; only it samples a
@@ -64,10 +64,6 @@ _MAX_GRID = math.isqrt(_GRID_BLOCK)  # 256: one block then holds a whole interva
 _FAR = 1e7  # hedges are checked out to this multiple of the last strike; beyond, by tail slope
 _TAIL_MARGIN = 1e-12  # a tail slope that touches the payoff backs off by this much
 _LP_POINTS = 2048  # log-spaced points of the oracle's constraint grid, before strikes and atoms
-
-
-class UnsupportedChain(RuntimeError):
-    """Chain outside the recursion's domain: not its own window (a free put below, or a strike past the cap)."""
 
 
 class C1Violation(RuntimeError):
@@ -107,6 +103,8 @@ class AtomicMeasure:
     def __post_init__(self):
         object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        if self.atoms.shape != self.weights.shape or self.atoms.ndim != 1:
+            raise ValueError(f"atoms and weights must be 1-d of one shape, got {self.atoms.shape} {self.weights.shape}")
 
     def integrate(self, payoff: ConvexPayoff) -> float:
         """Sum of weight * payoff(atom); the escaped mean carries no payoff here."""
@@ -165,6 +163,10 @@ class HedgePortfolio:
     def __post_init__(self):
         object.__setattr__(self, "puts", np.asarray(self.puts, dtype=float))
         object.__setattr__(self, "strikes", np.asarray(self.strikes, dtype=float))
+        if self.puts.shape != self.strikes.shape or self.strikes.ndim != 1:
+            raise ValueError(f"puts and strikes must be 1-d of one shape, got {self.puts.shape} {self.strikes.shape}")
+        if not np.all(np.diff(self.strikes) > 0.0):
+            raise ValueError("hedge strikes must be strictly increasing")
 
     def payoff(self, x):
         """Terminal value as a function of the (normalized) asset level.
@@ -188,10 +190,6 @@ class HedgePortfolio:
 
     def setup_cost(self, nchain: NormalizedChain) -> float:
         return float(self.cash + self.forward + np.dot(self.puts, nchain.p[1:]))
-
-    def tail_slope(self) -> float:
-        """Slope of the payoff beyond the last strike (all puts dead)."""
-        return float(self.forward)
 
     def to_dict(self) -> dict:
         return {
@@ -218,16 +216,13 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
     one float: the edges are the running maximum of the slopes (convexity to
     ``EQ_TOL`` lets a slope dip), then 1, and an interval at most ``_SNAP``
     wide (collinear quotes) collapses onto its right edge, lifting the one
-    before it, so no rounding-wide gap is left to hold a dust atom.  Requires
-    a consistent chain that is its own ``NormalizedChain.window``: no free put
-    below its first strike and no strike past its cap, which may be its last.
+    before it, so no rounding-wide gap is left to hold a dust atom.  Takes any
+    consistent chain; the intervals are those of ``nchain.window``, one per
+    strike past its first (none when the window is one strike).
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("feasible policy sets need a consistent chain")
-    if nchain.window is not nchain:
-        raise UnsupportedChain(f"policy recursion needs a chain that is its own window, got (n_min, n_max, n) = "
-                               f"({nchain.n_min}, {nchain.n_max}, {nchain.n})")
-    edges = np.append(np.maximum.accumulate(nchain.slopes), 1.0).tolist()
+    edges = np.append(np.maximum.accumulate(nchain.window.slopes), 1.0).tolist()
     for j in range(len(edges) - 2, -1, -1):
         if edges[j + 1] - edges[j] <= _SNAP:
             edges[j] = edges[j + 1]
@@ -690,14 +685,20 @@ def dp_lower_bound(
     measure can (see the module docstring).  The recursion makes O(n grid^2)
     payoff evaluations.  The value includes the analytic boundary-limit tail
     term; the measure records any escaped forward mass in ``mean_at_infinity``.
-    The chain must be its own window, capped at its last strike or not.
+    Any consistent chain is solved on its window, where all its mass lies; the
+    C1 condition is checked on the chain as given, since on the window it can
+    be vacuous.  A window with no interval leaves payoff(1) by Jensen, the
+    Dirac at the forward.
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)
     g = _effective_grid(grid)
+    window = nchain.window
+    if window.n < 1:
+        return DualSolution(value=payoff.at_one(), measure=AtomicMeasure([1.0], [1.0]))
     grids = np.linspace(sets[:, 0], sets[:, 1], g, axis=1)
-    policy = _projected_newton(nchain, payoff, sets, _solve_on_grids(nchain, payoff, grids))
-    measure = atoms_from_policy(nchain, policy)
+    policy = _projected_newton(window, payoff, sets, _solve_on_grids(window, payoff, grids))
+    measure = atoms_from_policy(window, policy)
     gamma = payoff.asymptotic_slope
     tail_term = gamma * measure.mean_at_infinity if measure.mean_at_infinity > 0.0 else 0.0
     exact = measure.integrate(payoff) + tail_term
@@ -740,7 +741,7 @@ def _worst_excess(portfolio: HedgePortfolio, payoff: ConvexPayoff, lo=0.0, hi=ma
     """
     k = portfolio.strikes
     far = _FAR * (float(k[-1]) if k.size else 1.0)
-    if hi == math.inf and portfolio.tail_slope() > payoff.asymptotic_slope + 1e-12:
+    if hi == math.inf and portfolio.forward > payoff.asymptotic_slope + 1e-12:
         return math.inf, far
     nodes = np.concatenate(([lo], k[(k > lo) & (k < hi)], [far if hi == math.inf else hi]))
     y = portfolio.payoff(nodes)
@@ -865,7 +866,7 @@ def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
     excess, x = _worst_excess(portfolio, payoff, float(window.k[0]), hi)
     if not excess <= _DOMINATION_TOL:
         return (f"domination: the hedge exceeds the payoff by {excess:.3g} at x = {x:.6g} "
-                f"(tail slope {portfolio.tail_slope():.6g})")
+                f"(tail slope {portfolio.forward:.6g})")
     atoms = measure.atoms[measure.weights > _MIN_ATOM_WEIGHT]
     if atoms.size:
         gap = np.nan_to_num(np.abs(portfolio.payoff(atoms) - payoff.value(atoms)), nan=np.inf)
@@ -873,7 +874,7 @@ def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
         if gap[j] > _CONTACT_TOL:
             return f"contact: the hedge misses the payoff by {gap[j]:.3g} at the atom {atoms[j]:.6g}"
     cost = portfolio.setup_cost(nchain)
-    target = measure.integrate(payoff) + portfolio.tail_slope() * measure.mean_at_infinity  # the tail prices m
+    target = measure.integrate(payoff) + portfolio.forward * measure.mean_at_infinity  # the tail prices m
     ok = abs(cost - target) <= max(_CONTACT_TOL, 1e-10 * abs(target))
     return None if ok else f"cost: setup cost minus measure integral and tail is {cost - target:.3g}"
 
@@ -910,7 +911,7 @@ def tighten_tail(nchain: NormalizedChain, payoff: ConvexPayoff, portfolio: Hedge
     gamma): gamma exactly when that ray is admissible, else just short of
     its touching point.
     """
-    gamma, phi = payoff.asymptotic_slope, portfolio.tail_slope()
+    gamma, phi = payoff.asymptotic_slope, portfolio.forward
     if not math.isfinite(gamma) or gamma - phi <= 1e-14:
         return portfolio
     kn = float(nchain.k[-1])
@@ -931,11 +932,10 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
     the last strike suffices.  Either multiple applies to at least the unit
     forward: the worst-case tail atom, at k_n + c / w >= 1 + p_n (c the call
     value at k_n, w <= 1 its weight), lies past it however low the chain ends.
-    Every strike is a point, the origin too when the window starts there.
+    Every strike is a point, the origin too when the window starts there, and
+    so is every ``extra`` point at or above the grid's start; twice each must be finite.
     """
     k = nchain.window.k
-    if k.size == 0:
-        raise ValueError("the cap lies below the free puts: the chain has no window to grid")
     lo = float(k[0]) if k[0] > 0.0 else max(k[1] * 1e-3, 1e-4)
     hi = float(k[-1])
     if not math.isfinite(nchain.n_max):
@@ -945,6 +945,8 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
         pieces.append(np.asarray([payoff.barrier]))
     if extra is not None:
         pts = np.asarray(extra, dtype=float)
+        if not np.all(np.abs(pts) <= np.finfo(float).max / 2.0):  # NaN fails too; the grid reaches 2 max(extra)
+            raise ValueError("extra grid points must be finite, and so must twice the largest")
         pts = pts[pts >= lo]
         if pts.size:
             hi = max(hi, 2.0 * float(pts.max()))
@@ -960,10 +962,8 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     of ``nchain.window`` and a tail slope phi of at most gamma, priced q.y + c phi at
     the window's implied masses q (0 within EQ_TOL: a node without mass is free) and
     call value c.  Rows are the grid points where mass can lie and the payoff is finite,
-    divided by x - k_m past k_m.  With no window, payoff(1).
+    divided by x - k_m past k_m.
     """
-    if nchain.window.k.size == 0:
-        return payoff.at_one()
     from scipy.optimize import linprog  # only the oracle loads scipy
 
     k, c = nchain.window.k, _tail_constant(nchain.window)
@@ -1025,15 +1025,12 @@ def lp_lower_bound(
     """Lower bound, subhedge and worst-case law of any consistent chain.
 
     The name is historical: chains with free puts or a capped support once
-    went through the grid LP.  The bound is the policy problem
-    (``dp_lower_bound``) on ``nchain.window``, where all mass lies; the hedge
-    dominates there and holds no put outside it, and the measure reprices
-    every put.  A window with no interval leaves payoff(1) by Jensen, the
-    Dirac at the forward.  The C1 condition is checked on the full chain,
-    since on the window it can be vacuous.
+    went through the grid LP.  The bound and the law are ``dp_lower_bound``'s;
+    the hedge is the payoff's tangent at the forward when the window has no
+    interval, else ``reconstruct_subhedge``'s, which dominates on the window
+    and holds no put outside it.
     """
-    _require_c1(nchain, payoff)
+    solution = dp_lower_bound(nchain, payoff, grid=grid)
     if nchain.window.n < 1:
-        return *_forward_tangent(nchain, payoff), AtomicMeasure(np.array([1.0]), np.array([1.0]))
-    solution = dp_lower_bound(nchain.window, payoff, grid=grid)
+        return solution.value, _forward_tangent(nchain, payoff)[1], solution.measure
     return solution.value, reconstruct_subhedge(nchain, payoff, solution.measure), solution.measure

@@ -366,8 +366,8 @@ def discrete_local_time(
     through a table of one cell per level, a lookup that a ladder shares.  Cost
     O(N log c + L log L) time and O(N + L) memory for N steps, L levels and at
     most c levels in one table cell (c = 1 for evenly spaced levels, so the
-    binning is linear).  Levels may come in any order, values come back in that
-    order; outside the path range, exactly 0.0.
+    binning is linear).  Levels, a 1-d array, may come in any order; values
+    come back in that order; outside the path range, exactly 0.0.
     """
     idx = _partition_indices(path, partition)
     times = _samples(path.times, idx)
@@ -379,6 +379,8 @@ def discrete_local_time(
     if levels is None:
         levels = _default_levels(path.values, _count("n_levels", n_levels, 1))
     levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1:
+        raise ValueError(f"levels must be 1-d, got shape {levels.shape}")
     (values,) = _local_times(path.values, [idx[:pos]], levels)
     return LocalTimeProfile(levels=levels, values=values, time=float(t))
 

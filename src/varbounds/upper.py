@@ -51,9 +51,9 @@ def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
     the strikes.  The first chord continues below the window and the tail
     slope above it, so no weight falls on redundant options.  Domination
     holds on all of (0, oo) when the payoff has tame tails, and on
-    [k_{n_min}, oo) in the relaxed cases.  A cap at or below the free puts
-    (within tolerance) pins the support at the forward: payoff(1).  An
-    inconsistent chain raises ``ValueError``.
+    [k_{n_min}, oo) in the relaxed cases.  A capped window of one strike, the
+    cap at or below the free puts, pins the support at the forward: payoff(1)
+    and the payoff's tangent there.  An inconsistent chain raises ``ValueError``.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("a superhedge needs a consistent chain")
@@ -77,14 +77,14 @@ def extremal_upper_measure(nchain: NormalizedChain, z: float) -> AtomicMeasure:
     (z, z - 1) and slope one beyond, so every quoted put reprices exactly and
     the mean is one.  Weights are the slope changes at the nodes; z below the
     admissibility threshold makes the weight at the last strike negative.  A
-    cap below the free puts pins the support at the forward: z must be 1.
-    An inconsistent chain raises ``ValueError``, whatever z.
+    cap at or below the free puts pins the support at the forward: z must be
+    the cap strike, which consistency puts within 2 EQ_TOL of 1.  An
+    inconsistent chain raises ``ValueError``, whatever z.
     """
     if not validate_puts(nchain).is_consistent:
         raise ValueError("the extremal upper measure needs a consistent chain")
     z = _real("support cap z", z)
-    window = nchain.window
-    xs, vs = (list(window.k), list(window.p)) if window.k.size else ([1.0], [0.0])
+    xs, vs = list(nchain.window.k), list(nchain.window.p)
     if math.isfinite(nchain.n_max):
         if abs(z - xs[-1]) > 1e-9:
             raise ValueError(f"with a finite n_max the support cap must be {xs[-1]:.12g}")
@@ -115,11 +115,10 @@ def dominates_above(
 
     Payoff minus a line is convex, so it peaks at the window's ends and strikes, and past an uncapped
     window it does not rise iff the portfolio's tail slope is at least the payoff's asymptotic slope.
+    A pinned support is checked at its one point, the cap strike.
     """
     k = nchain.window.k
-    if k.size == 0:  # a cap below the free puts leaves no point to check
-        return True
-    if not math.isfinite(nchain.n_max) and portfolio.tail_slope() < payoff.asymptotic_slope:
+    if not math.isfinite(nchain.n_max) and portfolio.forward < payoff.asymptotic_slope:
         return False
     pts = np.clip(np.append(portfolio.strikes, (k[0], k[-1])), k[0], k[-1])
     with np.errstate(all="ignore"):

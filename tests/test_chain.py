@@ -183,9 +183,12 @@ class TestWindow:
         assert validate_puts(nc).is_consistent and validate_puts(nc.window).is_consistent
 
     def test_empty_when_the_cap_lies_below_the_free_puts(self):
+        # The name is historical: the window is the cap strike alone.
         nc = normalize(make_chain([1.0, 1.0 + 5e-13], [0.0, 0.0]))
-        assert nc.top_index < nc.n_min
-        assert nc.window.k.size == 0
+        assert nc.top_index < nc.n_min and (nc.n_min, nc.n_max) == (2, 1)
+        window = nc.window
+        assert window.k.tolist() == [1.0] and window.p.tolist() == [0.0]
+        assert window.window is window and (window.n_min, window.n_max) == (0, 0)
 
 
 class TestCsv:

@@ -229,7 +229,7 @@ class TestBounds:
         assert run(capsys, argv) == (1, "", f"varbounds: error: {f}: duplicate strikes are rejected\n")
 
     @pytest.mark.parametrize("error", [lower.ReconstructionFailure, lower.DegeneratePolicy,
-                                       lower.ForwardViolation, lower.UnsupportedChain])
+                                       lower.ForwardViolation])
     def test_solver_error_is_one_line(self, capsys, monkeypatch, market_flags, error):
         def fail(*args, **kwargs):
             raise error("the solve failed")

@@ -19,6 +19,7 @@ from varbounds import (OptionChain, WeightSpec, arithmetic_walk, build_dyadic_la
                        extremal_upper_measure, geometric_walk, make_payoff, normalize, occupation_density_check,
                        swap_rate_bounds, vol_points)
 from varbounds import pathwise as pw
+from varbounds.lower import build_lp_grid
 from varbounds.swap import rate_from_vol_points
 
 BAD = (math.nan, math.inf, -math.inf, 0, -1, 5e-324, 1e308, "x", True, np.array([1.0, 2.0]))
@@ -59,6 +60,7 @@ LIBRARY = {
     "swap_rate_bounds.grid": lambda v: _bounds(grid=v),
     "swap_rate_bounds.quoted_rate": lambda v: _bounds(quoted_rate=v),
     "dp_lower_bound.grid": lambda v: dp_lower_bound(CHAIN, make_payoff(VANILLA), grid=v).measure.to_dict(),
+    "build_lp_grid.extra": lambda v: build_lp_grid(CHAIN, make_payoff(VANILLA), extra=[v]),
     "classify_european": lambda v: classify_european(CHAIN, make_payoff(VANILLA), v).to_dict(),
     "classify_swap_quote": lambda v: classify_swap_quote(CHAIN, VANILLA, v).to_dict(),
     "classify_rate_against_bounds": lambda v: classify_rate_against_bounds(v, 0.04, 0.09).to_dict(),

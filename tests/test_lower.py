@@ -14,7 +14,6 @@ from varbounds import (
     AtomicMeasure,
     C1Violation,
     OptionChain,
-    UnsupportedChain,
     WeightSpec,
     dp_lower_bound,
     feasible_policy_sets,
@@ -349,7 +348,7 @@ def assert_subhedge_contract(nc, payoff, measure):
     live = measure.weights > 1e-11
     contact = port.payoff(measure.atoms[live]) - payoff.value(measure.atoms[live])
     assert np.max(np.abs(contact)) <= 1e-8
-    target = measure.integrate(payoff) + port.tail_slope() * measure.mean_at_infinity
+    target = measure.integrate(payoff) + port.forward * measure.mean_at_infinity
     assert port.setup_cost(nc) == pytest.approx(target, abs=1e-8)
 
 
@@ -412,13 +411,18 @@ class TestPolicySets:
         sets = feasible_policy_sets(chain_of([1.0, 1.2], [0.1, 0.25]))
         np.testing.assert_allclose(sets, [[0.1, 0.75], [0.75, 1.0]])
 
+    # These two tests keep the names of a refusal that is gone: any consistent chain takes its window's sets.
     def test_unsupported_when_free_put(self):
-        with pytest.raises(UnsupportedChain):
-            feasible_policy_sets(chain_of([1.0], [0.0]))
+        # The free put at 1 is also the cap: the window is that strike alone, with no interval.
+        nc = chain_of([1.0], [0.0])
+        assert nc.window.n == 0
+        assert feasible_policy_sets(nc).shape == (0, 2)
 
     def test_unsupported_when_capped(self):
-        with pytest.raises(UnsupportedChain):
-            feasible_policy_sets(chain_of([2.0, 3.0], [1.0, 2.0]))
+        # The put at 2 prices at intrinsic value: the window ends there, one interval from the origin.
+        nc = chain_of([2.0, 3.0], [1.0, 2.0])
+        np.testing.assert_array_equal(feasible_policy_sets(nc), [[0.5, 1.0]])
+        np.testing.assert_array_equal(feasible_policy_sets(nc), feasible_policy_sets(nc.window))
 
     @pytest.mark.parametrize("weight,strikes,puts", DEGENERATE_POLICY_CHAINS[:3])
     def test_rounded_slopes_never_invert_an_interval(self, weight, strikes, puts):
@@ -493,8 +497,31 @@ class TestDpLowerBound:
             dp_lower_bound(nc, VANILLA)
 
     def test_unsupported_chain_propagates(self):
-        with pytest.raises(UnsupportedChain):
-            dp_lower_bound(chain_of([1.0], [0.0]), VANILLA)
+        # The name is historical: a window with no interval gives payoff(1) and the Dirac at the forward.
+        pinned = [chain_of([1.0], [0.0]), chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])]
+        for target in pinned + [nc.window for nc in pinned]:
+            for payoff in SUBHEDGE_PAYOFFS:
+                sol = dp_lower_bound(target, payoff)
+                assert sol.value == payoff.at_one()
+                np.testing.assert_array_equal(sol.measure.atoms, [1.0])
+                np.testing.assert_array_equal(sol.measure.weights, [1.0])
+
+    def test_solves_any_consistent_chain_on_its_window(self):
+        # The scale chains: 150 random chains, then 25 each with a free put, a cap, and both.
+        rng = np.random.default_rng(5)
+        chains = [random_consistent_chain(rng) for _ in range(150)]
+        chains += [trimmed_route_chain(rng, int(rng.integers(1, 9)), free, capped)
+                   for free, capped in ((True, False), (False, True), (True, True)) for _ in range(25)]
+        assert sum(nc.window is not nc for nc in chains) == 50
+        for nc in chains:
+            np.testing.assert_array_equal(feasible_policy_sets(nc), feasible_policy_sets(nc.window))
+            if nc.window is nc:
+                continue
+            for payoff in (VANILLA, GAMMA):
+                whole, window = dp_lower_bound(nc, payoff), dp_lower_bound(nc.window, payoff)
+                assert whole.value == window.value
+                np.testing.assert_array_equal(whole.measure.atoms, window.measure.atoms)
+                np.testing.assert_array_equal(whole.measure.weights, window.measure.weights)
 
     def test_solves_a_chain_capped_at_its_last_strike(self):
         # The put at 1.5 prices at intrinsic value 0.5: the chain is its own window.
@@ -922,7 +949,7 @@ class TestReconstruct:
                                 np.array([0.8218305910974543, 0.17816940889264488]), 0.16959956411545862)
         payoff = make_payoff(WeightSpec.corridor_down(1.5))
         port = reconstruct_subhedge(nc, payoff, measure)
-        assert port.tail_slope() == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert port.forward == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert port.setup_cost(nc) == pytest.approx(measure.integrate(payoff) + measure.mean_at_infinity / 3.0,
                                                     abs=1e-8)
 
@@ -1413,6 +1440,22 @@ class TestPortfolioUnits:
                 assert isinstance(value, float)
                 assert abs(value - dense[i]) < 1e-14 * scale[i]
 
+    def test_puts_and_strikes_share_one_shape(self):
+        with pytest.raises(ValueError, match="one shape"):
+            HedgePortfolio(1.5, 0.3, [1.0, -0.5], [1.0, 1.5, 2.0])
+
+    def test_strikes_strictly_increase(self):
+        for strikes in ([1.5, 1.0, 2.0], [1.0, 1.0, 2.0], [1.0, np.nan, 2.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                HedgePortfolio(1.5, 0.3, [1.0, -0.5, 0.2], strikes)
+
+
+class TestAtomicMeasure:
+    def test_atoms_and_weights_share_one_shape(self):
+        for atoms, weights in (([0.5, 1.5], [1.0]), ([[0.5, 1.5]], [[0.5, 0.5]])):
+            with pytest.raises(ValueError, match="one shape"):
+                AtomicMeasure(atoms, weights)
+
 
 class TestGridLp:
     def test_golden_instance(self):
@@ -1443,17 +1486,16 @@ class TestGridLp:
         assert measure.check(nc) == []
         assert window_excess(nc, GAMMA, port) <= 1e-8
 
+    # These two tests keep the names of an empty window: a cap below the free puts leaves its strike alone.
     def test_no_grid_without_a_window(self):
         nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])  # the cap lies below the free puts
-        with pytest.raises(ValueError, match="no window"):
-            build_lp_grid(nc, VANILLA)
+        np.testing.assert_array_equal(build_lp_grid(nc, VANILLA), [1.0])
 
     def test_no_window_pins_the_oracle_at_the_forward(self):
-        # On a grid of its own the LP has no strike to hold a node value:
-        # all mass sits at the forward, so the value is payoff(1).
+        # The one node value sits at the cap strike, 1 here, and the value is payoff(1).
         nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])
         for payoff in SUBHEDGE_PAYOFFS:
-            assert lower.solve_grid_lp(nc, payoff, np.geomspace(0.5, 2.0, 100)) == payoff.at_one()
+            assert grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff)) == payoff.at_one()
 
     @pytest.mark.parametrize("weight,strikes,puts", LP_GRID_BELOW_FORWARD_CHAINS)
     def test_grid_reaches_the_forward(self, weight, strikes, puts):

@@ -16,7 +16,7 @@ EXPORTED = {
     "AtomicMeasure", "BoundsReport", "C1Violation", "C2Function", "ChainError", "ChainStatus", "ChainVerdict",
     "ConvexPayoff", "DualExistence", "DualSolution", "HedgePortfolio", "InvalidPayoff", "LocalTimeProfile",
     "NegativeWeight", "NonMonotone", "NormalizedChain", "OptionChain", "PartitionLadder", "PriceVerdict",
-    "ReconstructionFailure", "SampledPath", "UnsupportedChain", "UpperBound", "VerdictStatus", "WeightSpec",
+    "ReconstructionFailure", "SampledPath", "UpperBound", "VerdictStatus", "WeightSpec",
     "arithmetic_walk", "bounds_payload", "build_dyadic_ladder", "check_c1", "classify_european",
     "classify_rate_against_bounds", "classify_swap_quote", "discrete_local_time", "dp_lower_bound",
     "dual_existence_lb", "extremal_upper_measure", "feasible_policy_sets", "follmer_integral", "geometric_walk",
@@ -29,7 +29,7 @@ EXPORTED = {
 def test_exported_names():
     exported = {name for name, value in vars(varbounds).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(EXPORTED) == 56
+    assert len(EXPORTED) == 55
     assert exported == EXPORTED
 
 

@@ -249,6 +249,11 @@ class TestLocalTime:
         profile = discrete_local_time(path, part, levels=np.array([0.25]))
         assert profile.values[0] == pytest.approx(2.0 * 0.75)
 
+    def test_levels_are_one_dimensional(self):
+        path = geometric_walk(3, n_steps=64)
+        with pytest.raises(ValueError, match="levels must be 1-d"):
+            discrete_local_time(path, np.arange(path.times.size), levels=np.array([[0.9, 1.0], [1.1, 1.2]]))
+
     def test_zero_outside_range(self):
         path = geometric_walk(3, n_steps=512)
         part = np.arange(path.times.size)

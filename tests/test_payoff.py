@@ -543,7 +543,7 @@ class TestDualExistence:
         # The zero hedge under 1/x: a gap of 1/k_n, and a tail slope phi = gamma = 0.
         nc, payoff = single_put_chain(0.4), make_payoff(WeightSpec.inverse())
         flat = HedgePortfolio(0.0, 0.0, np.zeros(1), nc.k[1:])
-        assert payoff.asymptotic_slope == flat.tail_slope() == 0.0
+        assert payoff.asymptotic_slope == flat.forward == 0.0
         assert dual_existence_lb(nc, payoff, flat) == DualExistence("fails")
 
     def test_vanilla_tail_divergence(self):

@@ -12,9 +12,10 @@ from varbounds import (
     extremal_upper_measure,
     make_payoff,
     normalize,
+    parse_weight,
     superhedge,
 )
-from varbounds.lower import _portfolio_from_nodes
+from varbounds.lower import HedgePortfolio, _portfolio_from_nodes
 from varbounds.upper import dominates_above
 from conftest import random_consistent_chain, single_put_chain, verification_grid
 
@@ -76,12 +77,17 @@ class TestSuperhedge:
             assert dominates_above(ub.portfolio, CORRIDOR_UP, nc, grid)
 
     def test_cap_below_the_free_puts_leaves_no_window(self):
-        # The put at 1 + 5e-13 is free, and caps the support below itself.
+        # The name is historical.  The put at 1 caps the support below the free put at 1 + 5e-13, so the
+        # window is the cap strike alone, and domination is checked there.
         nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])
-        assert nc.window.k.size == 0
-        ub = superhedge(nc, VANILLA)
-        assert ub.value == float(VANILLA.value(1.0))
-        assert dominates_above(ub.portfolio, VANILLA, nc, verification_grid(nc, VANILLA))
+        assert nc.window.k.tolist() == [1.0]
+        for weight in ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9", "inverse"):
+            payoff = make_payoff(parse_weight(weight))
+            ub = superhedge(nc, payoff)
+            assert ub.value == payoff.at_one()
+            assert dominates_above(ub.portfolio, payoff, nc)
+            cash = HedgePortfolio(payoff.at_one() - 1.0, 0.0, np.zeros(nc.n), nc.k[1:])
+            assert not dominates_above(cash, payoff, nc)
 
     def test_relaxed_origin_with_free_put(self):
         nc = chain_of([0.5, 1.2], [0.0, 0.4])
@@ -107,7 +113,7 @@ class TestSuperhedge:
         nc = chain_of([0.8, 2.0], [0.1, 1.0])
         ub = superhedge(nc, GAMMA)
         nodes = GAMMA.value(nc.window.k) - 1e-6 * (nc.window.k == 0.8)
-        low = _portfolio_from_nodes(nc, nodes, ub.portfolio.tail_slope())
+        low = _portfolio_from_nodes(nc, nodes, ub.portfolio.forward)
         grid = np.geomspace(1e-3, 50, 4000)
         on_window = grid[grid <= 2.0]
         assert np.all(low.payoff(on_window) >= GAMMA.value(on_window) - 1e-10)
@@ -194,7 +200,7 @@ class TestExtremalMeasure:
         with pytest.raises(ValueError):
             extremal_upper_measure(nc, 1.0)
 
-    # A one-strike cap at the forward, and a cap below the free puts (an empty window).
+    # A one-strike cap at the forward, and a cap below the free puts (the window is the cap strike alone).
     PINNED_CHAINS = [([1.0], [0.0]), ([1.0, 1.0 + 5e-13], [0.0, 0.0])]
 
     @pytest.mark.parametrize("strikes,puts", PINNED_CHAINS, ids=["one-strike", "empty-window"])
