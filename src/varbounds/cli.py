@@ -15,7 +15,7 @@ import sys
 
 from . import pathwise as pw
 from .chain import _count, load_chain, normalize
-from .lower import DEFAULT_GRID, MIN_GRID, DegeneratePolicy, ForwardViolation, ReconstructionFailure, _MAX_GRID
+from .lower import DEFAULT_GRID, MIN_GRID, ReconstructionFailure, _MAX_GRID
 from .serialize import round_floats
 from .swap import bounds_payload, rate_from_vol_points
 
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
         report, code = run_pathcheck(ns.input, ns.seed, ns.depth) if ns.command == "pathcheck" else run_bounds(ns)
         _emit(report, ns.format)
         return code
-    except (ValueError, OSError, ReconstructionFailure, DegeneratePolicy, ForwardViolation) as exc:
+    except (ValueError, OSError, ReconstructionFailure) as exc:
         sys.stderr.write(f"varbounds: error: {exc}\n")
         return 1
 

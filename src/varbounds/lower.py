@@ -48,8 +48,6 @@ from .chain import EQ_TOL, NormalizedChain, _count, validate_puts
 from .payoff import ConvexPayoff, check_c1
 
 _MIN_ATOM_WEIGHT = 1e-11  # a weight of at most this carries no atom, in the solve and in the measure
-_ATOM_BOX_TOL = 1e-10    # atom may exceed its interval by at most this
-_FORWARD_TOL = 1e-8
 _WEIGHT_SUM_TOL = 1e-10  # AtomicMeasure.check: weights sum to one to within this
 _MOMENT_TOL = 1e-8  # AtomicMeasure.check: forward and put prices repriced to within this
 _DOMINATION_TOL = 1e-8
@@ -70,16 +68,8 @@ class C1Violation(RuntimeError):
     """Payoff unbounded at the origin while the chain permits all near-zero mass at 0."""
 
 
-class ForwardViolation(RuntimeError):
-    """Policy measure fails the unit-forward constraint beyond tolerance."""
-
-
-class DegeneratePolicy(RuntimeError):
-    """Policy produces an atom outside its interval; the policy is infeasible."""
-
-
 class ReconstructionFailure(RuntimeError):
-    """The tangent subhedge failed domination, contact or cost; the message says which."""
+    """The policy solve did not converge, or its subhedge failed domination, contact or cost; the message says which."""
 
 
 class Unbounded(RuntimeError):
@@ -229,33 +219,23 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
     return np.column_stack([edges[:-1], edges[1:]])
 
 
-def atoms_from_policy(nchain: NormalizedChain, zeta) -> AtomicMeasure:
-    """Measure determined by a cumulative-weight policy.
+def _atoms_from_policy(nchain: NormalizedChain, zeta: np.ndarray) -> AtomicMeasure:
+    """Measure of a policy that ``_projected_newton`` returned, weights in their boxes.
 
-    Intervals with equal consecutive weights contribute no atom.  When the
-    final cumulative weight is exactly 1 the tail atom is omitted; the
+    Intervals with equal consecutive weights contribute no atom.  Each atom is
+    clipped into its interval: the boxes follow the running maximum of the
+    slopes and ``_atom`` the slope itself, so where a slope dips (by at most
+    ``EQ_TOL``) the formula can put the atom dk dip / w past its strike.  When
+    the final cumulative weight is exactly 1 the tail atom is omitted; the
     finite atoms then under-price the forward by the synthetic call value at
-    k_n, which the measure records as ``mean_at_infinity``.  A deficit that
-    differs from that call value raises :class:`ForwardViolation`.
+    k_n, up to rounding, which the measure records as ``mean_at_infinity``.
     """
-    zeta = np.asarray(zeta, dtype=float)
     k = nchain.k
     n = nchain.n
-    if zeta.shape != (n,):
-        raise ValueError(f"policy must have length {n}")
     prev = np.concatenate(([0.0], zeta[:-1]))
     w = zeta - prev
-    if np.any(w < -1e-12):
-        raise DegeneratePolicy(f"cumulative weights decrease at index {int(np.argmax(w < -1e-12)) + 1}")
     i = np.flatnonzero(w > _MIN_ATOM_WEIGHT) + 1
-    chi = _atom(nchain, i, prev[i - 1], zeta[i - 1])
-    # A weight a rounding off its slope moves the atom by dk * rounding / w.
-    tol = _ATOM_BOX_TOL + (k[i] - k[i - 1]) * _NOISE / w[i - 1]
-    escaped = (chi < k[i - 1] - tol) | (chi > k[i] + tol)
-    if np.any(escaped):
-        j = int(np.argmax(escaped))
-        raise DegeneratePolicy(f"atom {chi[j]:.12g} escapes interval [{k[i[j] - 1]:.12g}, {k[i[j]]:.12g}]")
-    atoms = list(np.clip(chi, k[i - 1], k[i]))
+    atoms = list(np.clip(_atom(nchain, i, prev[i - 1], zeta[i - 1]), k[i - 1], k[i]))
     weights = list(w[i - 1])
     tail_weight = 1.0 - float(zeta[-1])
     expected = _tail_constant(nchain)
@@ -263,14 +243,8 @@ def atoms_from_policy(nchain: NormalizedChain, zeta) -> AtomicMeasure:
     if tail_weight > _MIN_ATOM_WEIGHT:
         atoms.append(float(k[n] + expected / tail_weight))
         weights.append(tail_weight)
-    else:
+    elif expected != 0.0:  # no mass escapes a capped chain
         escape = 1.0 - float(np.dot(weights, atoms))
-        if abs(escape - expected) > _FORWARD_TOL:
-            raise ForwardViolation(
-                f"boundary policy mean deficit {escape:.12g} != call value {expected:.12g}"
-            )
-        if expected == 0.0:  # no mass escapes a capped chain
-            escape = 0.0
     merged = _merge_atoms(nchain, np.asarray(atoms), np.asarray(weights))
     return AtomicMeasure(merged.atoms, merged.weights, mean_at_infinity=escape)
 
@@ -647,10 +621,12 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
     accepted as optimal.  At the optimum the Newton step is rounding-wide,
     and its line search does not halve a step whose first-order gain is
     within rounding (``_line_search``): no shorter step can beat rounding.
+    Solves take a few dozen steps at most; one that takes 200 raises
+    :class:`ReconstructionFailure`.
     """
     lo, hi = sets[:, 0], sets[:, 1]
     state = _policy_state(nchain, payoff, _project(policy, lo, hi))
-    for _ in range(200):  # a cap only: solves take a few dozen steps at most
+    for _ in range(200):
         for direction in (_newton_direction, _inward_push, _vanishing_atom_release):
             d = direction(nchain, payoff, state, lo, hi)
             newton = direction is _newton_direction
@@ -660,7 +636,7 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
         else:
             return state.zeta
         state = new
-    return state.zeta
+    raise ReconstructionFailure("the policy solve did not converge in 200 Newton steps")
 
 
 def _require_c1(nchain, payoff) -> None:
@@ -688,7 +664,9 @@ def dp_lower_bound(
     Any consistent chain is solved on its window, where all its mass lies; the
     C1 condition is checked on the chain as given, since on the window it can
     be vacuous.  A window with no interval leaves payoff(1) by Jensen, the
-    Dirac at the forward.
+    Dirac at the forward.  Raises :class:`C1Violation` when the bound is
+    infinite, and :class:`ReconstructionFailure` when the Newton solve reaches
+    its cap of 200 steps.
     """
     sets = feasible_policy_sets(nchain)
     _require_c1(nchain, payoff)
@@ -698,7 +676,7 @@ def dp_lower_bound(
         return DualSolution(value=payoff.at_one(), measure=AtomicMeasure([1.0], [1.0]))
     grids = np.linspace(sets[:, 0], sets[:, 1], g, axis=1)
     policy = _projected_newton(window, payoff, sets, _solve_on_grids(window, payoff, grids))
-    measure = atoms_from_policy(window, policy)
+    measure = _atoms_from_policy(window, policy)
     gamma = payoff.asymptotic_slope
     tail_term = gamma * measure.mean_at_infinity if measure.mean_at_infinity > 0.0 else 0.0
     exact = measure.integrate(payoff) + tail_term
@@ -962,7 +940,9 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     of ``nchain.window`` and a tail slope phi of at most gamma, priced q.y + c phi at
     the window's implied masses q (0 within EQ_TOL: a node without mass is free) and
     call value c.  Rows are the grid points where mass can lie and the payoff is finite,
-    divided by x - k_m past k_m.
+    divided by x - k_m past k_m.  A grid that misses a window strike can leave that node
+    value free, a finite bound then reported :class:`Unbounded`, so it raises ``ValueError``;
+    ``build_lp_grid`` holds every strike.
     """
     from scipy.optimize import linprog  # only the oracle loads scipy
 
@@ -970,6 +950,9 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     q = np.diff(np.concatenate(([0.0], nchain.window.slopes, [1.0])))
     q[np.abs(q) <= EQ_TOL] = 0.0
     x = np.asarray(x_grid, dtype=float)
+    missing = k[~np.isin(k, x)]
+    if missing.size:
+        raise ValueError(f"the LP grid misses the window strike {float(missing[0])!r}")
     lam = payoff.value(x)
     keep = np.isfinite(lam) & (x >= k[0]) & ((x <= k[-1]) | (c > 0.0))
     x, lam = x[keep], lam[keep]
@@ -987,15 +970,16 @@ def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndar
     )
     if res.status == 3:
         raise Unbounded("grid LP unbounded: the lower bound is infinite")
-    if res.status != 0:
+    if res.status != 0:  # any other HiGHS status: infeasible, or a solver limit reached
         raise RuntimeError(f"grid LP failed: {res.message}")
     return float(-res.fun)
 
 
 def _merge_atoms(nchain: NormalizedChain, atoms: np.ndarray, weights: np.ndarray) -> AtomicMeasure:
-    """Replace all atoms within one inter-strike interval by their barycenter, in one pass."""
-    if atoms.size == 0:
-        return AtomicMeasure(atoms, weights)
+    """Replace all atoms within one inter-strike interval by their barycenter, in one pass.
+
+    There is always one: a policy's weights sum to 1, so one of them exceeds ``_MIN_ATOM_WEIGHT``.
+    """
     idx = np.searchsorted(nchain.k, atoms, side="right")
     order = np.argsort(idx, kind="stable")
     idx, atoms, weights = idx[order], atoms[order], weights[order]

@@ -309,14 +309,13 @@ def make_payoff(spec: WeightSpec) -> ConvexPayoff:
             tail_curvature_divergent=False,
             slope_inverse=_vectorized(lambda m: np.where(m < 0.0, 1.0 / np.sqrt(-m), np.inf)),
         )
-    if spec.kind == "custom":  # the stated value, slope, weight and limits; no barrier, no closed-form inverse
-        stated = spec.payoff
-        slope, base_value, origin = _vectorized(stated.slope), stated.value, stated.origin_value
-        value = _vectorized(lambda x: np.where(x == 0.0, origin, base_value(x)))  # value(0) is the stated limit
-        _check_custom(value, slope, stated)
-        return ConvexPayoff("custom", value, slope, _vectorized(stated.weight), origin, stated.asymptotic_slope,
-                            stated.affine_tail_threshold, stated.tail_curvature_divergent)
-    raise InvalidPayoff(f"unknown weight kind {spec.kind!r}")
+    # custom, the one kind left (WeightSpec refuses others): the stated value, slope, weight and limits
+    stated = spec.payoff
+    slope, base_value, origin = _vectorized(stated.slope), stated.value, stated.origin_value
+    value = _vectorized(lambda x: np.where(x == 0.0, origin, base_value(x)))  # value(0) is the stated limit
+    _check_custom(value, slope, stated)
+    return ConvexPayoff("custom", value, slope, _vectorized(stated.weight), origin, stated.asymptotic_slope,
+                        stated.affine_tail_threshold, stated.tail_curvature_divergent)
 
 
 def check_c1(nchain: NormalizedChain, payoff: ConvexPayoff) -> bool:

@@ -14,12 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from varbounds import (OptionChain, WeightSpec, arithmetic_walk, build_dyadic_ladder, classify_european,
-                       classify_rate_against_bounds, classify_swap_quote, cli, discrete_local_time, dp_lower_bound,
-                       extremal_upper_measure, geometric_walk, make_payoff, normalize, occupation_density_check,
-                       swap_rate_bounds, vol_points)
+from varbounds import (ChainError, InvalidPayoff, OptionChain, WeightSpec, arithmetic_walk, build_dyadic_ladder,
+                       classify_european, classify_rate_against_bounds, classify_swap_quote, cli, discrete_local_time,
+                       dp_lower_bound, extremal_upper_measure, geometric_walk, make_payoff, normalize,
+                       occupation_density_check, swap_rate_bounds, vol_points)
 from varbounds import pathwise as pw
 from varbounds.lower import build_lp_grid
+from varbounds.serialize import round_floats
 from varbounds.swap import rate_from_vol_points
 
 BAD = (math.nan, math.inf, -math.inf, 0, -1, 5e-324, 1e308, "x", True, np.array([1.0, 2.0]))
@@ -183,3 +184,37 @@ def test_depth_cap(monkeypatch):
         cli.run_pathcheck(None, 0, 15)
     with pytest.raises(ValueError, match="depth must be at most 15, got 16"):
         cli.run_pathcheck(None, 0, 16)
+
+
+RULES = {  # rule: (call, error, message)
+    "no strikes": (lambda: OptionChain(**{**MARKET, "strikes": [], "put_prices": []}), ChainError,
+                   "need at least one strike"),
+    "mismatched shapes": (lambda: OptionChain(**{**MARKET, "put_prices": PUTS[:2]}), ChainError,
+                          "strikes and put_prices must have matching shapes"),
+    "first strike at 0": (lambda: OptionChain(**{**MARKET, "strikes": [0.0, 1.0, 1.2]}), ChainError,
+                          "strikes must be positive"),
+    "unknown weight kind": (lambda: WeightSpec("cubic"), InvalidPayoff, "unknown weight kind 'cubic'"),
+    "custom without a ConvexPayoff": (lambda: WeightSpec("custom", payoff=np.log), InvalidPayoff,
+                                      "a custom weight needs a ConvexPayoff"),
+    "custom finite nowhere": (lambda: make_payoff(WeightSpec.custom(
+        lambda x: np.full_like(x, np.inf), np.zeros_like, origin_value=0.0, asymptotic_slope=0.0,
+        tail_curvature_divergent=False)), InvalidPayoff, "custom payoff not finite anywhere on the check grid"),
+    "test function of another type": (lambda: pw.verify_ito(WALK, np.square, LADDER), TypeError,
+                                      "f must be a ConvexPayoff or a C2Function"),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_input_rule(rule):
+    call, error, message = RULES[rule]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_nan_renders_as_a_string():
+    assert round_floats({"x": [math.nan, 0.1 + 0.2]}) == {"x": ["nan", 0.3]}
+
+
+def test_text_lines_indent_a_nested_list():
+    report = {"a": [[1.0, 2.0], {"b": 3.0}, 4.0]}
+    assert list(cli._text_lines(report, prefix="")) == ["a:", "    - 1.0", "    - 2.0", "    b: 3.0", "  - 4.0"]

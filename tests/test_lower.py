@@ -15,6 +15,7 @@ from varbounds import (
     C1Violation,
     OptionChain,
     WeightSpec,
+    check_c1,
     dp_lower_bound,
     feasible_policy_sets,
     grid_lp_oracle,
@@ -23,12 +24,13 @@ from varbounds import (
     parse_weight,
     reconstruct_subhedge,
     tighten_tail,
+    validate_puts,
 )
 from varbounds import lower
+from varbounds.chain import EQ_TOL
 from varbounds.lower import (
     HedgePortfolio,
     ReconstructionFailure,
-    atoms_from_policy,
     build_lp_grid,
     dominates_below,
     lp_lower_bound,
@@ -50,8 +52,8 @@ GAMMA = make_payoff(WeightSpec.gamma())
 CLI_WEIGHTS = ("vanilla", "gamma", "corridor-up:1.0", "corridor-down:0.9")
 GOLDENS = json.loads((Path(__file__).parent / "data" / "dp_lower_goldens.json").read_text())
 
-# Chains on which dp_lower_bound raised DegeneratePolicy when its weights
-# came from a local refinement and coordinate polish (weight, strikes, puts).
+# Chains on which dp_lower_bound refused an atom outside its interval when its
+# weights came from a local refinement and coordinate polish (weight, strikes, puts).
 DEGENERATE_POLICY_CHAINS = [
     (
         "gamma",
@@ -125,6 +127,12 @@ ROUNDED_SLOPES_CHAIN = (
     [0.02886724775683454, 0.1096458880179868, 0.12523604596532997, 0.18362546291306256,
      0.4439538476087015, 0.5586006656799847, 0.6729650532354583],
 )
+
+# s_2 lies 0.68 EQ_TOL below s_1, which validate_puts allows.  The boxes follow the running maximum of the
+# slopes and the atom formula the slope itself, so under gamma the atom of interval 2 comes out 1.8e-10 past
+# k_2 (strikes, puts).
+DIPPED_SLOPE_CHAIN = ([0.5758584500074987, 2.039009474570217, 2.0922363862987816],
+                      [0.3214924396518182, 1.138345943249842, 1.1770610862989854])
 
 # Chains whose tangent subhedge bridged a run of atom-free intervals with a
 # chord above the payoff (weight, strikes, puts): collinear k_4..k_8 under
@@ -395,6 +403,23 @@ def chain_of(strikes, prices):
     )
 
 
+def dipped_chain(rng):
+    """A random consistent chain with p_j lowered so that s_j dips (0.25, 0.95) EQ_TOL below s_{j-1}.
+
+    None where that leaves no consistent chain with one such dip, or the chain has one strike.
+    """
+    nc = random_consistent_chain(rng)
+    if nc.n < 2:
+        return None
+    j = int(rng.integers(2, nc.n + 1))
+    p = nc.p.copy()
+    p[j] = p[j - 1] + (nc.slopes[j - 2] - rng.uniform(0.25, 0.95) * EQ_TOL) * (nc.k[j] - nc.k[j - 1])
+    dipped = chain_of(nc.k[1:], p[1:])
+    dips = -np.diff(dipped.slopes)
+    one_dip = np.count_nonzero(dips > 0.0) == 1 and 0.25 * EQ_TOL < dips[j - 2] < 0.95 * EQ_TOL
+    return dipped if one_dip and validate_puts(dipped).is_consistent else None
+
+
 def affine_plus_inverse(alpha):
     return make_payoff(WeightSpec.custom(lambda x: 1.0 / x + alpha * x, lambda x: -1.0 / np.square(x) + alpha,
                                          lambda x: 2.0 / x, origin_value=math.inf, asymptotic_slope=alpha,
@@ -411,18 +436,23 @@ class TestPolicySets:
         sets = feasible_policy_sets(chain_of([1.0, 1.2], [0.1, 0.25]))
         np.testing.assert_allclose(sets, [[0.1, 0.75], [0.75, 1.0]])
 
-    # These two tests keep the names of a refusal that is gone: any consistent chain takes its window's sets.
-    def test_unsupported_when_free_put(self):
+    def test_no_set_when_the_window_is_one_strike(self):
         # The free put at 1 is also the cap: the window is that strike alone, with no interval.
         nc = chain_of([1.0], [0.0])
         assert nc.window.n == 0
         assert feasible_policy_sets(nc).shape == (0, 2)
 
-    def test_unsupported_when_capped(self):
+    def test_a_capped_chain_takes_the_sets_of_its_window(self):
         # The put at 2 prices at intrinsic value: the window ends there, one interval from the origin.
         nc = chain_of([2.0, 3.0], [1.0, 2.0])
         np.testing.assert_array_equal(feasible_policy_sets(nc), [[0.5, 1.0]])
         np.testing.assert_array_equal(feasible_policy_sets(nc), feasible_policy_sets(nc.window))
+
+    def test_refuses_an_inconsistent_chain(self):
+        nc = chain_of([0.8, 1.0, 1.2], [0.075, 0.2, 0.275])  # concave at 1.0: an arbitrage
+        assert not validate_puts(nc).is_consistent
+        with pytest.raises(ValueError, match="feasible policy sets need a consistent chain"):
+            feasible_policy_sets(nc)
 
     @pytest.mark.parametrize("weight,strikes,puts", DEGENERATE_POLICY_CHAINS[:3])
     def test_rounded_slopes_never_invert_an_interval(self, weight, strikes, puts):
@@ -452,7 +482,7 @@ class TestPolicySets:
 
 class TestAtomsFromPolicy:
     def test_regular_policy(self):
-        mu = atoms_from_policy(single_put_chain(0.4), [8.0 / 9.0])
+        mu = lower._atoms_from_policy(single_put_chain(0.4), np.array([8.0 / 9.0]))
         np.testing.assert_allclose(mu.atoms, [0.75, 3.0], atol=1e-12)
         np.testing.assert_allclose(mu.weights, [8.0 / 9.0, 1.0 / 9.0], atol=1e-12)
         assert mu.mean_at_infinity == 0.0
@@ -460,7 +490,7 @@ class TestAtomsFromPolicy:
 
     def test_boundary_policy_with_escape(self):
         nc = single_put_chain(0.6)
-        mu = atoms_from_policy(nc, [1.0])
+        mu = lower._atoms_from_policy(nc, np.array([1.0]))
         np.testing.assert_allclose(mu.atoms, [0.6], atol=1e-12)
         np.testing.assert_allclose(mu.weights, [1.0])
         assert mu.mean_at_infinity == pytest.approx(0.4, abs=1e-12)
@@ -468,9 +498,19 @@ class TestAtomsFromPolicy:
 
     def test_no_atom_for_flat_increment(self):
         nc = chain_of([1.0, 1.2], [0.1, 0.2])
-        mu = atoms_from_policy(nc, [0.5, 0.5])  # both at the shared endpoint
+        mu = lower._atoms_from_policy(nc, np.array([0.5, 0.5]))  # both at the shared endpoint
         assert mu.atoms.size == 2  # interval-2 atom absent, tail atom present
         assert mu.check(nc) == []
+
+    def test_an_atom_past_its_strike_is_clipped_onto_it(self):
+        nc = chain_of(*DIPPED_SLOPE_CHAIN)
+        assert -EQ_TOL < nc.slopes[1] - nc.slopes[0] < 0.0
+        zeta = dp_lower_bound(nc, GAMMA).policy
+        assert lower._atom(nc, 2, zeta[0], zeta[1]) > nc.k[2] + 1e-10
+        measure = lower._atoms_from_policy(nc, zeta)
+        assert nc.k[2] in measure.atoms
+        assert measure.check(nc) == []
+        assert_subhedge_contract(nc, GAMMA, measure)
 
 
 class TestDpLowerBound:
@@ -496,8 +536,8 @@ class TestDpLowerBound:
         with pytest.raises(C1Violation):
             dp_lower_bound(nc, VANILLA)
 
-    def test_unsupported_chain_propagates(self):
-        # The name is historical: a window with no interval gives payoff(1) and the Dirac at the forward.
+    def test_a_one_strike_window_gives_the_dirac_at_the_forward(self):
+        # A window with no interval gives payoff(1) and the Dirac at the forward.
         pinned = [chain_of([1.0], [0.0]), chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])]
         for target in pinned + [nc.window for nc in pinned]:
             for payoff in SUBHEDGE_PAYOFFS:
@@ -757,6 +797,12 @@ class TestLineSearch:
         # whose subhedge fails domination.
         report = swap_rate_bounds(chain_of(strikes, puts), parse_weight("gamma"))
         assert dominates_below(report.subhedge, GAMMA)
+
+    def test_the_newton_cap_raises(self, monkeypatch):
+        # A line search that accepts every step never lets the solve stop at an optimum.
+        monkeypatch.setattr(lower, "_line_search", lambda nchain, payoff, state, *args: state)
+        with pytest.raises(ReconstructionFailure, match="the policy solve did not converge in 200 Newton steps"):
+            dp_lower_bound(single_put_chain(0.4), INVERSE)
 
 
 class TestTridiagonalSolve:
@@ -1021,6 +1067,11 @@ class TestReconstruct:
         gap = GAMMA.value(0.0) - reconstruct_subhedge(nc, GAMMA, measure).payoff(0.0)
         assert 0.999e-9 <= gap <= 1e-9
 
+    def test_a_measure_without_atoms_is_refused(self):
+        # reconstruct_subhedge takes a caller's measure: with no atom there is no tangent to build on.
+        with pytest.raises(ReconstructionFailure, match="the measure has no atoms"):
+            reconstruct_subhedge(single_put_chain(0.4), INVERSE, AtomicMeasure([], []))
+
     def test_failure_names_the_check_and_its_size(self):
         # Away from the optimum the tangents at the atom and at the tail atom
         # miss each other at k_1 by the gradient g; the lower one wins there,
@@ -1028,7 +1079,7 @@ class TestReconstruct:
         # g chi / k_1.
         nc = single_put_chain(0.4)
         zeta = np.array([feasible_policy_sets(nc)[0].mean()])
-        measure = atoms_from_policy(nc, zeta)
+        measure = lower._atoms_from_policy(nc, zeta)
         g = lower._policy_state(nc, INVERSE, zeta).grad[0]
         expected = -g if g < 0.0 else g * measure.atoms[0] / nc.k[1]
         with pytest.raises(ReconstructionFailure, match="contact") as failure:
@@ -1456,6 +1507,22 @@ class TestAtomicMeasure:
             with pytest.raises(ValueError, match="one shape"):
                 AtomicMeasure(atoms, weights)
 
+    @pytest.mark.parametrize("fields,problem", [
+        ({"atoms": [-0.25, 3.0]}, "negative atom position"),
+        ({"weights": [8.0 / 9.0, -1.0 / 9.0]}, "negative weight"),
+        ({"weights": [8.0 / 9.0, 2.0 / 9.0]}, "weights sum to 1.11111111111"),
+        ({"mean_at_infinity": 0.1}, "forward constraint off by 0.1"),
+        # the atom at 0.75 split in two about it: the sums, the mean and the put stay
+        ({"atoms": [0.7, 0.8, 3.0], "weights": [4.0 / 9.0, 4.0 / 9.0, 1.0 / 9.0]},
+         "more than one atom in an inter-strike interval"),
+    ], ids=["atom", "weight", "sum", "forward", "interval"])
+    def test_check_names_each_corrupted_field(self, fields, problem):
+        # The optimal law of the single put at 0.4: atoms 0.75 and 3 of weights 8/9 and 1/9.
+        nc = single_put_chain(0.4)
+        measure = lower._atoms_from_policy(nc, np.array([8.0 / 9.0]))
+        assert measure.check(nc) == []
+        assert problem in replace(measure, **fields).check(nc)
+
 
 class TestGridLp:
     def test_golden_instance(self):
@@ -1485,6 +1552,19 @@ class TestGridLp:
         value, port, measure = lp_lower_bound(nc, GAMMA)
         assert measure.check(nc) == []
         assert window_excess(nc, GAMMA, port) <= 1e-8
+
+    def test_a_grid_that_misses_a_window_strike_is_refused(self):
+        nc = single_put_chain(0.4)
+        grid = build_lp_grid(nc, INVERSE)
+        with pytest.raises(ValueError, match="the LP grid misses the window strike 1.2"):
+            grid_lp_oracle(nc, INVERSE, grid[grid != 1.2])
+
+    def test_unbounded_where_the_c1_condition_fails(self):
+        # p_2 = (k_2 / k_1) p_1: all mass near 0 may sit at 0, where vanilla is infinite.
+        nc = chain_of([0.8, 1.0, 1.2], [0.08, 0.1, 0.25])
+        assert not check_c1(nc, VANILLA)
+        with pytest.raises(lower.Unbounded):
+            grid_lp_oracle(nc, VANILLA, build_lp_grid(nc, VANILLA))
 
     # These two tests keep the names of an empty window: a cap below the free puts leaves its strike alone.
     def test_no_grid_without_a_window(self):
@@ -1542,6 +1622,40 @@ class TestGridLp:
                 lp = grid_lp_oracle(nc, payoff, build_lp_grid(nc, payoff, extra=sol.measure.atoms))
                 assert lp <= sol.value + 5e-3
                 assert abs(lp - sol.value) <= 5e-3
+
+
+@pytest.fixture(scope="module")
+def dipped_chains():
+    """600 chains from ``dipped_chain`` on default_rng(7)."""
+    rng = np.random.default_rng(7)
+    chains = []
+    while len(chains) < 600:
+        nc = dipped_chain(rng)
+        if nc is not None:
+            chains.append(nc)
+    return chains
+
+
+class TestDippedSlopes:
+    """Chains convex only to within EQ_TOL: one slope dips below the one before it."""
+
+    @pytest.mark.parametrize("weight", CLI_WEIGHTS + ("inverse",))
+    def test_every_chain_solves_and_hedges(self, monkeypatch, dipped_chains, weight):
+        # Fewer grid points only raise the oracle, which keeps the 600 LPs to about 2 s.
+        monkeypatch.setattr(lower, "_LP_POINTS", 256)
+        payoff = PAYOFFS_BY_NAME[weight]
+        solved = 0
+        for nc in dipped_chains:
+            try:
+                value, port, measure = lp_lower_bound(nc, payoff)
+            except C1Violation:  # a dip at s_2 puts p_2 below (k_2 / k_1) p_1
+                assert not check_c1(nc, payoff)
+                continue
+            assert lower._subhedge_checks(nc, payoff, measure, port) is None
+            assert measure.check(nc) == []
+            assert value <= oracle_value(nc, payoff, measure) + 1e-9
+            solved += 1
+        assert solved >= 300
 
 
 class TestTrimmedRoute:
