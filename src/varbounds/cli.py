@@ -1,9 +1,9 @@
 """Command-line front end: chain bounds, quote classification, path checks.
 
 Exit codes: 0 for consistent outcomes (all checks pass), 2 for any arbitrage
-verdict or failed path check, 1 for input or usage errors.  JSON output
-serializes numbers at 12 significant digits so reports are stable golden
-files; infinities appear as the string "inf".
+verdict or failed path check, 1 for input or usage errors.  JSON output,
+written in one walk (``serialize._dumps``), serializes numbers at 12
+significant digits so reports are stable golden files; infinities appear as the string "inf".
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from . import pathwise as pw
 from .chain import _count, load_chain, normalize
 from .lower import DEFAULT_GRID, MIN_GRID, ReconstructionFailure, _MAX_GRID
-from .serialize import round_floats
+from .serialize import _dumps, round_floats
 from .swap import bounds_payload, rate_from_vol_points
 
 
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: dict, fmt: str) -> None:
-    print(json.dumps(round_floats(report), indent=2) if fmt == "json" else "\n".join(_text_lines(report, prefix="")))
+    print(_dumps(report) if fmt == "json" else "\n".join(_text_lines(report, prefix="")))
 
 
 def _text_lines(obj, prefix: str):

@@ -261,25 +261,27 @@ def _tail_constant(nchain: NormalizedChain) -> float:
 def _atom(nchain, i, a, b):
     """Atom of segment(s) ``i`` for cumulative weights (a, b), before clipping.
 
-    chi = k_i + dk (a - s_i) / w = k_{i-1} + dk (b - s_i) / w, w = b - a; the
-    form anchored at the nearer strike is exact when a weight sits at s_i.
+    chi = k_i + dk (a - s_i) / w = k_{i-1} + dk (b - s_i) / w, w = b - a; only the
+    form anchored at the nearer strike, exact when a weight sits at s_i, is computed.
     """
     lo = np.asarray(i) - 1  # indexed once: the kernel runs on every Newton trial
     with np.errstate(all="ignore"):
         k_lo, k_hi, s, w = nchain.k[lo], nchain.k[lo + 1], nchain.slopes[lo], b - a
-        right = k_hi + (k_hi - k_lo) * (a - s) / w
-        left = k_lo + (k_hi - k_lo) * (b - s) / w
-    return np.where(s - a <= b - s, right, left)
+        dk, c = k_hi - k_lo, s - a <= b - s
+        return np.where(c, k_hi, k_lo) + np.where(c, dk * (a - s), dk * (b - s)) / w
 
 
 def _segment_value(nchain, payoff, i, a, b):
-    """Term w * lambda(chi) of segment(s) ``i``; ``i``, ``a`` and ``b`` broadcast."""
-    k = nchain.k
+    """Term w * lambda(chi) of segment(s) ``i``; ``i``, ``a`` and ``b`` broadcast.
+
+    A weight w <= ``_MIN_ATOM_WEIGHT`` has no atom: its term is 0, inf below -1e-12.
+    """
     w = b - a
-    live = w > _MIN_ATOM_WEIGHT
-    chi = np.clip(_atom(nchain, i, a, b), k[i - 1], k[i])
     with np.errstate(all="ignore"):
-        return np.where(live, w * payoff.value(chi), np.where(w >= -1e-12, 0.0, np.inf))
+        out = w * payoff.value(np.clip(_atom(nchain, i, a, b), nchain.k[i - 1], nchain.k[i]))
+    dead = ~(w > _MIN_ATOM_WEIGHT)
+    out[dead] = np.where(w[dead] >= -1e-12, 0.0, np.inf)
+    return out
 
 
 def _tail_limit(nchain, payoff) -> float:
@@ -309,20 +311,20 @@ def policy_objective(nchain: NormalizedChain, payoff: ConvexPayoff, zeta) -> flo
 def _solve_on_grids(nchain, payoff, grids: np.ndarray) -> np.ndarray:
     """Backwards recursion over a policy grid per interval (a row of ``grids``); the best grid policy.
 
-    The segment terms of a block of intervals come from one kernel call,
-    about ``_GRID_BLOCK`` grid pairs at a time.
+    The segment terms of a block of intervals come from one kernel call, about
+    ``_GRID_BLOCK`` grid pairs at a time, and each interval's step sums into one (g, g) buffer.
     """
     n, g = grids.shape
     V = _tail_value(nchain, payoff, grids[n - 1])
-    choices = np.zeros((n, g), dtype=int)
+    choices, M, rows = np.zeros((n, g), dtype=int), np.empty((g, g)), np.arange(g)
     block = _GRID_BLOCK // (g * g)  # at least one interval, as g <= _MAX_GRID
     for stop in range(n - 1, 0, -block):
         j = np.arange(max(stop - block, 0) + 1, stop + 1)
         terms = _segment_value(nchain, payoff, j[:, None, None] + 1, grids[j - 1][:, :, None], grids[j][:, None, :])
-        for jj in range(j.size - 1, -1, -1):
-            M = terms[jj] + V[None, :]
-            choices[j[jj]] = np.argmin(M, axis=1)
-            V = M[np.arange(g), choices[j[jj]]]
+        for jj, term in zip(range(stop, 0, -1), terms[::-1]):  # intervals stop, stop - 1, ..., j[0]
+            np.add(term, V, out=M)
+            choices[jj] = M.argmin(axis=1)
+            V = M[rows, choices[jj]]
     i = int(np.argmin(_segment_value(nchain, payoff, 1, 0.0, grids[0]) + V))
     policy = np.empty(n)
     policy[0] = grids[0][i]

@@ -182,8 +182,7 @@ class TestWindow:
         assert nc.window.p[0] == 1e-12
         assert validate_puts(nc).is_consistent and validate_puts(nc.window).is_consistent
 
-    def test_empty_when_the_cap_lies_below_the_free_puts(self):
-        # The name is historical: the window is the cap strike alone.
+    def test_a_cap_below_the_free_puts_leaves_the_cap_strike_alone(self):
         nc = normalize(make_chain([1.0, 1.0 + 5e-13], [0.0, 0.0]))
         assert nc.top_index < nc.n_min and (nc.n_min, nc.n_max) == (2, 1)
         window = nc.window

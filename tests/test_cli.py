@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varbounds
 from varbounds import OptionChain, cli, load_chain, lower, make_payoff, normalize, parse_weight, superhedge
 from varbounds.cli import main, parse_report, round_floats
 from varbounds.lower import lp_lower_bound
+from varbounds.serialize import _dumps
 from varbounds.swap import classify_european
 
 DATA = Path(__file__).parent / "data"
@@ -546,3 +549,59 @@ class TestSerialization:
         assert parsed["x"] == float("inf")
         assert parsed["y"][1] == float("-inf")
         assert parsed["z"] == "keep"
+
+
+# Nested payloads for the writer: every JSON type, np.float64, and tuples (written as lists).
+PAYLOADS = st.recursive(
+    st.floats() | st.floats().map(np.float64) | st.integers() | st.booleans() | st.none() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+class TestOneWalkWriter:
+    """``serialize._dumps`` writes what ``json.dumps(round_floats(obj), indent=2)`` does, byte for byte."""
+
+    @staticmethod
+    def assert_as_json(obj):
+        assert _dumps(obj) == json.dumps(round_floats(obj), indent=2)
+
+    def test_every_decimal_exponent(self):
+        mantissas = ("1", "1.5", "2.2250738585072014", "4.94065645841247", "9.999999999995", "9.9999999999949",
+                     "1.23456789012345678", "7")
+        floats = [float(f"{sign}{m}e{e}") for e in range(-330, 309) for m in mantissas for sign in "+-"]
+        assert any(0.0 < x < sys.float_info.min for x in floats) and 5e-324 in floats
+        self.assert_as_json({"floats": floats, "float64": [np.float64(x) for x in floats]})
+
+    def test_from_1e12_to_1e16(self):
+        # '%.12g' writes an exponent from 1e12, repr only from 1e16.
+        band = np.geomspace(1e12, 1e16, 4001).tolist()
+        edges = [np.nextafter(1e12, 0.0), 999999999999.5, 1e12, 123456789012345.0, 9999999999999998.0, 1e16]
+        self.assert_as_json([band, edges, [-x for x in band + edges]])
+
+    def test_integral_floats_and_specials(self):
+        integral = [float(v) for v in range(-300, 300)] + [2.0**52, 2.0**53, 1e22, 2.9999999999999, -0.99999999999999]
+        self.assert_as_json({"integral": integral, "zeros": [0.0, -0.0], "specials": [math.inf, -math.inf, math.nan]})
+
+    def test_every_other_type(self):
+        # bools before ints; None; escaped and non-ASCII strings; empty containers; tuples.
+        self.assert_as_json({"bools": [True, False, 1, 0], "none": None, "big": [2**100, -(2**70)],
+                             "strings": ["", "é☃\U0001f600", 'quote " backslash \\ tab \t'], "empty": [[], {}, ()],
+                             "tuple": (1.5, (2.0, "x")), "nested": {"a": {"b": [{"c": []}]}}})
+
+    @given(PAYLOADS)
+    @settings(max_examples=100, deadline=None)
+    def test_nested_payloads(self, obj):
+        self.assert_as_json(obj)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1.5}, np.array([1.0])])
+    def test_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(round_floats([value]), indent=2)
+        with pytest.raises(TypeError):
+            _dumps([value])
+
+    def test_refuses_a_key_that_is_not_a_string(self):
+        # json.dumps would write 1 as "1"; the writer takes string keys only, as every report has.
+        with pytest.raises(TypeError):
+            _dumps({1: 2.0})

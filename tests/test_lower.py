@@ -985,6 +985,129 @@ def edge_policies(nc, rng):
             yield z
 
 
+def two_form_atom(nchain, i, a, b):
+    """``lower._atom`` as it stood before its one-form kernel: both forms on every pair, then a choice."""
+    lo = np.asarray(i) - 1
+    with np.errstate(all="ignore"):
+        k_lo, k_hi, s, w = nchain.k[lo], nchain.k[lo + 1], nchain.slopes[lo], b - a
+        right = k_hi + (k_hi - k_lo) * (a - s) / w
+        left = k_lo + (k_hi - k_lo) * (b - s) / w
+    return np.where(s - a <= b - s, right, left)
+
+
+def two_form_segment_value(nchain, payoff, i, a, b):
+    """``lower._segment_value`` on ``two_form_atom``, with its two full ``np.where`` passes."""
+    k = nchain.k
+    w = b - a
+    live = w > lower._MIN_ATOM_WEIGHT
+    chi = np.clip(two_form_atom(nchain, i, a, b), k[i - 1], k[i])
+    with np.errstate(all="ignore"):
+        return np.where(live, w * payoff.value(chi), np.where(w >= -1e-12, 0.0, np.inf))
+
+
+def two_form_solve_on_grids(nchain, payoff, grids):
+    """``lower._solve_on_grids`` on ``two_form_segment_value``, with a new (g, g) sum per interval."""
+    n, g = grids.shape
+    V = lower._tail_value(nchain, payoff, grids[n - 1])
+    choices = np.zeros((n, g), dtype=int)
+    block = lower._GRID_BLOCK // (g * g)
+    for stop in range(n - 1, 0, -block):
+        j = np.arange(max(stop - block, 0) + 1, stop + 1)
+        terms = two_form_segment_value(nchain, payoff, j[:, None, None] + 1, grids[j - 1][:, :, None],
+                                       grids[j][:, None, :])
+        for jj in range(j.size - 1, -1, -1):
+            M = terms[jj] + V[None, :]
+            choices[j[jj]] = np.argmin(M, axis=1)
+            V = M[np.arange(g), choices[j[jj]]]
+    i = int(np.argmin(two_form_segment_value(nchain, payoff, 1, 0.0, grids[0]) + V))
+    policy = np.empty(n)
+    policy[0] = grids[0][i]
+    for j in range(1, n):
+        i = int(choices[j][i])
+        policy[j] = grids[j][i]
+    return policy
+
+
+def policy_grids(nc, g):
+    sets = feasible_policy_sets(nc)
+    return np.linspace(sets[:, 0], sets[:, 1], g, axis=1)
+
+
+def assert_as_two_form(nc, payoff, grids):
+    """The recursion on ``grids`` gets the two-form kernel's segment terms and policy, bit for bit.
+
+    Every block of terms is checked as the recursion evaluates it.  Returns
+    the smallest weight b - a of a grid pair.
+    """
+    segment_value, smallest = lower._segment_value, []
+
+    def checked(nchain, payoff, i, a, b):
+        terms = segment_value(nchain, payoff, i, a, b)
+        assert np.array_equal(terms, two_form_segment_value(nchain, payoff, i, a, b), equal_nan=True)
+        smallest.append(np.min(b - a))
+        return terms
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lower, "_segment_value", checked)
+        policy = lower._solve_on_grids(nc, payoff, grids)
+    assert np.array_equal(policy, two_form_solve_on_grids(nc, payoff, grids))
+    return min(smallest)
+
+
+def assert_objective_as_two_form(nc, payoff, zeta):
+    """The Newton kernel's atoms and both objective values equal the two-form kernel's on ``zeta``."""
+    i, prev = np.arange(1, nc.n + 1), np.concatenate(([0.0], zeta[:-1]))
+    assert np.array_equal(lower._atom(nc, i, prev, zeta), two_form_atom(nc, i, prev, zeta), equal_nan=True)
+    value = np.sum(two_form_segment_value(nc, payoff, i, prev, zeta)) + lower._tail_value(nc, payoff, zeta[-1])
+    assert policy_objective(nc, payoff, zeta) == float(value) == lower._policy_state(nc, payoff, zeta).value
+
+
+class TestOneFormAtomKernel:
+    """``_atom`` computes the form anchored at the nearer strike alone; every caller gets the same bits."""
+
+    PAYOFFS = SUBHEDGE_PAYOFFS[:5]  # the five built-in weights
+
+    def test_scale_chains(self):
+        rng = np.random.default_rng(5)
+        chains = [random_consistent_chain(rng) for _ in range(150)]
+        chains += [trimmed_route_chain(rng, int(rng.integers(1, 9)), free, capped)
+                   for free, capped in ((True, False), (False, True), (True, True)) for _ in range(25)]
+        for nc in (nc.window for nc in chains):
+            if nc.n < 1:
+                continue
+            for payoff in self.PAYOFFS:
+                assert_as_two_form(nc, payoff, policy_grids(nc, 32))
+                policy = lower._solve_on_grids(nc, payoff, policy_grids(nc, 32))
+                for zeta in (policy, *edge_policies(nc, rng)):
+                    assert_objective_as_two_form(nc, payoff, zeta)
+
+    @pytest.mark.parametrize("grid", [8, 32, 256])
+    @pytest.mark.parametrize("sigma", [0.2, 0.5])
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_dense_chains(self, n, sigma, grid):
+        nc = lognormal_chain(n, sigma)
+        for payoff in self.PAYOFFS:
+            assert_as_two_form(nc, payoff, policy_grids(nc, grid))
+
+    @pytest.mark.parametrize("weight,strikes,puts", COLLINEAR_STRETCH_CHAINS)
+    def test_collinear_quotes(self, weight, strikes, puts):
+        # Collinear quotes collapse an interval to one point: every grid pair about it has w >= 0, and some w = 0.
+        nc = chain_of(strikes, puts)
+        grids = policy_grids(nc, 8)
+        assert np.any(np.ptp(grids, axis=1) == 0.0)
+        for payoff in self.PAYOFFS:
+            assert assert_as_two_form(nc, payoff, grids) == 0.0
+
+    def test_a_grid_one_ulp_past_its_edge(self):
+        # The last point of interval 1 lies one ulp above the edge it shares with
+        # interval 2, so the pair of that point and the edge has w = -1 ulp.
+        nc = lognormal_chain(50, 0.2)
+        grids = policy_grids(nc, 8)
+        grids[0, -1] = np.nextafter(grids[0, -1], 2.0)
+        for payoff in self.PAYOFFS:
+            assert -1e-15 < assert_as_two_form(nc, payoff, grids) < 0.0
+
+
 class TestReconstruct:
     def test_the_escaped_mean_prices_at_the_tail_slope(self):
         # Mass m escapes and the last atom sits one ulp past k_n, so the hedge takes that atom's tangent,
@@ -1566,12 +1689,11 @@ class TestGridLp:
         with pytest.raises(lower.Unbounded):
             grid_lp_oracle(nc, VANILLA, build_lp_grid(nc, VANILLA))
 
-    # These two tests keep the names of an empty window: a cap below the free puts leaves its strike alone.
-    def test_no_grid_without_a_window(self):
-        nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])  # the cap lies below the free puts
+    def test_a_one_strike_window_grids_its_strike_alone(self):
+        nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])  # the cap lies below the free puts: the window is the cap
         np.testing.assert_array_equal(build_lp_grid(nc, VANILLA), [1.0])
 
-    def test_no_window_pins_the_oracle_at_the_forward(self):
+    def test_a_one_strike_window_gives_the_oracle_payoff_at_the_forward(self):
         # The one node value sits at the cap strike, 1 here, and the value is payoff(1).
         nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])
         for payoff in SUBHEDGE_PAYOFFS:

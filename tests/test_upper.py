@@ -76,8 +76,8 @@ class TestSuperhedge:
             grid = verification_grid(nc, CORRIDOR_UP)
             assert dominates_above(ub.portfolio, CORRIDOR_UP, nc, grid)
 
-    def test_cap_below_the_free_puts_leaves_no_window(self):
-        # The name is historical.  The put at 1 caps the support below the free put at 1 + 5e-13, so the
+    def test_a_cap_below_the_free_puts_is_checked_at_the_cap_strike(self):
+        # The put at 1 caps the support below the free put at 1 + 5e-13, so the
         # window is the cap strike alone, and domination is checked there.
         nc = chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])
         assert nc.window.k.tolist() == [1.0]
