@@ -219,33 +219,15 @@ def feasible_policy_sets(nchain: NormalizedChain) -> np.ndarray:
     return np.column_stack([edges[:-1], edges[1:]])
 
 
-def _atoms_from_policy(nchain: NormalizedChain, zeta: np.ndarray) -> AtomicMeasure:
-    """Measure of a policy that ``_projected_newton`` returned, weights in their boxes.
+def _atoms_from_policy(nchain: NormalizedChain, state: _PolicyState) -> AtomicMeasure:
+    """Measure of the state that ``_projected_newton`` returned: its live atoms, merged one to an interval.
 
-    Intervals with equal consecutive weights contribute no atom.  Each atom is
-    clipped into its interval: the boxes follow the running maximum of the
-    slopes and ``_atom`` the slope itself, so where a slope dips (by at most
-    ``EQ_TOL``) the formula can put the atom dk dip / w past its strike.  When
-    the final cumulative weight is exactly 1 the tail atom is omitted; the
-    finite atoms then under-price the forward by the synthetic call value at
-    k_n, up to rounding, which the measure records as ``mean_at_infinity``.
+    With no tail atom on an uncapped chain, the finite atoms under-price the forward by the call
+    value at k_n, up to rounding, which the measure records as ``mean_at_infinity``.
     """
-    k = nchain.k
-    n = nchain.n
-    prev = np.concatenate(([0.0], zeta[:-1]))
-    w = zeta - prev
-    i = np.flatnonzero(w > _MIN_ATOM_WEIGHT) + 1
-    atoms = list(np.clip(_atom(nchain, i, prev[i - 1], zeta[i - 1]), k[i - 1], k[i]))
-    weights = list(w[i - 1])
-    tail_weight = 1.0 - float(zeta[-1])
-    expected = _tail_constant(nchain)
-    escape = 0.0
-    if tail_weight > _MIN_ATOM_WEIGHT:
-        atoms.append(float(k[n] + expected / tail_weight))
-        weights.append(tail_weight)
-    elif expected != 0.0:  # no mass escapes a capped chain
-        escape = 1.0 - float(np.dot(weights, atoms))
-    merged = _merge_atoms(nchain, np.asarray(atoms), np.asarray(weights))
+    atoms, weights = state.atoms[state.live], state.weights[state.live]
+    escape = 0.0 if state.live[-1] or _tail_constant(nchain) == 0.0 else 1.0 - float(np.dot(weights, atoms))
+    merged = _merge_atoms(nchain, atoms, weights)
     return AtomicMeasure(merged.atoms, merged.weights, mean_at_infinity=escape)
 
 
@@ -271,33 +253,42 @@ def _atom(nchain, i, a, b):
         return np.where(c, k_hi, k_lo) + np.where(c, dk * (a - s), dk * (b - s)) / w
 
 
-def _segment_value(nchain, payoff, i, a, b):
-    """Term w * lambda(chi) of segment(s) ``i``; ``i``, ``a`` and ``b`` broadcast.
+def _has_atom(w):
+    """The no-atom rule: a segment or tail weight has an atom when it exceeds ``_MIN_ATOM_WEIGHT`` (NaN does not)."""
+    return w > _MIN_ATOM_WEIGHT
 
-    A weight w <= ``_MIN_ATOM_WEIGHT`` has no atom: its term is 0, inf below -1e-12.
-    """
-    w = b - a
-    with np.errstate(all="ignore"):
-        out = w * payoff.value(np.clip(_atom(nchain, i, a, b), nchain.k[i - 1], nchain.k[i]))
-    dead = ~(w > _MIN_ATOM_WEIGHT)
+
+def _segment_terms(w, lam, live):
+    """Terms w lambda(chi), ``lam`` at the atoms; a weight with no atom (not ``live``) gives 0, inf below -1e-12."""
+    out = w * lam
+    dead = ~live
     out[dead] = np.where(w[dead] >= -1e-12, 0.0, np.inf)
     return out
 
 
-def _tail_limit(nchain, payoff) -> float:
-    """Limit gamma c of the tail term as its weight vanishes; 0 on a capped chain (c = 0)."""
+def _segment_value(nchain, payoff, i, a, b):
+    """Term w * lambda(chi) of segment(s) ``i``; ``i``, ``a`` and ``b`` broadcast."""
+    w = b - a
+    with np.errstate(all="ignore"):
+        lam = payoff.value(np.clip(_atom(nchain, i, a, b), nchain.k[i - 1], nchain.k[i]))
+        return _segment_terms(w, lam, _has_atom(w))
+
+
+def _tail_term(nchain, payoff, w, lam, live):
+    """Tail term w lambda(chi_t), ``lam`` the payoff at the tail atom; with no atom (not ``live``) the
+    limit gamma c as w vanishes, 0 on a capped chain (c = 0), to which the objective jumps."""
     c, gamma = _tail_constant(nchain), payoff.asymptotic_slope
-    return 0.0 if c == 0.0 else gamma * c if math.isfinite(gamma) else math.inf
+    limit = 0.0 if c == 0.0 else gamma * c if math.isfinite(gamma) else math.inf
+    return np.where(live, w * lam, limit)
 
 
 def _tail_value(nchain, payoff, z):
-    """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit (``_tail_limit``) at z = 1."""
-    c = _tail_constant(nchain)
+    """Tail term (1 - z) lambda(k_n + c / (1 - z)), with its analytic limit (``_tail_term``) at z = 1."""
     w = 1.0 - z
-    live = w > _MIN_ATOM_WEIGHT
+    live = _has_atom(w)
     with np.errstate(all="ignore"):
-        vals = w * payoff.value(nchain.k[-1] + c / np.where(live, w, 1.0))
-    return np.where(live, vals, _tail_limit(nchain, payoff))
+        lam = payoff.value(nchain.k[-1] + _tail_constant(nchain) / np.where(live, w, 1.0))
+        return _tail_term(nchain, payoff, w, lam, live)
 
 
 def policy_objective(nchain: NormalizedChain, payoff: ConvexPayoff, zeta) -> float:
@@ -403,13 +394,22 @@ def _step_alone(fn, a, b, fa, fb, t, kept, tol, steps) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _PolicyState:
-    """Policy objective at ``zeta`` with its gradient and tridiagonal Hessian (diag, off)."""
+    """Policy objective at ``zeta`` with its gradient and tridiagonal Hessian (diag, off), and its measure:
+    the atoms and weights of the n segments and the tail, and which of them carry an atom (``live``)."""
 
     zeta: np.ndarray
     value: float
     grad: np.ndarray
     diag: np.ndarray
     off: np.ndarray
+    atoms: np.ndarray
+    weights: np.ndarray
+    live: np.ndarray
+
+    @property
+    def noise(self) -> float:
+        """Rounding level of the objective here: no change or slope within it is real."""
+        return _NOISE * (1.0 + abs(self.value))
 
 
 def _policy_state(nchain, payoff, zeta) -> _PolicyState:
@@ -419,33 +419,37 @@ def _policy_state(nchain, payoff, zeta) -> _PolicyState:
     to grad[i-1], -T_i(k_{i-1}) to grad[i-2] and lambda''(chi) / w [[A^2, AB],
     [AB, B^2]] to the Hessian, A = chi - k_{i-1}, B = k_i - chi; the tail adds
     its term, -T_{n+1}(k_n) and lambda''(chi_t) (chi_t - k_n)^2 / w_t.  A
-    vanishing atom (w <= ``_MIN_ATOM_WEIGHT``) takes its one-sided limits,
-    chi = k_i as zeta_i rises and chi = k_{i-1} as zeta_{i-1} falls, and adds no curvature.  One call of
+    vanishing atom (no atom by ``_has_atom``) takes its one-sided limits,
+    chi = k_i as zeta_i rises and chi = k_{i-1} as zeta_{i-1} falls, and adds no
+    curvature; a vanishing tail is read at weight ``_MIN_ATOM_WEIGHT``.  One call of
     each payoff function serves all points; the value is ``policy_objective``'s.
     """
     k, n = nchain.k, zeta.size
     prev = np.concatenate(([0.0], zeta[:-1]))
-    w = zeta - prev
-    live = w > _MIN_ATOM_WEIGHT
-    chi = np.where(live, np.clip(_atom(nchain, np.arange(1, n + 1), prev, zeta), k[:-1], k[1:]), k[1:])
-    w_tail = 1.0 - float(zeta[-1])
-    chi_tail = k[-1] + _tail_constant(nchain) / max(w_tail, _MIN_ATOM_WEIGHT)
+    weights = np.append(zeta - prev, 1.0 - float(zeta[-1]))
+    live = _has_atom(weights)
+    w, on = weights[:n], live[:n]
+    # The boxes follow the running maximum of the slopes and _atom the slope itself, so where
+    # a slope dips (by at most EQ_TOL) the formula can put the atom dk dip / w past its strike.
+    chi = np.where(on, np.clip(_atom(nchain, np.arange(1, n + 1), prev, zeta), k[:-1], k[1:]), k[1:])
+    w_read = max(weights[-1], _MIN_ATOM_WEIGHT)
+    atoms = np.append(chi, k[-1] + _tail_constant(nchain) / w_read)
     # Tangent points: the atoms (right ends), the atoms or vanishing limits
     # k_{i-1} (left ends of segments 2..n), the tail atom (its left end k_n).
-    x = np.concatenate((chi, np.where(live[1:], chi[1:], k[1:-1]), [chi_tail]))
+    x = np.concatenate((chi, np.where(on[1:], chi[1:], k[1:-1]), atoms[-1:]))
     with np.errstate(all="ignore"):
         lam = payoff.value(x)
         tangent = lam + payoff.slope(x) * (np.concatenate((k[1:], k[1:-1], k[-1:])) - x)
-        curvature = payoff.curvature(np.append(chi, chi_tail))
-        segments = np.where(live, w * lam[:n], np.where(w >= -1e-12, 0.0, np.inf))
-        tail = w_tail * lam[-1] if w_tail > _MIN_ATOM_WEIGHT else _tail_limit(nchain, payoff)
-        h = np.where(live, curvature[:n] / np.where(live, w, 1.0), 0.0)
+        curvature = payoff.curvature(atoms)
+        tail = _tail_term(nchain, payoff, weights[-1], lam[-1], live[-1])
+        value = float(np.sum(_segment_terms(w, lam[:n], on)) + tail)
+        h = np.where(on, curvature[:n] / np.where(on, w, 1.0), 0.0)
         A, B = chi - k[:-1], k[1:] - chi
         diag = h * B * B
         diag[:-1] += (h * A * A)[1:]
-        diag[-1] += curvature[-1] * (chi_tail - k[-1]) ** 2 / max(w_tail, _MIN_ATOM_WEIGHT)
+        diag[-1] += curvature[-1] * (atoms[-1] - k[-1]) ** 2 / w_read
         off = (h * A * B)[1:]
-    return _PolicyState(zeta, float(np.sum(segments) + tail), tangent[:n] - tangent[n:], diag, off)
+    return _PolicyState(zeta, value, tangent[:n] - tangent[n:], diag, off, atoms, weights, live)
 
 
 def _kkt_residual(state: _PolicyState, lo, hi, among=slice(None)) -> float:
@@ -512,7 +516,7 @@ def _newton_direction(nchain, payoff, state: _PolicyState, lo, hi) -> np.ndarray
     """
     g, z = state.grad, state.zeta
     # An affine stretch (no curvature, a slope of rounding): the floor below would throw the weight across its box.
-    flat = (state.diag == 0.0) & (np.abs(g) <= _NOISE * (1.0 + abs(state.value)))
+    flat = (state.diag == 0.0) & (np.abs(g) <= state.noise)
     pinned = flat | (lo >= hi) | ((z <= lo) & (g >= 0.0)) | ((z >= hi) & (g <= 0.0))
     idx = np.flatnonzero(~pinned & np.isfinite(g) & (state.diag != np.inf))
     d = np.zeros_like(z)
@@ -586,13 +590,13 @@ def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi, newton=False) -
     sum |g_i d_i| over the finite slopes is within rounding: the projection
     moves no weight further than alpha |d_i|, so by convexity no shorter
     step lowers the objective by more than that sum.  The bound needs a
-    convex objective, which the jump of ``_tail_value`` at
+    convex objective, which the jump of ``_tail_term`` at
     ``_MIN_ATOM_WEIGHT`` breaks, so the full step is still tried.  It does
     not hold for the other directions: an inward push moves only weights of
     infinite slope, and a release gains from a kink the gradient misses.
     """
     finite = np.isfinite(state.grad)
-    noise = _NOISE * (1.0 + abs(state.value))
+    noise = state.noise
     at_floor = newton and float(np.sum(np.abs(state.grad[finite] * d[finite]))) <= noise
     alpha = 1.0
     for _ in range(60):
@@ -614,8 +618,8 @@ def _line_search(nchain, payoff, state: _PolicyState, d, lo, hi, newton=False) -
     return None
 
 
-def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
-    """Minimize the convex policy objective over the boxes A_i.
+def _projected_newton(nchain, payoff, sets, policy) -> _PolicyState:
+    """Minimize the convex policy objective over the boxes A_i; the state at the optimum.
 
     Projected Newton with active-set release (Bertsekas, SIAM J. Control
     Optim. 20(2), 1982); when no Newton step helps, weights with an infinite
@@ -623,8 +627,8 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
     accepted as optimal.  At the optimum the Newton step is rounding-wide,
     and its line search does not halve a step whose first-order gain is
     within rounding (``_line_search``): no shorter step can beat rounding.
-    Solves take a few dozen steps at most; one that takes 200 raises
-    :class:`ReconstructionFailure`.
+    The last state evaluated is returned, its measure included.  Solves take a
+    few dozen steps at most; one that takes 200 raises :class:`ReconstructionFailure`.
     """
     lo, hi = sets[:, 0], sets[:, 1]
     state = _policy_state(nchain, payoff, _project(policy, lo, hi))
@@ -636,7 +640,7 @@ def _projected_newton(nchain, payoff, sets, policy) -> np.ndarray:
             if new is not None:
                 break
         else:
-            return state.zeta
+            return state
         state = new
     raise ReconstructionFailure("the policy solve did not converge in 200 Newton steps")
 
@@ -677,12 +681,12 @@ def dp_lower_bound(
     if window.n < 1:
         return DualSolution(value=payoff.at_one(), measure=AtomicMeasure([1.0], [1.0]))
     grids = np.linspace(sets[:, 0], sets[:, 1], g, axis=1)
-    policy = _projected_newton(window, payoff, sets, _solve_on_grids(window, payoff, grids))
-    measure = _atoms_from_policy(window, policy)
+    state = _projected_newton(window, payoff, sets, _solve_on_grids(window, payoff, grids))
+    measure = _atoms_from_policy(window, state)
     gamma = payoff.asymptotic_slope
     tail_term = gamma * measure.mean_at_infinity if measure.mean_at_infinity > 0.0 else 0.0
     exact = measure.integrate(payoff) + tail_term
-    return DualSolution(value=float(exact), measure=measure, policy=policy)
+    return DualSolution(value=float(exact), measure=measure, policy=state.zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -931,8 +935,7 @@ def build_lp_grid(nchain: NormalizedChain, payoff: ConvexPayoff, extra=None) -> 
         if pts.size:
             hi = max(hi, 2.0 * float(pts.max()))
             pieces.append(pts)
-    base = np.geomspace(lo, hi, _LP_POINTS)
-    return np.union1d(base, np.concatenate(pieces) if pieces else base)
+    return np.union1d(np.geomspace(lo, hi, _LP_POINTS), np.concatenate(pieces))
 
 
 def solve_grid_lp(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.ndarray) -> float:

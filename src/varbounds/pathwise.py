@@ -329,13 +329,9 @@ def _samples(a: np.ndarray, part) -> np.ndarray:
 def _local_times(x: np.ndarray, partitions: list, levels: np.ndarray) -> list[np.ndarray]:
     """Local time of the samples ``x`` at ``levels`` along each partition, in level order.
 
-    Each visited sample is binned into the sorted distinct levels once: one partition on
-    its own samples, a ladder on the whole path, which its finest partition visits.
+    Every sample is binned into the sorted distinct levels once, and each partition reads its own bins.
     """
     u, back = np.unique(levels, return_inverse=True)
-    if len(partitions) == 1:  # one partition bins only its own samples, and then visits them all
-        x = _samples(x, partitions[0])
-        partitions = [range(x.size)]
     idx, gap, sgn = np.empty(x.size, dtype=np.intp), np.empty(x.size), np.empty(x.size - 1)
     pos = _level_bins(u, x, idx, gap)
     return [_sweep(u, _samples(x, part), _samples(pos, part), idx, gap, sgn)[back] for part in partitions]
@@ -362,12 +358,12 @@ def discrete_local_time(
     plus half the signs of the steps into and out of each sample on the level,
     since a step that starts or ends on a level counts only half in that
     difference.  So beside the entering and leaving steps, only the samples on
-    a level are scattered.  Each sample is binned into the distinct levels once,
-    through a table of one cell per level, a lookup that a ladder shares.  Cost
-    O(N log c + L log L) time and O(N + L) memory for N steps, L levels and at
-    most c levels in one table cell (c = 1 for evenly spaced levels, so the
-    binning is linear).  Levels, a 1-d array, may come in any order; values
-    come back in that order; outside the path range, exactly 0.0.
+    a level are scattered.  Every path sample, on the partition or not, is binned
+    into the distinct levels once, through a table of one cell per level, a lookup
+    that a ladder shares.  Cost O(P log c + L log L) time and O(P + L) memory for P
+    path samples, L levels and at most c levels in one cell (c = 1 for evenly
+    spaced levels: linear binning).  Levels, a 1-d array, may come in any order;
+    values come back in that order; outside the path range, exactly 0.0.
     """
     idx = _partition_indices(path, partition)
     times = _samples(path.times, idx)

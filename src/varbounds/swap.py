@@ -12,7 +12,6 @@ volatility-point units.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from . import upper as upper_mod
 from .chain import NormalizedChain, _real, validate_puts
 from .lower import AtomicMeasure, DualSolution, HedgePortfolio
 from .payoff import ConvexPayoff, DualExistence, WeightSpec, dual_existence_lb, make_payoff, parse_weight
-from .serialize import round_floats
+from .serialize import _dumps
 
 BOUNDARY_TOL = 2e-6  # swap-rate band: quotes are finite precision; exact boundary hits need a band
 _NOTES = ("swap-quote classification assumes the equivalent European payoff trades alongside the swap",)
@@ -155,8 +154,9 @@ class BoundsReport:
             "notes": list(_NOTES),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(round_floats(self.to_dict()), **kwargs)
+    def to_json(self) -> str:
+        """The report as ``varbounds bounds`` writes it: ``to_dict`` in JSON, numbers at 12 significant digits."""
+        return _dumps(self.to_dict())
 
 
 def _currency_hedge(portfolio: HedgePortfolio | None, nchain: NormalizedChain) -> dict | None:

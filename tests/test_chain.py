@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from varbounds import (
     ChainError,
     ChainStatus,
+    NormalizedChain,
     OptionChain,
     WeightSpec,
     load_chain,
@@ -92,6 +93,13 @@ class TestValidate:
     def test_nonconvex_is_model_independent(self):
         nc = normalize(make_chain([0.8, 1.0, 1.2], [0.10, 0.30, 0.35]))
         assert validate_puts(nc).status is ChainStatus.MODEL_INDEPENDENT_ARBITRAGE
+
+    def test_negative_put_price_is_model_independent(self):
+        # Only a NormalizedChain built directly holds one: OptionChain refuses negative prices.
+        nc = NormalizedChain(np.array([0.0, 0.8, 1.2]), np.array([0.0, -0.01, 0.25]), 1.0, 1.0, 1.0)
+        verdict = validate_puts(nc)
+        assert verdict.status is ChainStatus.MODEL_INDEPENDENT_ARBITRAGE
+        assert verdict.witness.startswith("negative put price; ")
 
     def test_decreasing_prices_rejected(self):
         nc = normalize(make_chain([0.8, 1.2], [0.30, 0.20]))

@@ -391,6 +391,11 @@ def final_kkt_residual(nc, payoff, policy):
     return lower._kkt_residual(lower._policy_state(nc, payoff, policy), sets[:, 0], sets[:, 1])
 
 
+def measure_of(nc, zeta, payoff=VANILLA):
+    """The measure ``dp_lower_bound`` reads off a solve whose last state is at ``zeta``; no payoff enters it."""
+    return lower._atoms_from_policy(nc, lower._policy_state(nc, payoff, np.asarray(zeta, dtype=float)))
+
+
 def chain_of(strikes, prices):
     return normalize(
         OptionChain(
@@ -482,7 +487,7 @@ class TestPolicySets:
 
 class TestAtomsFromPolicy:
     def test_regular_policy(self):
-        mu = lower._atoms_from_policy(single_put_chain(0.4), np.array([8.0 / 9.0]))
+        mu = measure_of(single_put_chain(0.4), np.array([8.0 / 9.0]))
         np.testing.assert_allclose(mu.atoms, [0.75, 3.0], atol=1e-12)
         np.testing.assert_allclose(mu.weights, [8.0 / 9.0, 1.0 / 9.0], atol=1e-12)
         assert mu.mean_at_infinity == 0.0
@@ -490,7 +495,7 @@ class TestAtomsFromPolicy:
 
     def test_boundary_policy_with_escape(self):
         nc = single_put_chain(0.6)
-        mu = lower._atoms_from_policy(nc, np.array([1.0]))
+        mu = measure_of(nc, np.array([1.0]))
         np.testing.assert_allclose(mu.atoms, [0.6], atol=1e-12)
         np.testing.assert_allclose(mu.weights, [1.0])
         assert mu.mean_at_infinity == pytest.approx(0.4, abs=1e-12)
@@ -498,7 +503,7 @@ class TestAtomsFromPolicy:
 
     def test_no_atom_for_flat_increment(self):
         nc = chain_of([1.0, 1.2], [0.1, 0.2])
-        mu = lower._atoms_from_policy(nc, np.array([0.5, 0.5]))  # both at the shared endpoint
+        mu = measure_of(nc, np.array([0.5, 0.5]))  # both at the shared endpoint
         assert mu.atoms.size == 2  # interval-2 atom absent, tail atom present
         assert mu.check(nc) == []
 
@@ -507,7 +512,7 @@ class TestAtomsFromPolicy:
         assert -EQ_TOL < nc.slopes[1] - nc.slopes[0] < 0.0
         zeta = dp_lower_bound(nc, GAMMA).policy
         assert lower._atom(nc, 2, zeta[0], zeta[1]) > nc.k[2] + 1e-10
-        measure = lower._atoms_from_policy(nc, zeta)
+        measure = measure_of(nc, zeta)
         assert nc.k[2] in measure.atoms
         assert measure.check(nc) == []
         assert_subhedge_contract(nc, GAMMA, measure)
@@ -836,10 +841,8 @@ class TestTridiagonalSolve:
     def test_newton_direction_falls_back_to_the_scaled_gradient(self):
         # [[1, 10], [10, 1]] is indefinite: the Newton solve fails and each
         # free weight steps along -g_i / diag_i instead
-        state = lower._PolicyState(
-            zeta=np.array([0.3, 0.6]), value=0.0, grad=np.array([0.5, -0.25]),
-            diag=np.array([1.0, 1.0]), off=np.array([10.0]),
-        )
+        state = bare_state(zeta=np.array([0.3, 0.6]), value=0.0, grad=np.array([0.5, -0.25]),
+                           diag=np.array([1.0, 1.0]), off=np.array([10.0]))
         d = lower._newton_direction(None, None, state, np.zeros(2), np.ones(2))
         np.testing.assert_allclose(d, [-0.5, 0.25], rtol=1e-11)
 
@@ -847,12 +850,15 @@ class TestTridiagonalSolve:
     def test_newton_direction_holds_a_flat_weight(self):
         # no curvature on either side: a slope of rounding stays put, a real one (a vanishing
         # atom's kink) still crosses the box
-        state = lower._PolicyState(
-            zeta=np.array([0.3, 0.6]), value=0.5, grad=np.array([3e-17, 0.25]),
-            diag=np.array([0.0, 0.0]), off=np.array([0.0]),
-        )
+        state = bare_state(zeta=np.array([0.3, 0.6]), value=0.5, grad=np.array([3e-17, 0.25]),
+                           diag=np.array([0.0, 0.0]), off=np.array([0.0]))
         d = lower._newton_direction(None, None, state, np.zeros(2), np.ones(2))
         assert d[0] == 0.0 and d[1] == pytest.approx(-1.0, rel=1e-11)
+
+
+def bare_state(**fields):
+    """A ``_PolicyState`` of two weights without a measure, which ``_newton_direction`` does not read."""
+    return lower._PolicyState(**fields, atoms=np.empty(3), weights=np.empty(3), live=np.zeros(3, dtype=bool))
 
 
 def interior_policy(nc, rng):
@@ -928,7 +934,7 @@ class TestPolicyKernel:
             start = dp_lower_bound(nc, GAMMA).policy.copy()
             start[0] = sets[0, 0]
             assert lower._policy_state(nc, GAMMA, start).grad[0] == -np.inf
-            zeta = lower._projected_newton(nc, GAMMA, sets, start)
+            zeta = lower._projected_newton(nc, GAMMA, sets, start).zeta
             assert zeta[0] > sets[0, 0]
             assert policy_objective(nc, GAMMA, zeta) == pytest.approx(dp_lower_bound(nc, GAMMA).value, abs=1e-12)
 
@@ -1202,7 +1208,7 @@ class TestReconstruct:
         # g chi / k_1.
         nc = single_put_chain(0.4)
         zeta = np.array([feasible_policy_sets(nc)[0].mean()])
-        measure = lower._atoms_from_policy(nc, zeta)
+        measure = measure_of(nc, zeta)
         g = lower._policy_state(nc, INVERSE, zeta).grad[0]
         expected = -g if g < 0.0 else g * measure.atoms[0] / nc.k[1]
         with pytest.raises(ReconstructionFailure, match="contact") as failure:
@@ -1235,6 +1241,12 @@ class TestExactDomination:
                     on = (xs >= knots[j]) & (xs <= knots[j + 1])
                     assert knots[j] <= where[j] <= knots[j + 1]
                     assert excess[j] >= np.max(gap[on]) - 1e-12, (payoff.kind, j)
+
+    def test_a_tail_steeper_than_the_asymptotic_slope_never_dominates(self):
+        # Vanilla's slope tends to 0, so a hedge that rises past its last strike crosses it somewhere beyond.
+        port = HedgePortfolio(cash=-10.0, forward=0.5, puts=np.zeros(1), strikes=np.array([1.2]))
+        assert lower._worst_excess(port, VANILLA) == (math.inf, lower._FAR * 1.2)
+        assert not dominates_below(port, VANILLA)
 
     def test_lifted_inverse_subhedge_dominates_exactly(self):
         # the tail solve stops at the touching ray, here the tail atom's
@@ -1642,7 +1654,7 @@ class TestAtomicMeasure:
     def test_check_names_each_corrupted_field(self, fields, problem):
         # The optimal law of the single put at 0.4: atoms 0.75 and 3 of weights 8/9 and 1/9.
         nc = single_put_chain(0.4)
-        measure = lower._atoms_from_policy(nc, np.array([8.0 / 9.0]))
+        measure = measure_of(nc, np.array([8.0 / 9.0]))
         assert measure.check(nc) == []
         assert problem in replace(measure, **fields).check(nc)
 
@@ -1681,6 +1693,16 @@ class TestGridLp:
         grid = build_lp_grid(nc, INVERSE)
         with pytest.raises(ValueError, match="the LP grid misses the window strike 1.2"):
             grid_lp_oracle(nc, INVERSE, grid[grid != 1.2])
+
+    def test_a_solver_status_other_than_unbounded_is_reported(self, monkeypatch):
+        # HiGHS status 4 (numerical difficulties) gives no value; the oracle raises with the solver's message.
+        import scipy.optimize
+
+        stopped = scipy.optimize.OptimizeResult(status=4, message="Numerical difficulties encountered.", fun=0.0)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: stopped)
+        nc = single_put_chain(0.4)
+        with pytest.raises(RuntimeError, match="grid LP failed: Numerical difficulties encountered"):
+            grid_lp_oracle(nc, INVERSE, build_lp_grid(nc, INVERSE))
 
     def test_unbounded_where_the_c1_condition_fails(self):
         # p_2 = (k_2 / k_1) p_1: all mass near 0 may sit at 0, where vanilla is infinite.
