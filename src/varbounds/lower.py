@@ -241,16 +241,18 @@ def _tail_constant(nchain: NormalizedChain) -> float:
 
 
 def _atom(nchain, i, a, b):
-    """Atom of segment(s) ``i`` for cumulative weights (a, b), before clipping.
+    """Atom of segment(s) ``i`` for cumulative weights (a, b), clipped into [k_{i-1}, k_i].
 
     chi = k_i + dk (a - s_i) / w = k_{i-1} + dk (b - s_i) / w, w = b - a; only the
     form anchored at the nearer strike, exact when a weight sits at s_i, is computed.
+    The boxes follow the running maximum of the slopes and chi the slope itself, so where
+    a slope dips (by at most EQ_TOL) the formula can put the atom dk dip / w past its strike.
     """
     lo = np.asarray(i) - 1  # indexed once: the kernel runs on every Newton trial
     with np.errstate(all="ignore"):
         k_lo, k_hi, s, w = nchain.k[lo], nchain.k[lo + 1], nchain.slopes[lo], b - a
         dk, c = k_hi - k_lo, s - a <= b - s
-        return np.where(c, k_hi, k_lo) + np.where(c, dk * (a - s), dk * (b - s)) / w
+        return np.clip(np.where(c, k_hi, k_lo) + np.where(c, dk * (a - s), dk * (b - s)) / w, k_lo, k_hi)
 
 
 def _has_atom(w):
@@ -270,15 +272,15 @@ def _segment_value(nchain, payoff, i, a, b):
     """Term w * lambda(chi) of segment(s) ``i``; ``i``, ``a`` and ``b`` broadcast."""
     w = b - a
     with np.errstate(all="ignore"):
-        lam = payoff.value(np.clip(_atom(nchain, i, a, b), nchain.k[i - 1], nchain.k[i]))
-        return _segment_terms(w, lam, _has_atom(w))
+        return _segment_terms(w, payoff.value(_atom(nchain, i, a, b)), _has_atom(w))
 
 
 def _tail_term(nchain, payoff, w, lam, live):
     """Tail term w lambda(chi_t), ``lam`` the payoff at the tail atom; with no atom (not ``live``) the
-    limit gamma c as w vanishes, 0 on a capped chain (c = 0), to which the objective jumps."""
+    limit gamma c as w vanishes (c > 0: inf where gamma is), 0 on a capped chain (c = 0), to which the
+    objective jumps."""
     c, gamma = _tail_constant(nchain), payoff.asymptotic_slope
-    limit = 0.0 if c == 0.0 else gamma * c if math.isfinite(gamma) else math.inf
+    limit = 0.0 if c == 0.0 else gamma * c
     return np.where(live, w * lam, limit)
 
 
@@ -429,9 +431,7 @@ def _policy_state(nchain, payoff, zeta) -> _PolicyState:
     weights = np.append(zeta - prev, 1.0 - float(zeta[-1]))
     live = _has_atom(weights)
     w, on = weights[:n], live[:n]
-    # The boxes follow the running maximum of the slopes and _atom the slope itself, so where
-    # a slope dips (by at most EQ_TOL) the formula can put the atom dk dip / w past its strike.
-    chi = np.where(on, np.clip(_atom(nchain, np.arange(1, n + 1), prev, zeta), k[:-1], k[1:]), k[1:])
+    chi = np.where(on, _atom(nchain, np.arange(1, n + 1), prev, zeta), k[1:])
     w_read = max(weights[-1], _MIN_ATOM_WEIGHT)
     atoms = np.append(chi, k[-1] + _tail_constant(nchain) / w_read)
     # Tangent points: the atoms (right ends), the atoms or vanishing limits
@@ -480,7 +480,7 @@ def _project(z, lo, hi) -> np.ndarray:
     up = hi - z <= _SNAP
     up[-1] = False
     z = np.where(z - lo <= _SNAP, lo, np.where(up, hi, z))
-    dust = np.flatnonzero(np.diff(z) <= _MIN_ATOM_WEIGHT)
+    dust = np.flatnonzero(~_has_atom(np.diff(z)))
     z[dust], z[dust + 1] = hi[dust], lo[dust + 1]
     return z
 
@@ -665,8 +665,8 @@ def dp_lower_bound(
     tridiagonal Hessian takes it toward the optimum.  Where it reaches the
     optimum the value does not depend on ``grid`` beyond rounding, but the
     measure can (see the module docstring).  The recursion makes O(n grid^2)
-    payoff evaluations.  The value includes the analytic boundary-limit tail
-    term; the measure records any escaped forward mass in ``mean_at_infinity``.
+    payoff evaluations.  The value is read off the measure, as the subhedge's cost check
+    reads it: its integral plus gamma times any escaped forward mass ``mean_at_infinity``.
     Any consistent chain is solved on its window, where all its mass lies; the
     C1 condition is checked on the chain as given, since on the window it can
     be vacuous.  A window with no interval leaves payoff(1) by Jensen, the
@@ -787,8 +787,7 @@ def _tangent_construction(nchain, payoff, measure) -> HedgePortfolio:
     a vanishing atom that is the reopening test of ``_vanishing_atom_release``.
     """
     k = nchain.window.k
-    live = measure.weights > _MIN_ATOM_WEIGHT
-    atoms = np.sort(measure.atoms[live])
+    atoms = np.sort(measure.atoms[_has_atom(measure.weights)])
     if atoms.size == 0:
         raise ReconstructionFailure("the measure has no atoms")
     touch = atoms.copy()
@@ -843,7 +842,8 @@ def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
     """None when the portfolio passes; else which check failed, and by how much.
 
     Domination is checked on ``nchain.window``, up to its last strike when
-    that caps the support: where the chain's measures can put mass.
+    that caps the support: where the chain's measures can put mass.  The measure has an
+    atom: ``_tangent_construction`` raises first when it has none.
     """
     window = nchain.window
     hi = math.inf if _tail_constant(window) > 0.0 else float(window.k[-1])
@@ -851,12 +851,11 @@ def _subhedge_checks(nchain, payoff, measure, portfolio) -> str | None:
     if not excess <= _DOMINATION_TOL:
         return (f"domination: the hedge exceeds the payoff by {excess:.3g} at x = {x:.6g} "
                 f"(tail slope {portfolio.forward:.6g})")
-    atoms = measure.atoms[measure.weights > _MIN_ATOM_WEIGHT]
-    if atoms.size:
-        gap = np.nan_to_num(np.abs(portfolio.payoff(atoms) - payoff.value(atoms)), nan=np.inf)
-        j = int(np.argmax(gap))
-        if gap[j] > _CONTACT_TOL:
-            return f"contact: the hedge misses the payoff by {gap[j]:.3g} at the atom {atoms[j]:.6g}"
+    atoms = measure.atoms[_has_atom(measure.weights)]
+    gap = np.nan_to_num(np.abs(portfolio.payoff(atoms) - payoff.value(atoms)), nan=np.inf)
+    j = int(np.argmax(gap))
+    if gap[j] > _CONTACT_TOL:
+        return f"contact: the hedge misses the payoff by {gap[j]:.3g} at the atom {atoms[j]:.6g}"
     cost = portfolio.setup_cost(nchain)
     target = measure.integrate(payoff) + portfolio.forward * measure.mean_at_infinity  # the tail prices m
     ok = abs(cost - target) <= max(_CONTACT_TOL, 1e-10 * abs(target))

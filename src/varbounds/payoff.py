@@ -368,14 +368,9 @@ def dual_existence_lb(nchain: NormalizedChain, payoff: ConvexPayoff, subhedge=No
         return DualExistence("undetermined")
 
     kn = float(nchain.k[-1])
-    lam_kn = float(payoff.value(kn))
-    hedge_kn = float(subhedge.payoff(kn))
-    phi = float(subhedge.forward)
-    gap_at_kn = lam_kn - hedge_kn
-
-    if gap_at_kn > 1e-9 and payoff.asymptotic_slope > phi:
+    gapped = float(payoff.value(kn)) - float(subhedge.payoff(kn)) > 1e-9  # a strict gap at k_n
+    if gapped and payoff.asymptotic_slope > float(subhedge.forward):
         return DualExistence("guaranteed", "ii")
-
-    if math.isfinite(payoff.affine_tail_threshold) or not gap_at_kn > 1e-9:
+    if math.isfinite(payoff.affine_tail_threshold) or not gapped:
         return DualExistence("undetermined")
     return DualExistence("fails")

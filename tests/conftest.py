@@ -80,6 +80,15 @@ def trimmed_route_chain(rng, n: int, free: bool, capped: bool) -> NormalizedChai
     return nchain
 
 
+def scale_chains() -> list[NormalizedChain]:
+    """The scale chains: 150 random chains, then 25 each with a free put, a cap, and both."""
+    rng = np.random.default_rng(5)
+    chains = [random_consistent_chain(rng) for _ in range(150)]
+    chains += [trimmed_route_chain(rng, int(rng.integers(1, 9)), free, capped)
+               for free, capped in ((True, False), (False, True), (True, True)) for _ in range(25)]
+    return chains
+
+
 def window_excess(nchain: NormalizedChain, payoff: ConvexPayoff, portfolio) -> float:
     """Exact worst excess of a hedge over the payoff on [k_{n_min}, k_top], or [k_{n_min}, oo) uncapped."""
     hi = float(nchain.k[nchain.top_index]) if math.isfinite(nchain.n_max) else math.inf

@@ -40,6 +40,7 @@ from varbounds.swap import compute_lower, swap_rate_bounds
 from conftest import (
     lognormal_chain,
     random_consistent_chain,
+    scale_chains,
     single_put_chain,
     trimmed_route_chain,
     twin_weight,
@@ -511,7 +512,8 @@ class TestAtomsFromPolicy:
         nc = chain_of(*DIPPED_SLOPE_CHAIN)
         assert -EQ_TOL < nc.slopes[1] - nc.slopes[0] < 0.0
         zeta = dp_lower_bound(nc, GAMMA).policy
-        assert lower._atom(nc, 2, zeta[0], zeta[1]) > nc.k[2] + 1e-10
+        assert two_form_atom(nc, 2, zeta[0], zeta[1]) > nc.k[2] + 1e-10  # the formula overshoots the strike
+        assert lower._atom(nc, 2, zeta[0], zeta[1]) == nc.k[2]
         measure = measure_of(nc, zeta)
         assert nc.k[2] in measure.atoms
         assert measure.check(nc) == []
@@ -552,11 +554,7 @@ class TestDpLowerBound:
                 np.testing.assert_array_equal(sol.measure.weights, [1.0])
 
     def test_solves_any_consistent_chain_on_its_window(self):
-        # The scale chains: 150 random chains, then 25 each with a free put, a cap, and both.
-        rng = np.random.default_rng(5)
-        chains = [random_consistent_chain(rng) for _ in range(150)]
-        chains += [trimmed_route_chain(rng, int(rng.integers(1, 9)), free, capped)
-                   for free, capped in ((True, False), (False, True), (True, True)) for _ in range(25)]
+        chains = scale_chains()
         assert sum(nc.window is not nc for nc in chains) == 50
         for nc in chains:
             np.testing.assert_array_equal(feasible_policy_sets(nc), feasible_policy_sets(nc.window))
@@ -567,6 +565,23 @@ class TestDpLowerBound:
                 assert whole.value == window.value
                 np.testing.assert_array_equal(whole.measure.atoms, window.measure.atoms)
                 np.testing.assert_array_equal(whole.measure.weights, window.measure.weights)
+
+    def test_the_value_is_read_off_the_measure(self):
+        # The value is the measure's integral plus gamma times a positive escaped mean, bit for bit: the sum
+        # that the subhedge's cost check compares with.  On the scale chains and a one-strike window.
+        chains = scale_chains() + [chain_of([1.0, 1.0 + 5e-13], [0.0, 0.0])]
+        assert chains[-1].window.n == 0
+        escaped = 0
+        for nc in chains:
+            for payoff in SUBHEDGE_PAYOFFS[:5]:
+                sol = dp_lower_bound(nc, payoff)
+                mean = sol.measure.mean_at_infinity
+                value = sol.measure.integrate(payoff)
+                if mean > 0.0:
+                    value += payoff.asymptotic_slope * mean
+                    escaped += 1
+                assert np.float64(sol.value).tobytes() == np.float64(value).tobytes(), (nc.k, payoff.kind)
+        assert escaped > 0
 
     def test_solves_a_chain_capped_at_its_last_strike(self):
         # The put at 1.5 prices at intrinsic value 0.5: the chain is its own window.
@@ -992,7 +1007,7 @@ def edge_policies(nc, rng):
 
 
 def two_form_atom(nchain, i, a, b):
-    """``lower._atom`` as it stood before its one-form kernel: both forms on every pair, then a choice."""
+    """``lower._atom`` as it stood before its one-form kernel: both forms on every pair, then a choice, unclipped."""
     lo = np.asarray(i) - 1
     with np.errstate(all="ignore"):
         k_lo, k_hi, s, w = nchain.k[lo], nchain.k[lo + 1], nchain.slopes[lo], b - a
@@ -1063,7 +1078,8 @@ def assert_as_two_form(nc, payoff, grids):
 def assert_objective_as_two_form(nc, payoff, zeta):
     """The Newton kernel's atoms and both objective values equal the two-form kernel's on ``zeta``."""
     i, prev = np.arange(1, nc.n + 1), np.concatenate(([0.0], zeta[:-1]))
-    assert np.array_equal(lower._atom(nc, i, prev, zeta), two_form_atom(nc, i, prev, zeta), equal_nan=True)
+    clipped = np.clip(two_form_atom(nc, i, prev, zeta), nc.k[:-1], nc.k[1:])
+    assert np.array_equal(lower._atom(nc, i, prev, zeta), clipped, equal_nan=True)
     value = np.sum(two_form_segment_value(nc, payoff, i, prev, zeta)) + lower._tail_value(nc, payoff, zeta[-1])
     assert policy_objective(nc, payoff, zeta) == float(value) == lower._policy_state(nc, payoff, zeta).value
 

@@ -546,6 +546,17 @@ class TestDualExistence:
         assert payoff.asymptotic_slope == flat.forward == 0.0
         assert dual_existence_lb(nc, payoff, flat) == DualExistence("fails")
 
+    @pytest.mark.parametrize("phi,past", [(0.0, DualExistence("fails")), (-0.5, DualExistence("guaranteed", "ii"))])
+    def test_the_gap_at_the_last_strike_counts_past_1e_9_only(self, phi, past):
+        # Under 1/x (gamma = 0), a tail slope phi = gamma reaches the fails branch and phi < gamma condition (ii);
+        # either needs a gap above 1e-9 at k_n, and a gap 1e-13 short of it leaves the verdict undetermined.
+        nc, payoff = single_put_chain(0.4), make_payoff(WeightSpec.inverse())
+        kn, lam_kn = float(nc.k[-1]), float(payoff.value(float(nc.k[-1])))
+        for gap, verdict in ((1e-9 + 1e-13, past), (1e-9 - 1e-13, DualExistence("undetermined"))):
+            hedge = HedgePortfolio(lam_kn - gap - phi * kn, phi, np.zeros(1), nc.k[1:])
+            assert (lam_kn - hedge.payoff(kn) > 1e-9) == (gap > 1e-9)
+            assert dual_existence_lb(nc, payoff, hedge) == verdict
+
     def test_vanilla_tail_divergence(self):
         nc = single_put_chain(0.4)
         verdict = dual_existence_lb(nc, make_payoff(WeightSpec.vanilla()))
