@@ -645,11 +645,6 @@ def _projected_newton(nchain, payoff, sets, policy) -> _PolicyState:
     raise ReconstructionFailure("the policy solve did not converge in 200 Newton steps")
 
 
-def _require_c1(nchain, payoff) -> None:
-    if not check_c1(nchain, payoff):
-        raise C1Violation("payoff unbounded at the origin and p_2 <= (k_2/k_1) p_1: the lower bound is infinite")
-
-
 def _effective_grid(grid) -> int:
     """Points per interval of the recursion: the integer ``grid``, at most ``_MAX_GRID``, raised to ``MIN_GRID``."""
     return max(_count("grid", grid, high=_MAX_GRID), MIN_GRID)
@@ -675,7 +670,8 @@ def dp_lower_bound(
     its cap of 200 steps.
     """
     sets = feasible_policy_sets(nchain)
-    _require_c1(nchain, payoff)
+    if not check_c1(nchain, payoff):
+        raise C1Violation("payoff unbounded at the origin and p_2 <= (k_2/k_1) p_1: the lower bound is infinite")
     g = _effective_grid(grid)
     window = nchain.window
     if window.n < 1:
@@ -1001,10 +997,10 @@ def grid_lp_oracle(nchain: NormalizedChain, payoff: ConvexPayoff, x_grid: np.nda
     return solve_grid_lp(nchain, payoff, x_grid)
 
 
-def _forward_tangent(nchain: NormalizedChain, payoff: ConvexPayoff) -> tuple[float, HedgePortfolio]:
-    """payoff(1) and the payoff's tangent at the forward, with no puts: the bound of a support pinned at 1."""
-    value, slope = float(payoff.value(1.0)), float(payoff.slope(1.0))
-    return value, HedgePortfolio(value - slope, slope, np.zeros(nchain.n), nchain.k[1:].copy())
+def _forward_tangent(nchain: NormalizedChain, payoff: ConvexPayoff) -> HedgePortfolio:
+    """The payoff's tangent at the forward, with no puts: the hedge of a support pinned at 1, at cost payoff(1)."""
+    slope = float(payoff.slope(1.0))
+    return HedgePortfolio(payoff.at_one() - slope, slope, np.zeros(nchain.n), nchain.k[1:].copy())
 
 
 def lp_lower_bound(
@@ -1020,5 +1016,5 @@ def lp_lower_bound(
     """
     solution = dp_lower_bound(nchain, payoff, grid=grid)
     if nchain.window.n < 1:
-        return solution.value, _forward_tangent(nchain, payoff)[1], solution.measure
+        return solution.value, _forward_tangent(nchain, payoff), solution.measure
     return solution.value, reconstruct_subhedge(nchain, payoff, solution.measure), solution.measure

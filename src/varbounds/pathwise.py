@@ -146,7 +146,7 @@ def geometric_walk(
     but not at every level: walk seed 1939546695 at depth 11 ends 1.05e-6,
     4.75e-7, 6.97e-7, 4.82e-7 (ROADMAP.md, item 7).
     """
-    n_steps = _count("n_steps", n_steps, 1)
+    seed, n_steps = _count("seed", seed, 0), _count("n_steps", n_steps, 1)
     h = _scale("maturity", maturity) / n_steps
     sigma, drift, start = (_real(name, v) for name, v in (("sigma", sigma), ("drift", drift), ("start", start)))
     signs = np.random.default_rng(seed).integers(0, 2, size=n_steps) * 2 - 1
@@ -161,7 +161,7 @@ def arithmetic_walk(
     seed: int, n_steps: int = 4096, maturity: float = 1.0, scale: float = 1.0, start: float = 0.0
 ) -> SampledPath:
     """Symmetric walk with steps +-scale*sqrt(h); quadratic variation is scale**2 * T exactly."""
-    n_steps = _count("n_steps", n_steps, 1)
+    seed, n_steps = _count("seed", seed, 0), _count("n_steps", n_steps, 1)
     h = _scale("maturity", maturity) / n_steps
     scale, start = _real("scale", scale), _real("start", start)
     signs = np.random.default_rng(seed).integers(0, 2, size=n_steps) * 2 - 1

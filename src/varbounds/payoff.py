@@ -180,10 +180,6 @@ class ConvexPayoff:
     barrier: float | None = None
     slope_inverse: Callable | None = None
 
-    @property
-    def unbounded_at_origin(self) -> bool:
-        return not math.isfinite(self.origin_value)
-
     def at_one(self) -> float:
         return float(self.value(1.0))
 
@@ -327,7 +323,7 @@ def check_c1(nchain: NormalizedChain, payoff: ConvexPayoff) -> bool:
     vacuous: p_1 > 0 already forbids a unit mass at zero from repricing it;
     so it is when the chain starts above the origin (k_0 > 0), out of reach.
     """
-    if not payoff.unbounded_at_origin:
+    if math.isfinite(payoff.origin_value):
         return True
     if nchain.n_min != 0 or nchain.k[0] > 0.0:
         return True
@@ -348,25 +344,22 @@ class DualExistence:
         return {"verdict": self.verdict, "condition": self.condition}
 
 
-def dual_existence_lb(nchain: NormalizedChain, payoff: ConvexPayoff, subhedge=None) -> DualExistence:
-    """Sufficient conditions for a minimizing measure in the lower-bound dual.
+def dual_existence_lb(nchain: NormalizedChain, payoff: ConvexPayoff, subhedge) -> DualExistence:
+    """Sufficient conditions for a minimizing measure in the lower-bound dual, given the optimal subhedge.
 
     Checked in order: (i) a finite n_max confines all mass to a compact set;
     (iv) a divergent tail curvature moment forces the tail atom to stay
-    finite; (ii), with a supplied optimal subhedge, a strict gap at the last
-    strike and an asymptotic slope above the hedge's forward position phi,
-    so that the convex payoff - phi x grows without bound.  Past those, a gap
-    over 1e-9 at k_n is failure, exactly, for a payoff affine on no half-line:
-    its slope stays below gamma <= phi, so the gap falls on all of [k_n, oo)
-    and never closes; the infimum lies at infinity.  Else: undetermined.
+    finite; (ii) a strict gap of the subhedge at the last strike and an
+    asymptotic slope above the hedge's forward position phi, so that the
+    convex payoff - phi x grows without bound.  Past those, a gap over 1e-9
+    at k_n is failure, exactly, for a payoff affine on no half-line: its
+    slope stays below gamma <= phi, so the gap falls on all of [k_n, oo) and
+    never closes; the infimum lies at infinity.  Else: undetermined.
     """
     if math.isfinite(nchain.n_max):
         return DualExistence("guaranteed", "i")
     if payoff.tail_curvature_divergent:
         return DualExistence("guaranteed", "iv")
-    if subhedge is None:
-        return DualExistence("undetermined")
-
     kn = float(nchain.k[-1])
     gapped = float(payoff.value(kn)) - float(subhedge.payoff(kn)) > 1e-9  # a strict gap at k_n
     if gapped and payoff.asymptotic_slope > float(subhedge.forward):

@@ -191,10 +191,8 @@ def compute_lower(
     return DualSolution(value=value, measure=measure), portfolio, dual_existence_lb(nchain, payoff, portfolio)
 
 
-def classify_european(
-    nchain: NormalizedChain, payoff: ConvexPayoff, quoted_price: float, *, normalized: bool = False
-) -> PriceVerdict:
-    """Classify a quoted European price against the sub/super-replication band.
+def classify_european(nchain: NormalizedChain, payoff: ConvexPayoff, quoted_price: float) -> PriceVerdict:
+    """Classify a quoted European price in currency, D F v, against the sub/super-replication band.
 
     The price maps to its swap rate, classified as ``swap_rate_bounds`` does:
     strictly inside the open band is consistent; strictly outside is a
@@ -202,8 +200,7 @@ def classify_european(
     ``BOUNDARY_TOL`` in swap rate, the verdict defers to dual existence on
     that side; the origin-cap failure is a weak arbitrage regardless of the quote.
     """
-    quoted_price = _real("quoted price", quoted_price)
-    p_norm = quoted_price if normalized else quoted_price / (nchain.discount_factor * nchain.forward)
+    p_norm = _real("quoted price", quoted_price) / (nchain.discount_factor * nchain.forward)
     return _quote_verdict(nchain, payoff, rate_from_european(p_norm, payoff))
 
 

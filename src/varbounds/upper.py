@@ -61,8 +61,7 @@ def superhedge(nchain: NormalizedChain, payoff: ConvexPayoff) -> UpperBound:
         return UpperBound(math.inf, None)
     capped = math.isfinite(nchain.n_max)
     if capped and nchain.window.n < 1:  # uncapped, one free strike keeps slope gamma: mass may escape
-        value, portfolio = _forward_tangent(nchain, payoff)
-        return UpperBound(value, portfolio)
+        return UpperBound(payoff.at_one(), _forward_tangent(nchain, payoff))
     xs = nchain.window.k
     vs = np.atleast_1d(np.asarray(payoff.value(xs), dtype=float))
     phi = float((vs[-1] - vs[-2]) / (xs[-1] - xs[-2])) if capped else float(payoff.asymptotic_slope)
@@ -84,24 +83,21 @@ def extremal_upper_measure(nchain: NormalizedChain, z: float) -> AtomicMeasure:
     if not validate_puts(nchain).is_consistent:
         raise ValueError("the extremal upper measure needs a consistent chain")
     z = _real("support cap z", z)
-    xs, vs = list(nchain.window.k), list(nchain.window.p)
+    window = nchain.window
+    xs, slopes = window.k, window.slopes
     if math.isfinite(nchain.n_max):
         if abs(z - xs[-1]) > 1e-9:
             raise ValueError(f"with a finite n_max the support cap must be {xs[-1]:.12g}")
     else:
         if z <= xs[-1] + 1e-12:
             raise ValueError("support cap z must exceed the last strike")
-        xs.append(float(z))
-        vs.append(float(z - 1.0))
-    xs_arr = np.asarray(xs)
-    vs_arr = np.asarray(vs)
-    inner = np.diff(vs_arr) / np.diff(xs_arr)
-    slopes = np.concatenate(([0.0], inner, [1.0]))
-    weights = np.diff(slopes)
+        slopes = np.append(slopes, ((z - 1.0) - window.p[-1]) / (z - xs[-1]))  # the chord to (z, z - 1)
+        xs = np.append(xs, z)
+    weights = np.diff(np.concatenate(([0.0], slopes, [1.0])))
     if np.any(weights < -1e-12):
         raise NegativeWeight(f"support cap z = {z:.6g} too small: negative weight in the moment system")
     keep = weights > 1e-14
-    return AtomicMeasure(xs_arr[keep], np.clip(weights[keep], 0.0, None))
+    return AtomicMeasure(xs[keep], np.clip(weights[keep], 0.0, None))
 
 
 def dominates_above(

@@ -71,6 +71,8 @@ LIBRARY = {
        for name in ("n_steps", "maturity", "sigma", "drift", "start")},
     **{f"arithmetic_walk.{name}": (lambda name: lambda v: arithmetic_walk(1, **{"n_steps": 64, name: v}).values)(name)
        for name in ("n_steps", "maturity", "scale", "start")},
+    "geometric_walk.seed": lambda v: geometric_walk(v, n_steps=64).values,
+    "arithmetic_walk.seed": lambda v: arithmetic_walk(v, n_steps=64).values,
     "build_dyadic_ladder.depth": lambda v: build_dyadic_ladder(WALK, v).meshes,
     "discrete_local_time.t": lambda v: _profile(t=v),
     "discrete_local_time.n_levels": lambda v: _profile(n_levels=v),

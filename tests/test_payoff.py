@@ -558,19 +558,14 @@ class TestDualExistence:
             assert dual_existence_lb(nc, payoff, hedge) == verdict
 
     def test_vanilla_tail_divergence(self):
-        nc = single_put_chain(0.4)
-        verdict = dual_existence_lb(nc, make_payoff(WeightSpec.vanilla()))
+        nc, payoff = single_put_chain(0.4), make_payoff(WeightSpec.vanilla())
+        verdict = dual_existence_lb(nc, payoff, compute_lower(nc, payoff)[1])
         assert verdict.verdict == "guaranteed" and verdict.condition == "iv"
 
     def test_finite_n_max(self):
-        nc = chain_of([2.0], [1.0])
-        verdict = dual_existence_lb(nc, make_payoff(WeightSpec.corridor_down(1.0)))
+        nc, payoff = chain_of([2.0], [1.0]), make_payoff(WeightSpec.corridor_down(1.0))
+        verdict = dual_existence_lb(nc, payoff, compute_lower(nc, payoff)[1])
         assert verdict.verdict == "guaranteed" and verdict.condition == "i"
-
-    def test_corridor_down_without_hedge_undetermined(self):
-        nc = single_put_chain(0.4)
-        verdict = dual_existence_lb(nc, make_payoff(WeightSpec.corridor_down(1.0)))
-        assert verdict.verdict == "undetermined"
 
 
 class TestParseWeight:

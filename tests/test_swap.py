@@ -94,30 +94,30 @@ class TestClassifyEuropean:
         self.nc = single_put_chain(0.4)
 
     def test_inside_band(self):
-        v = classify_european(self.nc, INVERSE, 1.5, normalized=True)
+        v = classify_european(self.nc, INVERSE, 1.5)
         assert v.status is VerdictStatus.CONSISTENT
 
     def test_below_band(self):
-        v = classify_european(self.nc, INVERSE, 1.0, normalized=True)
+        v = classify_european(self.nc, INVERSE, 1.0)
         assert v.status is VerdictStatus.MODEL_INDEPENDENT_ARBITRAGE
         assert v.side == "below"
 
     def test_boundary_with_existence(self):
-        v = classify_european(self.nc, INVERSE, 11.0 / 9.0, normalized=True)
+        v = classify_european(self.nc, INVERSE, 11.0 / 9.0)
         assert v.status is VerdictStatus.BOUNDARY
         assert v.side == "lower"
         assert v.existence is not None and v.existence.verdict == "guaranteed"
 
     def test_boundary_without_existence_is_arbitrage(self):
         nc = single_put_chain(0.6)
-        v = classify_european(nc, INVERSE, 5.0 / 3.0, normalized=True)
+        v = classify_european(nc, INVERSE, 5.0 / 3.0)
         assert v.status is VerdictStatus.BOUNDARY
         assert v.existence is not None and v.existence.verdict == "fails"
         assert v.is_arbitrage
 
     def test_weak_arbitrage_from_origin_cap(self):
         nc = chain_of([0.5, 0.6], [0.05, 0.06])
-        v = classify_european(nc, make_payoff(WeightSpec.vanilla()), 0.5, normalized=True)
+        v = classify_european(nc, make_payoff(WeightSpec.vanilla()), 0.5)
         assert v.status is VerdictStatus.WEAK_ARBITRAGE
 
     def test_currency_units(self):
@@ -188,7 +188,7 @@ class TestClassifySwapQuote:
                     via_band = classify_rate_against_bounds(
                         rate, report.swap_lower, report.swap_upper,
                         lower_existence=report.lower_existence, upper_existence=report.upper_existence)
-                    via_price = classify_european(nc, payoff, price, normalized=True)
+                    via_price = classify_european(nc, payoff, price)
                     assert via_report == classify_swap_quote(nc, spec, rate) == via_band == via_price, (
                         weight, edge, offset)
 
@@ -196,7 +196,7 @@ class TestClassifySwapQuote:
         nc, spec = single_put_chain(0.1), WeightSpec.vanilla()
         messages = set()
         for call in (lambda: swap_rate_bounds(nc, spec, quoted_rate=0.04),
-                     lambda: classify_european(nc, make_payoff(spec), 1.0, normalized=True),
+                     lambda: classify_european(nc, make_payoff(spec), 1.0),
                      lambda: classify_swap_quote(nc, spec, 0.04)):
             with pytest.raises(ValueError, match="^chain is not consistent") as error:
                 call()
@@ -209,7 +209,7 @@ class TestClassifySwapQuote:
         nc = single_put_chain(0.4)
         rate = rate_from_european(p_quote, INVERSE)
         via_swap = classify_swap_quote(nc, WeightSpec.inverse(), rate)
-        direct = classify_european(nc, INVERSE, p_quote, normalized=True)
+        direct = classify_european(nc, INVERSE, p_quote)
         assert via_swap.status is direct.status
         assert via_swap.side == direct.side
 

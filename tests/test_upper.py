@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from varbounds import (
+    AtomicMeasure,
     NegativeWeight,
     OptionChain,
     WeightSpec,
@@ -17,7 +19,7 @@ from varbounds import (
 )
 from varbounds.lower import HedgePortfolio, _portfolio_from_nodes
 from varbounds.upper import dominates_above
-from conftest import random_consistent_chain, single_put_chain, verification_grid
+from conftest import random_consistent_chain, single_put_chain, trimmed_route_chain, verification_grid
 
 VANILLA = make_payoff(WeightSpec.vanilla())
 GAMMA = make_payoff(WeightSpec.gamma())
@@ -154,6 +156,65 @@ class TestInconsistentChains:
         with pytest.raises(ValueError, match="consistent chain") as error:
             extremal_upper_measure(chain_of(*NONCONVEX), z)
         assert not isinstance(error.value, NegativeWeight)
+
+
+def list_extremal_measure(nchain, z: float) -> AtomicMeasure:
+    """The reference: ``extremal_upper_measure`` past its input checks, its slopes rebuilt from Python lists."""
+    xs, vs = list(nchain.window.k), list(nchain.window.p)
+    if math.isfinite(nchain.n_max):
+        if abs(z - xs[-1]) > 1e-9:
+            raise ValueError(f"with a finite n_max the support cap must be {xs[-1]:.12g}")
+    else:
+        if z <= xs[-1] + 1e-12:
+            raise ValueError("support cap z must exceed the last strike")
+        xs.append(float(z))
+        vs.append(float(z - 1.0))
+    xs_arr, vs_arr = np.asarray(xs), np.asarray(vs)
+    slopes = np.concatenate(([0.0], np.diff(vs_arr) / np.diff(xs_arr), [1.0]))
+    weights = np.diff(slopes)
+    if np.any(weights < -1e-12):
+        raise NegativeWeight(f"support cap z = {z:.6g} too small: negative weight in the moment system")
+    keep = weights > 1e-14
+    return AtomicMeasure(xs_arr[keep], np.clip(weights[keep], 0.0, None))
+
+
+def assert_matches_the_list_reference(nc, z):
+    """The same atom and weight bytes as the reference, or the same error with the same message."""
+    try:
+        expected = list_extremal_measure(nc, z)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            extremal_upper_measure(nc, z)
+        return
+    mu = extremal_upper_measure(nc, z)
+    assert mu.atoms.tobytes() == expected.atoms.tobytes(), (nc.k, z)
+    assert mu.weights.tobytes() == expected.weights.tobytes(), (nc.k, z)
+
+
+class TestExtremalMeasureReference:
+    def test_uncapped_chains_at_several_z(self):
+        rng = np.random.default_rng(45)
+        chains = [random_consistent_chain(rng) for _ in range(60)]
+        chains += [trimmed_route_chain(rng, int(rng.integers(1, 9)), True, False) for _ in range(20)]
+        for nc in chains:
+            kn = float(nc.k[-1])
+            for z in (0.5 * kn, kn, kn + 1e-13, 1.0001 * kn, 1.05 * kn, 1.5 * kn, 3.0 * kn, 1e3 * kn):
+                assert_matches_the_list_reference(nc, z)
+
+    def test_capped_chains_at_their_cap(self):
+        rng = np.random.default_rng(46)
+        for free in (False, True):
+            for _ in range(20):
+                nc = trimmed_route_chain(rng, int(rng.integers(1, 9)), free, True)
+                cap = float(nc.window.k[-1])
+                for z in (cap, cap + 5e-10, cap + 1e-6):
+                    assert_matches_the_list_reference(nc, z)
+
+    def test_pinned_window(self):
+        nc = chain_of([1.0, 1.0000000000005], [0.0, 0.0])
+        assert nc.window.n == 0
+        for z in (1.0, 1.0000000000005, 1.0 + 5e-10, 1.5):
+            assert_matches_the_list_reference(nc, z)
 
 
 class TestExtremalMeasure:
